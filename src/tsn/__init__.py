@@ -6,6 +6,7 @@ from .core import (
     Edge,
     InfeasibleInstanceError,
     InputError,
+    InternalError,
     Solution,
     TemporalInstance,
     frame,

@@ -14,7 +14,6 @@ import io
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import approx as approx_mod
@@ -22,8 +21,10 @@ from . import exact, hardness, monotonic, variants
 from .core import (
     InfeasibleInstanceError,
     InputError,
+    InternalError,
     TemporalInstance,
     dump_json,
+    first_unsatisfiable_demand,
     instance_from_dict,
     instance_to_dict,
     is_acyclic,
@@ -256,7 +257,7 @@ def cmd_verify(args) -> int:
     instance = _load_instance(args.input)
     solution, claimed_feasible = solution_from_dict(load_json(args.solution))
     if solution is None:
-        ok = exact_first_unsat(instance) is not None
+        ok = first_unsatisfiable_demand(instance) is not None
         _report("verify", instance, ok=ok, note="infeasibility marker")
         return EXIT_OK if ok else EXIT_INPUT
     problems = []
@@ -271,12 +272,6 @@ def cmd_verify(args) -> int:
             problems.append(f"feasible flag mismatch: file says {claimed_feasible}, actual {actual}")
     _report("verify", instance, ok=not problems, problems=problems)
     return EXIT_OK if not problems else EXIT_INPUT
-
-
-def exact_first_unsat(instance):
-    from .core import first_unsatisfiable_demand
-
-    return first_unsatisfiable_demand(instance)
 
 
 def cmd_bench(args) -> int:
@@ -295,11 +290,11 @@ def cmd_bench(args) -> int:
         # bench trusts its own generated instances: the subset cap guards
         # arbitrary user input, not this batch runner
         cap = len(instance.edges)
-        optimum: Optional[Fraction] = exact.brute_force(instance, cap=cap).cost
+        optimum = exact.brute_force(instance, cap=cap).cost
         for method in methods:
             try:
                 if method == "brute":
-                    cost = exact.brute_force(instance, cap=cap).cost
+                    cost = optimum
                 elif method == "bb":
                     cost = exact.solve_bb(instance).cost
                 elif method == "union":
@@ -312,7 +307,7 @@ def cmd_bench(args) -> int:
                 # row, leave the cost empty
                 cost = None
             ratio = None
-            if cost is not None and optimum is not None and optimum > 0:
+            if cost is not None and optimum > 0:
                 ratio = str(cost / optimum)
             rows.append(
                 {
@@ -320,7 +315,7 @@ def cmd_bench(args) -> int:
                     "seed": seed,
                     "method": method,
                     "cost": str(cost) if cost is not None else "",
-                    "optimum": str(optimum) if optimum is not None else "",
+                    "optimum": str(optimum),
                     "ratio": ratio or "",
                 }
             )
@@ -425,7 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except approx_mod.NoSolutionError as exc:
         print(json.dumps({"command": args.command, "error": "infeasible", "detail": str(exc)}))
         return EXIT_INFEASIBLE
-    except AssertionError as exc:
+    except InternalError as exc:
         print(json.dumps({"command": args.command, "error": "internal", "detail": str(exc)}))
         return EXIT_INTERNAL
 

@@ -26,6 +26,10 @@ class InputError(ValueError):
     """Malformed instance/solution data (maps to CLI exit code 2)."""
 
 
+class InternalError(Exception):
+    """An internal invariant failed (maps to CLI exit code 3)."""
+
+
 class InfeasibleInstanceError(Exception):
     """A demand cannot be satisfied even by the full underlying graph."""
 

@@ -10,6 +10,14 @@ the naive scan (the test suite cross-checks against a literal enumeration)
 while staying fast on gadget instances that are mostly zero-weight wiring.
 
 `solve_bb` is an independent branch-and-bound over the same search space.
+Both run on one integer frame index built once per instance: vertices
+interned to ints, one adjacency list of `(head, edge id)` pairs per demand
+time, and weights scaled to ints by the least common multiple of their
+denominators.  The branch and bound is an iterative depth-first search that
+sets and resets a per-edge decision byte in place.  Costs return to
+`Fraction` only through `solution_from_edges`, so results stay exact and no
+float is ever used.
+
 `build_ilp`/`emit_lp`/`parse_lp` realise the per-time unit-flow integer
 program over simple single-source/single-sink instances.
 """
@@ -28,6 +36,7 @@ from .core import (
     Demand,
     InfeasibleInstanceError,
     InputError,
+    InternalError,
     Solution,
     TemporalInstance,
     effective_times,
@@ -56,45 +65,106 @@ def _brute_cap(explicit: Optional[int]) -> int:
 
 
 class _FrameIndex:
-    """Per-time adjacency over edge indices, shared by the solvers."""
+    """Integer view of an instance, built once and shared by the exact solvers.
+
+    Vertices are interned to ints.  `demands` keeps the demands whose
+    endpoints differ, as `(tail, head, frame)`, where `frame[x]` lists the
+    `(head, edge id)` pairs leaving vertex x at the demand's time, with both
+    directions when the instance is undirected; demands with equal endpoints
+    are met by the empty path.  Demands at one time share one frame.
+    `weight[i]` is edge i's weight times `scale`, the least common multiple
+    of all weight denominators, so costs add and compare as ints.
+
+    Per-edge decisions live in a `bytearray` of `_UNDECIDED` / `_INCLUDED` /
+    `_EXCLUDED` that the caller sets and resets in place.
+    """
 
     def __init__(self, instance: TemporalInstance):
-        self.instance = instance
+        ids: dict[str, int] = {}
+        for v in instance.vertices:
+            ids.setdefault(v, len(ids))
+        for e in instance.edges:
+            ids.setdefault(e.u, len(ids))
+            ids.setdefault(e.v, len(ids))
+        for d in instance.demands:
+            ids.setdefault(d.a, len(ids))
+            ids.setdefault(d.b, len(ids))
+        self.num_vertices = len(ids)
         self.eff = [effective_times(instance, i) for i in range(len(instance.edges))]
-        self.by_time: dict[int, list[int]] = {
-            t: [] for t in range(1, instance.num_times + 1)
+        self.scale = math.lcm(1, *(e.w.denominator for e in instance.edges))
+        self.weight = [e.w.numerator * (self.scale // e.w.denominator) for e in instance.edges]
+        # Dijkstra keys order paths by cost first, then by the number of
+        # undecided edges used; a simple path uses fewer than `step` edges.
+        self.step = len(instance.edges) + 1
+        self.key_weight = [w * self.step + 1 for w in self.weight]
+        self.key_limit = sum(self.key_weight) + 1
+        frames: dict[int, list[list[tuple[int, int]]]] = {
+            d.t: [[] for _ in range(self.num_vertices)] for d in instance.demands
         }
-        for i, ts in enumerate(self.eff):
-            for t in ts:
-                self.by_time[t].append(i)
-
-    def demand_ok(self, chosen: frozenset[int] | set[int], d: Demand) -> bool:
-        if d.a == d.b:
-            return True
-        inst = self.instance
-        adj: dict[str, list[str]] = {}
-        for i in self.by_time.get(d.t, ()):
-            if i not in chosen:
-                continue
-            e = inst.edges[i]
-            adj.setdefault(e.u, []).append(e.v)
-            if not inst.directed:
-                adj.setdefault(e.v, []).append(e.u)
-        seen = {d.a}
-        stack = [d.a]
-        while stack:
-            x = stack.pop()
-            if x == d.b:
-                return True
-            for y in adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return d.b in seen
+        for i, e in enumerate(instance.edges):
+            u, v = ids[e.u], ids[e.v]
+            for t, frame in frames.items():
+                if t in self.eff[i]:
+                    frame[u].append((v, i))
+                    if not instance.directed:
+                        frame[v].append((u, i))
+        self.demands = [
+            (ids[d.a], ids[d.b], frames[d.t]) for d in instance.demands if d.a != d.b
+        ]
 
     def feasible(self, chosen: Iterable[int]) -> bool:
-        cs = set(chosen)
-        return all(self.demand_ok(cs, d) for d in self.instance.demands)
+        """Do the chosen edges meet every demand?"""
+        member = bytearray(len(self.weight))
+        for i in chosen:
+            member[i] = 1
+        for a, b, frame in self.demands:
+            seen = {a}
+            stack = [a]
+            while stack and b not in seen:
+                for y, i in frame[stack.pop()]:
+                    if member[i] and y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            if b not in seen:
+                return False
+        return True
+
+    def completion(self, state: bytearray, j: int, limit: Optional[int] = None) -> Optional[int]:
+        """Cheapest way to finish demand j under the decisions in `state`.
+
+        A Dijkstra in the demand's frame: included edges ride free,
+        undecided edges pay their key weight, excluded edges are gone.  The
+        result is `cost * step + undecided edges used` for the cheapest
+        completion, so its quotient by `step` is the scaled cost and it is 0
+        exactly when the included edges already meet the demand.  None when
+        no completion has a key below `limit`, in particular when there is
+        no completion at all.
+        """
+        a, b, frame = self.demands[j]
+        if limit is None:
+            limit = self.key_limit
+        key_weight = self.key_weight
+        dist = [limit] * self.num_vertices
+        dist[a] = 0
+        heap = [(0, a)]
+        while heap:
+            d, x = heapq.heappop(heap)
+            if x == b:
+                return d
+            if d > dist[x]:
+                continue
+            for y, i in frame[x]:
+                s = state[i]
+                if s == _EXCLUDED:
+                    continue
+                nd = d if s == _INCLUDED else d + key_weight[i]
+                if nd < dist[y]:
+                    dist[y] = nd
+                    heapq.heappush(heap, (nd, y))
+        return None
+
+
+_UNDECIDED, _INCLUDED, _EXCLUDED = 0, 1, 2
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +190,9 @@ def brute_force(instance: TemporalInstance, cap: Optional[int] = None) -> Soluti
         raise InfeasibleInstanceError(bad)
 
     fidx = _FrameIndex(instance)
-    pos = [i for i, e in enumerate(edges) if e.w > 0]
-    zero = [i for i, e in enumerate(edges) if e.w == 0]
-    zero_set = set(zero)
+    weight = fidx.weight
+    pos = [i for i, w in enumerate(weight) if w > 0]
+    zero_set = {i for i, w in enumerate(weight) if w == 0}
 
     feas_cache: dict[frozenset[int], bool] = {}
 
@@ -133,10 +203,10 @@ def brute_force(instance: TemporalInstance, cap: Optional[int] = None) -> Soluti
             feas_cache[p] = hit
         return hit
 
-    # Optimal cost over positive subsets, zero edges included for free.
-    best = [None]  # type: list[Optional[Fraction]]
+    # Optimal scaled cost over positive subsets, zero edges included for free.
+    best: list[Optional[int]] = [None]
 
-    def opt_dfs(idx: int, cost: Fraction, chosen: list[int]) -> None:
+    def opt_dfs(idx: int, cost: int, chosen: list[int]) -> None:
         if best[0] is not None and cost >= best[0]:
             return  # weights are nonnegative, no improvement below
         if idx == len(pos):
@@ -145,23 +215,24 @@ def brute_force(instance: TemporalInstance, cap: Optional[int] = None) -> Soluti
             return
         e = pos[idx]
         chosen.append(e)
-        opt_dfs(idx + 1, cost + edges[e].w, chosen)
+        opt_dfs(idx + 1, cost + weight[e], chosen)
         chosen.pop()
         opt_dfs(idx + 1, cost, chosen)
 
-    opt_dfs(0, Fraction(0), [])
-    assert best[0] is not None  # feasibility was checked against all edges
-    opt: Fraction = best[0]
+    opt_dfs(0, 0, [])
+    if best[0] is None:
+        raise InternalError("brute force found no feasible subset of a feasible instance")
+    opt: int = best[0]
 
     def exists_optimal(incl_pos: frozenset[int], excl: frozenset[int]) -> bool:
         """Is there a feasible set of cost `opt` containing incl_pos (plus
         any zero edges) and avoiding excl?"""
         free = [i for i in pos if i not in incl_pos and i not in excl]
-        base_cost = sum((edges[i].w for i in incl_pos), Fraction(0))
+        base_cost = sum(weight[i] for i in incl_pos)
         if base_cost > opt:
             return False
 
-        def scan(idx: int, cost: Fraction, chosen: list[int]) -> bool:
+        def scan(idx: int, cost: int, chosen: list[int]) -> bool:
             if cost > opt:
                 return False
             if idx == len(free):
@@ -169,7 +240,7 @@ def brute_force(instance: TemporalInstance, cap: Optional[int] = None) -> Soluti
                     incl_pos | frozenset(chosen)
                 )
             e = free[idx]
-            if scan(idx + 1, cost + edges[e].w, chosen + [e]):
+            if scan(idx + 1, cost + weight[e], chosen + [e]):
                 return True
             return scan(idx + 1, cost, chosen)
 
@@ -181,20 +252,21 @@ def brute_force(instance: TemporalInstance, cap: Optional[int] = None) -> Soluti
     incl: set[int] = set()
     incl_pos: set[int] = set()
     excl: set[int] = set()
-    incl_cost = Fraction(0)
+    incl_cost = 0
     for i in range(len(edges)):
         if incl_cost == opt and fidx.feasible(incl):
             break
-        if edges[i].w == 0:
+        if weight[i] == 0:
             incl.add(i)
             continue
         if exists_optimal(frozenset(incl_pos | {i}), frozenset(excl)):
             incl.add(i)
             incl_pos.add(i)
-            incl_cost += edges[i].w
+            incl_cost += weight[i]
         else:
             excl.add(i)
-    assert incl_cost == opt and fidx.feasible(incl)
+    if incl_cost != opt or not fidx.feasible(incl):
+        raise InternalError("brute force greedy did not end on an optimal feasible set")
     return solution_from_edges(instance, incl)
 
 
@@ -207,42 +279,6 @@ class BbStats:
     nodes: int = 0
 
 
-def _completion_cost(
-    fidx: _FrameIndex,
-    included: set[int],
-    excluded: set[int],
-    d: Demand,
-) -> Optional[Fraction]:
-    """Cheapest way to finish demand d: Dijkstra in frame t where included
-    edges ride free and undecided edges pay their weight."""
-    inst = fidx.instance
-    if d.a == d.b:
-        return Fraction(0)
-    adj: dict[str, list[tuple[str, Fraction]]] = {}
-    for i in fidx.by_time.get(d.t, ()):
-        if i in excluded:
-            continue
-        e = inst.edges[i]
-        w = Fraction(0) if i in included else e.w
-        adj.setdefault(e.u, []).append((e.v, w))
-        if not inst.directed:
-            adj.setdefault(e.v, []).append((e.u, w))
-    dist: dict[str, Fraction] = {d.a: Fraction(0)}
-    heap: list[tuple[Fraction, str]] = [(Fraction(0), d.a)]
-    while heap:
-        du, x = heapq.heappop(heap)
-        if du > dist[x]:
-            continue
-        if x == d.b:
-            return du
-        for y, w in adj.get(x, ()):
-            nd = du + w
-            if y not in dist or nd < dist[y]:
-                dist[y] = nd
-                heapq.heappush(heap, (nd, y))
-    return dist.get(d.b)
-
-
 def solve_bb(
     instance: TemporalInstance, stats: Optional[BbStats] = None
 ) -> Solution:
@@ -253,6 +289,9 @@ def solve_bb(
     cost of included edges to the largest single-demand completion cost
     (shortest-path with included edges free); completions of different
     demands can share edges, so only the max -- not a sum -- is admissible.
+    A node is pruned when some demand has no completion or the bound
+    reaches the incumbent's cost.  The search is iterative, so its depth is
+    not bounded by the interpreter's recursion limit.
     """
     bad = first_unsatisfiable_demand(instance)
     if bad is not None:
@@ -260,49 +299,64 @@ def solve_bb(
     if stats is None:
         stats = BbStats()
 
-    edges = instance.edges
     fidx = _FrameIndex(instance)
+    weight, step, completion = fidx.weight, fidx.step, fidx.completion
     order = sorted(
-        range(len(edges)),
-        key=lambda i: (-edges[i].w, -len(fidx.eff[i]), i),
+        range(len(weight)),
+        key=lambda i: (-weight[i], -len(fidx.eff[i]), i),
     )
+    state = bytearray(len(weight))
+    best_cost: Optional[int] = None
+    best_edges: list[int] = []
 
-    incumbent_cost: list[Optional[Fraction]] = [None]
-    incumbent_edges: list[tuple[int, ...]] = [()]
-
-    def unsatisfied(included: set[int]) -> list[Demand]:
-        return [d for d in instance.demands if not fidx.demand_ok(included, d)]
-
-    def node(depth: int, included: set[int], excluded: set[int], cost: Fraction) -> None:
+    # One entry per node whose children are being searched: its depth and
+    # the demands its included edges leave unmet.  Both children start from
+    # those: excluding an edge meets no new demand.
+    stack: list[tuple[int, list[int]]] = []
+    depth, cost = 0, 0
+    pending = list(range(len(fidx.demands)))
+    while True:
         stats.nodes += 1
-        available = included | {
-            order[j] for j in range(depth, len(order)) if order[j] not in excluded
-        }
-        pending = unsatisfied(included)
-        for d in pending:
-            if not fidx.demand_ok(available, d):
-                return  # this branch can never become feasible
-        if not pending:
-            if incumbent_cost[0] is None or cost < incumbent_cost[0]:
-                incumbent_cost[0] = cost
-                incumbent_edges[0] = tuple(sorted(included))
-            return  # adding edges only raises cost
-        bound = cost
-        for d in pending:
-            c = _completion_cost(fidx, included, excluded, d)
-            if c is None:
-                return
-            if cost + c > bound:
-                bound = cost + c
-        if incumbent_cost[0] is not None and bound >= incumbent_cost[0]:
-            return
-        e = order[depth]
-        node(depth + 1, included | {e}, excluded, cost + edges[e].w)
-        node(depth + 1, included, excluded | {e}, cost)
-
-    node(0, set(), set(), Fraction(0))
-    assert incumbent_cost[0] is not None
-    return solution_from_edges(instance, incumbent_edges[0])
+        # The bound reaches the incumbent exactly when some demand's
+        # completion key reaches `limit`; `completion` then gives up early
+        # and the node is pruned like one with no completion.
+        limit = None if best_cost is None else (best_cost - cost) * step
+        unmet: list[int] = []
+        for j in pending:
+            key = completion(state, j, limit)
+            if key is None:
+                break
+            if key:
+                unmet.append(j)
+        else:
+            if not unmet:
+                # every demand met under `limit`: strictly cheaper than the incumbent
+                best_cost = cost
+                best_edges = [i for i, s in enumerate(state) if s == _INCLUDED]
+            else:
+                e = order[depth]
+                state[e] = _INCLUDED
+                cost += weight[e]
+                stack.append((depth, unmet))
+                depth += 1
+                pending = unmet
+                continue
+        # backtrack to the deepest node whose exclude branch is still open
+        while stack:
+            branched, pending = stack[-1]
+            e = order[branched]
+            if state[e] == _INCLUDED:
+                state[e] = _EXCLUDED
+                cost -= weight[e]
+                depth = branched + 1
+                break
+            state[e] = _UNDECIDED
+            stack.pop()
+        else:
+            break
+    if best_cost is None:
+        raise InternalError("branch and bound ended without a solution on a feasible instance")
+    return solution_from_edges(instance, best_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +595,9 @@ def emit_lp(model: IlpModel) -> str:
     for c, var in model.objective:
         if scale != 1:
             val = c * scale
-            assert val.denominator == 1
-            txt = str(int(val))
+            if val.denominator != 1:
+                raise InternalError(f"objective coefficient {c} is not integral at scale {scale}")
+            txt = str(val.numerator)
         else:
             txt = _decimal_exact(c)
         terms.append(f"{txt} {var}")

@@ -20,6 +20,7 @@ from .core import (
     Demand,
     Edge,
     InputError,
+    InternalError,
     Solution,
     TemporalInstance,
     effective_times,
@@ -275,7 +276,8 @@ def dst_solution_to_tsn(dst: DstInstance, edge_ids: Iterable[int]) -> Solution:
         raise InputError("edge set does not connect the root to every terminal")
     orig = {dst.edges[i].orig_edge for i in ids if dst.edges[i].orig_edge is not None}
     sol = solution_from_edges(dst.source_instance, orig)
-    assert is_feasible(dst.source_instance, sol)
+    if not is_feasible(dst.source_instance, sol):
+        raise InternalError("projected level-graph solution is infeasible")
     return sol
 
 
@@ -319,7 +321,7 @@ def normalize_to_time_layered_tree(
     source whose earliest necessary times are non-decreasing along every
     root path.
 
-    Removing redundant edges one at a time (lowest index first) until every
+    Removing redundant edges one at a time (highest index first) until every
     remaining edge is necessary achieves this: in a monotonic single-source
     instance a minimal solution has in-degree at most one everywhere (an
     earlier-frame entry path into a vertex also works in every later frame),

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from tsn.core import (
     Solution,
@@ -109,7 +110,10 @@ def rand_instance(
     max_times: int = 3,
     max_demands: int = 3,
     zero_weight_share: float = 0.3,
+    weights: Sequence[Fraction] | None = None,
 ) -> TemporalInstance:
+    """Small random instance; edge weights are drawn from `weights` when
+    given, otherwise zero with `zero_weight_share` and 1..9 the rest."""
     if directed is None:
         directed = rng.random() < 0.5
     if variant is None:
@@ -128,7 +132,10 @@ def rand_instance(
         if key in seen:
             continue
         seen.add(key)
-        w = Fraction(0) if rng.random() < zero_weight_share else Fraction(rng.randint(1, 9))
+        if weights is not None:
+            w = rng.choice(weights)
+        else:
+            w = Fraction(0) if rng.random() < zero_weight_share else Fraction(rng.randint(1, 9))
         times = frozenset(rng.sample(range(1, T + 1), rng.randint(1, T)))
         edges.append((u, v, w, times))
     k = rng.randint(0, max_demands)

@@ -92,6 +92,17 @@ class TestSolve:
         assert text.startswith("Minimize") or text.startswith("\\")
         assert "Binary" in text and text.rstrip().endswith("End")
 
+    def test_failed_invariant_exits_three(self, tmp_path, capsys, example1_file, monkeypatch):
+        # a feasibility check that rejects every subset breaks brute force's
+        # invariant that a feasible instance has an optimum; the explicit
+        # check survives `python -O` and maps to exit 3
+        from tsn import exact
+
+        monkeypatch.setattr(exact._FrameIndex, "feasible", lambda self, chosen: False)
+        code, out = run(capsys, "solve", "-i", example1_file, "--method", "brute")
+        assert code == 3
+        assert json.loads(out)["error"] == "internal"
+
 
 class TestVerify:
     def test_accepts_emitted_solutions(self, tmp_path, capsys, example1_file):
@@ -244,6 +255,28 @@ class TestBench:
         by_method = {r["method"]: r for r in rows}
         assert by_method["brute"]["cost"] == "1"
         assert by_method["charikar:2"]["cost"] == ""
+
+    def test_brute_runs_once_per_seed(self, tmp_path, capsys, monkeypatch):
+        # the brute row reuses the optimum column's brute-force result
+        from tsn import exact
+
+        calls = []
+        original = exact.brute_force
+
+        def counting(instance, cap=None):
+            calls.append(cap)
+            return original(instance, cap=cap)
+
+        monkeypatch.setattr(exact, "brute_force", counting)
+        out = tmp_path / "bench.csv"
+        code, _ = run(
+            capsys, "bench", "--kind", "example1",
+            "--methods", "brute,bb", "--seeds", "0,1", "-o", out,
+        )
+        assert code == 0
+        assert len(calls) == 2
+        rows = list(csv.DictReader(out.open()))
+        assert [r["cost"] for r in rows] == ["1"] * 4
 
     def test_unknown_method_rejected(self, tmp_path, capsys):
         code, out = run(

@@ -15,7 +15,6 @@ from tsn.core import (
 from tsn.exact import (
     BbStats,
     BruteForceCapError,
-    _completion_cost,
     _FrameIndex,
     assignment_objective,
     assignment_satisfies,
@@ -26,7 +25,13 @@ from tsn.exact import (
     parse_lp,
     solve_bb,
 )
-from tsn.hardness import example1_instance, gen_yes_lc, lc_to_2dtsn
+from tsn.hardness import (
+    example1_instance,
+    gen_nosat_phlc,
+    gen_yes_lc,
+    lc_to_2dtsn,
+    phlc_to_kdtsn,
+)
 from tsn.variants import normalize, to_simple
 
 from helpers import naive_brute, rand_instance
@@ -150,11 +155,62 @@ class TestSolveBb:
             except InfeasibleInstanceError:
                 continue
             fidx = _FrameIndex(inst)
-            for d in inst.demands:
-                comp = _completion_cost(fidx, set(), set(), d)
-                assert comp is not None
-                assert comp <= opt
+            root = bytearray(len(inst.edges))  # every edge undecided
+            for j in range(len(fidx.demands)):
+                key = fidx.completion(root, j)
+                assert key is not None
+                assert Fraction(key // fidx.step, fidx.scale) <= opt
             checked += 1
+
+    @pytest.mark.parametrize("variant", ["edge", "node", "node_and_edge"])
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_matches_brute_with_mixed_denominators(self, directed, variant):
+        # the integer kernel scales weights by the LCM of their
+        # denominators; optima must still agree exactly with brute force
+        rng = random.Random(f"mixed/{directed}/{variant}")
+        weights = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(0))
+        agree = 0
+        while agree < 20:
+            inst = rand_instance(
+                rng, directed=directed, variant=variant, max_edges=7, weights=weights
+            )
+            try:
+                expected = brute_force(inst)
+            except InfeasibleInstanceError:
+                continue
+            got = solve_bb(inst)
+            assert got.cost == expected.cost
+            assert isinstance(got.cost, Fraction)
+            assert is_feasible(inst, got)
+            agree += 1
+
+    @pytest.mark.parametrize(
+        "make, nodes",
+        [
+            (lambda: lc_to_2dtsn(gen_yes_lc(3, 3, 2, 3, seed=0)), 3559),
+            (lambda: phlc_to_kdtsn(gen_nosat_phlc(3, [2, 2, 2], 3, 2, seed=0)), 1383),
+        ],
+        ids=["lc-yes-u3", "phlc-nosat-k3"],
+    )
+    def test_node_count_pinned_on_gadgets(self, make, nodes):
+        # the search itself (branch order, bound, pruning) is fixed: only
+        # the time per node may change
+        inst, _ = make()
+        stats = BbStats()
+        solve_bb(inst, stats)
+        assert stats.nodes == nodes
+
+    def test_long_path_does_not_hit_recursion_limit(self):
+        n = 1500
+        inst = make_instance(
+            directed=True, variant="edge", num_times=1,
+            vertices=[f"v{i}" for i in range(n + 1)],
+            edges=[(f"v{i}", f"v{i + 1}", 1, (1,)) for i in range(n)],
+            demands=[("v0", f"v{n}", 1)],
+        )
+        sol = solve_bb(inst)
+        assert sol.cost == n
+        assert sol.edges == tuple(range(n))
 
     def test_counts_nodes(self):
         inst, _ = example1_instance()
