@@ -84,6 +84,29 @@ def _frame_adjacency(instance: TemporalInstance, t: int):
     return adj
 
 
+def _dijkstra(adj, source: str):
+    """Exact shortest paths from `source` over `_frame_adjacency` lists.
+
+    Returns (dist, pred): dist[v] is the length of a shortest path,
+    pred[v] = (previous vertex, edge id) its last hop.  Heap ties go to the
+    smaller vertex name, and pred[v] changes only for a strictly shorter path.
+    """
+    dist: dict[str, Fraction] = {source: Fraction(0)}
+    pred: dict[str, tuple[str, int]] = {}
+    heap: list[tuple[Fraction, str]] = [(Fraction(0), source)]
+    while heap:
+        du, x = heapq.heappop(heap)
+        if du > dist[x]:
+            continue
+        for y, w, eid in adj.get(x, ()):
+            nd = du + w
+            if y not in dist or nd < dist[y]:
+                dist[y] = nd
+                pred[y] = (x, eid)
+                heapq.heappush(heap, (nd, y))
+    return dist, pred
+
+
 def metric_closure(instance: TemporalInstance) -> MetricClosure:
     """Dijkstra from every vertex in every frame (edge-variant instances)."""
     if instance.variant != "edge":
@@ -93,23 +116,11 @@ def metric_closure(instance: TemporalInstance) -> MetricClosure:
     for t in range(1, instance.num_times + 1):
         adj = _frame_adjacency(instance, t)
         for s in instance.vertices:
-            d: dict[str, Fraction] = {s: Fraction(0)}
-            p: dict[str, tuple[str, int]] = {}
-            heap: list[tuple[Fraction, str]] = [(Fraction(0), s)]
-            while heap:
-                du, x = heapq.heappop(heap)
-                if du > d[x]:
-                    continue
-                for y, w, eid in adj.get(x, ()):
-                    nd = du + w
-                    if y not in d or nd < d[y]:
-                        d[y] = nd
-                        p[y] = (x, eid)
-                        heapq.heappush(heap, (nd, y))
+            d, p = _dijkstra(adj, s)
             for v, dv in d.items():
                 dist[(s, v, t)] = dv
-            for v, (x, eid) in p.items():
-                pred[(s, v, t)] = (x, eid)
+            for v, hop in p.items():
+                pred[(s, v, t)] = hop
     return MetricClosure(
         num_times=instance.num_times,
         vertices=tuple(instance.vertices),
@@ -136,19 +147,7 @@ def shortest_paths_union(instance: TemporalInstance) -> Solution:
         if d.a == d.b:
             continue
         adj = closure_cache.setdefault(d.t, _frame_adjacency(edge_inst, d.t))
-        dist: dict[str, Fraction] = {d.a: Fraction(0)}
-        pred: dict[str, tuple[str, int]] = {}
-        heap: list[tuple[Fraction, str]] = [(Fraction(0), d.a)]
-        while heap:
-            du, x = heapq.heappop(heap)
-            if du > dist[x]:
-                continue
-            for y, w, eid in adj.get(x, ()):
-                nd = du + w
-                if y not in dist or nd < dist[y]:
-                    dist[y] = nd
-                    pred[y] = (x, eid)
-                    heapq.heappush(heap, (nd, y))
+        dist, pred = _dijkstra(adj, d.a)
         if d.b not in dist:
             raise InfeasibleInstanceError(d)
         cur = d.b

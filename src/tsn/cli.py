@@ -93,15 +93,11 @@ def cmd_reduce(args) -> int:
     if args.to in ("edge", "node", "node_and_edge"):
         image, steps = variants.normalize(instance, args.to)
         dump_json(instance_to_dict(image), args.output)
-        if args.map:
-            dump_json({"steps": [variants.reduction_map_to_dict(m) for m in steps]}, args.map)
     elif args.to == "simple":
         node_image, steps = variants.normalize(instance, "node")
         image, last = variants.to_simple(node_image)
         steps = steps + [last]
         dump_json(instance_to_dict(image), args.output)
-        if args.map:
-            dump_json({"steps": [variants.reduction_map_to_dict(m) for m in steps]}, args.map)
     elif args.to == "priority-st":
         edge_image, steps = variants.normalize(instance, "edge")
         p = monotonic.tsn_to_priority(edge_image)
@@ -119,16 +115,14 @@ def cmd_reduce(args) -> int:
             },
             args.output,
         )
-        if args.map:
-            dump_json({"steps": [variants.reduction_map_to_dict(m) for m in steps]}, args.map)
     elif args.to == "dst":
         edge_image, steps = variants.normalize(instance, "edge")
         dst = monotonic.single_source_to_dst(edge_image)
         dump_json(monotonic.dst_to_dict(dst), args.output)
-        if args.map:
-            dump_json({"steps": [variants.reduction_map_to_dict(m) for m in steps]}, args.map)
     else:
         raise InputError(f"unknown reduction target {args.to!r}")
+    if args.map:
+        dump_json({"steps": [variants.reduction_map_to_dict(m) for m in steps]}, args.map)
     _report(
         "reduce",
         instance,
@@ -171,7 +165,7 @@ def cmd_solve(args) -> int:
     else:
         raise InputError(f"unknown method {args.method!r}")
     if args.output:
-        dump_json(solution_to_dict(instance, solution), args.output)
+        dump_json(solution_to_dict(solution, is_feasible(instance, solution)), args.output)
     _report(
         "solve",
         instance,
@@ -194,15 +188,16 @@ def cmd_approx(args) -> int:
         solution = approx_mod.charikar(instance, args.level, stats)
     else:
         raise InputError(f"unknown method {args.method!r}")
+    feasible = is_feasible(instance, solution)
     if args.output:
-        dump_json(solution_to_dict(instance, solution), args.output)
+        dump_json(solution_to_dict(solution, feasible), args.output)
     _report(
         "approx",
         instance,
         method=args.method,
         level=args.level if args.method == "charikar" else None,
         cost=str(solution.cost),
-        feasible=bool(is_feasible(instance, solution)),
+        feasible=feasible,
         stats=stats,
         wall_time_s=round(time.perf_counter() - started, 6),
     )
@@ -211,25 +206,21 @@ def cmd_approx(args) -> int:
 
 def _generate(kind: str, args):
     """Returns (instance, trace, constraint_graph_dict)."""
-    if kind == "example1":
-        lc = hardness.example1_label_cover()
-        inst, trace = hardness.lc_to_2dtsn(lc)
-        return inst, trace, hardness.lc_to_dict(lc)
-    if kind == "lc-yes":
-        lc = hardness.gen_yes_lc(args.u, args.v, args.degree, args.sigma, args.seed)
-        inst, trace = hardness.lc_to_2dtsn(lc)
-        return inst, trace, hardness.lc_to_dict(lc)
-    if kind == "phlc-yes":
+    if kind in ("example1", "lc-yes"):
+        if kind == "example1":
+            lc = hardness.example1_label_cover()
+        else:
+            lc = hardness.gen_yes_lc(args.u, args.v, args.degree, args.sigma, args.seed)
+        h, source = hardness.lc_as_phlc(lc), hardness.lc_to_dict(lc)
+    elif kind in ("phlc-yes", "phlc-nosat"):
+        gen = hardness.gen_yes_phlc if kind == "phlc-yes" else hardness.gen_nosat_phlc
         sizes = [int(s) for s in args.part_sizes.split(",")]
-        h = hardness.gen_yes_phlc(args.k, sizes, args.edges, args.sigma, args.seed)
-        inst, trace = hardness.phlc_to_kdtsn(h)
-        return inst, trace, hardness.phlc_to_dict(h)
-    if kind == "phlc-nosat":
-        sizes = [int(s) for s in args.part_sizes.split(",")]
-        h = hardness.gen_nosat_phlc(args.k, sizes, args.edges, args.sigma, args.seed)
-        inst, trace = hardness.phlc_to_kdtsn(h)
-        return inst, trace, hardness.phlc_to_dict(h)
-    raise InputError(f"unknown generator kind {kind!r}")
+        h = gen(args.k, sizes, args.edges, args.sigma, args.seed)
+        source = hardness.phlc_to_dict(h)
+    else:
+        raise InputError(f"unknown generator kind {kind!r}")
+    instance, trace = hardness.phlc_to_kdtsn(h)
+    return instance, trace, source
 
 
 def cmd_gen(args) -> int:
@@ -238,7 +229,7 @@ def cmd_gen(args) -> int:
     if args.undirected:
         instance = hardness.undirect(instance)
     dump_json(instance_to_dict(instance), args.output)
-    if args.trace and trace is not None:
+    if args.trace:
         dump_json(hardness.trace_to_dict(trace), args.trace)
     if args.source:
         dump_json(source, args.source)

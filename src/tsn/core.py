@@ -48,9 +48,6 @@ class Edge:
     w: Fraction
     times: frozenset[int] = frozenset()
 
-    def endpoints(self) -> tuple[Vertex, Vertex]:
-        return (self.u, self.v)
-
 
 @dataclass(frozen=True)
 class Demand:
@@ -196,12 +193,6 @@ def validate(instance: TemporalInstance) -> list[str]:
     return out
 
 
-def check_valid(instance: TemporalInstance) -> None:
-    violations = validate(instance)
-    if violations:
-        raise InputError("; ".join(violations))
-
-
 # ---------------------------------------------------------------------------
 # Frames and reachability
 
@@ -237,15 +228,8 @@ def frame(instance: TemporalInstance, t: int) -> Frame:
     return Frame(t=t, vertices=verts, edge_ids=ids)
 
 
-def _reachable(
-    instance: TemporalInstance, edge_ids: Iterable[int], source: Vertex
-) -> set[Vertex]:
-    adj: dict[Vertex, list[Vertex]] = {}
-    for i in edge_ids:
-        e = instance.edges[i]
-        adj.setdefault(e.u, []).append(e.v)
-        if not instance.directed:
-            adj.setdefault(e.v, []).append(e.u)
+def _reachable(adj: Mapping[Vertex, Iterable[Vertex]], source: Vertex) -> set[Vertex]:
+    """Vertices reachable from `source` along the adjacency lists."""
     seen = {source}
     queue = deque([source])
     while queue:
@@ -267,8 +251,14 @@ def satisfies(
     if demand.a == demand.b:
         return True
     ids = solution.edges if isinstance(solution, Solution) else tuple(solution)
-    active = [i for i in ids if demand.t in effective_times(instance, i)]
-    return demand.b in _reachable(instance, active, demand.a)
+    adj: dict[Vertex, list[Vertex]] = {}
+    for i in ids:
+        if demand.t in effective_times(instance, i):
+            e = instance.edges[i]
+            adj.setdefault(e.u, []).append(e.v)
+            if not instance.directed:
+                adj.setdefault(e.v, []).append(e.u)
+    return demand.b in _reachable(adj, demand.a)
 
 
 def is_feasible(instance: TemporalInstance, solution: Solution | Iterable[int]) -> bool:
@@ -290,7 +280,8 @@ def is_monotonic(instance: TemporalInstance) -> bool:
     T = instance.num_times
     for i in range(len(instance.edges)):
         ts = effective_times(instance, i)
-        if ts and ts != frozenset(range(min(ts), T + 1)):
+        # distinct ints in [min, T] that number T - min + 1 fill it
+        if ts and (max(ts) != T or len(ts) != T - min(ts) + 1):
             return False
     return True
 
@@ -378,6 +369,12 @@ def instance_to_dict(instance: TemporalInstance) -> dict:
     return out
 
 
+def _times_from_json(raw) -> frozenset[int]:
+    if isinstance(raw, str):
+        raise InputError(f"bad time list {raw!r}")
+    return frozenset(int(t) for t in raw)
+
+
 def instance_from_dict(data: dict) -> TemporalInstance:
     try:
         directed = bool(data["directed"])
@@ -389,14 +386,14 @@ def instance_from_dict(data: dict) -> TemporalInstance:
             if "first_time" in rec and "times" not in rec:
                 times = frozenset(range(int(rec["first_time"]), T + 1))
             else:
-                times = frozenset(int(t) for t in rec.get("times", ()))
+                times = _times_from_json(rec.get("times", ()))
             edges.append(Edge(str(rec["u"]), str(rec["v"]), _weight_from_json(rec["w"]), times))
         demands = tuple(Demand(str(d["a"]), str(d["b"]), int(d["t"])) for d in data["demands"])
-    except (KeyError, TypeError, ValueError) as exc:
+        act = None
+        if "node_activity" in data:
+            act = {str(v): _times_from_json(ts) for v, ts in data["node_activity"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance: {exc}") from None
-    act = None
-    if "node_activity" in data:
-        act = {str(v): frozenset(int(t) for t in ts) for v, ts in data["node_activity"].items()}
     return TemporalInstance(
         directed=directed,
         variant=variant,
@@ -409,14 +406,12 @@ def instance_from_dict(data: dict) -> TemporalInstance:
     )
 
 
-def solution_to_dict(instance: TemporalInstance, solution: Solution | None) -> dict:
+def solution_to_dict(solution: Solution | None, feasible: bool) -> dict:
+    """`feasible` is the caller's check of the solution; None writes the
+    infeasibility marker."""
     if solution is None:
         return {"edges": [], "cost": None, "feasible": False}
-    return {
-        "edges": list(solution.edges),
-        "cost": str(solution.cost),
-        "feasible": bool(is_feasible(instance, solution)),
-    }
+    return {"edges": list(solution.edges), "cost": str(solution.cost), "feasible": feasible}
 
 
 def solution_from_dict(data: dict) -> tuple[Solution | None, bool]:

@@ -1,7 +1,9 @@
 """Benchmark-instance generators built from constraint-graph gadgets.
 
-A label-cover constraint graph compiles into a temporal instance made of
-chained bundles: per side (or hypergraph part) and per vertex, one bundle
+One compiler, `phlc_to_kdtsn`, turns a k-partite constraint hypergraph into
+a k-frame temporal instance; a bipartite label-cover graph is its k = 2 case
+(`lc_to_2dtsn` compiles `lc_as_phlc(lc)`).  The instance is made of
+chained bundles: per hypergraph part (frame) and per vertex, one bundle
 whose strands enumerate that vertex's candidate labels; each strand chains
 one sub-bundle per incident constraint edge, holding a unit-weight contact
 edge per consistent labelling of the far endpoint(s).  Contact edges whose
@@ -82,16 +84,6 @@ def phlc_weakly_satisfies(h: KphlcInstance, labeling: Sequence[Sequence[int]], m
     e = h.edges[m]
     cols = [h.projections[m][t][labeling[t][e[t]]] for t in range(h.k)]
     return len(set(cols)) < len(cols)
-
-
-def lc_agreeing_pairs(lc: LabelCoverInstance, m: int) -> list[tuple[int, int]]:
-    pl, pr = lc.projections[m]
-    return sorted(
-        (l, r)
-        for l in range(lc.num_labels)
-        for r in range(lc.num_labels)
-        if pl[l] == pr[r]
-    )
 
 
 def phlc_agreeing_tuples(h: KphlcInstance, m: int) -> list[tuple[int, ...]]:
@@ -273,106 +265,6 @@ def _fallback_contact(part: int, pos: int, label: int, m: int) -> tuple[str, str
 
 
 # ---------------------------------------------------------------------------
-# Bipartite construction (two demands)
-
-
-def lc_to_2dtsn(lc: LabelCoverInstance) -> tuple[TemporalInstance, GadgetTrace]:
-    """Compile a bipartite constraint graph into a two-frame instance.
-
-    Frame 1 chains one bundle per left vertex (one strand per candidate
-    label, one sub-bundle per incident edge, one contact path per agreeing
-    right label); frame 2 mirrors this for the right side.  Contact paths
-    carrying the same (edge, left label, right label) exist in both frames
-    as one shared edge.
-    """
-    b = _Builder()
-    bundles: list[BundleInfo] = []
-
-    # frame 1: the left chain
-    for i in range(len(lc.left)):
-        src = b.vertex(_endpoint(1, i + 1))
-        snk = b.vertex(_endpoint(1, i + 2))
-        incident = [m for m, (ui, _) in enumerate(lc.edges) if ui == i]
-        if not incident:
-            b.wire(src, snk, 1)
-            bundles.append(BundleInfo(1, i, src, snk, ()))
-            continue
-        strands = []
-        for l in range(lc.num_labels):
-            chain = []
-            prev = src
-            for pos, m in enumerate(incident):
-                nxt = snk if pos == len(incident) - 1 else b.vertex(_junction(1, i + 1, l, pos + 1))
-                agreeing = [r for (l2, r) in lc_agreeing_pairs(lc, m) if l2 == l]
-                ids = []
-                if agreeing:
-                    for r in agreeing:
-                        c1, c2 = _merged_contact(m, (l, r))
-                        eid = b.contact(c1, c2, 1, ContactInfo(hyperedge=m, labels=(l, r)))
-                        b.wire(prev, c1, 1)
-                        b.wire(c2, nxt, 1)
-                        ids.append(eid)
-                else:
-                    c1, c2 = _fallback_contact(1, i + 1, l, m)
-                    eid = b.contact(
-                        c1, c2, 1,
-                        ContactInfo(hyperedge=m, labels=None, part=1, vertex=i, strand_label=l),
-                    )
-                    b.wire(prev, c1, 1)
-                    b.wire(c2, nxt, 1)
-                    ids.append(eid)
-                chain.append((m, tuple(ids)))
-                prev = nxt
-            strands.append((l, tuple(chain)))
-        bundles.append(BundleInfo(1, i, src, snk, tuple(strands)))
-
-    # frame 2: the right chain
-    for j in range(len(lc.right)):
-        src = b.vertex(_endpoint(2, j + 1))
-        snk = b.vertex(_endpoint(2, j + 2))
-        incident = [m for m, (_, vj) in enumerate(lc.edges) if vj == j]
-        if not incident:
-            b.wire(src, snk, 2)
-            bundles.append(BundleInfo(2, j, src, snk, ()))
-            continue
-        strands = []
-        for r in range(lc.num_labels):
-            chain = []
-            prev = src
-            for pos, m in enumerate(incident):
-                nxt = snk if pos == len(incident) - 1 else b.vertex(_junction(2, j + 1, r, pos + 1))
-                agreeing = [l for (l, r2) in lc_agreeing_pairs(lc, m) if r2 == r]
-                ids = []
-                if agreeing:
-                    for l in agreeing:
-                        c1, c2 = _merged_contact(m, (l, r))
-                        eid = b.contact(c1, c2, 2, ContactInfo(hyperedge=m, labels=(l, r)))
-                        b.wire(prev, c1, 2)
-                        b.wire(c2, nxt, 2)
-                        ids.append(eid)
-                else:
-                    c1, c2 = _fallback_contact(2, j + 1, r, m)
-                    eid = b.contact(
-                        c1, c2, 2,
-                        ContactInfo(hyperedge=m, labels=None, part=2, vertex=j, strand_label=r),
-                    )
-                    b.wire(prev, c1, 2)
-                    b.wire(c2, nxt, 2)
-                    ids.append(eid)
-                chain.append((m, tuple(ids)))
-                prev = nxt
-            strands.append((r, tuple(chain)))
-        bundles.append(BundleInfo(2, j, src, snk, tuple(strands)))
-
-    demands = (
-        Demand(_endpoint(1, 1), _endpoint(1, len(lc.left) + 1), 1),
-        Demand(_endpoint(2, 1), _endpoint(2, len(lc.right) + 1), 2),
-    )
-    instance = b.finish(2, demands)
-    return instance, GadgetTrace(contacts=b.contacts, bundles=tuple(bundles))
-
-
-# ---------------------------------------------------------------------------
 # Hypergraph construction (k demands)
 
 
@@ -385,6 +277,7 @@ def phlc_to_kdtsn(h: KphlcInstance) -> tuple[TemporalInstance, GadgetTrace]:
     """
     b = _Builder()
     bundles: list[BundleInfo] = []
+    agreeing = [phlc_agreeing_tuples(h, m) for m in range(len(h.edges))]
     for t in range(h.k):
         part_no = t + 1
         for i in range(len(h.parts[t])):
@@ -405,7 +298,7 @@ def phlc_to_kdtsn(h: KphlcInstance) -> tuple[TemporalInstance, GadgetTrace]:
                         if pos == len(incident) - 1
                         else b.vertex(_junction(part_no, i + 1, l, pos + 1))
                     )
-                    tuples = [tup for tup in phlc_agreeing_tuples(h, m) if tup[t] == l]
+                    tuples = [tup for tup in agreeing[m] if tup[t] == l]
                     ids = []
                     if tuples:
                         for tup in tuples:
@@ -462,6 +355,12 @@ def undirect(instance: TemporalInstance) -> TemporalInstance:
 # two frames, which keeps the merged underlying graph acyclic.  (Crossing
 # incidence patterns, e.g. a four-cycle, can make the union of frames cyclic
 # even though each individual frame is always a DAG.)
+
+
+def lc_to_2dtsn(lc: LabelCoverInstance) -> tuple[TemporalInstance, GadgetTrace]:
+    """Compile a bipartite constraint graph into a two-frame instance: the
+    k = 2 case of `phlc_to_kdtsn`, left side in frame 1, right in frame 2."""
+    return phlc_to_kdtsn(lc_as_phlc(lc))
 
 
 def lc_as_phlc(lc: LabelCoverInstance) -> KphlcInstance:

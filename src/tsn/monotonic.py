@@ -23,6 +23,7 @@ from .core import (
     InternalError,
     Solution,
     TemporalInstance,
+    _reachable,
     effective_times,
     is_feasible,
     is_monotonic,
@@ -73,15 +74,7 @@ def priority_feasible(p: PriorityInstance, edge_ids: Iterable[int]) -> bool:
                 continue
             adj.setdefault(e.u, []).append(e.v)
             adj.setdefault(e.v, []).append(e.u)
-        seen = {d.a}
-        stack = [d.a]
-        while stack:
-            x = stack.pop()
-            for y in adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if d.b not in seen:
+        if d.b not in _reachable(adj, d.a):
             return False
     return True
 
@@ -252,19 +245,11 @@ def single_source_to_dst(instance: TemporalInstance) -> DstInstance:
 
 
 def dst_feasible(dst: DstInstance, edge_ids: Iterable[int]) -> bool:
-    ids = set(edge_ids)
     adj: dict[str, list[str]] = {}
-    for i in ids:
+    for i in set(edge_ids):
         e = dst.edges[i]
         adj.setdefault(e.u, []).append(e.v)
-    seen = {dst.root}
-    stack = [dst.root]
-    while stack:
-        x = stack.pop()
-        for y in adj.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
+    seen = _reachable(adj, dst.root)
     return all(t in seen for t in dst.terminals)
 
 

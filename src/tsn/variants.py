@@ -22,15 +22,6 @@ from .core import (
     solution_from_edges,
 )
 
-REDUCTION_KINDS = (
-    "node_edge_to_node",
-    "node_to_edge",
-    "to_simple",
-    "priority_to_tsn",
-    "embed",
-)
-
-
 @dataclass(frozen=True)
 class ReductionMap:
     kind: str

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import tsn
 from tsn.cli import main
 from tsn.core import dump_json, instance_from_dict, instance_to_dict, load_json, make_instance
 
@@ -54,6 +59,53 @@ class TestValidate:
         code, out = run(capsys, "validate", "-i", path)
         assert code == 2
         assert json.loads(out)["violations"]
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"node_activity": [1]},
+            {"edges": {"x": 1}},
+            {"edges": [{"u": "a", "v": "b", "w": 1, "times": "12"}]},
+        ],
+        ids=["node_activity_list", "edges_object", "times_string"],
+    )
+    def test_malformed_shape_is_an_input_error(self, tmp_path, capsys, patch):
+        data = {
+            "directed": True, "variant": "edge", "T": 2, "vertices": ["a", "b"],
+            "edges": [{"u": "a", "v": "b", "w": 1, "times": [1, 2]}],
+            "demands": [{"a": "a", "b": "b", "t": 1}],
+        }
+        data.update(patch)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out = run(capsys, "validate", "-i", path)
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "input"
+
+    def test_huge_time_horizon_stays_small(self, tmp_path):
+        # one edge active at time 1 out of 10^12: the monotonicity check
+        # must not materialise the horizon; run under a 1 GiB address-space
+        # cap so a regression fails here instead of exhausting host memory
+        data = {
+            "directed": True, "variant": "edge", "T": 10**12, "vertices": ["a", "b"],
+            "edges": [{"u": "a", "v": "b", "w": 1, "times": [1]}],
+            "demands": [{"a": "a", "b": "b", "t": 1}],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsn.__file__)))
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsn.cli", "validate", "-i", str(path)],
+            env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["digest"]["monotonic"] is False
 
 
 class TestSolve:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -5,7 +7,7 @@ from itertools import product
 import pytest
 
 from tsn.approx import metric_closure
-from tsn.core import is_acyclic, validate
+from tsn.core import instance_to_dict, is_acyclic, validate
 from tsn.exact import brute_force, solve_bb
 from tsn.hardness import (
     LabelCoverInstance,
@@ -15,13 +17,14 @@ from tsn.hardness import (
     gen_nosat_phlc,
     gen_yes_lc,
     gen_yes_phlc,
-    lc_agreeing_pairs,
     lc_as_phlc,
     lc_has_total_labeling,
     lc_to_2dtsn,
+    phlc_agreeing_tuples,
     phlc_strongly_satisfies,
     phlc_to_kdtsn,
     phlc_weakly_satisfies,
+    trace_to_dict,
     undirect,
 )
 
@@ -61,7 +64,7 @@ class TestExample1:
         lc = example1_label_cover()
         assert lc_has_total_labeling(lc)
         # both left labels agree with the second right label only
-        assert lc_agreeing_pairs(lc, 0) == [(0, 1), (1, 1)]
+        assert phlc_agreeing_tuples(lc_as_phlc(lc), 0) == [(0, 1), (1, 1)]
 
 
 class TestLcGadget:
@@ -113,19 +116,30 @@ class TestLcGadget:
 
 class TestPhlcGadget:
     @pytest.mark.parametrize(
-        "shape",
-        [(2, 2, 1, 2), (1, 3, 3, 2), (3, 3, 1, 3), (1, 1, 1, 3), (2, 3, 2, 2), (1, 2, 2, 1)],
+        "shape, digest",
+        [
+            ((2, 2, 1, 2), "4bf07be4b258246c3f8666217d8281856d44596992f80d8fb2e63bbb64c6828f"),
+            ((1, 3, 3, 2), "d6793838e494823f132edc8f175db0f2666761688c6c4534dbedd5112080e0d1"),
+            ((3, 3, 1, 3), "440be5975425b682187230cdfc92ca8184d7362d5f54fb7702862e458fa3e4f5"),
+            ((1, 1, 1, 3), "c1d490a074d6665f1b3311e4cb8d9aa0c07d163aae6adebba6357cb3f4dece57"),
+            ((2, 3, 2, 2), "15eccc692381eb0660789f81c8601418c9006a651b6f970588d9afadb3491e35"),
+            ((1, 2, 2, 1), "4cbbda187369c29885df744be04559361a1575eac3dabcb91315d02536f24e89"),
+        ],
+        ids=[f"shape{i}" for i in range(6)],
     )
-    def test_k2_matches_bipartite_construction(self, shape):
+    def test_k2_matches_bipartite_construction(self, shape, digest):
+        # the digests were taken from the dedicated bipartite compiler that
+        # the k = 2 hypergraph compiler replaced: instance and trace JSON
+        # must stay byte-identical to it
         u, v, deg, sigma = shape
+        h = hashlib.sha256()
         for seed in (0, 1, 2):
             lc = gen_yes_lc(u, v, deg, sigma, seed=seed)
-            a, _ = lc_to_2dtsn(lc)
-            b, _ = phlc_to_kdtsn(lc_as_phlc(lc))
-            assert set(a.vertices) == set(b.vertices)
-            assert set(a.edges) == set(b.edges)
-            assert a.demands == b.demands
-            assert a.num_times == b.num_times == 2
+            inst, trace = phlc_to_kdtsn(lc_as_phlc(lc))
+            assert inst.num_times == 2
+            h.update(json.dumps(instance_to_dict(inst), indent=2).encode())
+            h.update(json.dumps(trace_to_dict(trace), indent=2).encode())
+        assert h.hexdigest() == digest
 
     def test_strongly_satisfiable_costs_edge_count(self):
         h = gen_yes_phlc(3, [1, 1, 1], 1, 2, seed=4)
