@@ -2,18 +2,30 @@
 
 `shortest_paths_union` is the trivial k-approximation: one shortest path per
 demand inside its own frame.  `charikar_level` is the recursive density
-greedy for the monotonic single-source directed case: level 1 is a star of
-closure edges, level i repeatedly grabs the minimum-density level-(i-1)
-subtree hanging off one closure edge.  A demand (b, t) counts as covered
-only when some tree edge lands on the pair (b, t) exactly -- intermediate
-hops may use any non-decreasing times.
+greedy of Charikar et al. ("Approximation algorithms for directed Steiner
+problems", J. Algorithms 1999) for the monotonic single-source directed
+case: level 1 is a star of closure edges, level i repeatedly grabs the
+minimum-density level-(i-1) subtree hanging off one closure edge.  A demand
+(b, t) counts as covered only when some tree edge lands on the pair (b, t)
+exactly -- intermediate hops may use any non-decreasing times.
+
+`metric_closure` runs Dijkstra on the edge weights scaled to ints by the LCM
+of their denominators and keeps both the scaled ints and the exact
+`Fraction` lengths.  The greedy searches on the ints: densities are compared
+by cross-multiplication, and `Fraction` appears only in the returned
+`ClosureTree` edges and cost.  It relies on the instance being monotonic
+(frames nest, so closure reachability is transitive): its memo is keyed on
+(level, sub-root, sub-budget, residual pairs reachable from the sub-root at
+or after its time), and each sub-call receives only that residual.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -42,14 +54,16 @@ class MetricClosure:
     """Per-time all-pairs shortest-path table with path reconstruction.
 
     dist[(u, v, t)] is the exact length of the shortest u->v path inside
-    frame t; unreachable pairs are absent.  pred[(u, v, t)] = (w, edge_id)
-    gives the last hop of one such path.
+    frame t; unreachable pairs are absent.  scaled[(u, v, t)] is the same
+    length times the LCM of the edge-weight denominators, an int.
+    pred[(u, v, t)] = (w, edge_id) gives the last hop of one such path.
     """
 
     num_times: int
     vertices: tuple[str, ...]
     dist: dict[tuple[str, str, int], Fraction]
     pred: dict[tuple[str, str, int], tuple[str, int]]
+    scaled: dict[tuple[str, str, int], int]
 
     def distance(self, u: str, v: str, t: int) -> Optional[Fraction]:
         if u == v:
@@ -71,29 +85,33 @@ class MetricClosure:
         return out
 
 
-def _frame_adjacency(instance: TemporalInstance, t: int):
-    adj: dict[str, list[tuple[str, Fraction, int]]] = {}
+def _frame_adjacency(instance: TemporalInstance, t: int, weights: Optional[Sequence] = None):
+    """Out-lists (head, weight, edge id) of frame t; `weights` replaces the
+    edge weights by edge id when given."""
+    adj: dict[str, list] = {}
     for i, e in enumerate(instance.edges):
         if t not in e.times:
             continue
-        adj.setdefault(e.u, []).append((e.v, e.w, i))
+        w = e.w if weights is None else weights[i]
+        adj.setdefault(e.u, []).append((e.v, w, i))
         if not instance.directed:
-            adj.setdefault(e.v, []).append((e.u, e.w, i))
+            adj.setdefault(e.v, []).append((e.u, w, i))
     for lst in adj.values():
         lst.sort(key=lambda rec: (rec[0], rec[2]))
     return adj
 
 
 def _dijkstra(adj, source: str):
-    """Exact shortest paths from `source` over `_frame_adjacency` lists.
+    """Exact shortest paths from `source` over `_frame_adjacency` lists
+    (Fraction or int weights).
 
     Returns (dist, pred): dist[v] is the length of a shortest path,
     pred[v] = (previous vertex, edge id) its last hop.  Heap ties go to the
     smaller vertex name, and pred[v] changes only for a strictly shorter path.
     """
-    dist: dict[str, Fraction] = {source: Fraction(0)}
+    dist = {source: 0}
     pred: dict[str, tuple[str, int]] = {}
-    heap: list[tuple[Fraction, str]] = [(Fraction(0), source)]
+    heap = [(0, source)]
     while heap:
         du, x = heapq.heappop(heap)
         if du > dist[x]:
@@ -108,17 +126,22 @@ def _dijkstra(adj, source: str):
 
 
 def metric_closure(instance: TemporalInstance) -> MetricClosure:
-    """Dijkstra from every vertex in every frame (edge-variant instances)."""
+    """Dijkstra from every vertex in every frame (edge-variant instances),
+    on the weights scaled to ints; each length is divided back once."""
     if instance.variant != "edge":
         raise InputError("metric_closure expects an edge-variant instance")
+    scale = math.lcm(*(e.w.denominator for e in instance.edges))
+    weights = [e.w.numerator * (scale // e.w.denominator) for e in instance.edges]
     dist: dict[tuple[str, str, int], Fraction] = {}
+    scaled: dict[tuple[str, str, int], int] = {}
     pred: dict[tuple[str, str, int], tuple[str, int]] = {}
     for t in range(1, instance.num_times + 1):
-        adj = _frame_adjacency(instance, t)
+        adj = _frame_adjacency(instance, t, weights)
         for s in instance.vertices:
             d, p = _dijkstra(adj, s)
             for v, dv in d.items():
-                dist[(s, v, t)] = dv
+                scaled[(s, v, t)] = dv
+                dist[(s, v, t)] = Fraction(dv, scale)
             for v, hop in p.items():
                 pred[(s, v, t)] = hop
     return MetricClosure(
@@ -126,6 +149,7 @@ def metric_closure(instance: TemporalInstance) -> MetricClosure:
         vertices=tuple(instance.vertices),
         dist=dist,
         pred=pred,
+        scaled=scaled,
     )
 
 
@@ -141,12 +165,14 @@ def shortest_paths_union(instance: TemporalInstance) -> Solution:
     frame has no connecting path.
     """
     edge_inst, steps, pres = normalize_with_instances(instance, "edge")
-    closure_cache: dict[int, dict] = {}
+    frames: dict[int, dict] = {}
     union: set[int] = set()
     for d in edge_inst.demands:
         if d.a == d.b:
             continue
-        adj = closure_cache.setdefault(d.t, _frame_adjacency(edge_inst, d.t))
+        adj = frames.get(d.t)
+        if adj is None:
+            adj = frames[d.t] = _frame_adjacency(edge_inst, d.t)
         dist, pred = _dijkstra(adj, d.a)
         if d.b not in dist:
             raise InfeasibleInstanceError(d)
@@ -177,7 +203,7 @@ class ClosureTree:
     edges: tuple[tuple[Pair, Pair, Fraction], ...]
     covered: tuple[Pair, ...]
 
-    @property
+    @cached_property
     def cost(self) -> Fraction:
         return sum((c for _, _, c in self.edges), Fraction(0))
 
@@ -193,26 +219,39 @@ def covered_pairs(root: Pair, edges: Iterable[tuple[Pair, Pair, Fraction]], resi
 def density(tree: ClosureTree, residual: Iterable[Pair]):
     """Tree cost divided by the number of residual demand entries it newly
     covers; +inf when it covers none."""
-    res = list(residual)
-    newly = sum(1 for p in res if p in set(tree.covered))
+    covered = set(tree.covered)
+    newly = sum(1 for p in residual if p in covered)
     if newly == 0:
         return float("inf")
     return tree.cost / newly
 
 
-def _merge(base_edges: list, base_nodes: set, extra: ClosureTree, root: Pair) -> None:
-    """Union a greedy pick into the running tree, keeping one in-edge per
-    node (first round wins) and none into the root, so the result stays a
-    tree: a pick may route through the root pair as an intermediate, but
-    the root needs no parent and its onward edges keep everything reachable."""
+def _merge(base_edges: list, base_nodes: set, extra: Iterable, root: Pair) -> None:
+    """Union the edges of a greedy pick into the running tree, keeping one
+    in-edge per node (first round wins) and none into the root, so the
+    result stays a tree: a pick may route through the root pair as an
+    intermediate, but the root needs no parent and its onward edges keep
+    everything reachable."""
     have_child = {child for _, child, _ in base_edges}
-    for parent, child, cost in extra.edges:
+    for parent, child, cost in extra:
         if child == root or child in have_child:
             continue
         base_edges.append((parent, child, cost))
         have_child.add(child)
         base_nodes.add(parent)
         base_nodes.add(child)
+
+
+def _hop(closure: MetricClosure, u: str, pair: Pair) -> Optional[int]:
+    """Scaled closure distance from u to pair's vertex in pair's frame."""
+    return 0 if u == pair[0] else closure.scaled.get((u, pair[0], pair[1]))
+
+
+def _scaled_cost(closure: MetricClosure, tree: ClosureTree) -> int:
+    return sum(_hop(closure, parent[0], child) for parent, child, _ in tree.edges)
+
+
+_MISSING = object()
 
 
 def charikar_level(
@@ -231,6 +270,16 @@ def charikar_level(
     level i scans every intermediate (v, t') with t' at least the root time
     and every sub-budget, recursing at level i-1, and repeatedly keeps the
     candidate of minimum density (ties: fewer nodes, then smallest (v, t')).
+
+    Precondition: the closure comes from a monotonic instance, so frame t
+    is contained in frame t' for t <= t' and closure reachability between
+    pairs is transitive.  A level-(i-1) sub-call at pair p can then only
+    see the residual pairs at time >= p's time reachable from p; it gets
+    just those, and the memo `_cache` is keyed on (i-1, p, sub-budget, that
+    restricted residual).  Costs are compared as scaled ints by
+    cross-multiplication; each memo entry keeps its tree's scaled cost and
+    the number of residual entries it covers.  `_stats` counts "calls"
+    (invocations) and "memo_hits".
     """
     if i < 1:
         raise InputError("level must be a positive integer")
@@ -238,17 +287,14 @@ def charikar_level(
         _cache = {}
     if _stats is not None:
         _stats["calls"] = _stats.get("calls", 0) + 1
+        _stats.setdefault("memo_hits", 0)
 
     root_v, root_t = root
-    residual = list(demands)
     counts: dict[Pair, int] = {}
-    for p in residual:
-        counts[p] = counts.get(p, 0) + 1
-
-    def reachable(p: Pair) -> bool:
-        return p[1] >= root_t and closure.distance(root_v, p[0], p[1]) is not None
-
-    reachable_entries = sum(c for p, c in counts.items() if reachable(p))
+    for p in demands:
+        if p[1] >= root_t and _hop(closure, root_v, p) is not None:
+            counts[p] = counts.get(p, 0) + 1
+    reachable_entries = sum(counts.values())
     if reachable_entries < k:
         raise NoSolutionError(
             f"only {reachable_entries} residual demands reachable from {root}, need {k}"
@@ -258,15 +304,10 @@ def charikar_level(
         edges: list[tuple[Pair, Pair, Fraction]] = []
         nodes = {root}
         covered_count = counts.get(root, 0)
-        ranked = sorted(
-            (closure.distance(root_v, p[0], p[1]), p)
-            for p in counts
-            if p != root and reachable(p)
-        )
-        for dcost, p in ranked:
+        for _, p in sorted((_hop(closure, root_v, p), p) for p in counts if p != root):
             if covered_count >= k:
                 break
-            edges.append((root, p, dcost))
+            edges.append((root, p, closure.distance(root_v, p[0], p[1])))
             nodes.add(p)
             covered_count += counts[p]
         return ClosureTree(
@@ -276,6 +317,16 @@ def charikar_level(
             covered=covered_pairs(root, edges, counts),
         )
 
+    candidates = []
+    for v in closure.vertices:
+        for t in range(max(root_t, 1), closure.num_times + 1):
+            hop = _hop(closure, root_v, (v, t))
+            if hop is not None and (v, t) != root:
+                candidates.append(((v, t), hop))
+    candidates.sort()
+    scaled = closure.scaled
+    level = i - 1
+
     tree_edges: list[tuple[Pair, Pair, Fraction]] = []
     tree_nodes: set[Pair] = {root}
     remaining = k
@@ -284,54 +335,51 @@ def charikar_level(
         # let candidate subtrees claim that credit again
         remaining -= counts.pop(root)
     while remaining > 0:
-        best_key = None
-        best_tree: Optional[ClosureTree] = None
-        best_newly = 0
-        candidates = sorted(
-            (v, t)
-            for v in closure.vertices
-            for t in range(max(root_t, 1), closure.num_times + 1)
-            if (v, t) != root
-        )
-        for pair in candidates:
-            hop = closure.distance(root_v, pair[0], pair[1])
-            if hop is None:
-                continue
-            for sub_k in range(remaining, 0, -1):
-                key = (i - 1, pair, sub_k, tuple(sorted(counts.items())))
-                if key in _cache:
-                    sub = _cache[key]
-                else:
+        residual = _expand(counts)
+        hits = 0
+        best = None  # (scaled cost, newly covered, |nodes|, pair, subtree)
+        for pair, hop in candidates:
+            v, t = pair
+            sub_residual = tuple(
+                q for q in residual
+                if q[1] >= t and (q[0] == v or (v, q[0], q[1]) in scaled)
+            )
+            for sub_k in range(min(remaining, len(sub_residual)), 0, -1):
+                key = (level, pair, sub_k, sub_residual)
+                entry = _cache.get(key, _MISSING)
+                if entry is _MISSING:
                     try:
                         sub = charikar_level(
-                            i - 1, closure, pair, sub_k, _expand(counts), _cache, _stats
+                            level, closure, pair, sub_k, sub_residual, _cache, _stats
                         )
                     except NoSolutionError:
-                        sub = None
-                    _cache[key] = sub
-                if sub is None:
+                        entry = None
+                    else:
+                        entry = (sub, _scaled_cost(closure, sub),
+                                 sum(counts[p] for p in sub.covered))
+                    _cache[key] = entry
+                else:
+                    hits += 1
+                if entry is None or entry[2] == 0:  # no cover: density +inf
                     continue
-                cand_edges = list(sub.edges) + [(root, pair, hop)]
-                cand_nodes = sub.nodes | {root, pair}
-                covered = covered_pairs(root, cand_edges, counts)
-                newly = sum(counts[p] for p in covered)
-                cost = sub.cost + hop
-                dens = float("inf") if newly == 0 else cost / newly
-                cand_key = (dens, len(cand_nodes), pair)
-                if best_key is None or cand_key < best_key:
-                    best_key = cand_key
-                    best_tree = ClosureTree(
-                        root=root,
-                        nodes=frozenset(cand_nodes),
-                        edges=tuple(cand_edges),
-                        covered=covered,
-                    )
-                    best_newly = newly
-        if best_tree is None or best_newly == 0:
+                sub, sub_cost, newly = entry
+                cost = sub_cost + hop
+                nodes = len(sub.nodes) + (root not in sub.nodes)
+                if best is not None:
+                    # density cost/newly against the best's, exactly
+                    lhs, rhs = cost * best[1], best[0] * newly
+                    if lhs > rhs or (lhs == rhs and (nodes, pair) >= best[2:4]):
+                        continue
+                best = (cost, newly, nodes, pair, sub)
+        if _stats is not None:
+            _stats["memo_hits"] += hits
+        if best is None:
             raise NoSolutionError(f"no progress possible from {root}")
-        _merge(tree_edges, tree_nodes, best_tree, root)
-        remaining -= best_newly
-        for p in best_tree.covered:
+        _, newly, _, pair, sub = best
+        _merge(tree_edges, tree_nodes,
+               (*sub.edges, (root, pair, closure.distance(root_v, pair[0], pair[1]))), root)
+        remaining -= newly
+        for p in sub.covered:
             counts.pop(p, None)
     return ClosureTree(
         root=root,
@@ -341,11 +389,11 @@ def charikar_level(
     )
 
 
-def _expand(counts: dict[Pair, int]) -> list[Pair]:
+def _expand(counts: dict[Pair, int]) -> tuple[Pair, ...]:
     out: list[Pair] = []
     for p in sorted(counts):
         out.extend([p] * counts[p])
-    return out
+    return tuple(out)
 
 
 def expand_tree(

@@ -322,7 +322,11 @@ def solution_cost(instance: TemporalInstance, solution: Solution | Iterable[int]
 #    "demands": [{"a","b","t"}]}
 # Weights are JSON numbers when integral, otherwise "p/q" strings.
 # For monotonic instances an edge may carry "first_time": t instead of
-# "times", meaning {t..T}.
+# "times", meaning {t..T}.  Reading a file expands these sets, at most
+# MAX_FIRST_TIME_ENTRIES time entries summed over all such edges; a file
+# that would expand to more is an input error.
+
+MAX_FIRST_TIME_ENTRIES = 1_000_000
 
 
 def _weight_to_json(w: Fraction):
@@ -380,11 +384,20 @@ def instance_from_dict(data: dict) -> TemporalInstance:
         directed = bool(data["directed"])
         variant = data["variant"]
         T = int(data["T"])
+        if isinstance(data["vertices"], str):
+            raise InputError(f"bad vertex list {data['vertices']!r}")
         vertices = tuple(str(v) for v in data["vertices"])
         edges = []
+        expanded = 0
         for rec in data["edges"]:
             if "first_time" in rec and "times" not in rec:
-                times = frozenset(range(int(rec["first_time"]), T + 1))
+                first = int(rec["first_time"])
+                expanded += max(0, T - first + 1)
+                if expanded > MAX_FIRST_TIME_ENTRIES:
+                    raise InputError(
+                        f"first_time edges expand to more than {MAX_FIRST_TIME_ENTRIES} time entries"
+                    )
+                times = frozenset(range(first, T + 1))
             else:
                 times = _times_from_json(rec.get("times", ()))
             edges.append(Edge(str(rec["u"]), str(rec["v"]), _weight_from_json(rec["w"]), times))

@@ -174,9 +174,11 @@ def rand_monotonic_single_source(
     max_times: int = 3,
     max_demands: int = 3,
     require_feasible: bool = True,
+    weights: Sequence[Fraction] | None = None,
 ) -> TemporalInstance:
     """Directed edge-variant instance with upward-closed times and all
-    demands rooted at one source."""
+    demands rooted at one source; edge weights are drawn from `weights`
+    when given, otherwise zero with share 0.2 and 1..9 the rest."""
     from tsn.core import first_unsatisfiable_demand
 
     while True:
@@ -194,7 +196,10 @@ def rand_monotonic_single_source(
             if (u, v) in seen:
                 continue
             seen.add((u, v))
-            w = Fraction(0) if rng.random() < 0.2 else Fraction(rng.randint(1, 9))
+            if weights is not None:
+                w = rng.choice(weights)
+            else:
+                w = Fraction(0) if rng.random() < 0.2 else Fraction(rng.randint(1, 9))
             first = rng.randint(1, T)
             edges.append((u, v, w, frozenset(range(first, T + 1))))
         k = rng.randint(1, max_demands)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -143,6 +144,27 @@ class TestShortestPathsUnion:
             assert is_feasible(inst, sol)
             assert sol.cost <= len(inst.demands) * opt.cost
             done += 1
+
+    def test_frame_adjacency_built_once_per_demand_time(self, monkeypatch):
+        import tsn.approx as approx
+
+        built = []
+        real = approx._frame_adjacency
+
+        def counting(instance, t, weights=None):
+            built.append(t)
+            return real(instance, t, weights)
+
+        monkeypatch.setattr(approx, "_frame_adjacency", counting)
+        inst = make_instance(
+            directed=True, variant="edge", num_times=2,
+            vertices=["a", "b", "c", "d"],
+            edges=[("a", "b", 1, (1, 2)), ("b", "c", 1, (1, 2)), ("a", "d", 2, (1, 2))],
+            demands=[("a", "b", 1), ("a", "c", 1), ("a", "d", 1), ("b", "c", 2), ("a", "c", 2)],
+        )
+        sol = shortest_paths_union(inst)
+        assert sol.edges == (0, 1, 2)
+        assert sorted(built) == [1, 2]
 
     def test_cost_at_most_sum_of_distances(self):
         rng = random.Random(34)
@@ -302,6 +324,56 @@ class TestCharikarLevel:
                     from tsn.core import satisfies
 
                     assert satisfies(edge_inst, sol, d)
+
+
+MIXED_WEIGHTS = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(5, 6),
+                 Fraction(1), Fraction(2), Fraction(3)]
+
+
+def greedy_corpus_digest():
+    """sha256 over every `charikar_level` tree, at each level and every budget
+    k, on a seeded corpus of random monotonic single-source instances with
+    mixed-denominator weights; a NoSolutionError is recorded as such."""
+    rng = random.Random(4711)
+    h = hashlib.sha256()
+    for _ in range(120):
+        inst = rand_monotonic_single_source(
+            rng, max_vertices=7, max_edges=14, max_times=4, max_demands=5,
+            require_feasible=False, weights=MIXED_WEIGHTS,
+        )
+        closure = metric_closure(inst)
+        pairs = [(d.b, d.t) for d in inst.demands]
+        root = (inst.demands[0].a, 0)
+        for level in (1, 2, 3):
+            for k in range(1, len(pairs) + 1):
+                try:
+                    tree = charikar_level(level, closure, root, k, pairs)
+                except NoSolutionError:
+                    h.update(f"{level} {k} none\n".encode())
+                    continue
+                edges = [(p, c, str(w)) for p, c, w in tree.edges]
+                record = (level, k, tree.root, sorted(tree.nodes), edges, tree.covered, str(tree.cost))
+                h.update(repr(record).encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestGreedyPinned:
+    def test_trees_are_pinned_on_mixed_denominator_corpus(self):
+        # digest taken before the greedy moved to integer costs and the
+        # reachable-residual memo key; any change to a tree, its cover or
+        # its cost changes it
+        assert greedy_corpus_digest() == "d907160c6d8a40eee7f1fc617c27a62369fe983325a1c99bf1232e0ecdfcb90e"
+
+
+    def test_call_and_memo_counts_pinned(self):
+        # the memo keyed on the residual reachable from each sub-root; with
+        # the whole residual in the key this instance took 340 calls
+        inst = rand_monotonic_single_source(
+            random.Random(7), max_vertices=9, max_edges=24, max_times=4, max_demands=6
+        )
+        stats = {}
+        assert charikar(inst, 3, stats).cost == 5
+        assert stats == {"calls": 212, "memo_hits": 2072}
 
 
 class TestDensity:

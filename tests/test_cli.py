@@ -9,8 +9,16 @@ from fractions import Fraction
 import pytest
 
 import tsn
+from helpers import hub_instance
 from tsn.cli import main
-from tsn.core import dump_json, instance_from_dict, instance_to_dict, load_json, make_instance
+from tsn.core import (
+    InputError,
+    dump_json,
+    instance_from_dict,
+    instance_to_dict,
+    load_json,
+    make_instance,
+)
 
 
 def write_instance(path, instance):
@@ -66,8 +74,9 @@ class TestValidate:
             {"node_activity": [1]},
             {"edges": {"x": 1}},
             {"edges": [{"u": "a", "v": "b", "w": 1, "times": "12"}]},
+            {"vertices": "ab"},
         ],
-        ids=["node_activity_list", "edges_object", "times_string"],
+        ids=["node_activity_list", "edges_object", "times_string", "vertices_string"],
     )
     def test_malformed_shape_is_an_input_error(self, tmp_path, capsys, patch):
         data = {
@@ -106,6 +115,51 @@ class TestValidate:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["digest"]["monotonic"] is False
+
+    def test_huge_first_time_expansion_is_an_input_error(self, tmp_path):
+        # "first_time": 1 with T = 10^12 would expand to 10^12 times; the
+        # reader must refuse it (exit 2) before building the set, under the
+        # same 1 GiB address-space cap as above
+        data = {
+            "directed": True, "variant": "edge", "T": 10**12, "vertices": ["a", "b"],
+            "edges": [{"u": "a", "v": "b", "w": 1, "first_time": 1}],
+            "demands": [{"a": "a", "b": "b", "t": 1}],
+        }
+        path = tmp_path / "huge_first_time.json"
+        path.write_text(json.dumps(data))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsn.__file__)))
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsn.cli", "validate", "-i", str(path)],
+            env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "input"
+
+    def test_first_time_expansion_up_to_the_cap_is_read(self):
+        from tsn.core import MAX_FIRST_TIME_ENTRIES
+
+        data = {
+            "directed": True, "variant": "edge", "T": 10, "vertices": ["a", "b", "c"],
+            "edges": [{"u": "a", "v": "b", "w": 1, "first_time": 3},
+                      {"u": "b", "v": "c", "w": 1, "first_time": 11}],
+            "demands": [],
+        }
+        inst = instance_from_dict(data)
+        assert inst.edges[0].times == frozenset(range(3, 11))
+        assert inst.edges[1].times == frozenset()
+        data["T"] = MAX_FIRST_TIME_ENTRIES
+        data["edges"][0]["first_time"] = 1
+        data["edges"][1]["first_time"] = MAX_FIRST_TIME_ENTRIES + 1
+        assert len(instance_from_dict(data).edges[0].times) == MAX_FIRST_TIME_ENTRIES
+        data["edges"][1]["first_time"] = MAX_FIRST_TIME_ENTRIES
+        with pytest.raises(InputError):
+            instance_from_dict(data)
 
 
 class TestSolve:
@@ -182,6 +236,17 @@ class TestVerify:
         assert code == 0
         code, _ = run(capsys, "verify", "-i", example1_file, "-s", sol)
         assert code == 0
+
+
+class TestApprox:
+    def test_charikar_reports_calls_and_memo_hits(self, tmp_path, capsys):
+        path = tmp_path / "hub.json"
+        write_instance(path, hub_instance(C=10, eps=1, k=3))
+        code, out = run(capsys, "approx", "-i", path, "--method", "charikar", "--level", "3")
+        assert code == 0
+        report = json.loads(out)
+        assert report["cost"] == "10"
+        assert report["stats"] == {"calls": 16, "memo_hits": 23}
 
 
 class TestReduce:

@@ -13,6 +13,8 @@ against them.
 from __future__ import annotations
 
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -88,6 +90,14 @@ GOLDEN: dict[str, dict[str, str]] = {
         "priority_map.json": "06a47cf1fb789f4455b297272f9ec7cf2fd1b612e10a35886ecdbce39669b6b4",
         "undirected.json": "70fc34ea7226389c49c3253af7c496379fffe795fe90495008d77d8b32279704",
     },
+    "greedy": {
+        "m12.json": "e805b4efe27acd8be326f5ad7862b00f5f31f5b59f0cbacff1af154f59dac256",
+        "m12_level2.json": "5568d93a65f8b15868e7927115c3f244655d328d61165ac5eca24bc62669f184",
+        "m12_level3.json": "fd2857822e55c519267f68fbc01f6671c1dd387d286bded0efe5f01c36134d35",
+        "m9.json": "c414399016c4f4a16f6a87ddbb6d113346490bda2dba14343ff5fb6b0de48b8a",
+        "m9_level2.json": "0417f7c9cfa6a8b8074730c61414bac3a9d4313e55a0b8dcb000143edc539fad",
+        "m9_level3.json": "b7e02fdf5292a0e135722c58aa955d25a8a507a10c0c6aafbba1ba6a1e5935e5",
+    },
 }
 
 
@@ -159,3 +169,42 @@ def test_monotonic_reduction_files_are_pinned(tmp_path, capsys):
     digests = run_monotonic_reductions(tmp_path)
     capsys.readouterr()
     assert digests == GOLDEN["monotonic"]
+
+
+def monotonic_instance(seed: int, n: int, m: int, T: int, k: int):
+    """Directed edge-variant instance with upward-closed activity, every
+    demand rooted at v0, weights drawn from 0, 1/2, 1/3, 2/7, 5/6 and 1..9;
+    redrawn until every demand is satisfiable."""
+    from tsn.core import first_unsatisfiable_demand
+
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    weights = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(5, 6),
+               *(Fraction(w) for w in range(1, 10))]
+    arcs = [(u, v) for u in names for v in names if u != v]
+    while True:
+        edges = [(u, v, rng.choice(weights), tuple(range(rng.randint(1, T), T + 1)))
+                 for u, v in rng.sample(arcs, m)]
+        demands = [("v0", rng.choice(names[1:]), rng.randint(1, T)) for _ in range(k)]
+        inst = make_instance(directed=True, variant="edge", num_times=T, vertices=names,
+                             edges=edges, demands=demands)
+        if first_unsatisfiable_demand(inst) is None:
+            return inst
+
+
+def run_greedy(workdir) -> dict[str, str]:
+    """`approx --method charikar` at levels 2 and 3 on two monotonic instances."""
+    commands = []
+    for name, shape in (("m9", (29, 9, 24, 3, 5)), ("m12", (12, 12, 36, 4, 6))):
+        path = workdir / f"{name}.json"
+        dump_json(instance_to_dict(monotonic_instance(*shape)), str(path))
+        for level in (2, 3):
+            commands.append(["approx", "-i", path, "--method", "charikar", "--level", str(level),
+                             "-o", workdir / f"{name}_level{level}.json"])
+    return run_commands(commands, workdir)
+
+
+def test_greedy_files_are_pinned(tmp_path, capsys):
+    digests = run_greedy(tmp_path)
+    capsys.readouterr()
+    assert digests == GOLDEN["greedy"]
