@@ -9,26 +9,27 @@ minimum-density level-(i-1) subtree hanging off one closure edge.  A demand
 (b, t) counts as covered only when some tree edge lands on the pair (b, t)
 exactly -- intermediate hops may use any non-decreasing times.
 
-`metric_closure` runs Dijkstra on the edge weights scaled to ints by the LCM
-of their denominators and keeps both the scaled ints and the exact
-`Fraction` lengths.  The greedy searches on the ints: densities are compared
-by cross-multiplication, and `Fraction` appears only in the returned
-`ClosureTree` edges and cost.  It relies on the instance being monotonic
-(frames nest, so closure reachability is transitive): its memo is keyed on
-(level, sub-root, sub-budget, residual pairs reachable from the sub-root at
-or after its time), and each sub-call receives only that residual.
+The union and `metric_closure` run Dijkstra on `core.FrameIndex`, whose
+weights are scaled to ints by the LCM of their denominators;
+`metric_closure` keeps both the scaled ints and the exact `Fraction`
+lengths, keyed by vertex name.  The greedy searches on the ints: densities
+are compared by cross-multiplication, and `Fraction` appears only in the
+returned `ClosureTree` edges and cost.  It relies on the instance being
+monotonic (frames nest, so closure reachability is transitive): its memo is
+keyed on (level, sub-root, sub-budget, residual pairs reachable from the
+sub-root at or after its time), and each sub-call receives only that
+residual.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    FrameIndex,
     InfeasibleInstanceError,
     InputError,
     Solution,
@@ -55,7 +56,8 @@ class MetricClosure:
 
     dist[(u, v, t)] is the exact length of the shortest u->v path inside
     frame t; unreachable pairs are absent.  scaled[(u, v, t)] is the same
-    length times the LCM of the edge-weight denominators, an int.
+    length times the frame index's `scale`, the LCM of the edge-weight
+    denominators, an int.
     pred[(u, v, t)] = (w, edge_id) gives the last hop of one such path.
     """
 
@@ -85,65 +87,29 @@ class MetricClosure:
         return out
 
 
-def _frame_adjacency(instance: TemporalInstance, t: int, weights: Optional[Sequence] = None):
-    """Out-lists (head, weight, edge id) of frame t; `weights` replaces the
-    edge weights by edge id when given."""
-    adj: dict[str, list] = {}
-    for i, e in enumerate(instance.edges):
-        if t not in e.times:
-            continue
-        w = e.w if weights is None else weights[i]
-        adj.setdefault(e.u, []).append((e.v, w, i))
-        if not instance.directed:
-            adj.setdefault(e.v, []).append((e.u, w, i))
-    for lst in adj.values():
-        lst.sort(key=lambda rec: (rec[0], rec[2]))
-    return adj
-
-
-def _dijkstra(adj, source: str):
-    """Exact shortest paths from `source` over `_frame_adjacency` lists
-    (Fraction or int weights).
-
-    Returns (dist, pred): dist[v] is the length of a shortest path,
-    pred[v] = (previous vertex, edge id) its last hop.  Heap ties go to the
-    smaller vertex name, and pred[v] changes only for a strictly shorter path.
-    """
-    dist = {source: 0}
-    pred: dict[str, tuple[str, int]] = {}
-    heap = [(0, source)]
-    while heap:
-        du, x = heapq.heappop(heap)
-        if du > dist[x]:
-            continue
-        for y, w, eid in adj.get(x, ()):
-            nd = du + w
-            if y not in dist or nd < dist[y]:
-                dist[y] = nd
-                pred[y] = (x, eid)
-                heapq.heappush(heap, (nd, y))
-    return dist, pred
-
-
 def metric_closure(instance: TemporalInstance) -> MetricClosure:
     """Dijkstra from every vertex in every frame (edge-variant instances),
-    on the weights scaled to ints; each length is divided back once."""
+    on the frame index's scaled int weights; each length is divided back
+    once."""
     if instance.variant != "edge":
         raise InputError("metric_closure expects an edge-variant instance")
-    scale = math.lcm(*(e.w.denominator for e in instance.edges))
-    weights = [e.w.numerator * (scale // e.w.denominator) for e in instance.edges]
+    index = FrameIndex(instance)
+    names = index.names
     dist: dict[tuple[str, str, int], Fraction] = {}
     scaled: dict[tuple[str, str, int], int] = {}
     pred: dict[tuple[str, str, int], tuple[str, int]] = {}
     for t in range(1, instance.num_times + 1):
-        adj = _frame_adjacency(instance, t, weights)
         for s in instance.vertices:
-            d, p = _dijkstra(adj, s)
-            for v, dv in d.items():
-                scaled[(s, v, t)] = dv
-                dist[(s, v, t)] = Fraction(dv, scale)
-            for v, hop in p.items():
-                pred[(s, v, t)] = hop
+            d, p = index.shortest_paths(t, index.ids[s])
+            for v, dv in enumerate(d):
+                if dv is None:
+                    continue
+                key = (s, names[v], t)
+                scaled[key] = dv
+                dist[key] = Fraction(dv, index.scale)
+                if p[v] is not None:
+                    prev, eid = p[v]
+                    pred[key] = (names[prev], eid)
     return MetricClosure(
         num_times=instance.num_times,
         vertices=tuple(instance.vertices),
@@ -165,22 +131,19 @@ def shortest_paths_union(instance: TemporalInstance) -> Solution:
     frame has no connecting path.
     """
     edge_inst, steps, pres = normalize_with_instances(instance, "edge")
-    frames: dict[int, dict] = {}
+    index = FrameIndex(edge_inst)
     union: set[int] = set()
     for d in edge_inst.demands:
         if d.a == d.b:
             continue
-        adj = frames.get(d.t)
-        if adj is None:
-            adj = frames[d.t] = _frame_adjacency(edge_inst, d.t)
-        dist, pred = _dijkstra(adj, d.a)
-        if d.b not in dist:
+        a, b = index.ids[d.a], index.ids[d.b]
+        dist, pred = index.shortest_paths(d.t, a)
+        if dist[b] is None:
             raise InfeasibleInstanceError(d)
-        cur = d.b
-        while cur != d.a:
-            prev, eid = pred[cur]
+        cur = b
+        while cur != a:
+            cur, eid = pred[cur]
             union.add(eid)
-            cur = prev
     image_sol = solution_from_edges(edge_inst, union)
     return lift_chain(steps, image_sol, pres)
 

@@ -273,11 +273,7 @@ def cmd_bench(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s]
     rows = []
     for seed in seeds:
-        ns = argparse.Namespace(
-            u=args.u, v=args.v, degree=args.degree, sigma=args.sigma,
-            k=args.k, part_sizes=args.part_sizes, edges=args.edges, seed=seed,
-        )
-        instance, _, _ = _generate(args.kind, ns)
+        instance, _, _ = _generate(args.kind, argparse.Namespace(**{**vars(args), "seed": seed}))
         # bench trusts its own generated instances: the subset cap guards
         # arbitrary user input, not this batch runner
         cap = len(instance.edges)
@@ -324,6 +320,19 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _add_generator_args(p: argparse.ArgumentParser) -> None:
+    """The gadget kind and its seven parameters, shared by `gen` and `bench`."""
+    p.add_argument("--kind", required=True,
+                   choices=["example1", "lc-yes", "phlc-yes", "phlc-nosat"])
+    p.add_argument("--u", type=int, default=1, help="left vertices (lc-yes)")
+    p.add_argument("--v", type=int, default=1, help="right vertices (lc-yes)")
+    p.add_argument("--degree", type=int, default=1, help="edges per left vertex (lc-yes)")
+    p.add_argument("--sigma", type=int, default=2, help="label count")
+    p.add_argument("--k", type=int, default=3, help="number of parts (phlc)")
+    p.add_argument("--part-sizes", default="1,1,1", help="comma list (phlc)")
+    p.add_argument("--edges", type=int, default=1, help="hyperedge count (phlc)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tsn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -355,16 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("gen", help="generate benchmark instances")
-    p.add_argument("--kind", required=True,
-                   choices=["example1", "lc-yes", "phlc-yes", "phlc-nosat"])
+    _add_generator_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--u", type=int, default=1, help="left vertices (lc-yes)")
-    p.add_argument("--v", type=int, default=1, help="right vertices (lc-yes)")
-    p.add_argument("--degree", type=int, default=1, help="edges per left vertex (lc-yes)")
-    p.add_argument("--sigma", type=int, default=2, help="label count")
-    p.add_argument("--k", type=int, default=3, help="number of parts (phlc)")
-    p.add_argument("--part-sizes", default="1,1,1", help="comma list (phlc)")
-    p.add_argument("--edges", type=int, default=1, help="hyperedge count (phlc)")
     p.add_argument("--undirected", action="store_true")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--trace", help="write the gadget trace here")
@@ -377,17 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="run generated instances through methods")
-    p.add_argument("--kind", required=True,
-                   choices=["example1", "lc-yes", "phlc-yes", "phlc-nosat"])
+    _add_generator_args(p)
     p.add_argument("--methods", default="", help="comma list: brute,bb,union,charikar[:i]")
     p.add_argument("--seeds", default="0")
-    p.add_argument("--u", type=int, default=1)
-    p.add_argument("--v", type=int, default=1)
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--sigma", type=int, default=2)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--part-sizes", default="1,1,1")
-    p.add_argument("--edges", type=int, default=1)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_bench)
     return parser

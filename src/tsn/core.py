@@ -7,11 +7,18 @@ set ("node", edge presence derived from endpoint activity), or both
 exist in frame t.  Weights are exact rationals throughout: reductions halve
 and re-add weights, and the test suite compares optima exactly, so floats
 are never used.
+
+`FrameIndex` is the integer view of the frames that the solvers share:
+vertices interned to ints in name order, effective times computed once,
+weights scaled to ints by the LCM of their denominators, one cached
+adjacency list per frame, a feasibility check and one shortest-path search.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -261,6 +268,98 @@ def satisfies(
     return demand.b in _reachable(adj, demand.a)
 
 
+class FrameIndex:
+    """Integer view of an instance's frames, built once per instance.
+
+    Vertex names are interned to ints in sorted-name order: `names[id]` and
+    `ids[name]`.  Shortest-path ties go to the smaller id, so they break by
+    name and not by the order of the `vertices` list.  `eff[i]` is edge i's
+    effective time set and `weight[i]` its weight times `scale`, the least
+    common multiple of all weight denominators, so costs add and compare as
+    ints.  `frame(t)` gives, per vertex, the `(head, edge id)` pairs leaving
+    it at time t in edge-id order, both directions when the instance is
+    undirected; each frame is built on first use and cached.  `demands` keeps the
+    demands whose endpoints differ as `(tail, head, frame)`; demands with
+    equal endpoints are met by the empty path.
+    """
+
+    def __init__(self, instance: TemporalInstance):
+        names = set(instance.vertices)
+        for e in instance.edges:
+            names.update((e.u, e.v))
+        for d in instance.demands:
+            names.update((d.a, d.b))
+        self.names = sorted(names)
+        self.ids = {v: i for i, v in enumerate(self.names)}
+        self.num_vertices = len(self.names)
+        self.directed = instance.directed
+        self.ends = [(self.ids[e.u], self.ids[e.v]) for e in instance.edges]
+        self.eff = [effective_times(instance, i) for i in range(len(instance.edges))]
+        self.scale = math.lcm(1, *(e.w.denominator for e in instance.edges))
+        self.weight = [e.w.numerator * (self.scale // e.w.denominator) for e in instance.edges]
+        self._frames: dict[int, list[list[tuple[int, int]]]] = {}
+        self.demands = [
+            (self.ids[d.a], self.ids[d.b], self.frame(d.t))
+            for d in instance.demands if d.a != d.b
+        ]
+
+    def frame(self, t: int) -> list[list[tuple[int, int]]]:
+        adj = self._frames.get(t)
+        if adj is None:
+            adj = [[] for _ in range(self.num_vertices)]
+            for i, (u, v) in enumerate(self.ends):
+                if t in self.eff[i]:
+                    adj[u].append((v, i))
+                    if not self.directed:
+                        adj[v].append((u, i))
+            self._frames[t] = adj
+        return adj
+
+    def feasible(self, chosen: Iterable[int]) -> bool:
+        """Do the chosen edges meet every demand?"""
+        member = bytearray(len(self.weight))
+        for i in chosen:
+            member[i] = 1
+        for a, b, frame in self.demands:
+            seen = {a}
+            stack = [a]
+            while stack and b not in seen:
+                for y, i in frame[stack.pop()]:
+                    if member[i] and y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            if b not in seen:
+                return False
+        return True
+
+    def shortest_paths(self, t: int, source: int) -> tuple[list, list]:
+        """Dijkstra from `source` in frame t on the scaled weights.
+
+        Returns (dist, pred) indexed by vertex id: dist[v] is the scaled
+        length of a shortest path, None when v is unreachable, and pred[v]
+        = (previous vertex, edge id) its last hop.  Heap ties go to the
+        smaller id and pred[v] changes only for a strictly shorter path, so
+        among equal-cost paths the choice depends on names and edge ids only.
+        """
+        frame, weight = self.frame(t), self.weight
+        dist: list[Optional[int]] = [None] * self.num_vertices
+        pred: list[Optional[tuple[int, int]]] = [None] * self.num_vertices
+        dist[source] = 0
+        heap = [(0, source)]
+        while heap:
+            du, x = heapq.heappop(heap)
+            if du > dist[x]:
+                continue
+            for y, i in frame[x]:
+                nd = du + weight[i]
+                dy = dist[y]
+                if dy is None or nd < dy:
+                    dist[y] = nd
+                    pred[y] = (x, i)
+                    heapq.heappush(heap, (nd, y))
+        return dist, pred
+
+
 def is_feasible(instance: TemporalInstance, solution: Solution | Iterable[int]) -> bool:
     ids = solution.edges if isinstance(solution, Solution) else tuple(solution)
     return all(satisfies(instance, ids, d) for d in instance.demands)
@@ -320,7 +419,10 @@ def solution_cost(instance: TemporalInstance, solution: Solution | Iterable[int]
 #    "vertices": [str], "edges": [{"u","v","w","times"}],
 #    "node_activity": {v: [int]} (node variants only),
 #    "demands": [{"a","b","t"}]}
-# Weights are JSON numbers when integral, otherwise "p/q" strings.
+# Weights are JSON numbers when integral, otherwise "p/q" strings (decimals
+# are read exactly; a string with an exponent is an input error).  Times,
+# "T" and solution edge indices must be JSON integers and the flags JSON
+# booleans; reading never converts, so 2.5, "1" or "false" is an input error.
 # For monotonic instances an edge may carry "first_time": t instead of
 # "times", meaning {t..T}.  Reading a file expands these sets, at most
 # MAX_FIRST_TIME_ENTRIES time entries summed over all such edges; a file
@@ -343,7 +445,8 @@ def _weight_from_json(raw) -> Fraction:
     if isinstance(raw, float):
         # decimal-exact reading: 0.1 means 1/10
         return Fraction(repr(raw))
-    if isinstance(raw, str):
+    if isinstance(raw, str) and "e" not in raw.lower():
+        # no exponents: "1e99999999" would ask for a 10^8-digit numerator
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
@@ -373,17 +476,24 @@ def instance_to_dict(instance: TemporalInstance) -> dict:
     return out
 
 
+def _scalar_from_json(raw, kind: type, what: str):
+    """`raw` unchanged when its type is exactly `kind` (so True is no int)."""
+    if type(raw) is not kind:
+        raise InputError(f"{what} must be a JSON {kind.__name__}, got {raw!r}")
+    return raw
+
+
 def _times_from_json(raw) -> frozenset[int]:
-    if isinstance(raw, str):
+    if not isinstance(raw, list):
         raise InputError(f"bad time list {raw!r}")
-    return frozenset(int(t) for t in raw)
+    return frozenset(_scalar_from_json(t, int, "time") for t in raw)
 
 
 def instance_from_dict(data: dict) -> TemporalInstance:
     try:
-        directed = bool(data["directed"])
+        directed = _scalar_from_json(data["directed"], bool, "directed")
         variant = data["variant"]
-        T = int(data["T"])
+        T = _scalar_from_json(data["T"], int, "T")
         if isinstance(data["vertices"], str):
             raise InputError(f"bad vertex list {data['vertices']!r}")
         vertices = tuple(str(v) for v in data["vertices"])
@@ -391,7 +501,7 @@ def instance_from_dict(data: dict) -> TemporalInstance:
         expanded = 0
         for rec in data["edges"]:
             if "first_time" in rec and "times" not in rec:
-                first = int(rec["first_time"])
+                first = _scalar_from_json(rec["first_time"], int, "first_time")
                 expanded += max(0, T - first + 1)
                 if expanded > MAX_FIRST_TIME_ENTRIES:
                     raise InputError(
@@ -399,12 +509,17 @@ def instance_from_dict(data: dict) -> TemporalInstance:
                     )
                 times = frozenset(range(first, T + 1))
             else:
-                times = _times_from_json(rec.get("times", ()))
+                times = _times_from_json(rec.get("times", []))
             edges.append(Edge(str(rec["u"]), str(rec["v"]), _weight_from_json(rec["w"]), times))
-        demands = tuple(Demand(str(d["a"]), str(d["b"]), int(d["t"])) for d in data["demands"])
+        demands = tuple(
+            Demand(str(d["a"]), str(d["b"]), _scalar_from_json(d["t"], int, "demand time"))
+            for d in data["demands"]
+        )
         act = None
         if "node_activity" in data:
             act = {str(v): _times_from_json(ts) for v, ts in data["node_activity"].items()}
+        allow_parallel = data.get("allow_parallel", False)
+        _scalar_from_json(allow_parallel, bool, "allow_parallel")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance: {exc}") from None
     return TemporalInstance(
@@ -415,7 +530,7 @@ def instance_from_dict(data: dict) -> TemporalInstance:
         edges=tuple(edges),
         demands=demands,
         node_activity=act,
-        allow_parallel=bool(data.get("allow_parallel", False)),
+        allow_parallel=allow_parallel,
     )
 
 
@@ -431,10 +546,10 @@ def solution_from_dict(data: dict) -> tuple[Solution | None, bool]:
     """Returns (solution, claimed_feasible); solution is None for an
     infeasible marker file."""
     try:
-        feasible = bool(data["feasible"])
+        feasible = _scalar_from_json(data["feasible"], bool, "feasible")
         if data.get("cost") is None and not feasible:
             return None, False
-        ids = tuple(sorted(int(i) for i in data["edges"]))
+        ids = tuple(sorted(_scalar_from_json(i, int, "edge index") for i in data["edges"]))
         cost = _weight_from_json(data["cost"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed solution: {exc}") from None
@@ -451,5 +566,7 @@ def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
+        # ValueError covers malformed JSON and bytes that are not UTF-8;
+        # RecursionError, arrays or objects nested too deep to decode
         raise InputError(f"cannot read {path}: {exc}") from None

@@ -10,13 +10,13 @@ the naive scan (the test suite cross-checks against a literal enumeration)
 while staying fast on gadget instances that are mostly zero-weight wiring.
 
 `solve_bb` is an independent branch-and-bound over the same search space.
-Both run on one integer frame index built once per instance: vertices
-interned to ints, one adjacency list of `(head, edge id)` pairs per demand
-time, and weights scaled to ints by the least common multiple of their
-denominators.  The branch and bound is an iterative depth-first search that
-sets and resets a per-edge decision byte in place.  Costs return to
-`Fraction` only through `solution_from_edges`, so results stay exact and no
-float is ever used.
+Both run on `core.FrameIndex`, built once per instance (vertices interned to
+ints, one adjacency list of `(head, edge id)` pairs per frame, weights scaled
+to ints by the least common multiple of their denominators); `_FrameIndex`
+adds the completion keys of the branch and bound, an iterative depth-first
+search that sets and resets a per-edge decision byte in place.  Costs return
+to `Fraction` only through `solution_from_edges`, so results stay exact and
+no float is ever used.
 
 `build_ilp`/`emit_lp`/`parse_lp` realise the per-time unit-flow integer
 program over simple single-source/single-sink instances.
@@ -30,10 +30,11 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (
     Demand,
+    FrameIndex,
     InfeasibleInstanceError,
     InputError,
     InternalError,
@@ -64,70 +65,21 @@ def _brute_cap(explicit: Optional[int]) -> int:
     return DEFAULT_BRUTE_CAP
 
 
-class _FrameIndex:
-    """Integer view of an instance, built once and shared by the exact solvers.
-
-    Vertices are interned to ints.  `demands` keeps the demands whose
-    endpoints differ, as `(tail, head, frame)`, where `frame[x]` lists the
-    `(head, edge id)` pairs leaving vertex x at the demand's time, with both
-    directions when the instance is undirected; demands with equal endpoints
-    are met by the empty path.  Demands at one time share one frame.
-    `weight[i]` is edge i's weight times `scale`, the least common multiple
-    of all weight denominators, so costs add and compare as ints.
+class _FrameIndex(FrameIndex):
+    """The shared frame index plus the completion keys of the branch and
+    bound.
 
     Per-edge decisions live in a `bytearray` of `_UNDECIDED` / `_INCLUDED` /
     `_EXCLUDED` that the caller sets and resets in place.
     """
 
     def __init__(self, instance: TemporalInstance):
-        ids: dict[str, int] = {}
-        for v in instance.vertices:
-            ids.setdefault(v, len(ids))
-        for e in instance.edges:
-            ids.setdefault(e.u, len(ids))
-            ids.setdefault(e.v, len(ids))
-        for d in instance.demands:
-            ids.setdefault(d.a, len(ids))
-            ids.setdefault(d.b, len(ids))
-        self.num_vertices = len(ids)
-        self.eff = [effective_times(instance, i) for i in range(len(instance.edges))]
-        self.scale = math.lcm(1, *(e.w.denominator for e in instance.edges))
-        self.weight = [e.w.numerator * (self.scale // e.w.denominator) for e in instance.edges]
+        super().__init__(instance)
         # Dijkstra keys order paths by cost first, then by the number of
         # undecided edges used; a simple path uses fewer than `step` edges.
         self.step = len(instance.edges) + 1
         self.key_weight = [w * self.step + 1 for w in self.weight]
         self.key_limit = sum(self.key_weight) + 1
-        frames: dict[int, list[list[tuple[int, int]]]] = {
-            d.t: [[] for _ in range(self.num_vertices)] for d in instance.demands
-        }
-        for i, e in enumerate(instance.edges):
-            u, v = ids[e.u], ids[e.v]
-            for t, frame in frames.items():
-                if t in self.eff[i]:
-                    frame[u].append((v, i))
-                    if not instance.directed:
-                        frame[v].append((u, i))
-        self.demands = [
-            (ids[d.a], ids[d.b], frames[d.t]) for d in instance.demands if d.a != d.b
-        ]
-
-    def feasible(self, chosen: Iterable[int]) -> bool:
-        """Do the chosen edges meet every demand?"""
-        member = bytearray(len(self.weight))
-        for i in chosen:
-            member[i] = 1
-        for a, b, frame in self.demands:
-            seen = {a}
-            stack = [a]
-            while stack and b not in seen:
-                for y, i in frame[stack.pop()]:
-                    if member[i] and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if b not in seen:
-                return False
-        return True
 
     def completion(self, state: bytearray, j: int, limit: Optional[int] = None) -> Optional[int]:
         """Cheapest way to finish demand j under the decisions in `state`.

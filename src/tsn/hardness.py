@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
@@ -334,16 +334,7 @@ def undirect(instance: TemporalInstance) -> TemporalInstance:
     """Same weights, times and demands over undirected edges."""
     if not instance.directed:
         return instance
-    return TemporalInstance(
-        directed=False,
-        variant=instance.variant,
-        num_times=instance.num_times,
-        vertices=instance.vertices,
-        edges=instance.edges,
-        demands=instance.demands,
-        node_activity=instance.node_activity,
-        allow_parallel=instance.allow_parallel,
-    )
+    return replace(instance, directed=False)
 
 
 # ---------------------------------------------------------------------------

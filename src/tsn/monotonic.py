@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 from .core import (
     Demand,
     Edge,
+    FrameIndex,
     InputError,
     InternalError,
     Solution,
@@ -320,7 +321,8 @@ def normalize_to_time_layered_tree(
     sources = {d.a for d in instance.demands}
     if len(sources) > 1:
         raise InputError("all demands must share a single source")
-    if not is_feasible(instance, solution):
+    index = FrameIndex(instance)
+    if not index.feasible(solution.edges):
         raise InputError("solution is not feasible")
     ids = set(solution.edges)
     while True:
@@ -328,7 +330,7 @@ def normalize_to_time_layered_tree(
         # drop the highest-index redundant edge first so the retained tree
         # prefers low edge indices, like the other solvers
         for e in sorted(ids, reverse=True):
-            if all(satisfies(instance, ids - {e}, d) for d in instance.demands):
+            if index.feasible(ids - {e}):
                 removable = e
                 break
         if removable is None:

@@ -9,7 +9,7 @@ solution carries unusable fragments) cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -95,15 +95,9 @@ def node_edge_to_node(instance: TemporalInstance) -> tuple[TemporalInstance, Red
         edges.append(Edge(e.u, x, e.w, frozenset()))
         edges.append(Edge(x, e.v, Fraction(0), frozenset()))
         fwd.append((i, (heavy, heavy + 1)))
-    image = TemporalInstance(
-        directed=instance.directed,
-        variant="node",
-        num_times=instance.num_times,
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        demands=instance.demands,
-        node_activity=activity,
-        allow_parallel=True,
+    image = replace(
+        instance, variant="node", vertices=tuple(vertices), edges=tuple(edges),
+        node_activity=activity, allow_parallel=True,
     )
     rmap = ReductionMap(
         kind="node_edge_to_node",
@@ -130,16 +124,7 @@ def node_to_edge(instance: TemporalInstance) -> tuple[TemporalInstance, Reductio
             continue
         fwd.append((i, (len(edges),)))
         edges.append(Edge(e.u, e.v, e.w, times))
-    image = TemporalInstance(
-        directed=instance.directed,
-        variant="edge",
-        num_times=instance.num_times,
-        vertices=instance.vertices,
-        edges=tuple(edges),
-        demands=instance.demands,
-        node_activity=None,
-        allow_parallel=instance.allow_parallel,
-    )
+    image = replace(instance, variant="edge", edges=tuple(edges), node_activity=None)
     rmap = ReductionMap(
         kind="node_to_edge",
         forward_edge_map=tuple(fwd),
@@ -153,26 +138,14 @@ def _embed(instance: TemporalInstance, target: str) -> tuple[TemporalInstance, R
     """Identity embeddings into the node_and_edge variant."""
     full = frozenset(range(1, instance.num_times + 1))
     if instance.variant == "edge" and target == "node_and_edge":
-        image = TemporalInstance(
-            directed=instance.directed,
-            variant="node_and_edge",
-            num_times=instance.num_times,
-            vertices=instance.vertices,
-            edges=instance.edges,
-            demands=instance.demands,
-            node_activity={v: full for v in instance.vertices},
-            allow_parallel=instance.allow_parallel,
+        image = replace(
+            instance, variant="node_and_edge", node_activity={v: full for v in instance.vertices}
         )
     elif instance.variant == "node" and target == "node_and_edge":
-        image = TemporalInstance(
-            directed=instance.directed,
-            variant="node_and_edge",
-            num_times=instance.num_times,
-            vertices=instance.vertices,
+        image = replace(
+            instance, variant="node_and_edge",
             edges=tuple(Edge(e.u, e.v, e.w, full) for e in instance.edges),
-            demands=instance.demands,
             node_activity=dict(instance.node_activity or {}),
-            allow_parallel=instance.allow_parallel,
         )
     else:
         raise InputError(f"no embedding from {instance.variant} to {target}")

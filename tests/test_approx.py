@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from tsn.core import (
     make_instance,
 )
 from tsn.exact import brute_force
+from tsn.variants import normalize
 
 from helpers import hub_instance, rand_instance, rand_monotonic_single_source
 
@@ -146,16 +148,19 @@ class TestShortestPathsUnion:
             done += 1
 
     def test_frame_adjacency_built_once_per_demand_time(self, monkeypatch):
-        import tsn.approx as approx
+        # the union asks the frame index for each demand's frame; the index
+        # builds a frame on its first request and serves the cached one after
+        from tsn.core import FrameIndex
 
         built = []
-        real = approx._frame_adjacency
+        real = FrameIndex.frame
 
-        def counting(instance, t, weights=None):
-            built.append(t)
-            return real(instance, t, weights)
+        def counting(index, t):
+            if t not in index._frames:
+                built.append(t)
+            return real(index, t)
 
-        monkeypatch.setattr(approx, "_frame_adjacency", counting)
+        monkeypatch.setattr(FrameIndex, "frame", counting)
         inst = make_instance(
             directed=True, variant="edge", num_times=2,
             vertices=["a", "b", "c", "d"],
@@ -374,6 +379,73 @@ class TestGreedyPinned:
         stats = {}
         assert charikar(inst, 3, stats).cost == 5
         assert stats == {"calls": 212, "memo_hits": 2072}
+
+
+TIED_WEIGHTS = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2)]
+
+
+def _shuffled_vertices(rng, inst):
+    """The same instance with its `vertices` list in a random order, so that
+    input order and name order disagree (names n10, n11 also sort before
+    n2)."""
+    order = list(inst.vertices)
+    rng.shuffle(order)
+    return dataclasses.replace(inst, vertices=tuple(order))
+
+
+def tie_break_digest():
+    """sha256 over the closure `pred` tables and the union solutions on a
+    seeded corpus of random monotonic and random instances whose few
+    distinct weights make equal-cost paths common."""
+    rng = random.Random(5813)
+    h = hashlib.sha256()
+    for n in range(240):
+        if n % 2:
+            inst = rand_monotonic_single_source(
+                rng, max_vertices=12, max_edges=20, max_times=3, max_demands=4,
+                require_feasible=False, weights=TIED_WEIGHTS,
+            )
+        else:
+            inst = rand_instance(
+                rng, max_vertices=12, max_edges=20, max_times=3, max_demands=4,
+                weights=TIED_WEIGHTS,
+            )
+        inst = _shuffled_vertices(rng, inst)
+        closure = metric_closure(normalize(inst, "edge")[0])
+        h.update(repr(sorted(closure.pred.items())).encode() + b"\n")
+        try:
+            sol = shortest_paths_union(inst)
+        except InfeasibleInstanceError as exc:
+            h.update(f"infeasible {exc.demand}\n".encode())
+        else:
+            h.update(f"{sol.edges} {sol.cost}\n".encode())
+    return h.hexdigest()
+
+
+class TestTieBreaks:
+    """Equal-cost paths are resolved by vertex name, never by the order of
+    the `vertices` list: the shortest-path heap pops the smaller name first
+    and a vertex's last hop changes only for a strictly shorter path."""
+
+    def test_pred_and_union_are_pinned_on_tied_weight_corpus(self):
+        # digest taken before the closure and the union moved onto the
+        # shared frame index
+        assert tie_break_digest() == "cc46685bebebf96788088bd99053ad0df65e02865bd60ac9b9e07bbe2f1a2a63"
+
+    def test_equal_cost_paths_break_by_name_not_input_order(self):
+        # s->y->t and s->x->t both cost 2; x < y by name, but the vertex
+        # list and the edge ids both put y first
+        inst = make_instance(
+            directed=True, variant="edge", num_times=1,
+            vertices=["t", "y", "x", "s"],
+            edges=[("s", "y", 1, (1,)), ("y", "t", 1, (1,)),
+                   ("s", "x", 1, (1,)), ("x", "t", 1, (1,))],
+            demands=[("s", "t", 1)],
+        )
+        closure = metric_closure(inst)
+        assert closure.pred[("s", "t", 1)] == ("x", 3)
+        assert closure.path_edges("s", "t", 1) == [2, 3]
+        assert shortest_paths_union(inst).edges == (2, 3)
 
 
 class TestDensity:

@@ -75,8 +75,20 @@ class TestValidate:
             {"edges": {"x": 1}},
             {"edges": [{"u": "a", "v": "b", "w": 1, "times": "12"}]},
             {"vertices": "ab"},
+            {"T": 2.5},
+            {"T": True},
+            {"demands": [{"a": "a", "b": "b", "t": 1.9}]},
+            {"demands": [{"a": "a", "b": "b", "t": "1"}]},
+            {"edges": [{"u": "a", "v": "b", "w": 1, "times": [1.0, 2]}]},
+            {"edges": [{"u": "a", "v": "b", "w": 1, "first_time": 1.5}]},
+            {"directed": "false"},
+            {"allow_parallel": "false"},
+            {"edges": [{"u": "a", "v": "b", "w": "1e999999", "times": [1, 2]}]},
         ],
-        ids=["node_activity_list", "edges_object", "times_string", "vertices_string"],
+        ids=["node_activity_list", "edges_object", "times_string", "vertices_string",
+             "T_float", "T_bool", "demand_time_float", "demand_time_string",
+             "edge_time_float", "first_time_float", "directed_string",
+             "allow_parallel_string", "weight_exponent"],
     )
     def test_malformed_shape_is_an_input_error(self, tmp_path, capsys, patch):
         data = {
@@ -87,6 +99,18 @@ class TestValidate:
         data.update(patch)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
+        code, out = run(capsys, "validate", "-i", path)
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "input"
+
+    @pytest.mark.parametrize(
+        "raw", [b"[" * 100_000, b'{"T": "\xff"}'], ids=["nested_too_deep", "not_utf8"]
+    )
+    def test_undecodable_file_is_an_input_error(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
         code, out = run(capsys, "validate", "-i", path)
         assert code == 2
         lines = out.strip().splitlines()
@@ -227,6 +251,25 @@ class TestVerify:
         code, out = run(capsys, "verify", "-i", example1_file, "-s", sol)
         assert code == 2
         assert any("cost mismatch" in p for p in json.loads(out)["problems"])
+
+    @pytest.mark.parametrize(
+        "patch",
+        [{"edges": [0.7]}, {"edges": ["0"]}, {"feasible": "false"}],
+        ids=["edge_index_float", "edge_index_string", "feasible_string"],
+    )
+    def test_non_json_scalar_is_an_input_error(self, tmp_path, capsys, example1_file, patch):
+        # a float index used to be truncated and a string flag read as true,
+        # so `verify` reported ok for a solution it never checked
+        sol = tmp_path / "sol.json"
+        run(capsys, "solve", "-i", example1_file, "--method", "brute", "-o", sol)
+        data = load_json(str(sol))
+        data.update(patch)
+        dump_json(data, str(sol))
+        code, out = run(capsys, "verify", "-i", example1_file, "-s", sol)
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "input"
 
     def test_accepts_approx_solutions(self, tmp_path, capsys, example1_file):
         sol = tmp_path / "sol.json"
