@@ -142,7 +142,8 @@ def cmd_solve(args) -> int:
     elif args.method == "bb":
         bb_stats = exact.BbStats()
         solution = exact.solve_bb(instance, bb_stats)
-        stats["nodes"] = bb_stats.nodes
+        # the root bounds are exact costs, written like `cost`
+        stats = {k: v if isinstance(v, int) else str(v) for k, v in vars(bb_stats).items()}
     elif args.method == "ilp-export":
         node_image, steps = variants.normalize(instance, "node")
         simple, last = variants.to_simple(node_image)
@@ -274,13 +275,19 @@ def cmd_bench(args) -> int:
     rows = []
     for seed in seeds:
         instance, _, _ = _generate(args.kind, argparse.Namespace(**{**vars(args), "seed": seed}))
-        # bench trusts its own generated instances: the subset cap guards
-        # arbitrary user input, not this batch runner
-        cap = len(instance.edges)
-        optimum = exact.brute_force(instance, cap=cap).cost
+        # brute force is the oracle when it is asked for, otherwise branch
+        # and bound; the oracle's own row reuses its result.  bench trusts
+        # its own generated instances: the subset cap guards arbitrary user
+        # input, not this batch runner
+        if "brute" in methods:
+            oracle = "brute"
+            optimum = exact.brute_force(instance, cap=len(instance.edges)).cost
+        else:
+            oracle = "bb"
+            optimum = exact.solve_bb(instance).cost
         for method in methods:
             try:
-                if method == "brute":
+                if method == oracle:
                     cost = optimum
                 elif method == "bb":
                     cost = exact.solve_bb(instance).cost

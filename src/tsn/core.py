@@ -421,8 +421,10 @@ def solution_cost(instance: TemporalInstance, solution: Solution | Iterable[int]
 #    "demands": [{"a","b","t"}]}
 # Weights are JSON numbers when integral, otherwise "p/q" strings (decimals
 # are read exactly; a string with an exponent is an input error).  Times,
-# "T" and solution edge indices must be JSON integers and the flags JSON
-# booleans; reading never converts, so 2.5, "1" or "false" is an input error.
+# "T" and solution edge indices must be JSON integers, the flags JSON
+# booleans and vertex names (in "vertices", edge and demand endpoints and
+# "node_activity") JSON strings; reading never converts, so 2.5, "1",
+# "false" or a vertex 1 is an input error.
 # For monotonic instances an edge may carry "first_time": t instead of
 # "times", meaning {t..T}.  Reading a file expands these sets, at most
 # MAX_FIRST_TIME_ENTRIES time entries summed over all such edges; a file
@@ -494,9 +496,9 @@ def instance_from_dict(data: dict) -> TemporalInstance:
         directed = _scalar_from_json(data["directed"], bool, "directed")
         variant = data["variant"]
         T = _scalar_from_json(data["T"], int, "T")
-        if isinstance(data["vertices"], str):
+        if not isinstance(data["vertices"], list):
             raise InputError(f"bad vertex list {data['vertices']!r}")
-        vertices = tuple(str(v) for v in data["vertices"])
+        vertices = tuple(_scalar_from_json(v, str, "vertex name") for v in data["vertices"])
         edges = []
         expanded = 0
         for rec in data["edges"]:
@@ -510,14 +512,26 @@ def instance_from_dict(data: dict) -> TemporalInstance:
                 times = frozenset(range(first, T + 1))
             else:
                 times = _times_from_json(rec.get("times", []))
-            edges.append(Edge(str(rec["u"]), str(rec["v"]), _weight_from_json(rec["w"]), times))
+            edges.append(Edge(
+                _scalar_from_json(rec["u"], str, "edge endpoint"),
+                _scalar_from_json(rec["v"], str, "edge endpoint"),
+                _weight_from_json(rec["w"]),
+                times,
+            ))
         demands = tuple(
-            Demand(str(d["a"]), str(d["b"]), _scalar_from_json(d["t"], int, "demand time"))
+            Demand(
+                _scalar_from_json(d["a"], str, "demand endpoint"),
+                _scalar_from_json(d["b"], str, "demand endpoint"),
+                _scalar_from_json(d["t"], int, "demand time"),
+            )
             for d in data["demands"]
         )
         act = None
         if "node_activity" in data:
-            act = {str(v): _times_from_json(ts) for v, ts in data["node_activity"].items()}
+            act = {
+                _scalar_from_json(v, str, "vertex name"): _times_from_json(ts)
+                for v, ts in data["node_activity"].items()
+            }
         allow_parallel = data.get("allow_parallel", False)
         _scalar_from_json(allow_parallel, bool, "allow_parallel")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

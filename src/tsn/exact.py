@@ -12,11 +12,18 @@ while staying fast on gadget instances that are mostly zero-weight wiring.
 `solve_bb` is an independent branch-and-bound over the same search space.
 Both run on `core.FrameIndex`, built once per instance (vertices interned to
 ints, one adjacency list of `(head, edge id)` pairs per frame, weights scaled
-to ints by the least common multiple of their denominators); `_FrameIndex`
-adds the completion keys of the branch and bound, an iterative depth-first
-search that sets and resets a per-edge decision byte in place.  Costs return
-to `Fraction` only through `solution_from_edges`, so results stay exact and
-no float is ever used.
+to ints by the least common multiple of their denominators).  `_FrameIndex`
+adds what the branch and bound needs: the completion keys, one reverse
+adjacency per demand frame, Wong's dual ascent on the cut relaxation (a
+lower bound and reduced costs), and a reverse delete.  The search is an
+iterative depth-first search that sets and resets a per-edge decision byte
+in place.  At the root, the dual ascent gives a lower bound; the edges of
+reduced cost 0, thinned by the reverse delete, give an incumbent; and every
+edge whose reduced cost lifts the bound past that incumbent is excluded
+(reduced-cost fixing).  Below the root, nodes are pruned by the largest
+single-demand completion and by a dual ascent over the unmet demands.
+Costs return to `Fraction` only through `solution_from_edges`, so results
+stay exact and no float is ever used.
 
 `build_ilp`/`emit_lp`/`parse_lp` realise the per-time unit-flow integer
 program over simple single-source/single-sink instances.
@@ -30,6 +37,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .core import (
@@ -66,8 +74,9 @@ def _brute_cap(explicit: Optional[int]) -> int:
 
 
 class _FrameIndex(FrameIndex):
-    """The shared frame index plus the completion keys of the branch and
-    bound.
+    """The shared frame index plus what the branch and bound needs: the
+    completion keys, the reverse frames, the dual ascent and the reverse
+    delete.
 
     Per-edge decisions live in a `bytearray` of `_UNDECIDED` / `_INCLUDED` /
     `_EXCLUDED` that the caller sets and resets in place.
@@ -80,6 +89,26 @@ class _FrameIndex(FrameIndex):
         self.step = len(instance.edges) + 1
         self.key_weight = [w * self.step + 1 for w in self.weight]
         self.key_limit = sum(self.key_weight) + 1
+
+    @cached_property
+    def reverse(self) -> list[list[list[tuple[int, int]]]]:
+        """Per demand, the `(tail, edge id)` arcs entering each vertex of its
+        frame; an undirected frame lists both directions, so it is its own
+        reverse.  Demands of one time share one list."""
+        reverse: dict[int, list[list[tuple[int, int]]]] = {}
+        out = []
+        for _, _, frame in self.demands:
+            radj = reverse.get(id(frame))
+            if radj is None:
+                radj = frame
+                if self.directed:
+                    radj = [[] for _ in range(self.num_vertices)]
+                    for x, arcs in enumerate(frame):
+                        for y, i in arcs:
+                            radj[y].append((x, i))
+                reverse[id(frame)] = radj
+            out.append(radj)
+        return out
 
     def completion(self, state: bytearray, j: int, limit: Optional[int] = None) -> Optional[int]:
         """Cheapest way to finish demand j under the decisions in `state`.
@@ -114,6 +143,176 @@ class _FrameIndex(FrameIndex):
                     dist[y] = nd
                     heapq.heappush(heap, (nd, y))
         return None
+
+    def dual_ascent(
+        self, state: bytearray, unmet: list[int], budget: Optional[int] = None
+    ) -> tuple[int, list[int]]:
+        """Wong's dual ascent on the cut relaxation of the demands in `unmet`.
+
+        Every (demand, vertex set S) with the demand's head in S and its tail
+        outside is a cut that any completion must cross with an undecided
+        edge.  Reduced costs start at the scaled weights, 0 for included
+        edges; excluded edges are absent.  Each demand's S is the set of
+        vertices that reach its head in its frame over arcs of reduced cost
+        0.  While some demand's tail is outside its S, the demand whose cut
+        has the fewest arcs is raised: the smallest reduced cost on its cut
+        is added to the bound and taken off every cut arc.  Reduced costs
+        are shared by all demands, so each edge pays at most its weight and
+        the bound never exceeds the scaled cost of the cheapest completion.
+
+        Returns (bound, reduced costs).  Stops as soon as the bound reaches
+        `budget`.  Every demand in `unmet` must have a completion.
+        """
+        reduced = self.weight.copy()
+        i = state.find(_INCLUDED)
+        while i >= 0:
+            reduced[i] = 0
+            i = state.find(_INCLUDED, i + 1)
+
+        def grow(inside, radj, grown, cut):
+            """Add to S every vertex that reaches `grown` over tight arcs;
+            collect the other arcs entering S in `cut`."""
+            while grown:
+                for x, i in radj[grown.pop()]:
+                    if inside[x] or state[i] == _EXCLUDED:
+                        continue
+                    if reduced[i]:
+                        cut.append((x, i))
+                    else:
+                        inside[x] = 1
+                        grown.append(x)
+
+        def settle(inside, radj, cut):
+            """Grow S over newly tight arcs; return the cut arcs left."""
+            while True:
+                grown, live = [], []
+                for x, i in cut:
+                    if inside[x]:
+                        continue
+                    if reduced[i]:
+                        live.append((x, i))
+                    else:
+                        inside[x] = 1
+                        grown.append(x)
+                if not grown:
+                    return live
+                grow(inside, radj, grown, live)
+                cut = live
+
+        # per demand: [tail, S as a vertex bytearray, reverse frame, cut arcs]
+        active = []
+        for j in unmet:
+            a, b, _ = self.demands[j]
+            inside = bytearray(self.num_vertices)
+            inside[b] = 1
+            radj = self.reverse[j]
+            cut: list[tuple[int, int]] = []
+            grow(inside, radj, [b], cut)
+            active.append([a, inside, radj, cut])
+        bound = 0
+        while True:
+            pick = None
+            still = []
+            for rec in active:
+                rec[3] = settle(rec[1], rec[2], rec[3])
+                if rec[1][rec[0]]:
+                    continue
+                still.append(rec)
+                if pick is None or len(rec[3]) < len(pick[3]):
+                    pick = rec
+            if pick is None:
+                break
+            active = still
+            cut = pick[3]
+            if not cut:
+                raise InternalError("dual ascent met a demand without a completion")
+            delta = min(reduced[i] for _, i in cut)
+            for _, i in cut:
+                reduced[i] -= delta
+            bound += delta
+            if budget is not None and bound >= budget:
+                break
+        return bound, reduced
+
+    def reverse_delete(self, member: bytearray, candidates: list[int]) -> None:
+        """Drop from `member`, in the order of `candidates`, each edge whose
+        removal leaves every demand met.
+
+        Each demand keeps a witness path in `member`.  A candidate on no
+        witness goes without a search.  One linear scan per witness marks
+        the edges every path of its demand needs (an edge of the witness is
+        needed when no detour from the witness prefix before it, over
+        non-witness edges, lands past it); needed edges stay for good,
+        since removals only take paths away.  Only a candidate on a witness
+        and not yet known to be needed costs a search, and if that search
+        finds a new path the new witness is scanned.  `member` must meet
+        every demand.
+        """
+        keep = bytearray(len(self.weight))
+        witness: list[set[int]] = []
+
+        def adopt(j, verts, edges):
+            frame = self.demands[j][2]
+            pos = {v: k for k, v in enumerate(verts)}
+            path = set(edges)
+            seen = set(verts)
+            reach = 0
+            for k, e in enumerate(edges):
+                stack = [verts[k]]
+                while stack:
+                    for y, i in frame[stack.pop()]:
+                        if not member[i] or i in path:
+                            continue
+                        p = pos.get(y)
+                        if p is not None:
+                            reach = max(reach, p)
+                        elif y not in seen:
+                            seen.add(y)
+                            stack.append(y)
+                if reach <= k:
+                    keep[e] = 1
+            return path
+
+        for j in range(len(self.demands)):
+            found = self._path(j, member)
+            if found is None:
+                raise InternalError("reverse delete started from an infeasible edge set")
+            witness.append(adopt(j, *found))
+        for e in candidates:
+            if keep[e]:
+                continue
+            member[e] = 0
+            users = [j for j, path in enumerate(witness) if e in path]
+            paths = [self._path(j, member) for j in users]
+            if None in paths:
+                member[e] = 1
+                keep[e] = 1
+                continue
+            for j, (verts, edges) in zip(users, paths):
+                witness[j] = adopt(j, verts, edges)
+
+    def _path(self, j: int, member: bytearray) -> Optional[tuple[list[int], list[int]]]:
+        """Fewest-arc path of demand j over the edges in `member`, as
+        (vertices, edges), or None."""
+        a, b, frame = self.demands[j]
+        pred: dict[int, tuple[int, int]] = {a: (-1, -1)}
+        level = [a]
+        while level and b not in pred:
+            nxt = []
+            for x in level:
+                for y, i in frame[x]:
+                    if member[i] and y not in pred:
+                        pred[y] = (x, i)
+                        nxt.append(y)
+            level = nxt
+        if b not in pred:
+            return None
+        verts, edges = [b], []
+        while verts[-1] != a:
+            x, i = pred[verts[-1]]
+            verts.append(x)
+            edges.append(i)
+        return verts[::-1], edges[::-1]
 
 
 _UNDECIDED, _INCLUDED, _EXCLUDED = 0, 1, 2
@@ -228,7 +427,17 @@ def brute_force(instance: TemporalInstance, cap: Optional[int] = None) -> Soluti
 
 @dataclass
 class BbStats:
+    """What one `solve_bb` run did: nodes visited, nodes pruned by the
+    completion bound and by the dual-ascent bound, incumbents found by the
+    search, and the root's dual-ascent lower bound and the cost of the
+    incumbent built from it, as exact costs."""
+
     nodes: int = 0
+    completion_prunes: int = 0
+    dual_ascent_prunes: int = 0
+    incumbent_updates: int = 0
+    root_lower_bound: Optional[Fraction] = None
+    root_upper_bound: Optional[Fraction] = None
 
 
 def solve_bb(
@@ -236,14 +445,22 @@ def solve_bb(
 ) -> Solution:
     """Provably optimal solution by depth-first branch and bound on edges.
 
+    At the root, a full dual ascent gives a lower bound LB and reduced
+    costs.  The edges of reduced cost 0 meet every demand; dropping them
+    by falling weight while the rest stays feasible gives an incumbent of
+    cost UB.  Each edge with LB + reduced cost > UB is in no optimum and is
+    excluded before the search (strictly greater, so tied optima stay).
+
     Branch order: undecided edge of largest weight appearing in the most
-    frames (ties by index), include branch first.  The lower bound adds the
-    cost of included edges to the largest single-demand completion cost
-    (shortest-path with included edges free); completions of different
-    demands can share edges, so only the max -- not a sum -- is admissible.
-    A node is pruned when some demand has no completion or the bound
-    reaches the incumbent's cost.  The search is iterative, so its depth is
-    not bounded by the interpreter's recursion limit.
+    frames (ties by index), include branch first.  A node is pruned when
+    some demand has no completion, when the included edges plus the largest
+    single-demand completion cost (shortest path with included edges free)
+    reach the incumbent, or, with two or more demands unmet, when the
+    included edges plus a dual ascent over the unmet demands reach it.  The
+    search starts from an incumbent of cost UB + 1 with no edges and takes
+    only strictly cheaper solutions, so it returns the first optimum in
+    branch order whatever the bounds prune.  It is iterative, so its depth
+    is not bounded by the interpreter's recursion limit.
     """
     bad = first_unsatisfiable_demand(instance)
     if bad is not None:
@@ -258,33 +475,53 @@ def solve_bb(
         key=lambda i: (-weight[i], -len(fidx.eff[i]), i),
     )
     state = bytearray(len(weight))
-    best_cost: Optional[int] = None
-    best_edges: list[int] = []
+    pending = list(range(len(fidx.demands)))
+
+    lower, reduced = fidx.dual_ascent(state, pending)
+    member = bytearray(r == 0 for r in reduced)
+    # among equal weights, drop first the edges active in the fewest frames:
+    # they can serve the fewest demands
+    fidx.reverse_delete(member, sorted(
+        (i for i, w in enumerate(weight) if w and member[i]),
+        key=lambda i: (-weight[i], len(fidx.eff[i]), i),
+    ))
+    upper = sum(w for w, m in zip(weight, member) if m)
+    stats.root_lower_bound = Fraction(lower, fidx.scale)
+    stats.root_upper_bound = Fraction(upper, fidx.scale)
+    for i, r in enumerate(reduced):
+        if lower + r > upper:
+            state[i] = _EXCLUDED
+    order = [i for i in order if state[i] == _UNDECIDED]
+    best_cost = upper + 1
+    best_edges: Optional[list[int]] = None
 
     # One entry per node whose children are being searched: its depth and
     # the demands its included edges leave unmet.  Both children start from
     # those: excluding an edge meets no new demand.
     stack: list[tuple[int, list[int]]] = []
     depth, cost = 0, 0
-    pending = list(range(len(fidx.demands)))
     while True:
         stats.nodes += 1
         # The bound reaches the incumbent exactly when some demand's
         # completion key reaches `limit`; `completion` then gives up early
         # and the node is pruned like one with no completion.
-        limit = None if best_cost is None else (best_cost - cost) * step
+        budget = best_cost - cost
         unmet: list[int] = []
         for j in pending:
-            key = completion(state, j, limit)
+            key = completion(state, j, budget * step)
             if key is None:
+                stats.completion_prunes += 1
                 break
             if key:
                 unmet.append(j)
         else:
             if not unmet:
-                # every demand met under `limit`: strictly cheaper than the incumbent
+                # every demand met under the limit: strictly cheaper than the incumbent
                 best_cost = cost
                 best_edges = [i for i, s in enumerate(state) if s == _INCLUDED]
+                stats.incumbent_updates += 1
+            elif len(unmet) > 1 and fidx.dual_ascent(state, unmet, budget)[0] >= budget:
+                stats.dual_ascent_prunes += 1
             else:
                 e = order[depth]
                 state[e] = _INCLUDED
@@ -306,7 +543,7 @@ def solve_bb(
             stack.pop()
         else:
             break
-    if best_cost is None:
+    if best_edges is None:
         raise InternalError("branch and bound ended without a solution on a feasible instance")
     return solution_from_edges(instance, best_edges)
 

@@ -84,11 +84,20 @@ class TestValidate:
             {"directed": "false"},
             {"allow_parallel": "false"},
             {"edges": [{"u": "a", "v": "b", "w": "1e999999", "times": [1, 2]}]},
+            {"vertices": ["a", "b", 1]},
+            {"vertices": ["a", "b", None]},
+            {"vertices": {"a": 1, "b": 2}},
+            {"edges": [{"u": "a", "v": 1, "w": 1, "times": [1, 2]}]},
+            {"edges": [{"u": None, "v": "b", "w": 1, "times": [1, 2]}]},
+            {"demands": [{"a": "a", "b": None, "t": 1}]},
+            {"demands": [{"a": ["a"], "b": "b", "t": 1}]},
         ],
         ids=["node_activity_list", "edges_object", "times_string", "vertices_string",
              "T_float", "T_bool", "demand_time_float", "demand_time_string",
              "edge_time_float", "first_time_float", "directed_string",
-             "allow_parallel_string", "weight_exponent"],
+             "allow_parallel_string", "weight_exponent", "vertex_int", "vertex_null",
+             "vertices_object", "edge_endpoint_int", "edge_endpoint_null",
+             "demand_endpoint_null", "demand_endpoint_list"],
     )
     def test_malformed_shape_is_an_input_error(self, tmp_path, capsys, patch):
         data = {
@@ -199,6 +208,30 @@ class TestSolve:
         code, out = run(capsys, "solve", "-i", example1_file, "--method", "bb")
         assert code == 0
         assert json.loads(out)["stats"]["nodes"] > 0
+
+    @pytest.mark.parametrize(
+        "gen_args",
+        [
+            ["--kind", "example1"],
+            ["--kind", "phlc-nosat", "--k", "3", "--part-sizes", "2,2,2", "--edges", "3"],
+        ],
+        ids=["example1", "phlc-nosat-k3"],
+    )
+    def test_bb_reports_bounds_and_prunes(self, tmp_path, capsys, gen_args):
+        inst = tmp_path / "inst.json"
+        assert run(capsys, "gen", *gen_args, "-o", inst)[0] == 0
+        code, out = run(capsys, "solve", "-i", inst, "--method", "bb")
+        assert code == 0
+        report = json.loads(out)
+        stats = report["stats"]
+        assert set(stats) == {
+            "nodes", "completion_prunes", "dual_ascent_prunes", "incumbent_updates",
+            "root_lower_bound", "root_upper_bound",
+        }
+        lower, upper = Fraction(stats["root_lower_bound"]), Fraction(stats["root_upper_bound"])
+        assert lower <= Fraction(report["cost"]) <= upper
+        assert stats["incumbent_updates"] >= 1
+        assert stats["completion_prunes"] + stats["dual_ascent_prunes"] < stats["nodes"]
 
     def test_infeasible_exits_one(self, tmp_path, capsys):
         inst = make_instance(
@@ -437,6 +470,33 @@ class TestBench:
         assert len(calls) == 2
         rows = list(csv.DictReader(out.open()))
         assert [r["cost"] for r in rows] == ["1"] * 4
+
+    def test_bb_is_the_oracle_without_brute(self, tmp_path, capsys, monkeypatch):
+        # without `brute` among the methods the optimum column comes from
+        # branch and bound, and brute force is never run
+        from tsn import exact
+
+        def refuse(instance, cap=None):
+            raise AssertionError("brute force run although not requested")
+
+        monkeypatch.setattr(exact, "brute_force", refuse)
+        out = tmp_path / "bench.csv"
+        code, _ = run(
+            capsys, "bench", "--kind", "lc-yes", "--u", "2", "--v", "2",
+            "--degree", "2", "--sigma", "2", "--methods", "bb,union",
+            "--seeds", "0,1", "-o", out,
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.open()))
+        assert list(rows[0]) == ["kind", "seed", "method", "cost", "optimum", "ratio"]
+        assert [(r["seed"], r["method"]) for r in rows] == [
+            ("0", "bb"), ("0", "union"), ("1", "bb"), ("1", "union"),
+        ]
+        for row in rows:
+            assert row["optimum"] == "4"  # |E| of the planted label cover
+            assert Fraction(row["ratio"]) == Fraction(row["cost"]) / 4
+            if row["method"] == "bb":
+                assert row["cost"] == "4"
 
     def test_unknown_method_rejected(self, tmp_path, capsys):
         code, out = run(

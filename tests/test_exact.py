@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -34,7 +35,43 @@ from tsn.hardness import (
 )
 from tsn.variants import normalize, to_simple
 
-from helpers import naive_brute, rand_instance
+from helpers import (
+    naive_brute,
+    rand_feasible_instance,
+    rand_instance,
+    rand_monotonic_single_source,
+)
+
+BOUND_WEIGHTS = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7))
+
+
+def bb_corpus_digest():
+    """sha256 over the `solve_bb` solutions of 540 seeded feasible instances:
+    random ones with the tie-prone weights above and with integer weights,
+    and random monotonic single-source ones.  Among tied optima the search
+    returns the first in branch order, so any change to which optimum is
+    found changes the digest."""
+    rng = random.Random(6029)
+    h = hashlib.sha256()
+    for n in range(540):
+        kind = n % 3
+        if kind == 0:
+            inst = rand_feasible_instance(
+                rng, max_vertices=7, max_edges=12, max_times=3, max_demands=4,
+                weights=BOUND_WEIGHTS,
+            )
+        elif kind == 1:
+            inst = rand_feasible_instance(
+                rng, max_vertices=7, max_edges=12, max_times=3, max_demands=4
+            )
+        else:
+            inst = rand_monotonic_single_source(
+                rng, max_vertices=7, max_edges=14, max_times=3, max_demands=5,
+                weights=BOUND_WEIGHTS,
+            )
+        sol = solve_bb(inst)
+        h.update(f"{sol.edges} {sol.cost}\n".encode())
+    return h.hexdigest()
 
 
 class TestBruteForce:
@@ -187,14 +224,15 @@ class TestSolveBb:
     @pytest.mark.parametrize(
         "make, nodes",
         [
-            (lambda: lc_to_2dtsn(gen_yes_lc(3, 3, 2, 3, seed=0)), 3559),
-            (lambda: phlc_to_kdtsn(gen_nosat_phlc(3, [2, 2, 2], 3, 2, seed=0)), 1383),
+            (lambda: lc_to_2dtsn(gen_yes_lc(3, 3, 2, 3, seed=0)), 383),
+            (lambda: phlc_to_kdtsn(gen_nosat_phlc(3, [2, 2, 2], 3, 2, seed=0)), 105),
         ],
         ids=["lc-yes-u3", "phlc-nosat-k3"],
     )
     def test_node_count_pinned_on_gadgets(self, make, nodes):
-        # the search itself (branch order, bound, pruning) is fixed: only
-        # the time per node may change
+        # the search itself (branch order, bounds, root incumbent, fixing)
+        # is fixed: only the time per node may change.  Before the
+        # dual-ascent bound these took 3559 and 1383 nodes.
         inst, _ = make()
         stats = BbStats()
         solve_bb(inst, stats)
@@ -212,11 +250,131 @@ class TestSolveBb:
         assert sol.cost == n
         assert sol.edges == tuple(range(n))
 
+    def test_solutions_are_pinned_on_seeded_corpus(self):
+        # digest taken before the dual-ascent bound, the root incumbent and
+        # reduced-cost fixing: they may only change how fast the first
+        # optimum in branch order is found, never which one it is
+        assert bb_corpus_digest() == "0aa4b98ec2f06d9dc0a87658af5c910ed6a014e0b4ced65fba9ea969aeb8147b"
+
     def test_counts_nodes(self):
         inst, _ = example1_instance()
         stats = BbStats()
         solve_bb(inst, stats)
         assert stats.nodes > 0
+
+
+def _bound_corpus(seed, count, max_edges=7):
+    """Feasible instances of every kind the dual ascent must handle: random
+    directed and undirected ones in all three variants and random monotonic
+    single-source ones, with the tie-prone weights {0, 1, 2, 1/2, 1/3, 2/7}."""
+    rng = random.Random(seed)
+    for n in range(count):
+        if n % 4 == 3:
+            yield rand_monotonic_single_source(
+                rng, max_vertices=6, max_edges=max_edges, max_demands=4,
+                weights=BOUND_WEIGHTS,
+            )
+        else:
+            yield rand_feasible_instance(
+                rng, directed=n % 4 != 1, variant=("edge", "node", "node_and_edge")[n % 3],
+                max_vertices=6, max_edges=max_edges, max_demands=4, weights=BOUND_WEIGHTS,
+            )
+
+
+def _cheapest_completion(fidx, state, must=None):
+    """Scaled cost of the cheapest undecided edges that, with the included
+    ones (and edge `must`, when given), meet every demand; None when no
+    such set exists.  Plain enumeration of the undecided edges."""
+    included = [i for i, s in enumerate(state) if s == 1]
+    free = [i for i, s in enumerate(state) if s == 0 and i != must]
+    fixed = included + ([must] if must is not None else [])
+    best = None
+    for mask in range(1 << len(free)):
+        chosen = [free[k] for k in range(len(free)) if mask >> k & 1]
+        cost = sum(fidx.weight[i] for i in chosen)
+        if must is not None:
+            cost += fidx.weight[must]
+        if (best is None or cost < best) and fidx.feasible(fixed + chosen):
+            best = cost
+    return best
+
+
+class TestDualAscent:
+    def test_root_bound_never_exceeds_brute_force_optimum(self):
+        for inst in _bound_corpus("root", 160):
+            fidx = _FrameIndex(inst)
+            state = bytearray(len(inst.edges))
+            bound, reduced = fidx.dual_ascent(state, list(range(len(fidx.demands))))
+            assert isinstance(bound, int)
+            assert Fraction(bound, fidx.scale) <= brute_force(inst).cost
+            assert all(0 <= r <= w for r, w in zip(reduced, fidx.weight))
+
+    def test_bound_never_exceeds_cheapest_completion_of_a_node(self):
+        # random include/exclude decisions: the ascent over the demands the
+        # included edges leave unmet never exceeds what finishing them costs
+        rng = random.Random(71)
+        checked = 0
+        for inst in _bound_corpus("node", 400):
+            fidx = _FrameIndex(inst)
+            # 0 undecided, 1 included, 2 excluded
+            state = bytearray(rng.choice((0, 0, 1, 2)) for _ in inst.edges)
+            keys = [fidx.completion(state, j) for j in range(len(fidx.demands))]
+            if None in keys:
+                continue  # some demand has no completion: pruned before any ascent
+            unmet = [j for j, key in enumerate(keys) if key]
+            bound, _ = fidx.dual_ascent(state, unmet)
+            assert bound <= _cheapest_completion(fidx, state)
+            checked += 1
+        assert checked >= 150
+
+    def test_reduced_costs_only_fix_edges_outside_every_optimum(self):
+        # any solution through edge e costs at least LB + reduced[e], so an
+        # edge fixed by LB + reduced[e] > UB is in no solution of cost <= UB
+        for inst in _bound_corpus("fixing", 120, max_edges=6):
+            fidx = _FrameIndex(inst)
+            state = bytearray(len(inst.edges))
+            bound, reduced = fidx.dual_ascent(state, list(range(len(fidx.demands))))
+            for e in range(len(inst.edges)):
+                through = _cheapest_completion(fidx, state, must=e)
+                if through is not None:
+                    assert through >= bound + reduced[e]
+
+    def test_budget_stops_the_ascent_early(self):
+        inst, _ = phlc_to_kdtsn(gen_nosat_phlc(3, [2, 2, 2], 3, 2, seed=0))
+        fidx = _FrameIndex(inst)
+        state = bytearray(len(inst.edges))
+        everything = list(range(len(fidx.demands)))
+        full, _ = fidx.dual_ascent(state, everything)
+        assert full == 9 * fidx.scale  # k * |E|, the planted optimum
+        for budget in range(1, full + 1):
+            bound, _ = fidx.dual_ascent(state, everything, budget)
+            assert budget <= bound <= full
+
+    def test_reverse_delete_leaves_a_minimal_feasible_set(self):
+        rng = random.Random(5)
+        for inst in _bound_corpus("delete", 120, max_edges=9):
+            fidx = _FrameIndex(inst)
+            member = bytearray([1]) * len(inst.edges)
+            candidates = [i for i in range(len(inst.edges)) if fidx.weight[i]]
+            rng.shuffle(candidates)
+            fidx.reverse_delete(member, candidates)
+            kept = [i for i, m in enumerate(member) if m]
+            assert fidx.feasible(kept)
+            for e in candidates:
+                if member[e]:
+                    assert not fidx.feasible([i for i in kept if i != e])
+
+    def test_root_bounds_bracket_the_optimum(self):
+        for make in (
+            example1_instance,
+            lambda: lc_to_2dtsn(gen_yes_lc(3, 3, 2, 3, seed=1)),
+            lambda: phlc_to_kdtsn(gen_nosat_phlc(3, [2, 2, 2], 3, 2, seed=0)),
+        ):
+            inst, _ = make()
+            stats = BbStats()
+            cost = solve_bb(inst, stats).cost
+            assert stats.root_lower_bound <= cost <= stats.root_upper_bound
+            assert stats.incumbent_updates >= 1
 
 
 def simple_path_instance():
