@@ -67,6 +67,13 @@ def _report(command: str, instance: Optional[TemporalInstance], **extra) -> None
     print(json.dumps(rep, indent=2))
 
 
+def _to_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _load_instance(path: str) -> TemporalInstance:
     instance = instance_from_dict(load_json(path))
     violations = validate(instance)
@@ -215,7 +222,7 @@ def _generate(kind: str, args):
         h, source = hardness.lc_as_phlc(lc), hardness.lc_to_dict(lc)
     elif kind in ("phlc-yes", "phlc-nosat"):
         gen = hardness.gen_yes_phlc if kind == "phlc-yes" else hardness.gen_nosat_phlc
-        sizes = [int(s) for s in args.part_sizes.split(",")]
+        sizes = [_to_int(s, "--part-sizes entry") for s in args.part_sizes.split(",")]
         h = gen(args.k, sizes, args.edges, args.sigma, args.seed)
         source = hardness.phlc_to_dict(h)
     else:
@@ -268,10 +275,17 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     methods = [m for m in args.methods.split(",") if m]
+    levels: dict[str, int] = {}  # greedy level of each charikar[:level] method
     for method in methods:
-        if method not in ("brute", "bb", "union") and not method.startswith("charikar"):
+        if method in ("brute", "bb", "union"):
+            continue
+        name, colon, level = method.partition(":")
+        if name != "charikar":
             raise InputError(f"unknown method {method!r}")
-    seeds = [int(s) for s in args.seeds.split(",") if s]
+        levels[method] = _to_int(level, f"level of {method!r}") if colon else 2
+        if levels[method] < 1:
+            raise InputError(f"level of {method!r} must be at least 1")
+    seeds = [_to_int(s, "--seeds entry") for s in args.seeds.split(",") if s]
     rows = []
     for seed in seeds:
         instance, _, _ = _generate(args.kind, argparse.Namespace(**{**vars(args), "seed": seed}))
@@ -293,9 +307,8 @@ def cmd_bench(args) -> int:
                     cost = exact.solve_bb(instance).cost
                 elif method == "union":
                     cost = approx_mod.shortest_paths_union(instance).cost
-                else:  # charikar[:level]
-                    level = int(method.split(":")[1]) if ":" in method else 2
-                    cost = approx_mod.charikar(instance, level).cost
+                else:
+                    cost = approx_mod.charikar(instance, levels[method]).cost
             except InputError:
                 # method not applicable to this instance family: keep the
                 # row, leave the cost empty

@@ -3,11 +3,11 @@
 `brute_force` is the reference oracle used throughout the test suite.  Its
 contract is the naive one -- consider all 2^|E| edge subsets, return the
 cheapest feasible one, break ties by the lexicographically smallest sorted
-index tuple -- but it is implemented as a lexicographic greedy that exploits
-two facts: feasibility is monotone under edge inclusion, and zero-weight
-edges never change the cost.  The greedy provably returns the same subset as
-the naive scan (the test suite cross-checks against a literal enumeration)
-while staying fast on gadget instances that are mostly zero-weight wiring.
+index tuple -- but it enumerates only the positive-weight edges, in one
+iterative include-first search pruned by cost, since zero-weight edges never
+change a cost.  That keeps it fast on gadget instances that are mostly
+zero-weight wiring; its docstring says why the result is the naive scan's,
+and the test suite cross-checks it against a literal enumeration.
 
 `solve_bb` is an independent branch-and-bound over the same search space.
 Both run on `core.FrameIndex`, built once per instance (vertices interned to
@@ -323,7 +323,20 @@ _UNDECIDED, _INCLUDED, _EXCLUDED = 0, 1, 2
 
 
 def brute_force(instance: TemporalInstance, cap: Optional[int] = None) -> Solution:
-    """Optimal solution by subset enumeration semantics.
+    """Cheapest feasible edge subset; ties go to the lexicographically
+    smallest sorted index tuple.
+
+    Zero-weight edges never change a cost, so one include-first search over
+    the positive edges in index order, each leaf completed with every zero
+    edge, finds the optimum.  It keeps the leaf of each strict improvement,
+    so it keeps the first optimal leaf it reaches.  Leaves come in
+    lexicographic order of their index tuples, except that a tuple comes
+    after the tuples that extend it; no optimal positive set extends
+    another, since every weight in it is positive, so that leaf is the
+    lexicographically smallest optimal positive set.  The answer is that set
+    plus the zero edges below the first index at which the whole set is
+    taken and the edges taken so far meet every demand, which is where the
+    naive scan's smallest optimal tuple ends.
 
     Raises InfeasibleInstanceError when some demand cannot be met even by
     the full edge set, and BruteForceCapError when |E| exceeds the cap
@@ -340,85 +353,40 @@ def brute_force(instance: TemporalInstance, cap: Optional[int] = None) -> Soluti
     if bad is not None:
         raise InfeasibleInstanceError(bad)
 
-    fidx = _FrameIndex(instance)
-    weight = fidx.weight
+    index = FrameIndex(instance)
+    weight = index.weight
     pos = [i for i, w in enumerate(weight) if w > 0]
-    zero_set = {i for i, w in enumerate(weight) if w == 0}
+    zeros = [i for i, w in enumerate(weight) if w == 0]
 
-    feas_cache: dict[frozenset[int], bool] = {}
-
-    def feasible_with_all_zeros(p: frozenset[int]) -> bool:
-        hit = feas_cache.get(p)
-        if hit is None:
-            hit = fidx.feasible(p | zero_set)
-            feas_cache[p] = hit
-        return hit
-
-    # Optimal scaled cost over positive subsets, zero edges included for free.
-    best: list[Optional[int]] = [None]
-
-    def opt_dfs(idx: int, cost: int, chosen: list[int]) -> None:
-        if best[0] is not None and cost >= best[0]:
-            return  # weights are nonnegative, no improvement below
-        if idx == len(pos):
-            if feasible_with_all_zeros(frozenset(chosen)):
-                best[0] = cost
-            return
-        e = pos[idx]
-        chosen.append(e)
-        opt_dfs(idx + 1, cost + weight[e], chosen)
-        chosen.pop()
-        opt_dfs(idx + 1, cost, chosen)
-
-    opt_dfs(0, 0, [])
-    if best[0] is None:
-        raise InternalError("brute force found no feasible subset of a feasible instance")
-    opt: int = best[0]
-
-    def exists_optimal(incl_pos: frozenset[int], excl: frozenset[int]) -> bool:
-        """Is there a feasible set of cost `opt` containing incl_pos (plus
-        any zero edges) and avoiding excl?"""
-        free = [i for i in pos if i not in incl_pos and i not in excl]
-        base_cost = sum(weight[i] for i in incl_pos)
-        if base_cost > opt:
-            return False
-
-        def scan(idx: int, cost: int, chosen: list[int]) -> bool:
-            if cost > opt:
-                return False
-            if idx == len(free):
-                return cost == opt and feasible_with_all_zeros(
-                    incl_pos | frozenset(chosen)
-                )
-            e = free[idx]
-            if scan(idx + 1, cost + weight[e], chosen + [e]):
-                return True
-            return scan(idx + 1, cost, chosen)
-
-        return scan(0, base_cost, [])
-
-    # Lexicographic greedy over edge indices.  Zero-weight edges can always
-    # be added to an optimal witness, so they are included outright; the
-    # scan only pays for positive edges.
-    incl: set[int] = set()
-    incl_pos: set[int] = set()
-    excl: set[int] = set()
-    incl_cost = 0
-    for i in range(len(edges)):
-        if incl_cost == opt and fidx.feasible(incl):
-            break
-        if weight[i] == 0:
-            incl.add(i)
+    # Each stack entry is (depth, cost, size): the first `size` edges of
+    # `chosen` are the positive edges taken above that depth.
+    best, best_set = sum(weight) + 1, None
+    chosen: list[int] = []
+    stack = [(0, 0, 0)]
+    while stack:
+        depth, cost, size = stack.pop()
+        del chosen[size:]
+        if cost >= best:
+            continue  # weights are nonnegative, no improvement below
+        if depth == len(pos):
+            if index.feasible(chosen + zeros):
+                best, best_set = cost, set(chosen)
             continue
-        if exists_optimal(frozenset(incl_pos | {i}), frozenset(excl)):
-            incl.add(i)
-            incl_pos.add(i)
-            incl_cost += weight[i]
-        else:
-            excl.add(i)
-    if incl_cost != opt or not fidx.feasible(incl):
-        raise InternalError("brute force greedy did not end on an optimal feasible set")
-    return solution_from_edges(instance, incl)
+        e = pos[depth]
+        stack.append((depth + 1, cost, size))
+        chosen.append(e)
+        stack.append((depth + 1, cost + weight[e], size + 1))
+    if best_set is None:
+        raise InternalError("brute force found no feasible subset of a feasible instance")
+
+    last = max(best_set, default=-1)
+    taken: list[int] = []
+    for i, w in enumerate(weight):
+        if i > last and index.feasible(taken):
+            break
+        if w == 0 or i in best_set:
+            taken.append(i)
+    return solution_from_edges(instance, taken)
 
 
 # ---------------------------------------------------------------------------

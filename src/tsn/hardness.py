@@ -404,6 +404,8 @@ def gen_yes_lc(
     labels receive random colors (which may create extra agreements but
     never destroy satisfiability).
     """
+    if num_labels < 1:
+        raise InputError("need at least one label")
     rng = random.Random(seed)
     blocks = _staircase_blocks(num_left, num_right, degree)
     edges = tuple((i, j) for i in range(num_left) for j in blocks[i])
@@ -436,12 +438,20 @@ def _staircase_hyperedges(part_sizes: Sequence[int], num_edges: int) -> tuple[tu
     return tuple(out)
 
 
+def _check_phlc_args(k: int, part_sizes: Sequence[int], num_labels: int) -> None:
+    if k < 2 or len(part_sizes) != k:
+        raise InputError("need k >= 2 and one size per part")
+    if min(part_sizes) < 1:
+        raise InputError("every part needs at least one vertex")
+    if num_labels < 1:
+        raise InputError("need at least one label")
+
+
 def gen_yes_phlc(
     k: int, part_sizes: Sequence[int], num_edges: int, num_labels: int, seed: int
 ) -> KphlcInstance:
     """k-partite hypergraph with a planted strongly-satisfying labeling."""
-    if k < 2 or len(part_sizes) != k:
-        raise InputError("need k >= 2 and one size per part")
+    _check_phlc_args(k, part_sizes, num_labels)
     rng = random.Random(seed)
     edges = _staircase_hyperedges(part_sizes, num_edges)
     parts = tuple(
@@ -471,8 +481,7 @@ def gen_nosat_phlc(
 ) -> KphlcInstance:
     """k-partite hypergraph in which no hyperedge is even weakly
     satisfiable: on every edge, each (part, label) slot gets its own color."""
-    if k < 2 or len(part_sizes) != k:
-        raise InputError("need k >= 2 and one size per part")
+    _check_phlc_args(k, part_sizes, num_labels)
     edges = _staircase_hyperedges(part_sizes, num_edges)
     parts = tuple(
         tuple(f"p{t+1}.{i+1}" for i in range(part_sizes[t])) for t in range(k)

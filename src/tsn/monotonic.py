@@ -307,12 +307,12 @@ def normalize_to_time_layered_tree(
     source whose earliest necessary times are non-decreasing along every
     root path.
 
-    Removing redundant edges one at a time (highest index first) until every
-    remaining edge is necessary achieves this: in a monotonic single-source
-    instance a minimal solution has in-degree at most one everywhere (an
-    earlier-frame entry path into a vertex also works in every later frame),
-    so it is a tree, and on a tree each edge's necessity set contains its
-    parent's, which orders the earliest necessary times.
+    One pass that drops each redundant edge, highest index first, leaves
+    every remaining edge necessary, and that achieves this: in a monotonic
+    single-source instance a minimal solution has in-degree at most one
+    everywhere (an earlier-frame entry path into a vertex also works in
+    every later frame), so it is a tree, and on a tree each edge's necessity
+    set contains its parent's, which orders the earliest necessary times.
     """
     if not instance.directed:
         raise InputError("normalisation expects a directed instance")
@@ -325,15 +325,10 @@ def normalize_to_time_layered_tree(
     if not index.feasible(solution.edges):
         raise InputError("solution is not feasible")
     ids = set(solution.edges)
-    while True:
-        removable = None
-        # drop the highest-index redundant edge first so the retained tree
-        # prefers low edge indices, like the other solvers
-        for e in sorted(ids, reverse=True):
-            if index.feasible(ids - {e}):
-                removable = e
-                break
-        if removable is None:
-            break
-        ids.remove(removable)
+    # one pass from the highest index down, so the retained tree prefers low
+    # edge indices like the other solvers; a removal only takes paths away,
+    # so an edge found necessary stays necessary and needs no second look
+    for e in sorted(ids, reverse=True):
+        if index.feasible(ids - {e}):
+            ids.remove(e)
     return solution_from_edges(instance, ids)

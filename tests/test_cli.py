@@ -261,7 +261,7 @@ class TestSolve:
         # check survives `python -O` and maps to exit 3
         from tsn import exact
 
-        monkeypatch.setattr(exact._FrameIndex, "feasible", lambda self, chosen: False)
+        monkeypatch.setattr(exact.FrameIndex, "feasible", lambda self, chosen: False)
         code, out = run(capsys, "solve", "-i", example1_file, "--method", "brute")
         assert code == 3
         assert json.loads(out)["error"] == "internal"
@@ -392,6 +392,23 @@ class TestGen:
         inst = instance_from_dict(load_json(str(out)))
         assert inst.num_times == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "phlc-yes", "--part-sizes", "1,x"],
+        ["--kind", "phlc-yes", "--part-sizes", "1,,1"],
+        ["--kind", "phlc-yes", "--k", "2", "--part-sizes", "0,1", "--edges", "1"],
+        ["--kind", "phlc-nosat", "--part-sizes", "1,-1,1"],
+        ["--kind", "phlc-nosat", "--sigma", "0"],
+        ["--kind", "lc-yes", "--sigma", "0"],
+    ], ids=["part-size-not-int", "part-size-empty", "part-size-zero",
+            "part-size-negative", "phlc-no-labels", "lc-no-labels"])
+    def test_bad_generator_argument_rejected(self, tmp_path, capsys, argv):
+        code = main(["gen", *argv, "-o", str(tmp_path / "i.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == "input"
+        assert captured.err == ""
+        assert not (tmp_path / "i.json").exists()
+
     def test_source_constraint_graph_written(self, tmp_path, capsys):
         out = tmp_path / "i.json"
         source = tmp_path / "lc.json"
@@ -504,6 +521,22 @@ class TestBench:
         )
         assert code == 2
         assert "unknown method" in json.loads(out)["detail"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--methods", "charikar:x"],
+        ["--methods", "charikar:"],
+        ["--methods", "charikar:0"],
+        ["--methods", "charikarx"],
+        ["--methods", "brute", "--seeds", "a"],
+        ["--methods", "brute", "--seeds", "0,,x"],
+    ], ids=["level-not-int", "level-empty", "level-zero", "name-suffix", "seed-not-int",
+            "seed-entry-not-int"])
+    def test_malformed_argument_rejected(self, capsys, argv):
+        code = main(["bench", "--kind", "example1", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == "input"
+        assert captured.err == ""
 
     def test_yes_lc_batch_columns(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -74,6 +74,36 @@ def bb_corpus_digest():
     return h.hexdigest()
 
 
+def brute_corpus_digest():
+    """sha256 over the `brute_force` results of 600 seeded instances: random
+    ones with many zero-weight edges (infeasible ones recorded by their
+    error), feasible ones with the tie-prone weights above, and random
+    monotonic single-source ones.  Any change to which optimum the oracle
+    returns changes the digest."""
+    rng = random.Random(7121)
+    h = hashlib.sha256()
+    for n in range(600):
+        kind = n % 3
+        if kind == 0:
+            inst = rand_instance(rng, max_edges=10, zero_weight_share=0.45)
+        elif kind == 1:
+            inst = rand_feasible_instance(
+                rng, max_vertices=7, max_edges=14, max_times=3, max_demands=4,
+                weights=BOUND_WEIGHTS,
+            )
+        else:
+            inst = rand_monotonic_single_source(
+                rng, max_vertices=7, max_edges=14, max_times=3, max_demands=5,
+            )
+        try:
+            sol = brute_force(inst)
+        except InfeasibleInstanceError as exc:
+            h.update(f"infeasible {exc}\n".encode())
+        else:
+            h.update(f"{sol.edges} {sol.cost}\n".encode())
+    return h.hexdigest()
+
+
 class TestBruteForce:
     def test_no_demands_empty_solution(self):
         inst = make_instance(
@@ -141,6 +171,12 @@ class TestBruteForce:
                 got = brute_force(inst)
                 assert got == expected
             checked += 1
+
+    def test_solutions_are_pinned_on_seeded_corpus(self):
+        # digest taken from the two-search oracle (an optimum search, then a
+        # lexicographic greedy that re-ran it per edge); the single
+        # include-first search must return the same set on every instance
+        assert brute_corpus_digest() == "42419c6428eed86ed9c5ac8794415fb60437c719495fa7767582332d8d5f53d0"
 
     def test_deterministic(self):
         rng = random.Random(17)

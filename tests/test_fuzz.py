@@ -1,6 +1,8 @@
 """Fuzz the CLI's file readers with JSON-shaped values: every case must end
-in exit 0 or 2 with exactly one JSON object on stdout and nothing on stderr.
-Examples are derandomized, so the run is the same every time."""
+with exactly one JSON object on stdout and nothing on stderr, in exit 0 or 2
+for `validate` and `verify` and in exit 0, 1 or 2 for the commands that
+reduce or solve the instance.  Examples are derandomized, so the run is the
+same every time."""
 
 import contextlib
 import io
@@ -54,32 +56,42 @@ def _replaced(data, path, value):
 
 
 def _run_cli(instance, solution):
-    """Run `validate` and `verify` on the two values written as JSON files;
-    returns [(exit code, stdout, stderr)] for both commands."""
+    """Run `validate`, `verify`, `reduce --to edge`, `solve --method brute`,
+    `solve --method bb` and `approx --method union` on the two values
+    written as JSON files; returns [(command, exit code, stdout, stderr)]."""
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         inst_path = os.path.join(tmp, "instance.json")
         sol_path = os.path.join(tmp, "solution.json")
+        out_path = os.path.join(tmp, "out.json")
         for path, value in ((inst_path, instance), (sol_path, solution)):
             with open(path, "w", encoding="ascii") as fh:
                 json.dump(value, fh)
-        for argv in (["validate", "-i", inst_path], ["verify", "-i", inst_path, "-s", sol_path]):
+        for argv in (
+            ["validate", "-i", inst_path],
+            ["verify", "-i", inst_path, "-s", sol_path],
+            ["reduce", "--to", "edge", "-i", inst_path, "-o", out_path],
+            ["solve", "--method", "brute", "-i", inst_path],
+            ["solve", "--method", "bb", "-i", inst_path],
+            ["approx", "--method", "union", "-i", inst_path],
+        ):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
-            results.append((code, out.getvalue(), err.getvalue()))
+            results.append((argv[0], code, out.getvalue(), err.getvalue()))
     return results
 
 
 def _assert_clean(results):
-    for code, out, err in results:
-        assert code in (0, 2), (code, out)
+    for command, code, out, err in results:
+        allowed = (0, 2) if command in ("validate", "verify") else (0, 1, 2)
+        assert code in allowed, (command, code, out)
         assert isinstance(json.loads(out), dict), out
         assert err == ""
 
 
 def test_valid_files_pass():
-    assert [code for code, _, _ in _run_cli(VALID_INSTANCE, VALID_SOLUTION)] == [0, 0]
+    assert [code for _, code, _, _ in _run_cli(VALID_INSTANCE, VALID_SOLUTION)] == [0] * 6
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
