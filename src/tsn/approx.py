@@ -37,7 +37,7 @@ from .core import (
     is_monotonic,
     solution_from_edges,
 )
-from .variants import lift_chain, normalize_with_instances
+from .variants import lift_chain, normalize
 
 Pair = tuple[str, int]  # (vertex, time)
 
@@ -130,7 +130,7 @@ def shortest_paths_union(instance: TemporalInstance) -> Solution:
     optimum.  Raises InfeasibleInstanceError for the first demand whose
     frame has no connecting path.
     """
-    edge_inst, steps, pres = normalize_with_instances(instance, "edge")
+    edge_inst, steps = normalize(instance, "edge")
     index = FrameIndex(edge_inst)
     union: set[int] = set()
     for d in edge_inst.demands:
@@ -145,7 +145,7 @@ def shortest_paths_union(instance: TemporalInstance) -> Solution:
             cur, eid = pred[cur]
             union.add(eid)
     image_sol = solution_from_edges(edge_inst, union)
-    return lift_chain(steps, image_sol, pres)
+    return lift_chain(steps, image_sol, instance)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +394,11 @@ def charikar(
     if len(sources) != 1:
         raise InputError("all demands must share a single source")
     (source,) = sources
-    edge_inst, steps, pres = normalize_with_instances(instance, "edge")
+    edge_inst, steps = normalize(instance, "edge")
     closure = metric_closure(edge_inst)
     pairs = [(d.b, d.t) for d in edge_inst.demands]
     tree = charikar_level(
         level, closure, (source, 0), len(pairs), pairs, _cache={}, _stats=stats
     )
     image_sol = expand_tree(edge_inst, closure, tree)
-    return lift_chain(steps, image_sol, pres)
+    return lift_chain(steps, image_sol, instance)

@@ -152,14 +152,13 @@ def cmd_solve(args) -> int:
         # the root bounds are exact costs, written like `cost`
         stats = {k: v if isinstance(v, int) else str(v) for k, v in vars(bb_stats).items()}
     elif args.method == "ilp-export":
-        node_image, steps = variants.normalize(instance, "node")
-        simple, last = variants.to_simple(node_image)
-        model = exact.build_ilp(simple)
-        text = exact.emit_lp(model)
         if not args.lp:
             raise InputError("--lp PATH is required for ilp-export")
+        node_image, _ = variants.normalize(instance, "node")
+        simple, _ = variants.to_simple(node_image)
+        model = exact.build_ilp(simple)
         with open(args.lp, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.write(exact.emit_lp(model))
         _report(
             "solve",
             instance,

@@ -13,17 +13,17 @@ and the test suite cross-checks it against a literal enumeration.
 Both run on `core.FrameIndex`, built once per instance (vertices interned to
 ints, one adjacency list of `(head, edge id)` pairs per frame, weights scaled
 to ints by the least common multiple of their denominators).  `_FrameIndex`
-adds what the branch and bound needs: the completion keys, one reverse
-adjacency per demand frame, Wong's dual ascent on the cut relaxation (a
-lower bound and reduced costs), and a reverse delete.  The search is an
-iterative depth-first search that sets and resets a per-edge decision byte
-in place.  At the root, the dual ascent gives a lower bound; the edges of
-reduced cost 0, thinned by the reverse delete, give an incumbent; and every
-edge whose reduced cost lifts the bound past that incumbent is excluded
-(reduced-cost fixing).  Below the root, nodes are pruned by the largest
-single-demand completion and by a dual ascent over the unmet demands.
-Costs return to `Fraction` only through `solution_from_edges`, so results
-stay exact and no float is ever used.
+adds what the branch and bound needs: one reverse adjacency per demand
+frame, Wong's dual ascent on the cut relaxation (a lower bound and reduced
+costs), and a reverse delete.  The search is an iterative depth-first
+search that sets and resets a per-edge decision byte in place.  At the
+root, the dual ascent gives a lower bound; the edges of reduced cost 0,
+thinned by the reverse delete, give an incumbent; and every edge whose
+reduced cost lifts the bound past that incumbent is excluded (reduced-cost
+fixing).  Below the root, each node is pruned by one dual ascent over the
+demands its included edges leave unmet.  Costs return to `Fraction` only
+through `solution_from_edges`, so results stay exact and no float is ever
+used.
 
 `build_ilp`/`emit_lp`/`parse_lp` realise the per-time unit-flow integer
 program over simple single-source/single-sink instances.
@@ -31,9 +31,7 @@ program over simple single-source/single-sink instances.
 
 from __future__ import annotations
 
-import heapq
 import math
-import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,41 +52,19 @@ from .core import (
 )
 
 DEFAULT_BRUTE_CAP = 20
-BRUTE_CAP_ENV = "TSN_BRUTE_CAP"
 
 
 class BruteForceCapError(InputError):
     """Instance exceeds the subset-enumeration cap."""
 
 
-def _brute_cap(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(BRUTE_CAP_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"{BRUTE_CAP_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_BRUTE_CAP
-
-
 class _FrameIndex(FrameIndex):
     """The shared frame index plus what the branch and bound needs: the
-    completion keys, the reverse frames, the dual ascent and the reverse
-    delete.
+    reverse frames, the dual ascent and the reverse delete.
 
     Per-edge decisions live in a `bytearray` of `_UNDECIDED` / `_INCLUDED` /
     `_EXCLUDED` that the caller sets and resets in place.
     """
-
-    def __init__(self, instance: TemporalInstance):
-        super().__init__(instance)
-        # Dijkstra keys order paths by cost first, then by the number of
-        # undecided edges used; a simple path uses fewer than `step` edges.
-        self.step = len(instance.edges) + 1
-        self.key_weight = [w * self.step + 1 for w in self.weight]
-        self.key_limit = sum(self.key_weight) + 1
 
     @cached_property
     def reverse(self) -> list[list[list[tuple[int, int]]]]:
@@ -110,43 +86,9 @@ class _FrameIndex(FrameIndex):
             out.append(radj)
         return out
 
-    def completion(self, state: bytearray, j: int, limit: Optional[int] = None) -> Optional[int]:
-        """Cheapest way to finish demand j under the decisions in `state`.
-
-        A Dijkstra in the demand's frame: included edges ride free,
-        undecided edges pay their key weight, excluded edges are gone.  The
-        result is `cost * step + undecided edges used` for the cheapest
-        completion, so its quotient by `step` is the scaled cost and it is 0
-        exactly when the included edges already meet the demand.  None when
-        no completion has a key below `limit`, in particular when there is
-        no completion at all.
-        """
-        a, b, frame = self.demands[j]
-        if limit is None:
-            limit = self.key_limit
-        key_weight = self.key_weight
-        dist = [limit] * self.num_vertices
-        dist[a] = 0
-        heap = [(0, a)]
-        while heap:
-            d, x = heapq.heappop(heap)
-            if x == b:
-                return d
-            if d > dist[x]:
-                continue
-            for y, i in frame[x]:
-                s = state[i]
-                if s == _EXCLUDED:
-                    continue
-                nd = d if s == _INCLUDED else d + key_weight[i]
-                if nd < dist[y]:
-                    dist[y] = nd
-                    heapq.heappush(heap, (nd, y))
-        return None
-
     def dual_ascent(
         self, state: bytearray, unmet: list[int], budget: Optional[int] = None
-    ) -> tuple[int, list[int]]:
+    ) -> tuple[Optional[int], list[int]]:
         """Wong's dual ascent on the cut relaxation of the demands in `unmet`.
 
         Every (demand, vertex set S) with the demand's head in S and its tail
@@ -161,7 +103,8 @@ class _FrameIndex(FrameIndex):
         the bound never exceeds the scaled cost of the cheapest completion.
 
         Returns (bound, reduced costs).  Stops as soon as the bound reaches
-        `budget`.  Every demand in `unmet` must have a completion.
+        `budget`.  With a budget, a demand in `unmet` that has no completion
+        makes the bound None; without one, it is an internal error.
         """
         reduced = self.weight.copy()
         i = state.find(_INCLUDED)
@@ -225,6 +168,8 @@ class _FrameIndex(FrameIndex):
             active = still
             cut = pick[3]
             if not cut:
+                if budget is not None:
+                    return None, reduced
                 raise InternalError("dual ascent met a demand without a completion")
             delta = min(reduced[i] for _, i in cut)
             for _, i in cut:
@@ -316,6 +261,8 @@ class _FrameIndex(FrameIndex):
 
 
 _UNDECIDED, _INCLUDED, _EXCLUDED = 0, 1, 2
+# `state.translate(_INCLUDED_ONLY)` marks the included edges with 1
+_INCLUDED_ONLY = bytes(s == _INCLUDED for s in range(256))
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +286,15 @@ def brute_force(instance: TemporalInstance, cap: Optional[int] = None) -> Soluti
     naive scan's smallest optimal tuple ends.
 
     Raises InfeasibleInstanceError when some demand cannot be met even by
-    the full edge set, and BruteForceCapError when |E| exceeds the cap
-    (default 20, overridable via the TSN_BRUTE_CAP environment variable or
-    the `cap` argument).
+    the full edge set, and BruteForceCapError when |E| exceeds `cap`
+    (DEFAULT_BRUTE_CAP when None).
     """
     edges = instance.edges
-    cap_val = _brute_cap(cap)
-    if len(edges) > cap_val:
+    if cap is None:
+        cap = DEFAULT_BRUTE_CAP
+    if len(edges) > cap:
         raise BruteForceCapError(
-            f"instance has {len(edges)} edges, brute-force cap is {cap_val}"
+            f"instance has {len(edges)} edges, brute-force cap is {cap}"
         )
     bad = first_unsatisfiable_demand(instance)
     if bad is not None:
@@ -395,10 +342,11 @@ def brute_force(instance: TemporalInstance, cap: Optional[int] = None) -> Soluti
 
 @dataclass
 class BbStats:
-    """What one `solve_bb` run did: nodes visited, nodes pruned by the
-    completion bound and by the dual-ascent bound, incumbents found by the
-    search, and the root's dual-ascent lower bound and the cost of the
-    incumbent built from it, as exact costs."""
+    """What one `solve_bb` run did: nodes visited; nodes pruned because the
+    included edges alone reach the incumbent or leave a demand with no
+    completion (`completion_prunes`) and by the dual-ascent bound; incumbents
+    found by the search; and the root's dual-ascent lower bound and the cost
+    of the incumbent built from it, as exact costs."""
 
     nodes: int = 0
     completion_prunes: int = 0
@@ -420,11 +368,12 @@ def solve_bb(
     excluded before the search (strictly greater, so tied optima stay).
 
     Branch order: undecided edge of largest weight appearing in the most
-    frames (ties by index), include branch first.  A node is pruned when
-    some demand has no completion, when the included edges plus the largest
-    single-demand completion cost (shortest path with included edges free)
-    reach the incumbent, or, with two or more demands unmet, when the
-    included edges plus a dual ascent over the unmet demands reach it.  The
+    frames (ties by index), include branch first.  At each node, one search
+    per pending demand finds the demands the included edges leave unmet.  A
+    node is pruned when its included edges alone reach the incumbent, or
+    when a dual ascent over the unmet demands, budgeted at the gap to the
+    incumbent, reaches that gap or finds an unmet demand with no completion
+    left.  For a single demand the ascent is a shortest-path search.  The
     search starts from an incumbent of cost UB + 1 with no edges and takes
     only strictly cheaper solutions, so it returns the first optimum in
     branch order whatever the bounds prune.  It is iterative, so its depth
@@ -437,7 +386,7 @@ def solve_bb(
         stats = BbStats()
 
     fidx = _FrameIndex(instance)
-    weight, step, completion = fidx.weight, fidx.step, fidx.completion
+    weight = fidx.weight
     order = sorted(
         range(len(weight)),
         key=lambda i: (-weight[i], -len(fidx.eff[i]), i),
@@ -470,34 +419,31 @@ def solve_bb(
     depth, cost = 0, 0
     while True:
         stats.nodes += 1
-        # The bound reaches the incumbent exactly when some demand's
-        # completion key reaches `limit`; `completion` then gives up early
-        # and the node is pruned like one with no completion.
         budget = best_cost - cost
-        unmet: list[int] = []
-        for j in pending:
-            key = completion(state, j, budget * step)
-            if key is None:
-                stats.completion_prunes += 1
-                break
-            if key:
-                unmet.append(j)
+        if budget <= 0:
+            stats.completion_prunes += 1
         else:
+            included = state.translate(_INCLUDED_ONLY)
+            unmet = [j for j in pending if fidx._path(j, included) is None]
             if not unmet:
-                # every demand met under the limit: strictly cheaper than the incumbent
+                # every demand met below the budget: strictly cheaper than the incumbent
                 best_cost = cost
                 best_edges = [i for i, s in enumerate(state) if s == _INCLUDED]
                 stats.incumbent_updates += 1
-            elif len(unmet) > 1 and fidx.dual_ascent(state, unmet, budget)[0] >= budget:
-                stats.dual_ascent_prunes += 1
             else:
-                e = order[depth]
-                state[e] = _INCLUDED
-                cost += weight[e]
-                stack.append((depth, unmet))
-                depth += 1
-                pending = unmet
-                continue
+                bound = fidx.dual_ascent(state, unmet, budget)[0]
+                if bound is None:
+                    stats.completion_prunes += 1
+                elif bound >= budget:
+                    stats.dual_ascent_prunes += 1
+                else:
+                    e = order[depth]
+                    state[e] = _INCLUDED
+                    cost += weight[e]
+                    stack.append((depth, unmet))
+                    depth += 1
+                    pending = unmet
+                    continue
         # backtrack to the deepest node whose exclude branch is still open
         while stack:
             branched, pending = stack[-1]

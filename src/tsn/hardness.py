@@ -404,6 +404,10 @@ def gen_yes_lc(
     labels receive random colors (which may create extra agreements but
     never destroy satisfiability).
     """
+    if num_left < 1 or num_right < 1:
+        raise InputError("need at least one left and one right vertex")
+    if degree < 0:
+        raise InputError("degree cannot be negative")
     if num_labels < 1:
         raise InputError("need at least one label")
     rng = random.Random(seed)
@@ -438,11 +442,13 @@ def _staircase_hyperedges(part_sizes: Sequence[int], num_edges: int) -> tuple[tu
     return tuple(out)
 
 
-def _check_phlc_args(k: int, part_sizes: Sequence[int], num_labels: int) -> None:
+def _check_phlc_args(k: int, part_sizes: Sequence[int], num_edges: int, num_labels: int) -> None:
     if k < 2 or len(part_sizes) != k:
         raise InputError("need k >= 2 and one size per part")
     if min(part_sizes) < 1:
         raise InputError("every part needs at least one vertex")
+    if num_edges < 0:
+        raise InputError("hyperedge count cannot be negative")
     if num_labels < 1:
         raise InputError("need at least one label")
 
@@ -451,7 +457,7 @@ def gen_yes_phlc(
     k: int, part_sizes: Sequence[int], num_edges: int, num_labels: int, seed: int
 ) -> KphlcInstance:
     """k-partite hypergraph with a planted strongly-satisfying labeling."""
-    _check_phlc_args(k, part_sizes, num_labels)
+    _check_phlc_args(k, part_sizes, num_edges, num_labels)
     rng = random.Random(seed)
     edges = _staircase_hyperedges(part_sizes, num_edges)
     parts = tuple(
@@ -481,7 +487,7 @@ def gen_nosat_phlc(
 ) -> KphlcInstance:
     """k-partite hypergraph in which no hyperedge is even weakly
     satisfiable: on every edge, each (part, label) slot gets its own color."""
-    _check_phlc_args(k, part_sizes, num_labels)
+    _check_phlc_args(k, part_sizes, num_edges, num_labels)
     edges = _staircase_hyperedges(part_sizes, num_edges)
     parts = tuple(
         tuple(f"p{t+1}.{i+1}" for i in range(part_sizes[t])) for t in range(k)

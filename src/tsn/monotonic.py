@@ -31,7 +31,7 @@ from .core import (
     satisfies,
     solution_from_edges,
 )
-from .variants import ReductionMap, fresh_name
+from .variants import ReductionMap, _lift_ids, fresh_name
 
 # ---------------------------------------------------------------------------
 # Priority formulation
@@ -154,10 +154,7 @@ def priority_solution_from_tsn(
 ) -> tuple[tuple[int, ...], Fraction]:
     """Contract split edges back: a priority edge is used iff both halves
     are.  Returns (edge indices, cost)."""
-    chosen = set(image_solution.edges)
-    ids = tuple(
-        o for o, imgs in rmap.forward_edge_map if all(i in chosen for i in imgs)
-    )
+    ids = tuple(_lift_ids(rmap, image_solution.edges))
     cost = sum((p.edges[i].w for i in ids), Fraction(0))
     return ids, cost
 
@@ -270,15 +267,14 @@ def dst_solution_to_tsn(dst: DstInstance, edge_ids: Iterable[int]) -> Solution:
 def dst_to_dict(dst: DstInstance) -> dict:
     from .core import _weight_to_json
 
+    levels = list(range(1, len(dst.terminals) + 1))
     return {
         "vertices": list(dst.vertices),
         "edges": [{"u": e.u, "v": e.v, "w": _weight_to_json(e.w)} for e in dst.edges],
         "root": dst.root,
         "terminals": list(dst.terminals),
-        "levels": {
-            v: sorted({lvl for name, (w, lvl) in dst.back_vertex.items() if w == v})
-            for v in dst.source_instance.vertices
-        },
+        # every vertex has a copy on every level
+        "levels": {v: levels for v in dst.source_instance.vertices},
     }
 
 

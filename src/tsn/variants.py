@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Demand,
@@ -165,8 +165,25 @@ def normalize(
     Returns the image and the list of per-step maps, outermost first;
     lift_chain undoes them.
     """
-    image, steps, _ = normalize_with_instances(instance, target_variant)
-    return image, steps
+    if target_variant not in ("edge", "node", "node_and_edge"):
+        raise InputError(f"unknown target variant {target_variant!r}")
+    steps: list[ReductionMap] = []
+    cur = instance
+    while cur.variant != target_variant:
+        if target_variant == "edge":
+            if cur.variant == "node_and_edge":
+                cur, m = node_edge_to_node(cur)
+            else:
+                cur, m = node_to_edge(cur)
+        elif target_variant == "node":
+            if cur.variant == "edge":
+                cur, m = _embed(cur, "node_and_edge")
+            else:
+                cur, m = node_edge_to_node(cur)
+        else:
+            cur, m = _embed(cur, "node_and_edge")
+        steps.append(m)
+    return cur, steps
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +263,17 @@ def to_simple(instance: TemporalInstance) -> tuple[TemporalInstance, ReductionMa
 # Solution lifting
 
 
-def lift_solution(
-    rmap: ReductionMap, image_solution: Solution, original: TemporalInstance
+def _lift_ids(rmap: ReductionMap, image_ids: Iterable[int]) -> list[int]:
+    """Original edges all of whose image edges are in `image_ids`."""
+    chosen = set(image_ids)
+    return [o for o, imgs in rmap.forward_edge_map if imgs and all(i in chosen for i in imgs)]
+
+
+def lift_chain(
+    steps: Sequence[ReductionMap], image_solution: Solution, original: TemporalInstance
 ) -> Solution:
-    """Pull an image solution back to the original instance.
+    """Pull an image solution back through `steps` (outermost first, as
+    normalize() returns them) to `original`, the instance of the first step.
 
     An original edge is selected iff all of its image edges are present
     (auxiliary zero-weight edges are discarded).  For feasible image
@@ -257,48 +281,16 @@ def lift_solution(
     fragments of split edges that cannot be traversed are dropped, which can
     only lower the cost.
     """
-    chosen = set(image_solution.edges)
-    orig_ids = [
-        o for o, imgs in rmap.forward_edge_map if imgs and all(i in chosen for i in imgs)
-    ]
-    return solution_from_edges(original, orig_ids)
+    if not steps:
+        return image_solution  # already priced on `original`, its own image
+    ids: Iterable[int] = image_solution.edges
+    for rmap in reversed(steps):
+        ids = _lift_ids(rmap, ids)
+    return solution_from_edges(original, ids)
 
 
-def lift_chain(
-    steps: Sequence[ReductionMap],
-    image_solution: Solution,
-    originals: Sequence[TemporalInstance],
+def lift_solution(
+    rmap: ReductionMap, image_solution: Solution, original: TemporalInstance
 ) -> Solution:
-    """Undo normalize(): `originals` are the pre-images, outermost first
-    (originals[0] is the user instance, originals[i] the input of step i)."""
-    sol = image_solution
-    for rmap, inst in zip(reversed(steps), reversed(list(originals))):
-        sol = lift_solution(rmap, sol, inst)
-    return sol
-
-
-def normalize_with_instances(
-    instance: TemporalInstance, target_variant: str
-) -> tuple[TemporalInstance, list[ReductionMap], list[TemporalInstance]]:
-    """normalize() plus the chain of intermediate instances for lifting."""
-    if target_variant not in ("edge", "node", "node_and_edge"):
-        raise InputError(f"unknown target variant {target_variant!r}")
-    steps: list[ReductionMap] = []
-    pres: list[TemporalInstance] = []
-    cur = instance
-    while cur.variant != target_variant:
-        pres.append(cur)
-        if target_variant == "edge":
-            if cur.variant == "node_and_edge":
-                cur, m = node_edge_to_node(cur)
-            else:
-                cur, m = node_to_edge(cur)
-        elif target_variant == "node":
-            if cur.variant == "edge":
-                cur, m = _embed(cur, "node_and_edge")
-            else:
-                cur, m = node_edge_to_node(cur)
-        else:
-            cur, m = _embed(cur, "node_and_edge")
-        steps.append(m)
-    return cur, steps, pres
+    """lift_chain() over the single step `rmap`."""
+    return lift_chain([rmap], image_solution, original)

@@ -255,6 +255,19 @@ class TestSolve:
         assert text.startswith("Minimize") or text.startswith("\\")
         assert "Binary" in text and text.rstrip().endswith("End")
 
+    def test_ilp_export_without_lp_builds_nothing(self, capsys, example1_file, monkeypatch):
+        from tsn import exact
+
+        def fail(*_):
+            raise AssertionError("build_ilp ran before --lp was checked")
+
+        monkeypatch.setattr(exact, "build_ilp", fail)
+        code = main(["solve", "-i", str(example1_file), "--method", "ilp-export"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == "input"
+        assert captured.err == ""
+
     def test_failed_invariant_exits_three(self, tmp_path, capsys, example1_file, monkeypatch):
         # a feasibility check that rejects every subset breaks brute force's
         # invariant that a feasible instance has an optimum; the explicit
@@ -399,8 +412,16 @@ class TestGen:
         ["--kind", "phlc-nosat", "--part-sizes", "1,-1,1"],
         ["--kind", "phlc-nosat", "--sigma", "0"],
         ["--kind", "lc-yes", "--sigma", "0"],
+        ["--kind", "lc-yes", "--u", "0"],
+        ["--kind", "lc-yes", "--u", "-1"],
+        ["--kind", "lc-yes", "--v", "0", "--degree", "0"],
+        ["--kind", "lc-yes", "--v", "-1"],
+        ["--kind", "lc-yes", "--degree", "-1"],
+        ["--kind", "phlc-yes", "--edges", "-1"],
     ], ids=["part-size-not-int", "part-size-empty", "part-size-zero",
-            "part-size-negative", "phlc-no-labels", "lc-no-labels"])
+            "part-size-negative", "phlc-no-labels", "lc-no-labels", "lc-left-zero",
+            "lc-left-negative", "lc-right-zero", "lc-right-negative", "lc-degree-negative",
+            "phlc-edges-negative"])
     def test_bad_generator_argument_rejected(self, tmp_path, capsys, argv):
         code = main(["gen", *argv, "-o", str(tmp_path / "i.json")])
         captured = capsys.readouterr()
@@ -408,6 +429,15 @@ class TestGen:
         assert json.loads(captured.out)["error"] == "input"
         assert captured.err == ""
         assert not (tmp_path / "i.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "lc-yes", "--u", "2", "--v", "2", "--degree", "0"],
+        ["--kind", "phlc-yes", "--edges", "0"],
+    ], ids=["lc-degree-zero", "phlc-no-edges"])
+    def test_empty_constraint_graph_validates(self, tmp_path, capsys, argv):
+        out = tmp_path / "i.json"
+        assert run(capsys, "gen", *argv, "-o", out)[0] == 0
+        assert run(capsys, "validate", "-i", out)[0] == 0
 
     def test_source_constraint_graph_written(self, tmp_path, capsys):
         out = tmp_path / "i.json"
@@ -529,8 +559,9 @@ class TestBench:
         ["--methods", "charikarx"],
         ["--methods", "brute", "--seeds", "a"],
         ["--methods", "brute", "--seeds", "0,,x"],
+        ["--kind", "lc-yes", "--u", "0", "--methods", "union"],
     ], ids=["level-not-int", "level-empty", "level-zero", "name-suffix", "seed-not-int",
-            "seed-entry-not-int"])
+            "seed-entry-not-int", "generator-count"])
     def test_malformed_argument_rejected(self, capsys, argv):
         code = main(["bench", "--kind", "example1", *argv])
         captured = capsys.readouterr()

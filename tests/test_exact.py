@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tsn.core import (
     InfeasibleInstanceError,
+    InternalError,
     is_feasible,
     make_instance,
     solution_cost,
@@ -145,17 +146,6 @@ class TestBruteForce:
         with pytest.raises(BruteForceCapError):
             brute_force(inst, cap=0)
 
-    def test_cap_env_override(self, monkeypatch):
-        inst = make_instance(
-            directed=False, variant="edge", num_times=1,
-            vertices=["a", "b"], edges=[("a", "b", 1, (1,))], demands=[],
-        )
-        monkeypatch.setenv("TSN_BRUTE_CAP", "0")
-        with pytest.raises(BruteForceCapError):
-            brute_force(inst)
-        monkeypatch.setenv("TSN_BRUTE_CAP", "5")
-        assert brute_force(inst).cost == 0
-
     def test_matches_literal_enumeration(self):
         # the greedy implementation must reproduce the naive subset scan
         # exactly, including the lexicographic tie-break over index tuples
@@ -215,25 +205,6 @@ class TestSolveBb:
         inst, _ = lc_to_2dtsn(lc)
         sol = solve_bb(inst)
         assert sol.cost == len(lc.edges)
-
-    def test_bound_is_admissible(self):
-        # max single-demand completion from the root state never exceeds
-        # the optimum
-        rng = random.Random(31)
-        checked = 0
-        while checked < 60:
-            inst = rand_instance(rng, max_edges=6)
-            try:
-                opt = brute_force(inst).cost
-            except InfeasibleInstanceError:
-                continue
-            fidx = _FrameIndex(inst)
-            root = bytearray(len(inst.edges))  # every edge undecided
-            for j in range(len(fidx.demands)):
-                key = fidx.completion(root, j)
-                assert key is not None
-                assert Fraction(key // fidx.step, fidx.scale) <= opt
-            checked += 1
 
     @pytest.mark.parametrize("variant", ["edge", "node", "node_and_edge"])
     @pytest.mark.parametrize("directed", [True, False])
@@ -354,10 +325,10 @@ class TestDualAscent:
             fidx = _FrameIndex(inst)
             # 0 undecided, 1 included, 2 excluded
             state = bytearray(rng.choice((0, 0, 1, 2)) for _ in inst.edges)
-            keys = [fidx.completion(state, j) for j in range(len(fidx.demands))]
-            if None in keys:
-                continue  # some demand has no completion: pruned before any ascent
-            unmet = [j for j, key in enumerate(keys) if key]
+            if not fidx.feasible(i for i, s in enumerate(state) if s != 2):
+                continue  # some demand has no completion: the ascent reports it
+            included = bytearray(s == 1 for s in state)
+            unmet = [j for j in range(len(fidx.demands)) if fidx._path(j, included) is None]
             bound, _ = fidx.dual_ascent(state, unmet)
             assert bound <= _cheapest_completion(fidx, state)
             checked += 1
@@ -385,6 +356,23 @@ class TestDualAscent:
         for budget in range(1, full + 1):
             bound, _ = fidx.dual_ascent(state, everything, budget)
             assert budget <= bound <= full
+
+    def test_budgeted_ascent_reports_a_demand_without_completion(self):
+        # a -> x -> b is the only path and x -> b is excluded: under a
+        # budget the ascent reports the dead demand, without one it is an
+        # internal error
+        inst = make_instance(
+            directed=True, variant="edge", num_times=1,
+            vertices=["a", "x", "b"],
+            edges=[("a", "x", 1, (1,)), ("x", "b", 1, (1,))],
+            demands=[("a", "b", 1)],
+        )
+        fidx = _FrameIndex(inst)
+        state = bytearray([0, 2])
+        bound, _ = fidx.dual_ascent(state, [0], 5)
+        assert bound is None
+        with pytest.raises(InternalError):
+            fidx.dual_ascent(state, [0])
 
     def test_reverse_delete_leaves_a_minimal_feasible_set(self):
         rng = random.Random(5)

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import tsn
@@ -19,4 +20,47 @@ def test_package_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def _catches_import_error(handler):
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(k, ast.Name) and k.id in ("ImportError", "ModuleNotFoundError")
+               for k in kinds)
+
+
+def _guarded(tree):
+    """Ids of the nodes in the body of a `try` that catches ImportError."""
+    return {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Try) and any(map(_catches_import_error, node.handlers))
+        for stmt in node.body
+        for inner in ast.walk(stmt)
+    }
+
+
+def test_package_imports_only_stdlib():
+    # the runtime is stdlib-only; an optional extra must sit in a `try`
+    # that catches ImportError
+    modules = sorted(SOURCE.rglob("*.py"))
+    assert modules
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        guarded = _guarded(tree)
+        for node in ast.walk(tree):
+            if id(node) in guarded:
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(SOURCE.parent)}:{node.lineno} imports {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
     assert found == []

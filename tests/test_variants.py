@@ -19,7 +19,6 @@ from tsn.variants import (
     node_edge_to_node,
     node_to_edge,
     normalize,
-    normalize_with_instances,
     to_simple,
 )
 
@@ -272,7 +271,7 @@ class TestNormalize:
         done = 0
         while done < 30:
             inst = rand_instance(rng, max_edges=5)
-            image, steps, pres = normalize_with_instances(inst, target)
+            image, steps = normalize(inst, target)
             assert image.variant == target
             try:
                 orig_opt = brute_force(inst)
@@ -282,7 +281,7 @@ class TestNormalize:
                 continue
             img_sol = image_opt(image)
             assert img_sol.cost == orig_opt.cost
-            lifted = lift_chain(steps, img_sol, pres)
+            lifted = lift_chain(steps, img_sol, inst)
             assert is_feasible(inst, lifted)
             assert lifted.cost == orig_opt.cost
             done += 1
