@@ -40,12 +40,10 @@ from .monotonic import (
 )
 from .hardness import (
     KphlcInstance,
-    LabelCoverInstance,
     example1_instance,
     gen_nosat_phlc,
     gen_yes_lc,
     gen_yes_phlc,
-    lc_to_2dtsn,
     phlc_to_kdtsn,
     undirect,
 )

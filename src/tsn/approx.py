@@ -32,6 +32,7 @@ from .core import (
     FrameIndex,
     InfeasibleInstanceError,
     InputError,
+    InternalError,
     Solution,
     TemporalInstance,
     is_monotonic,
@@ -40,6 +41,11 @@ from .core import (
 from .variants import lift_chain, normalize
 
 Pair = tuple[str, int]  # (vertex, time)
+
+# Deepest greedy level `charikar` accepts.  A level-i call recurses i deep,
+# and a tracer that wraps each call doubles the frames per level, so the cap
+# stays far below Python's default recursion limit of 1000.
+MAX_LEVEL = 100
 
 
 class NoSolutionError(Exception):
@@ -179,16 +185,6 @@ def covered_pairs(root: Pair, edges: Iterable[tuple[Pair, Pair, Fraction]], resi
     return tuple(sorted(hit))
 
 
-def density(tree: ClosureTree, residual: Iterable[Pair]):
-    """Tree cost divided by the number of residual demand entries it newly
-    covers; +inf when it covers none."""
-    covered = set(tree.covered)
-    newly = sum(1 for p in residual if p in covered)
-    if newly == 0:
-        return float("inf")
-    return tree.cost / newly
-
-
 def _merge(base_edges: list, base_nodes: set, extra: Iterable, root: Pair) -> None:
     """Union the edges of a greedy pick into the running tree, keeping one
     in-edge per node (first round wins) and none into the root, so the
@@ -212,9 +208,6 @@ def _hop(closure: MetricClosure, u: str, pair: Pair) -> Optional[int]:
 
 def _scaled_cost(closure: MetricClosure, tree: ClosureTree) -> int:
     return sum(_hop(closure, parent[0], child) for parent, child, _ in tree.edges)
-
-
-_MISSING = object()
 
 
 def charikar_level(
@@ -309,22 +302,16 @@ def charikar_level(
             )
             for sub_k in range(min(remaining, len(sub_residual)), 0, -1):
                 key = (level, pair, sub_k, sub_residual)
-                entry = _cache.get(key, _MISSING)
-                if entry is _MISSING:
-                    try:
-                        sub = charikar_level(
-                            level, closure, pair, sub_k, sub_residual, _cache, _stats
-                        )
-                    except NoSolutionError:
-                        entry = None
-                    else:
-                        entry = (sub, _scaled_cost(closure, sub),
-                                 sum(counts[p] for p in sub.covered))
-                    _cache[key] = entry
+                entry = _cache.get(key)
+                if entry is None:
+                    # sub_residual is exactly what the sub-call can reach,
+                    # so its count check holds
+                    sub = charikar_level(level, closure, pair, sub_k, sub_residual, _cache, _stats)
+                    entry = _cache[key] = (
+                        sub, _scaled_cost(closure, sub), sum(counts[p] for p in sub.covered)
+                    )
                 else:
                     hits += 1
-                if entry is None or entry[2] == 0:  # no cover: density +inf
-                    continue
                 sub, sub_cost, newly = entry
                 cost = sub_cost + hop
                 nodes = len(sub.nodes) + (root not in sub.nodes)
@@ -337,7 +324,8 @@ def charikar_level(
         if _stats is not None:
             _stats["memo_hits"] += hits
         if best is None:
-            raise NoSolutionError(f"no progress possible from {root}")
+            # every residual pair is a candidate whose subtree covers it
+            raise InternalError(f"no greedy pick from {root} covers a residual pair")
         _, newly, _, pair, sub = best
         _merge(tree_edges, tree_nodes,
                (*sub.edges, (root, pair, closure.distance(root_v, pair[0], pair[1]))), root)
@@ -382,8 +370,11 @@ def expand_tree(
 def charikar(
     instance: TemporalInstance, level: int, stats: Optional[dict] = None
 ) -> Solution:
-    """Run the level-`level` greedy on a monotonic single-source directed
-    instance and expand the resulting closure tree to real edges."""
+    """Run the level-`level` greedy (1 <= level <= MAX_LEVEL) on a monotonic
+    single-source directed instance and expand the resulting closure tree to
+    real edges."""
+    if not 1 <= level <= MAX_LEVEL:
+        raise InputError(f"level must be an integer from 1 to {MAX_LEVEL}, got {level}")
     if not instance.directed:
         raise InputError("the recursive greedy requires a directed instance")
     if not is_monotonic(instance):

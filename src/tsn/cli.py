@@ -213,21 +213,20 @@ def cmd_approx(args) -> int:
 
 def _generate(kind: str, args):
     """Returns (instance, trace, constraint_graph_dict)."""
-    if kind in ("example1", "lc-yes"):
-        if kind == "example1":
-            lc = hardness.example1_label_cover()
-        else:
-            lc = hardness.gen_yes_lc(args.u, args.v, args.degree, args.sigma, args.seed)
-        h, source = hardness.lc_as_phlc(lc), hardness.lc_to_dict(lc)
+    if kind == "example1":
+        h = hardness.example1_label_cover()
+    elif kind == "lc-yes":
+        h = hardness.gen_yes_lc(args.u, args.v, args.degree, args.sigma, args.seed)
     elif kind in ("phlc-yes", "phlc-nosat"):
         gen = hardness.gen_yes_phlc if kind == "phlc-yes" else hardness.gen_nosat_phlc
         sizes = [_to_int(s, "--part-sizes entry") for s in args.part_sizes.split(",")]
         h = gen(args.k, sizes, args.edges, args.sigma, args.seed)
-        source = hardness.phlc_to_dict(h)
     else:
         raise InputError(f"unknown generator kind {kind!r}")
+    # the bipartite kinds keep their left/right JSON form
+    to_dict = hardness.phlc_to_dict if kind.startswith("phlc") else hardness.lc_to_dict
     instance, trace = hardness.phlc_to_kdtsn(h)
-    return instance, trace, source
+    return instance, trace, to_dict(h)
 
 
 def cmd_gen(args) -> int:
@@ -282,8 +281,8 @@ def cmd_bench(args) -> int:
         if name != "charikar":
             raise InputError(f"unknown method {method!r}")
         levels[method] = _to_int(level, f"level of {method!r}") if colon else 2
-        if levels[method] < 1:
-            raise InputError(f"level of {method!r} must be at least 1")
+        if not 1 <= levels[method] <= approx_mod.MAX_LEVEL:
+            raise InputError(f"level of {method!r} must be from 1 to {approx_mod.MAX_LEVEL}")
     seeds = [_to_int(s, "--seeds entry") for s in args.seeds.split(",") if s]
     rows = []
     for seed in seeds:
@@ -378,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="approximation algorithms")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--method", required=True, choices=["union", "charikar"])
-    p.add_argument("--level", type=int, default=2)
+    p.add_argument("--level", type=int, default=2,
+                   help=f"greedy level, 1 to {approx_mod.MAX_LEVEL} (charikar)")
     p.add_argument("-o", "--output", help="solution JSON path")
     p.set_defaults(func=cmd_approx)
 

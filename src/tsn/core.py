@@ -131,10 +131,16 @@ class Solution:
     cost: Fraction
 
 
+def _price(instance: TemporalInstance, ids: Iterable[int]) -> Fraction:
+    """Exact total weight of distinct edge ids; zero weights (most of a
+    gadget's wiring) are skipped rather than added."""
+    edges = instance.edges
+    return sum((w for w in (edges[i].w for i in ids) if w), Fraction(0))
+
+
 def solution_from_edges(instance: TemporalInstance, edge_ids: Iterable[int]) -> Solution:
     ids = tuple(sorted(set(edge_ids)))
-    cost = sum((instance.edges[i].w for i in ids), Fraction(0))
-    return Solution(edges=ids, cost=cost)
+    return Solution(edges=ids, cost=_price(instance, ids))
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +413,9 @@ def is_acyclic(instance: TemporalInstance) -> bool:
 
 
 def solution_cost(instance: TemporalInstance, solution: Solution | Iterable[int]) -> Fraction:
-    ids = solution.edges if isinstance(solution, Solution) else tuple(set(solution))
-    return sum((instance.edges[i].w for i in set(ids)), Fraction(0))
+    """Total weight of the distinct edges of a solution or an id iterable."""
+    ids = solution.edges if isinstance(solution, Solution) else solution
+    return _price(instance, set(ids))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,11 @@ through `solution_from_edges`, so results stay exact and no float is ever
 used.
 
 `build_ilp`/`emit_lp`/`parse_lp` realise the per-time unit-flow integer
-program over simple single-source/single-sink instances.
+program over simple single-source/single-sink instances.  An `IlpModel`
+holds exactly what its LP text holds: the objective, whose variables are the
+per-edge decision variables in edge order (`edge_var`); the rows, whose kind
+is read from the tag that starts each name; and the binaries.  So
+`parse_lp(emit_lp(m)) == m` for every model.
 """
 
 from __future__ import annotations
@@ -469,23 +473,36 @@ def solve_bb(
 # for every image of the simplifying reduction.
 
 
+# row kind per name tag: every row name is "<tag>_..."
+_ROW_KINDS = {"cpl": "coupling", "cons": "conservation", "src": "source", "snk": "sink"}
+
+
 @dataclass(frozen=True)
 class Constraint:
     name: str
-    kind: str  # "coupling" | "conservation" | "source" | "sink"
     terms: tuple[tuple[int, str], ...]  # (coefficient, variable)
     sense: str  # ">=" | "="
     rhs: int
 
+    @property
+    def kind(self) -> Optional[str]:
+        """The row kind ("coupling", "conservation", "source" or "sink"),
+        read from the tag that starts the name; None for a name without one."""
+        return _ROW_KINDS.get(self.name.split("_", 1)[0])
+
 
 @dataclass(frozen=True)
 class IlpModel:
+    """Exactly what the LP text holds, so `parse_lp(emit_lp(m)) == m`."""
+
     objective: tuple[tuple[Fraction, str], ...]
     constraints: tuple[Constraint, ...]
     binaries: tuple[str, ...]
-    # decision variable per underlying edge, flow variable per (edge, time)
-    edge_var: tuple[str, ...] = ()
-    flow_var: tuple[tuple[int, int, str], ...] = ()  # (edge index, time, var)
+
+    @property
+    def edge_var(self) -> tuple[str, ...]:
+        """The decision variable of each underlying edge, in edge order."""
+        return tuple(var for _, var in self.objective)
 
     def variable_count(self) -> int:
         return len(self.binaries)
@@ -575,24 +592,21 @@ def build_ilp(instance: TemporalInstance) -> IlpModel:
     edge_var = tuple(
         names.compose("d", names.token(e.u), names.token(e.v)) for e in instance.edges
     )
-    flow_var = []
+    fv_of: dict[tuple[int, int], str] = {}  # flow variable per (edge, time)
     objective = []
     constraints: list[Constraint] = []
     for i, e in enumerate(instance.edges):
         objective.append((instance.edges[i].w, edge_var[i]))
         for t in sorted(eff[i]):
-            fv = names.claim(f"{edge_var[i]}_{t}")
-            flow_var.append((i, t, fv))
+            fv = fv_of[(i, t)] = names.claim(f"{edge_var[i]}_{t}")
             constraints.append(
                 Constraint(
                     name=names.compose("cpl", names.token(e.u), names.token(e.v), t),
-                    kind="coupling",
                     terms=((1, edge_var[i]), (-1, fv)),
                     sense=">=",
                     rhs=0,
                 )
             )
-    fv_of = {(i, t): name for i, t, name in flow_var}
 
     conservation: list[Constraint] = []
     for t in range(1, instance.num_times + 1):
@@ -614,7 +628,6 @@ def build_ilp(instance: TemporalInstance) -> IlpModel:
             conservation.append(
                 Constraint(
                     name=names.compose("cons", t, names.token(v)),
-                    kind="conservation",
                     terms=tuple(ins + outs),
                     sense="=",
                     rhs=0,
@@ -636,21 +649,15 @@ def build_ilp(instance: TemporalInstance) -> IlpModel:
         if not outs or not ins:
             raise InfeasibleInstanceError(Demand(a, b, t), f"no flow possible at time {t}")
         source_rows.append(
-            Constraint(name=names.compose("src", t), kind="source", terms=tuple(outs), sense="=", rhs=1)
+            Constraint(name=names.compose("src", t), terms=tuple(outs), sense="=", rhs=1)
         )
         sink_rows.append(
-            Constraint(name=names.compose("snk", t), kind="sink", terms=tuple(ins), sense="=", rhs=1)
+            Constraint(name=names.compose("snk", t), terms=tuple(ins), sense="=", rhs=1)
         )
 
     all_constraints = tuple(constraints + conservation + source_rows + sink_rows)
-    binaries = tuple(sorted(set(edge_var) | {name for _, _, name in flow_var}))
-    return IlpModel(
-        objective=tuple(objective),
-        constraints=all_constraints,
-        binaries=binaries,
-        edge_var=edge_var,
-        flow_var=tuple(flow_var),
-    )
+    binaries = tuple(sorted({*edge_var, *fv_of.values()}))
+    return IlpModel(objective=tuple(objective), constraints=all_constraints, binaries=binaries)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +730,7 @@ def emit_lp(model: IlpModel) -> str:
 
 
 def parse_lp(text: str) -> IlpModel:
-    """Parse text produced by emit_lp back into an equivalent model."""
+    """Parse text produced by emit_lp back into the model it was written from."""
     scale = 1
     lines = [ln.rstrip("\n") for ln in text.splitlines()]
     idx = 0
@@ -748,7 +755,6 @@ def parse_lp(text: str) -> IlpModel:
         raise InputError("missing Subject To section")
     idx += 1
     constraints: list[Constraint] = []
-    kinds = {"cpl": "coupling", "cons": "conservation", "src": "source", "snk": "sink"}
     while idx < len(lines) and lines[idx].strip() != "Binary":
         row = lines[idx].strip()
         idx += 1
@@ -775,15 +781,7 @@ def parse_lp(text: str) -> IlpModel:
             terms.append((coef, var))
             sign = 1
             j += 2
-        constraints.append(
-            Constraint(
-                name=name.strip(),
-                kind=kinds.get(name.strip().split("_", 1)[0], "coupling"),
-                terms=tuple(terms),
-                sense=sense,
-                rhs=rhs,
-            )
-        )
+        constraints.append(Constraint(name.strip(), tuple(terms), sense, rhs))
     if idx >= len(lines) or lines[idx].strip() != "Binary":
         raise InputError("missing Binary section")
     idx += 1
@@ -791,8 +789,6 @@ def parse_lp(text: str) -> IlpModel:
     while idx < len(lines) and lines[idx].strip() != "End":
         binaries.append(lines[idx].strip())
         idx += 1
-    # edge/flow index bookkeeping is not recoverable from text; equivalence
-    # is judged on objective, constraints and binaries (models_equivalent).
     return IlpModel(
         objective=tuple(objective),
         constraints=tuple(constraints),
@@ -801,12 +797,8 @@ def parse_lp(text: str) -> IlpModel:
 
 
 def models_equivalent(a: IlpModel, b: IlpModel) -> bool:
-    """Structural equality of objective, constraints and binaries."""
-    return (
-        a.objective == b.objective
-        and a.constraints == b.constraints
-        and a.binaries == b.binaries
-    )
+    """Equality of objective, constraints and binaries: all a model holds."""
+    return a == b
 
 
 def assignment_satisfies(model: IlpModel, values: dict[str, int]) -> bool:

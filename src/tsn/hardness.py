@@ -1,16 +1,19 @@
 """Benchmark-instance generators built from constraint-graph gadgets.
 
-One compiler, `phlc_to_kdtsn`, turns a k-partite constraint hypergraph into
-a k-frame temporal instance; a bipartite label-cover graph is its k = 2 case
-(`lc_to_2dtsn` compiles `lc_as_phlc(lc)`).  The instance is made of
-chained bundles: per hypergraph part (frame) and per vertex, one bundle
-whose strands enumerate that vertex's candidate labels; each strand chains
-one sub-bundle per incident constraint edge, holding a unit-weight contact
-edge per consistent labelling of the far endpoint(s).  Contact edges whose
-label tuples agree are shared between frames, so a satisfiable constraint
-graph admits a solution that pays each constraint edge once, while an
-unsatisfiable one forces one payment per frame.  All wiring other than the
-contact edges is free.
+One constraint-graph type, `KphlcInstance`, and one compiler,
+`phlc_to_kdtsn`, which turns a k-partite constraint hypergraph into a
+k-frame temporal instance.  Bipartite label cover is the k = 2 case:
+`parts=(left, right)` with one `(left table, right table)` pair per edge,
+the left side compiled into frame 1 and the right into frame 2.
+
+The instance is made of chained bundles: per hypergraph part (frame) and
+per vertex, one bundle whose strands enumerate that vertex's candidate
+labels; each strand chains one sub-bundle per incident constraint edge,
+holding a unit-weight contact edge per consistent labelling of the far
+endpoint(s).  Contact edges whose label tuples agree are shared between
+frames, so a satisfiable constraint graph admits a solution that pays each
+constraint edge once, while an unsatisfiable one forces one payment per
+frame.  All wiring other than the contact edges is free.
 
 Vertex names are structured (part.position.strand...) so the gadget
 structure is recoverable from names alone.
@@ -33,19 +36,9 @@ from .core import Demand, Edge, InputError, TemporalInstance
 
 
 @dataclass(frozen=True)
-class LabelCoverInstance:
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]  # (left index, right index)
-    num_labels: int
-    num_colors: int
-    # per edge: (table for the left endpoint, table for the right endpoint),
-    # each a tuple mapping label -> color
-    projections: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True)
 class KphlcInstance:
+    """k-partite constraint hypergraph; k = 2 is bipartite label cover."""
+
     parts: tuple[tuple[str, ...], ...]
     edges: tuple[tuple[int, ...], ...]  # one vertex index per part
     num_labels: int
@@ -57,27 +50,18 @@ class KphlcInstance:
         return len(self.parts)
 
 
-def lc_satisfied_edges(lc: LabelCoverInstance, left_labels: Sequence[int], right_labels: Sequence[int]) -> int:
-    hits = 0
-    for m, (i, j) in enumerate(lc.edges):
-        pl, pr = lc.projections[m]
-        if pl[left_labels[i]] == pr[right_labels[j]]:
-            hits += 1
-    return hits
-
-
-def lc_has_total_labeling(lc: LabelCoverInstance) -> bool:
-    for left in product(range(lc.num_labels), repeat=len(lc.left)):
-        for right in product(range(lc.num_labels), repeat=len(lc.right)):
-            if lc_satisfied_edges(lc, left, right) == len(lc.edges):
-                return True
-    return False
-
-
 def phlc_strongly_satisfies(h: KphlcInstance, labeling: Sequence[Sequence[int]], m: int) -> bool:
     e = h.edges[m]
     colors = {h.projections[m][t][labeling[t][e[t]]] for t in range(h.k)}
     return len(colors) == 1
+
+
+def phlc_has_strong_labeling(h: KphlcInstance) -> bool:
+    """Whether one labeling strongly satisfies every hyperedge (exhaustive)."""
+    labelings = product(*[product(range(h.num_labels), repeat=len(p)) for p in h.parts])
+    return any(
+        all(phlc_strongly_satisfies(h, lab, m) for m in range(len(h.edges))) for lab in labelings
+    )
 
 
 def phlc_weakly_satisfies(h: KphlcInstance, labeling: Sequence[Sequence[int]], m: int) -> bool:
@@ -298,26 +282,25 @@ def phlc_to_kdtsn(h: KphlcInstance) -> tuple[TemporalInstance, GadgetTrace]:
                         if pos == len(incident) - 1
                         else b.vertex(_junction(part_no, i + 1, l, pos + 1))
                     )
-                    tuples = [tup for tup in agreeing[m] if tup[t] == l]
-                    ids = []
-                    if tuples:
-                        for tup in tuples:
-                            c1, c2 = _merged_contact(m, tup)
-                            eid = b.contact(c1, c2, part_no, ContactInfo(hyperedge=m, labels=tup))
-                            b.wire(prev, c1, part_no)
-                            b.wire(c2, nxt, part_no)
-                            ids.append(eid)
-                    else:
-                        c1, c2 = _fallback_contact(part_no, i + 1, l, m)
-                        eid = b.contact(
-                            c1, c2, part_no,
+                    # one contact path per agreeing tuple through label l,
+                    # or a single unshared fallback path when there is none
+                    paths = [
+                        (*_merged_contact(m, tup), ContactInfo(hyperedge=m, labels=tup))
+                        for tup in agreeing[m]
+                        if tup[t] == l
+                    ] or [
+                        (
+                            *_fallback_contact(part_no, i + 1, l, m),
                             ContactInfo(
                                 hyperedge=m, labels=None, part=part_no, vertex=i, strand_label=l
                             ),
                         )
+                    ]
+                    ids = []
+                    for c1, c2, info in paths:
+                        ids.append(b.contact(c1, c2, part_no, info))
                         b.wire(prev, c1, part_no)
                         b.wire(c2, nxt, part_no)
-                        ids.append(eid)
                     chain.append((m, tuple(ids)))
                     prev = nxt
                 strands.append((l, tuple(chain)))
@@ -348,29 +331,12 @@ def undirect(instance: TemporalInstance) -> TemporalInstance:
 # even though each individual frame is always a DAG.)
 
 
-def lc_to_2dtsn(lc: LabelCoverInstance) -> tuple[TemporalInstance, GadgetTrace]:
-    """Compile a bipartite constraint graph into a two-frame instance: the
-    k = 2 case of `phlc_to_kdtsn`, left side in frame 1, right in frame 2."""
-    return phlc_to_kdtsn(lc_as_phlc(lc))
-
-
-def lc_as_phlc(lc: LabelCoverInstance) -> KphlcInstance:
-    return KphlcInstance(
-        parts=(lc.left, lc.right),
-        edges=tuple((i, j) for i, j in lc.edges),
-        num_labels=lc.num_labels,
-        num_colors=lc.num_colors,
-        projections=tuple((pl, pr) for pl, pr in lc.projections),
-    )
-
-
-def example1_label_cover() -> LabelCoverInstance:
+def example1_label_cover() -> KphlcInstance:
     """Single-edge toy instance: both left labels and the second right label
     share a color, the first right label is alone (so the optimum selects
     either merged contact path, at total cost 1)."""
-    return LabelCoverInstance(
-        left=("u",),
-        right=("v",),
+    return KphlcInstance(
+        parts=(("u",), ("v",)),
         edges=((0, 0),),
         num_labels=2,
         num_colors=2,
@@ -379,7 +345,35 @@ def example1_label_cover() -> LabelCoverInstance:
 
 
 def example1_instance() -> tuple[TemporalInstance, GadgetTrace]:
-    return lc_to_2dtsn(example1_label_cover())
+    return phlc_to_kdtsn(example1_label_cover())
+
+
+def _planted(parts: tuple, edges: tuple, num_labels: int, seed: int) -> KphlcInstance:
+    """Constraint graph with a planted strongly-satisfying labeling.
+
+    The hidden labels are drawn part by part, then one table per part per
+    edge: the hidden label maps to the reserved color 0, every other label
+    to a random color (which may create extra agreements but never destroys
+    satisfiability).
+    """
+    rng = random.Random(seed)
+    hidden = [[rng.randrange(num_labels) for _ in part] for part in parts]
+    num_colors = 2 * num_labels + 1
+    projections = []
+    for e in edges:
+        tables = []
+        for t, v in enumerate(e):
+            tab = [rng.randrange(1, num_colors) for _ in range(num_labels)]
+            tab[hidden[t][v]] = 0
+            tables.append(tuple(tab))
+        projections.append(tuple(tables))
+    return KphlcInstance(
+        parts=parts,
+        edges=edges,
+        num_labels=num_labels,
+        num_colors=num_colors,
+        projections=tuple(projections),
+    )
 
 
 def _staircase_blocks(n_sources: int, n_targets: int, degree: int) -> list[list[int]]:
@@ -397,42 +391,21 @@ def _staircase_blocks(n_sources: int, n_targets: int, degree: int) -> list[list[
 
 def gen_yes_lc(
     num_left: int, num_right: int, degree: int, num_labels: int, seed: int
-) -> LabelCoverInstance:
-    """Bipartite instance with a planted total labeling.
-
-    A hidden labeling maps to a reserved color on every edge; all other
-    labels receive random colors (which may create extra agreements but
-    never destroy satisfiability).
-    """
+) -> KphlcInstance:
+    """Bipartite (k = 2) instance with a planted total labeling."""
     if num_left < 1 or num_right < 1:
         raise InputError("need at least one left and one right vertex")
     if degree < 0:
         raise InputError("degree cannot be negative")
     if num_labels < 1:
         raise InputError("need at least one label")
-    rng = random.Random(seed)
     blocks = _staircase_blocks(num_left, num_right, degree)
-    edges = tuple((i, j) for i in range(num_left) for j in blocks[i])
-    left = tuple(f"u{i+1}" for i in range(num_left))
-    right = tuple(f"v{j+1}" for j in range(num_right))
-    hidden_left = [rng.randrange(num_labels) for _ in left]
-    hidden_right = [rng.randrange(num_labels) for _ in right]
-    num_colors = 2 * num_labels + 1
-    projections = []
-    for (i, j) in edges:
-        pl = [rng.randrange(1, num_colors) for _ in range(num_labels)]
-        pr = [rng.randrange(1, num_colors) for _ in range(num_labels)]
-        pl[hidden_left[i]] = 0
-        pr[hidden_right[j]] = 0
-        projections.append((tuple(pl), tuple(pr)))
-    return LabelCoverInstance(
-        left=left,
-        right=right,
-        edges=edges,
-        num_labels=num_labels,
-        num_colors=num_colors,
-        projections=tuple(projections),
+    parts = (
+        tuple(f"u{i+1}" for i in range(num_left)),
+        tuple(f"v{j+1}" for j in range(num_right)),
     )
+    edges = tuple((i, j) for i in range(num_left) for j in blocks[i])
+    return _planted(parts, edges, num_labels, seed)
 
 
 def _staircase_hyperedges(part_sizes: Sequence[int], num_edges: int) -> tuple[tuple[int, ...], ...]:
@@ -453,33 +426,17 @@ def _check_phlc_args(k: int, part_sizes: Sequence[int], num_edges: int, num_labe
         raise InputError("need at least one label")
 
 
+def _phlc_parts(part_sizes: Sequence[int]) -> tuple[tuple[str, ...], ...]:
+    return tuple(tuple(f"p{t+1}.{i+1}" for i in range(n)) for t, n in enumerate(part_sizes))
+
+
 def gen_yes_phlc(
     k: int, part_sizes: Sequence[int], num_edges: int, num_labels: int, seed: int
 ) -> KphlcInstance:
     """k-partite hypergraph with a planted strongly-satisfying labeling."""
     _check_phlc_args(k, part_sizes, num_edges, num_labels)
-    rng = random.Random(seed)
     edges = _staircase_hyperedges(part_sizes, num_edges)
-    parts = tuple(
-        tuple(f"p{t+1}.{i+1}" for i in range(part_sizes[t])) for t in range(k)
-    )
-    hidden = [[rng.randrange(num_labels) for _ in parts[t]] for t in range(k)]
-    num_colors = 2 * num_labels + 1
-    projections = []
-    for e in edges:
-        tables = []
-        for t in range(k):
-            tab = [rng.randrange(1, num_colors) for _ in range(num_labels)]
-            tab[hidden[t][e[t]]] = 0
-            tables.append(tuple(tab))
-        projections.append(tuple(tables))
-    return KphlcInstance(
-        parts=parts,
-        edges=edges,
-        num_labels=num_labels,
-        num_colors=num_colors,
-        projections=tuple(projections),
-    )
+    return _planted(_phlc_parts(part_sizes), edges, num_labels, seed)
 
 
 def gen_nosat_phlc(
@@ -489,22 +446,13 @@ def gen_nosat_phlc(
     satisfiable: on every edge, each (part, label) slot gets its own color."""
     _check_phlc_args(k, part_sizes, num_edges, num_labels)
     edges = _staircase_hyperedges(part_sizes, num_edges)
-    parts = tuple(
-        tuple(f"p{t+1}.{i+1}" for i in range(part_sizes[t])) for t in range(k)
-    )
-    num_colors = 1 + k * num_labels
-    projections = []
-    for e in edges:
-        tables = []
-        for t in range(k):
-            tables.append(tuple(1 + t * num_labels + l for l in range(num_labels)))
-        projections.append(tuple(tables))
+    tables = tuple(tuple(1 + t * num_labels + l for l in range(num_labels)) for t in range(k))
     return KphlcInstance(
-        parts=parts,
+        parts=_phlc_parts(part_sizes),
         edges=edges,
         num_labels=num_labels,
-        num_colors=num_colors,
-        projections=tuple(projections),
+        num_colors=1 + k * num_labels,
+        projections=tuple(tables for _ in edges),
     )
 
 
@@ -512,10 +460,12 @@ def gen_nosat_phlc(
 # JSON forms for the CLI
 
 
-def lc_to_dict(lc: LabelCoverInstance) -> dict:
+def lc_to_dict(lc: KphlcInstance) -> dict:
+    """Bipartite form of a k = 2 constraint graph: parts as left and right."""
+    left, right = lc.parts
     return {
-        "left": list(lc.left),
-        "right": list(lc.right),
+        "left": list(left),
+        "right": list(right),
         "edges": [list(e) for e in lc.edges],
         "num_labels": lc.num_labels,
         "num_colors": lc.num_colors,

@@ -182,7 +182,6 @@ class DstInstance:
     terminals: tuple[str, ...]
     back_vertex: dict[str, tuple[str, int]]
     source_instance: TemporalInstance
-    demand_order: tuple[int, ...]  # original demand index per level
 
 
 def _copy_name(v: str, level: int) -> str:
@@ -238,7 +237,6 @@ def single_source_to_dst(instance: TemporalInstance) -> DstInstance:
         terminals=terminals,
         back_vertex=back,
         source_instance=instance,
-        demand_order=tuple(order),
     )
 
 

@@ -30,7 +30,6 @@ from tsn.hardness import (
     gen_nosat_phlc,
     gen_yes_lc,
     gen_yes_phlc,
-    lc_to_2dtsn,
     phlc_to_kdtsn,
 )
 from tsn.monotonic import (
@@ -97,7 +96,7 @@ def test_criterion_2_yes_gap_two_demands(capsys):
     for (u, v, deg), sigma, seed in product(shapes, (1, 2, 3), (0, 1)):
         lc = gen_yes_lc(u, v, deg, sigma, seed)
         assert len(lc.edges) <= 3
-        inst, _ = lc_to_2dtsn(lc)
+        inst, _ = phlc_to_kdtsn(lc)
         opt = brute_force(inst, cap=len(inst.edges)).cost
         assert opt == len(lc.edges), (u, v, deg, sigma, seed)
         checked += 1

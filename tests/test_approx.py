@@ -6,11 +6,9 @@ from fractions import Fraction
 import pytest
 
 from tsn.approx import (
-    ClosureTree,
     NoSolutionError,
     charikar,
     charikar_level,
-    density,
     expand_tree,
     metric_closure,
     shortest_paths_union,
@@ -446,36 +444,3 @@ class TestTieBreaks:
         assert closure.pred[("s", "t", 1)] == ("x", 3)
         assert closure.path_edges("s", "t", 1) == [2, 3]
         assert shortest_paths_union(inst).edges == (2, 3)
-
-
-class TestDensity:
-    def test_one_edge_covering_two_demands(self):
-        tree = ClosureTree(
-            root=("a", 0),
-            nodes=frozenset({("a", 0), ("b", 1)}),
-            edges=((("a", 0), ("b", 1), Fraction(4)),),
-            covered=(("b", 1),),
-        )
-        assert density(tree, [("b", 1), ("b", 1)]) == 2
-
-    def test_empty_coverage_is_infinite(self):
-        tree = ClosureTree(
-            root=("a", 0),
-            nodes=frozenset({("a", 0), ("b", 1)}),
-            edges=((("a", 0), ("b", 1), Fraction(4)),),
-            covered=(),
-        )
-        assert density(tree, [("c", 1)]) == float("inf")
-
-    def test_hub_subtree_density(self):
-        inst = hub_instance(C=10, eps=1, k=3)
-        closure = metric_closure(inst)
-        pairs = [(d.b, d.t) for d in inst.demands]
-        sub = charikar_level(1, closure, ("hub", 1), 3, pairs)
-        tree = ClosureTree(
-            root=("a", 0),
-            nodes=sub.nodes | {("a", 0)},
-            edges=sub.edges + ((("a", 0), ("hub", 1), closure.distance("a", "hub", 1)),),
-            covered=sub.covered,
-        )
-        assert density(tree, pairs) == Fraction(10, 3)

@@ -10,6 +10,7 @@ import pytest
 
 import tsn
 from helpers import hub_instance
+from tsn.approx import MAX_LEVEL
 from tsn.cli import main
 from tsn.core import (
     InputError,
@@ -337,6 +338,41 @@ class TestApprox:
         assert report["cost"] == "10"
         assert report["stats"] == {"calls": 16, "memo_hits": 23}
 
+    @pytest.fixture
+    def cyclic_file(self, tmp_path):
+        # s <-> a <-> b in one frame: each greedy level recurses one call deeper
+        path = tmp_path / "cyclic.json"
+        write_instance(path, make_instance(
+            directed=True, variant="edge", num_times=1, vertices=["s", "a", "b"],
+            edges=[(u, v, 1, (1,)) for u, v in (("s", "a"), ("a", "s"), ("a", "b"), ("b", "a"))],
+            demands=[("s", "a", 1), ("s", "b", 1)],
+        ))
+        return path
+
+    @pytest.mark.parametrize("level", [MAX_LEVEL + 1, 1200], ids=["above-cap", "deep"])
+    def test_level_above_cap_is_an_input_error(self, capsys, cyclic_file, level):
+        code = main(["approx", "-i", str(cyclic_file), "--method", "charikar",
+                     "--level", str(level)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == "input"
+        assert captured.err == ""
+
+    def test_level_at_cap_runs(self, capsys, cyclic_file):
+        code, out = run(capsys, "approx", "-i", cyclic_file, "--method", "charikar",
+                        "--level", MAX_LEVEL)
+        assert code == 0
+        assert json.loads(out)["cost"] == "2"
+
+    def test_level_zero_without_demands_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        write_instance(path, make_instance(
+            directed=True, variant="edge", num_times=1, vertices=["s"], edges=[], demands=[],
+        ))
+        code, out = run(capsys, "approx", "-i", path, "--method", "charikar", "--level", 0)
+        assert code == 2
+        assert json.loads(out)["error"] == "input"
+
 
 class TestReduce:
     def test_to_simple_writes_image_and_map(self, tmp_path, capsys, example1_file):
@@ -556,12 +592,13 @@ class TestBench:
         ["--methods", "charikar:x"],
         ["--methods", "charikar:"],
         ["--methods", "charikar:0"],
+        ["--methods", f"charikar:{MAX_LEVEL + 1}"],
         ["--methods", "charikarx"],
         ["--methods", "brute", "--seeds", "a"],
         ["--methods", "brute", "--seeds", "0,,x"],
         ["--kind", "lc-yes", "--u", "0", "--methods", "union"],
-    ], ids=["level-not-int", "level-empty", "level-zero", "name-suffix", "seed-not-int",
-            "seed-entry-not-int", "generator-count"])
+    ], ids=["level-not-int", "level-empty", "level-zero", "level-above-cap", "name-suffix",
+            "seed-not-int", "seed-entry-not-int", "generator-count"])
     def test_malformed_argument_rejected(self, capsys, argv):
         code = main(["bench", "--kind", "example1", *argv])
         captured = capsys.readouterr()

@@ -31,7 +31,6 @@ from tsn.hardness import (
     example1_instance,
     gen_nosat_phlc,
     gen_yes_lc,
-    lc_to_2dtsn,
     phlc_to_kdtsn,
 )
 from tsn.variants import normalize, to_simple
@@ -202,7 +201,7 @@ class TestSolveBb:
 
     def test_yes_label_cover_instance_cost_is_edge_count(self):
         lc = gen_yes_lc(2, 2, 1, 2, seed=5)
-        inst, _ = lc_to_2dtsn(lc)
+        inst, _ = phlc_to_kdtsn(lc)
         sol = solve_bb(inst)
         assert sol.cost == len(lc.edges)
 
@@ -231,7 +230,7 @@ class TestSolveBb:
     @pytest.mark.parametrize(
         "make, nodes",
         [
-            (lambda: lc_to_2dtsn(gen_yes_lc(3, 3, 2, 3, seed=0)), 383),
+            (lambda: phlc_to_kdtsn(gen_yes_lc(3, 3, 2, 3, seed=0)), 383),
             (lambda: phlc_to_kdtsn(gen_nosat_phlc(3, [2, 2, 2], 3, 2, seed=0)), 105),
         ],
         ids=["lc-yes-u3", "phlc-nosat-k3"],
@@ -391,7 +390,7 @@ class TestDualAscent:
     def test_root_bounds_bracket_the_optimum(self):
         for make in (
             example1_instance,
-            lambda: lc_to_2dtsn(gen_yes_lc(3, 3, 2, 3, seed=1)),
+            lambda: phlc_to_kdtsn(gen_yes_lc(3, 3, 2, 3, seed=1)),
             lambda: phlc_to_kdtsn(gen_nosat_phlc(3, [2, 2, 2], 3, 2, seed=0)),
         ):
             inst, _ = make()
@@ -555,6 +554,15 @@ class TestLpFormat:
                 continue
             assert models_equivalent(parse_lp(emit_lp(model)), model)
             done += 1
+
+    def test_parsed_model_keeps_edge_vars_and_row_kinds(self):
+        model = build_ilp(simple_path_instance())
+        parsed = parse_lp(emit_lp(model))
+        assert parsed == model
+        assert parsed.edge_var == ("d_a_x", "d_x_b")
+        assert [c.kind for c in parsed.constraints] == [
+            "coupling", "coupling", "conservation", "source", "sink"
+        ]
 
     @given(
         weights=st.lists(

@@ -10,17 +10,15 @@ from tsn.approx import metric_closure
 from tsn.core import instance_to_dict, is_acyclic, validate
 from tsn.exact import brute_force, solve_bb
 from tsn.hardness import (
-    LabelCoverInstance,
+    KphlcInstance,
     canonical_signature,
     example1_instance,
     example1_label_cover,
     gen_nosat_phlc,
     gen_yes_lc,
     gen_yes_phlc,
-    lc_as_phlc,
-    lc_has_total_labeling,
-    lc_to_2dtsn,
     phlc_agreeing_tuples,
+    phlc_has_strong_labeling,
     phlc_strongly_satisfies,
     phlc_to_kdtsn,
     phlc_weakly_satisfies,
@@ -62,19 +60,19 @@ class TestExample1:
 
     def test_label_cover_side_is_yes_instance(self):
         lc = example1_label_cover()
-        assert lc_has_total_labeling(lc)
+        assert phlc_has_strong_labeling(lc)
         # both left labels agree with the second right label only
-        assert phlc_agreeing_tuples(lc_as_phlc(lc), 0) == [(0, 1), (1, 1)]
+        assert phlc_agreeing_tuples(lc, 0) == [(0, 1), (1, 1)]
 
 
 class TestLcGadget:
     def test_unsatisfiable_edge_gives_single_unmerged_strand(self):
-        lc = LabelCoverInstance(
-            left=("u",), right=("v",), edges=((0, 0),),
+        lc = KphlcInstance(
+            parts=(("u",), ("v",)), edges=((0, 0),),
             num_labels=1, num_colors=2,
             projections=(((0,), (1,)),),
         )
-        inst, trace = lc_to_2dtsn(lc)
+        inst, trace = phlc_to_kdtsn(lc)
         gadget_wellformed(inst, trace)
         assert all(c.labels is None for c in trace.contacts.values())
         # one fallback strand per side
@@ -85,16 +83,16 @@ class TestLcGadget:
         rng = random.Random(0)
         for (num_left, degree) in [(1, 1), (1, 2), (2, 1), (3, 1)]:
             lc = gen_yes_lc(num_left, max(1, degree), degree, 2, seed=rng.randint(0, 99))
-            inst, trace = lc_to_2dtsn(lc)
+            inst, trace = phlc_to_kdtsn(lc)
             gadget_wellformed(inst, trace)
             assert opt(inst) == len(lc.edges)
 
     def test_minimal_frame1_paths_cost_edge_count(self):
         lc = gen_yes_lc(2, 2, 1, 2, seed=3)
-        inst, _ = lc_to_2dtsn(lc)
+        inst, _ = phlc_to_kdtsn(lc)
         closure = metric_closure(inst)
         src = "P1.1S"
-        snk = f"P1.{len(lc.left) + 1}S"
+        snk = f"P1.{len(lc.parts[0]) + 1}S"
         assert closure.distance(src, snk, 1) == len(lc.edges)
         # every frame-1 source->sink path pays one contact per edge
         adj = {}
@@ -135,7 +133,7 @@ class TestPhlcGadget:
         h = hashlib.sha256()
         for seed in (0, 1, 2):
             lc = gen_yes_lc(u, v, deg, sigma, seed=seed)
-            inst, trace = phlc_to_kdtsn(lc_as_phlc(lc))
+            inst, trace = phlc_to_kdtsn(lc)
             assert inst.num_times == 2
             h.update(json.dumps(instance_to_dict(inst), indent=2).encode())
             h.update(json.dumps(trace_to_dict(trace), indent=2).encode())
@@ -198,11 +196,11 @@ class TestGenerators:
     def test_planted_labeling_is_total(self):
         for seed in range(6):
             lc = gen_yes_lc(3, 3, 1, 3, seed=seed)
-            assert lc_has_total_labeling(lc)
+            assert phlc_has_strong_labeling(lc)
 
     def test_single_label_trivially_total(self):
         lc = gen_yes_lc(2, 2, 1, 1, seed=9)
-        assert lc_has_total_labeling(lc)
+        assert phlc_has_strong_labeling(lc)
 
     def test_phlc_hidden_labeling_strongly_satisfies(self):
         for seed in range(4):
@@ -223,7 +221,7 @@ class TestGenerators:
     def test_generated_instances_validate_and_are_acyclic(self):
         for seed in range(3):
             lc = gen_yes_lc(2, 3, 2, 2, seed=seed)
-            inst, trace = lc_to_2dtsn(lc)
+            inst, trace = phlc_to_kdtsn(lc)
             gadget_wellformed(inst, trace)
             h = gen_yes_phlc(3, [2, 1, 2], 2, 2, seed=seed)
             inst2, trace2 = phlc_to_kdtsn(h)
@@ -231,7 +229,7 @@ class TestGenerators:
 
 
 class TestCanonicalSignature:
-    def permute_lc(self, lc: LabelCoverInstance, perm):
+    def permute_lc(self, lc: KphlcInstance, perm):
         projections = []
         for pl, pr in lc.projections:
             projections.append(
@@ -240,25 +238,25 @@ class TestCanonicalSignature:
                     tuple(pr[perm[l]] for l in range(lc.num_labels)),
                 )
             )
-        return LabelCoverInstance(
-            left=lc.left, right=lc.right, edges=lc.edges,
+        return KphlcInstance(
+            parts=lc.parts, edges=lc.edges,
             num_labels=lc.num_labels, num_colors=lc.num_colors,
             projections=tuple(projections),
         )
 
     def test_label_permutation_preserves_signature(self):
         lc = gen_yes_lc(2, 2, 1, 3, seed=11)
-        base_inst, base_trace = lc_to_2dtsn(lc)
+        base_inst, base_trace = phlc_to_kdtsn(lc)
         base_sig = canonical_signature(base_inst, base_trace)
         for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
             other = self.permute_lc(lc, perm)
-            inst, trace = lc_to_2dtsn(other)
+            inst, trace = phlc_to_kdtsn(other)
             assert canonical_signature(inst, trace) == base_sig
             assert opt(inst) == opt(base_inst)
 
     def test_different_structure_changes_signature(self):
-        a_inst, a_trace = lc_to_2dtsn(gen_yes_lc(2, 2, 1, 2, seed=1))
-        b_inst, b_trace = lc_to_2dtsn(gen_yes_lc(3, 3, 1, 2, seed=1))
+        a_inst, a_trace = phlc_to_kdtsn(gen_yes_lc(2, 2, 1, 2, seed=1))
+        b_inst, b_trace = phlc_to_kdtsn(gen_yes_lc(3, 3, 1, 2, seed=1))
         assert canonical_signature(a_inst, a_trace) != canonical_signature(
             b_inst, b_trace
         )

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -64,3 +65,32 @@ def test_package_imports_only_stdlib():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert found == []
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark under perfbench/ imports program names by hand; a rename
+    # in src/tsn must not leave it importing a name that is gone
+    files = sorted((SOURCE.parent.parent / "perfbench").glob("*.py"))
+    assert files
+    missing = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        modules = {}  # local name -> module, for `from tsn import mod`
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level:
+                continue
+            if node.module == "tsn":
+                for alias in node.names:
+                    modules[alias.asname or alias.name] = importlib.import_module(
+                        f"tsn.{alias.name}")
+            elif (node.module or "").startswith("tsn."):
+                mod = importlib.import_module(node.module)
+                missing += [f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+                            for alias in node.names if not hasattr(mod, alias.name)]
+        missing += [
+            f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and not hasattr(modules[node.value.id], node.attr)
+        ]
+    assert missing == []
