@@ -11,14 +11,13 @@ exactly -- intermediate hops may use any non-decreasing times.
 
 The union and `metric_closure` run Dijkstra on `core.FrameIndex`, whose
 weights are scaled to ints by the LCM of their denominators;
-`metric_closure` keeps both the scaled ints and the exact `Fraction`
-lengths, keyed by vertex name.  The greedy searches on the ints: densities
-are compared by cross-multiplication, and `Fraction` appears only in the
-returned `ClosureTree` edges and cost.  It relies on the instance being
-monotonic (frames nest, so closure reachability is transitive): its memo is
-keyed on (level, sub-root, sub-budget, residual pairs reachable from the
-sub-root at or after its time), and each sub-call receives only that
-residual.
+`metric_closure` keeps the scaled ints, keyed by vertex name.  The greedy
+searches on them: densities are compared by cross-multiplication, and
+`Fraction` appears only in the returned `ClosureTree` edges and cost.  It
+relies on the instance being monotonic (frames nest, so closure
+reachability is transitive): its memo is keyed on (level, sub-root,
+sub-budget, residual pairs reachable from the sub-root at or after its
+time), and each sub-call receives only that residual.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    MAX_FIRST_TIME_ENTRIES,
     FrameIndex,
     InfeasibleInstanceError,
     InputError,
@@ -60,28 +60,28 @@ class NoSolutionError(Exception):
 class MetricClosure:
     """Per-time all-pairs shortest-path table with path reconstruction.
 
-    dist[(u, v, t)] is the exact length of the shortest u->v path inside
-    frame t; unreachable pairs are absent.  scaled[(u, v, t)] is the same
-    length times the frame index's `scale`, the LCM of the edge-weight
-    denominators, an int.
+    scaled[(u, v, t)] is the length of the shortest u->v path inside frame
+    t times `scale`, the LCM of the edge-weight denominators, an int;
+    unreachable pairs are absent.  `distance` gives the exact length.
     pred[(u, v, t)] = (w, edge_id) gives the last hop of one such path.
     """
 
     num_times: int
     vertices: tuple[str, ...]
-    dist: dict[tuple[str, str, int], Fraction]
     pred: dict[tuple[str, str, int], tuple[str, int]]
     scaled: dict[tuple[str, str, int], int]
+    scale: int
 
     def distance(self, u: str, v: str, t: int) -> Optional[Fraction]:
         if u == v:
             return Fraction(0)
-        return self.dist.get((u, v, t))
+        d = self.scaled.get((u, v, t))
+        return None if d is None else Fraction(d, self.scale)
 
     def path_edges(self, u: str, v: str, t: int) -> list[int]:
         if u == v:
             return []
-        if (u, v, t) not in self.dist:
+        if (u, v, t) not in self.scaled:
             raise InputError(f"no {u}->{v} path in frame {t}")
         out: list[int] = []
         cur = v
@@ -95,13 +95,15 @@ class MetricClosure:
 
 def metric_closure(instance: TemporalInstance) -> MetricClosure:
     """Dijkstra from every vertex in every frame (edge-variant instances),
-    on the frame index's scaled int weights; each length is divided back
-    once."""
+    on the frame index's scaled int weights; the table holds up to |V|^2 * T
+    entries."""
     if instance.variant != "edge":
         raise InputError("metric_closure expects an edge-variant instance")
+    if len(instance.vertices) ** 2 * instance.num_times > MAX_FIRST_TIME_ENTRIES:
+        raise InputError(f"the metric closure would hold |V|^2 * T entries, "
+                         f"more than {MAX_FIRST_TIME_ENTRIES}")
     index = FrameIndex(instance)
     names = index.names
-    dist: dict[tuple[str, str, int], Fraction] = {}
     scaled: dict[tuple[str, str, int], int] = {}
     pred: dict[tuple[str, str, int], tuple[str, int]] = {}
     for t in range(1, instance.num_times + 1):
@@ -112,16 +114,15 @@ def metric_closure(instance: TemporalInstance) -> MetricClosure:
                     continue
                 key = (s, names[v], t)
                 scaled[key] = dv
-                dist[key] = Fraction(dv, index.scale)
                 if p[v] is not None:
                     prev, eid = p[v]
                     pred[key] = (names[prev], eid)
     return MetricClosure(
         num_times=instance.num_times,
         vertices=tuple(instance.vertices),
-        dist=dist,
         pred=pred,
         scaled=scaled,
+        scale=index.scale,
     )
 
 

@@ -11,7 +11,8 @@ are never used.
 `FrameIndex` is the integer view of the frames that the solvers share:
 vertices interned to ints in name order, effective times computed once,
 weights scaled to ints by the LCM of their denominators, one cached
-adjacency list per frame, a feasibility check and one shortest-path search.
+adjacency list per frame, one reachability test behind the feasibility
+check and the reverse delete, and one shortest-path search.
 """
 
 from __future__ import annotations
@@ -321,22 +322,41 @@ class FrameIndex:
             self._frames[t] = adj
         return adj
 
+    def reaches(self, j: int, member) -> bool:
+        """Does demand j have a path in its frame over the edges i with
+        `member[i]` set?"""
+        a, b, frame = self.demands[j]
+        seen = {a}
+        stack = [a]
+        while stack:
+            for y, i in frame[stack.pop()]:
+                if member[i] and y not in seen:
+                    if y == b:
+                        return True
+                    seen.add(y)
+                    stack.append(y)
+        return False
+
     def feasible(self, chosen: Iterable[int]) -> bool:
         """Do the chosen edges meet every demand?"""
         member = bytearray(len(self.weight))
         for i in chosen:
             member[i] = 1
-        for a, b, frame in self.demands:
-            seen = {a}
-            stack = [a]
-            while stack and b not in seen:
-                for y, i in frame[stack.pop()]:
-                    if member[i] and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if b not in seen:
+        for j in range(len(self.demands)):
+            if not self.reaches(j, member):
                 return False
         return True
+
+    def reverse_delete(self, member: bytearray, candidates: Iterable[int]) -> None:
+        """Drop from `member`, in the order of `candidates`, each edge whose
+        removal leaves every demand met.  Removals only take paths away, so
+        every candidate kept stays necessary."""
+        for e in candidates:
+            member[e] = 0
+            for j in range(len(self.demands)):
+                if not self.reaches(j, member):
+                    member[e] = 1
+                    break
 
     def shortest_paths(self, t: int, source: int) -> tuple[list, list]:
         """Dijkstra from `source` in frame t on the scaled weights.

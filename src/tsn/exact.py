@@ -14,16 +14,16 @@ Both run on `core.FrameIndex`, built once per instance (vertices interned to
 ints, one adjacency list of `(head, edge id)` pairs per frame, weights scaled
 to ints by the least common multiple of their denominators).  `_FrameIndex`
 adds what the branch and bound needs: one reverse adjacency per demand
-frame, Wong's dual ascent on the cut relaxation (a lower bound and reduced
-costs), and a reverse delete.  The search is an iterative depth-first
-search that sets and resets a per-edge decision byte in place.  At the
-root, the dual ascent gives a lower bound; the edges of reduced cost 0,
-thinned by the reverse delete, give an incumbent; and every edge whose
+frame and Wong's dual ascent on the cut relaxation (a lower bound and
+reduced costs).  The search is an iterative depth-first search that sets
+and resets a per-edge decision byte in place.  At the root, the dual ascent
+gives a lower bound; the edges of reduced cost 0, thinned by
+`FrameIndex.reverse_delete`, give an incumbent; and every edge whose
 reduced cost lifts the bound past that incumbent is excluded (reduced-cost
-fixing).  Below the root, each node is pruned by one dual ascent over the
-demands its included edges leave unmet.  Costs return to `Fraction` only
-through `solution_from_edges`, so results stay exact and no float is ever
-used.
+fixing).  Below the root, `FrameIndex.reaches` finds the demands a node's
+included edges leave unmet, and one dual ascent over them prunes it.  Costs
+return to `Fraction` only through `solution_from_edges`, so results stay
+exact and no float is ever used.
 
 `build_ilp`/`emit_lp`/`parse_lp` realise the per-time unit-flow integer
 program over simple single-source/single-sink instances.  An `IlpModel`
@@ -64,7 +64,7 @@ class BruteForceCapError(InputError):
 
 class _FrameIndex(FrameIndex):
     """The shared frame index plus what the branch and bound needs: the
-    reverse frames, the dual ascent and the reverse delete.
+    reverse frames and the dual ascent.
 
     Per-edge decisions live in a `bytearray` of `_UNDECIDED` / `_INCLUDED` /
     `_EXCLUDED` that the caller sets and resets in place.
@@ -183,86 +183,6 @@ class _FrameIndex(FrameIndex):
                 break
         return bound, reduced
 
-    def reverse_delete(self, member: bytearray, candidates: list[int]) -> None:
-        """Drop from `member`, in the order of `candidates`, each edge whose
-        removal leaves every demand met.
-
-        Each demand keeps a witness path in `member`.  A candidate on no
-        witness goes without a search.  One linear scan per witness marks
-        the edges every path of its demand needs (an edge of the witness is
-        needed when no detour from the witness prefix before it, over
-        non-witness edges, lands past it); needed edges stay for good,
-        since removals only take paths away.  Only a candidate on a witness
-        and not yet known to be needed costs a search, and if that search
-        finds a new path the new witness is scanned.  `member` must meet
-        every demand.
-        """
-        keep = bytearray(len(self.weight))
-        witness: list[set[int]] = []
-
-        def adopt(j, verts, edges):
-            frame = self.demands[j][2]
-            pos = {v: k for k, v in enumerate(verts)}
-            path = set(edges)
-            seen = set(verts)
-            reach = 0
-            for k, e in enumerate(edges):
-                stack = [verts[k]]
-                while stack:
-                    for y, i in frame[stack.pop()]:
-                        if not member[i] or i in path:
-                            continue
-                        p = pos.get(y)
-                        if p is not None:
-                            reach = max(reach, p)
-                        elif y not in seen:
-                            seen.add(y)
-                            stack.append(y)
-                if reach <= k:
-                    keep[e] = 1
-            return path
-
-        for j in range(len(self.demands)):
-            found = self._path(j, member)
-            if found is None:
-                raise InternalError("reverse delete started from an infeasible edge set")
-            witness.append(adopt(j, *found))
-        for e in candidates:
-            if keep[e]:
-                continue
-            member[e] = 0
-            users = [j for j, path in enumerate(witness) if e in path]
-            paths = [self._path(j, member) for j in users]
-            if None in paths:
-                member[e] = 1
-                keep[e] = 1
-                continue
-            for j, (verts, edges) in zip(users, paths):
-                witness[j] = adopt(j, verts, edges)
-
-    def _path(self, j: int, member: bytearray) -> Optional[tuple[list[int], list[int]]]:
-        """Fewest-arc path of demand j over the edges in `member`, as
-        (vertices, edges), or None."""
-        a, b, frame = self.demands[j]
-        pred: dict[int, tuple[int, int]] = {a: (-1, -1)}
-        level = [a]
-        while level and b not in pred:
-            nxt = []
-            for x in level:
-                for y, i in frame[x]:
-                    if member[i] and y not in pred:
-                        pred[y] = (x, i)
-                        nxt.append(y)
-            level = nxt
-        if b not in pred:
-            return None
-        verts, edges = [b], []
-        while verts[-1] != a:
-            x, i = pred[verts[-1]]
-            verts.append(x)
-            edges.append(i)
-        return verts[::-1], edges[::-1]
-
 
 _UNDECIDED, _INCLUDED, _EXCLUDED = 0, 1, 2
 # `state.translate(_INCLUDED_ONLY)` marks the included edges with 1
@@ -366,22 +286,23 @@ def solve_bb(
     """Provably optimal solution by depth-first branch and bound on edges.
 
     At the root, a full dual ascent gives a lower bound LB and reduced
-    costs.  The edges of reduced cost 0 meet every demand; dropping them
-    by falling weight while the rest stays feasible gives an incumbent of
-    cost UB.  Each edge with LB + reduced cost > UB is in no optimum and is
-    excluded before the search (strictly greater, so tied optima stay).
+    costs.  The edges of reduced cost 0 meet every demand; dropping them by
+    falling weight while the rest stays feasible (`FrameIndex.reverse_delete`)
+    gives an incumbent of cost UB.  Each edge with LB + reduced cost > UB is
+    in no optimum and is excluded before the search (strictly greater, so
+    tied optima stay).
 
     Branch order: undecided edge of largest weight appearing in the most
-    frames (ties by index), include branch first.  At each node, one search
-    per pending demand finds the demands the included edges leave unmet.  A
-    node is pruned when its included edges alone reach the incumbent, or
-    when a dual ascent over the unmet demands, budgeted at the gap to the
-    incumbent, reaches that gap or finds an unmet demand with no completion
-    left.  For a single demand the ascent is a shortest-path search.  The
-    search starts from an incumbent of cost UB + 1 with no edges and takes
-    only strictly cheaper solutions, so it returns the first optimum in
-    branch order whatever the bounds prune.  It is iterative, so its depth
-    is not bounded by the interpreter's recursion limit.
+    frames (ties by index), include branch first.  At each node,
+    `FrameIndex.reaches` over the included edges finds the pending demands
+    they leave unmet.  A node is pruned when its included edges alone reach
+    the incumbent, or when a dual ascent over the unmet demands, budgeted at
+    the gap to the incumbent, reaches that gap or finds an unmet demand with
+    no completion left.  For a single demand the ascent is a shortest-path
+    search.  The search starts from an incumbent of cost UB + 1 with no
+    edges and takes only strictly cheaper solutions, so it returns the first
+    optimum in branch order whatever the bounds prune.  It is iterative, so
+    its depth is not bounded by the interpreter's recursion limit.
     """
     bad = first_unsatisfiable_demand(instance)
     if bad is not None:
@@ -428,7 +349,7 @@ def solve_bb(
             stats.completion_prunes += 1
         else:
             included = state.translate(_INCLUDED_ONLY)
-            unmet = [j for j in pending if fidx._path(j, included) is None]
+            unmet = [j for j in pending if not fidx.reaches(j, included)]
             if not unmet:
                 # every demand met below the budget: strictly cheaper than the incumbent
                 best_cost = cost

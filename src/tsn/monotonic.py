@@ -301,12 +301,12 @@ def normalize_to_time_layered_tree(
     source whose earliest necessary times are non-decreasing along every
     root path.
 
-    One pass that drops each redundant edge, highest index first, leaves
-    every remaining edge necessary, and that achieves this: in a monotonic
-    single-source instance a minimal solution has in-degree at most one
-    everywhere (an earlier-frame entry path into a vertex also works in
-    every later frame), so it is a tree, and on a tree each edge's necessity
-    set contains its parent's, which orders the earliest necessary times.
+    One reverse delete, highest index first, leaves every remaining edge
+    necessary, and that achieves this: in a monotonic single-source instance
+    a minimal solution has in-degree at most one everywhere (an earlier-frame
+    entry path into a vertex also works in every later frame), so it is a
+    tree, and on a tree each edge's necessity set contains its parent's,
+    which orders the earliest necessary times.
     """
     if not instance.directed:
         raise InputError("normalisation expects a directed instance")
@@ -318,11 +318,10 @@ def normalize_to_time_layered_tree(
     index = FrameIndex(instance)
     if not index.feasible(solution.edges):
         raise InputError("solution is not feasible")
-    ids = set(solution.edges)
-    # one pass from the highest index down, so the retained tree prefers low
-    # edge indices like the other solvers; a removal only takes paths away,
-    # so an edge found necessary stays necessary and needs no second look
-    for e in sorted(ids, reverse=True):
-        if index.feasible(ids - {e}):
-            ids.remove(e)
-    return solution_from_edges(instance, ids)
+    member = bytearray(len(instance.edges))
+    for i in solution.edges:
+        member[i] = 1
+    # from the highest index down, so the retained tree prefers low edge
+    # indices like the other solvers
+    index.reverse_delete(member, sorted(set(solution.edges), reverse=True))
+    return solution_from_edges(instance, [i for i, m in enumerate(member) if m])

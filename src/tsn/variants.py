@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import (
+    MAX_FIRST_TIME_ENTRIES,
     Demand,
     Edge,
     InputError,
@@ -135,20 +136,25 @@ def node_to_edge(instance: TemporalInstance) -> tuple[TemporalInstance, Reductio
 
 
 def _embed(instance: TemporalInstance, target: str) -> tuple[TemporalInstance, ReductionMap]:
-    """Identity embeddings into the node_and_edge variant."""
+    """Identity embeddings into the node_and_edge variant, which list the
+    times 1..T per vertex (edge input) or per edge (node input)."""
+    if target != "node_and_edge" or instance.variant not in ("edge", "node"):
+        raise InputError(f"no embedding from {instance.variant} to {target}")
+    owners = instance.vertices if instance.variant == "edge" else instance.edges
+    if instance.num_times * len(owners) > MAX_FIRST_TIME_ENTRIES:
+        raise InputError(f"embedding into node_and_edge would list T * {len(owners)} times, "
+                         f"more than {MAX_FIRST_TIME_ENTRIES}")
     full = frozenset(range(1, instance.num_times + 1))
-    if instance.variant == "edge" and target == "node_and_edge":
+    if instance.variant == "edge":
         image = replace(
             instance, variant="node_and_edge", node_activity={v: full for v in instance.vertices}
         )
-    elif instance.variant == "node" and target == "node_and_edge":
+    else:
         image = replace(
             instance, variant="node_and_edge",
             edges=tuple(Edge(e.u, e.v, e.w, full) for e in instance.edges),
             node_activity=dict(instance.node_activity or {}),
         )
-    else:
-        raise InputError(f"no embedding from {instance.variant} to {target}")
     rmap = ReductionMap(
         kind="embed",
         forward_edge_map=tuple((i, (i,)) for i in range(len(instance.edges))),

@@ -32,6 +32,39 @@ def run(capsys, *argv):
     return code, out
 
 
+def huge_horizon(t):
+    """Edge instance over T = 10^12 with one edge a->b active at time t
+    only and one demand a->b at time t."""
+    return {
+        "directed": True, "variant": "edge", "T": 10**12, "vertices": ["a", "b"],
+        "edges": [{"u": "a", "v": "b", "w": 1, "times": [t]}],
+        "demands": [{"a": "a", "b": "b", "t": t}],
+    }
+
+
+def run_capped(*argv, cwd=None):
+    """`python -m tsn.cli argv` under a 1 GiB address-space cap, so a
+    command that materialises a huge horizon fails here instead of
+    exhausting host memory."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsn.__file__)))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "tsn.cli", *map(str, argv)], cwd=cwd,
+        env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=60,
+    )
+
+
+def assert_one_input_error(proc):
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ""
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "input"
+
+
 @pytest.fixture
 def example1_file(tmp_path, capsys):
     path = tmp_path / "ex1.json"
@@ -129,26 +162,33 @@ class TestValidate:
 
     def test_huge_time_horizon_stays_small(self, tmp_path):
         # one edge active at time 1 out of 10^12: the monotonicity check
-        # must not materialise the horizon; run under a 1 GiB address-space
-        # cap so a regression fails here instead of exhausting host memory
-        data = {
-            "directed": True, "variant": "edge", "T": 10**12, "vertices": ["a", "b"],
-            "edges": [{"u": "a", "v": "b", "w": 1, "times": [1]}],
-            "demands": [{"a": "a", "b": "b", "t": 1}],
-        }
+        # must not materialise the horizon
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps(data))
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsn.__file__)))
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "tsn.cli", "validate", "-i", str(path)],
-            env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=60,
-        )
+        path.write_text(json.dumps(huge_horizon(1)))
+        proc = run_capped("validate", "-i", path)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["digest"]["monotonic"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--to", "node", "-o", "out.json"],
+        ["reduce", "--to", "node_and_edge", "-o", "out.json"],
+        ["reduce", "--to", "simple", "-o", "out.json"],
+        ["solve", "--method", "ilp-export", "--lp", "out.lp"],
+    ], ids=["node", "node_and_edge", "simple", "ilp_export"])
+    def test_huge_time_horizon_embedding_is_an_input_error(self, tmp_path, argv):
+        # the node_and_edge embedding would list all 10^12 times per vertex
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(huge_horizon(1)))
+        proc = run_capped(*argv, "-i", path, cwd=tmp_path)
+        assert_one_input_error(proc)
+
+    def test_huge_time_horizon_closure_is_an_input_error(self, tmp_path):
+        # monotonic: the one edge and the one demand are both at time 10^12,
+        # but the closure would hold |V|^2 * 10^12 entries
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(huge_horizon(10**12)))
+        proc = run_capped("approx", "--method", "charikar", "--level", "1", "-i", path)
+        assert_one_input_error(proc)
 
     def test_huge_first_time_expansion_is_an_input_error(self, tmp_path):
         # "first_time": 1 with T = 10^12 would expand to 10^12 times; the
@@ -161,19 +201,7 @@ class TestValidate:
         }
         path = tmp_path / "huge_first_time.json"
         path.write_text(json.dumps(data))
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsn.__file__)))
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "tsn.cli", "validate", "-i", str(path)],
-            env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 2, proc.stderr
-        lines = proc.stdout.strip().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "input"
+        assert_one_input_error(run_capped("validate", "-i", path))
 
     def test_first_time_expansion_up_to_the_cap_is_read(self):
         from tsn.core import MAX_FIRST_TIME_ENTRIES

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsn.core import (
+    FrameIndex,
     InfeasibleInstanceError,
     InternalError,
     is_feasible,
@@ -327,7 +328,7 @@ class TestDualAscent:
             if not fidx.feasible(i for i, s in enumerate(state) if s != 2):
                 continue  # some demand has no completion: the ascent reports it
             included = bytearray(s == 1 for s in state)
-            unmet = [j for j in range(len(fidx.demands)) if fidx._path(j, included) is None]
+            unmet = [j for j in range(len(fidx.demands)) if not fidx.reaches(j, included)]
             bound, _ = fidx.dual_ascent(state, unmet)
             assert bound <= _cheapest_completion(fidx, state)
             checked += 1
@@ -376,16 +377,17 @@ class TestDualAscent:
     def test_reverse_delete_leaves_a_minimal_feasible_set(self):
         rng = random.Random(5)
         for inst in _bound_corpus("delete", 120, max_edges=9):
-            fidx = _FrameIndex(inst)
+            fidx = FrameIndex(inst)
             member = bytearray([1]) * len(inst.edges)
             candidates = [i for i in range(len(inst.edges)) if fidx.weight[i]]
             rng.shuffle(candidates)
             fidx.reverse_delete(member, candidates)
             kept = [i for i, m in enumerate(member) if m]
-            assert fidx.feasible(kept)
+            # the name-keyed check, independent of the index's `reaches`
+            assert is_feasible(inst, kept)
             for e in candidates:
                 if member[e]:
-                    assert not fidx.feasible([i for i in kept if i != e])
+                    assert not is_feasible(inst, [i for i in kept if i != e])
 
     def test_root_bounds_bracket_the_optimum(self):
         for make in (

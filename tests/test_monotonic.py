@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsn.approx import shortest_paths_union
 from tsn.core import (
     InputError,
     is_feasible,
@@ -59,6 +61,23 @@ def rand_monotonic_undirected(rng, max_edges=6):
         directed=False, variant="edge", num_times=T,
         vertices=names, edges=edges, demands=demands,
     )
+
+
+def normalize_corpus_digest():
+    """sha256 over `normalize_to_time_layered_tree` on 1,500 seeded feasible
+    monotonic single-source instances, run twice per instance: from the full
+    edge set and from `shortest_paths_union`.  Any change to which edges the
+    pruning keeps changes the digest."""
+    rng = random.Random(8191)
+    h = hashlib.sha256()
+    for _ in range(1500):
+        inst = rand_monotonic_single_source(
+            rng, max_vertices=7, max_edges=14, max_times=3, max_demands=5
+        )
+        for start in (range(len(inst.edges)), shortest_paths_union(inst).edges):
+            sol = normalize_to_time_layered_tree(inst, solution_from_edges(inst, start))
+            h.update(f"{sol.edges} {sol.cost}\n".encode())
+    return h.hexdigest()
 
 
 class TestTsnToPriority:
@@ -408,3 +427,6 @@ class TestNormalizeToTimeLayeredTree:
             assert is_feasible(inst, out)
             self.check_tree_and_times(inst, out)
             done += 1
+
+    def test_corpus_digest_pinned(self):
+        assert normalize_corpus_digest() == "c951b7b8c679113e6517fa8fea728a6bfbfa963eae0e967902b46c9838945bd4"
