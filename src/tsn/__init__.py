@@ -9,7 +9,6 @@ from .core import (
     InternalError,
     Solution,
     TemporalInstance,
-    frame,
     is_acyclic,
     is_feasible,
     is_monotonic,
@@ -40,12 +39,10 @@ from .monotonic import (
 )
 from .hardness import (
     KphlcInstance,
-    example1_instance,
     gen_nosat_phlc,
     gen_yes_lc,
     gen_yes_phlc,
     phlc_to_kdtsn,
-    undirect,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

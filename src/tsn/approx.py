@@ -35,9 +35,9 @@ from .core import (
     InternalError,
     Solution,
     TemporalInstance,
-    is_monotonic,
     solution_from_edges,
 )
+from .monotonic import single_source
 from .variants import lift_chain, normalize
 
 Pair = tuple[str, int]  # (vertex, time)
@@ -376,16 +376,9 @@ def charikar(
     real edges."""
     if not 1 <= level <= MAX_LEVEL:
         raise InputError(f"level must be an integer from 1 to {MAX_LEVEL}, got {level}")
-    if not instance.directed:
-        raise InputError("the recursive greedy requires a directed instance")
-    if not is_monotonic(instance):
-        raise InputError("the recursive greedy requires a monotonic instance")
-    if not instance.demands:
+    source = single_source(instance, "the recursive greedy")
+    if source is None:
         return solution_from_edges(instance, ())
-    sources = {d.a for d in instance.demands}
-    if len(sources) != 1:
-        raise InputError("all demands must share a single source")
-    (source,) = sources
     edge_inst, steps = normalize(instance, "edge")
     closure = metric_closure(edge_inst)
     pairs = [(d.b, d.t) for d in edge_inst.demands]

@@ -14,6 +14,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import approx as approx_mod
@@ -233,7 +234,7 @@ def cmd_gen(args) -> int:
     started = time.perf_counter()
     instance, trace, source = _generate(args.kind, args)
     if args.undirected:
-        instance = hardness.undirect(instance)
+        instance = replace(instance, directed=False)
     dump_json(instance_to_dict(instance), args.output)
     if args.trace:
         dump_json(hardness.trace_to_dict(trace), args.trace)
@@ -258,6 +259,8 @@ def cmd_verify(args) -> int:
         _report("verify", instance, ok=ok, note="infeasibility marker")
         return EXIT_OK if ok else EXIT_INPUT
     problems = []
+    if len(set(solution.edges)) != len(solution.edges):
+        problems.append("edge index listed twice")
     if any(i < 0 or i >= len(instance.edges) for i in solution.edges):
         problems.append("edge index out of range")
     else:
@@ -290,7 +293,9 @@ def cmd_bench(args) -> int:
         # brute force is the oracle when it is asked for, otherwise branch
         # and bound; the oracle's own row reuses its result.  bench trusts
         # its own generated instances: the subset cap guards arbitrary user
-        # input, not this batch runner
+        # input, not this batch runner.  With no method there is no row.
+        if not methods:
+            continue
         if "brute" in methods:
             oracle = "brute"
             optimum = exact.brute_force(instance, cap=len(instance.edges)).cost

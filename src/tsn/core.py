@@ -8,11 +8,12 @@ exist in frame t.  Weights are exact rationals throughout: reductions halve
 and re-add weights, and the test suite compares optima exactly, so floats
 are never used.
 
-`FrameIndex` is the integer view of the frames that the solvers share:
+`FrameIndex` is the integer view of the frames that every solver shares:
 vertices interned to ints in name order, effective times computed once,
 weights scaled to ints by the LCM of their denominators, one cached
-adjacency list per frame, one reachability test behind the feasibility
-check and the reverse delete, and one shortest-path search.
+adjacency list per frame and one reversed per demand, one reachability test
+behind the feasibility check and the reverse delete, one shortest-path
+search, and Wong's dual ascent, the branch and bound's lower bound.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 Vertex = str
@@ -222,26 +224,6 @@ def effective_times(instance: TemporalInstance, edge_id: int) -> frozenset[int]:
     return both & e.times
 
 
-@dataclass(frozen=True)
-class Frame:
-    """The static graph at one time: active vertices and edge indices."""
-
-    t: int
-    vertices: frozenset[Vertex]
-    edge_ids: tuple[int, ...]
-
-
-def frame(instance: TemporalInstance, t: int) -> Frame:
-    if not 1 <= t <= instance.num_times:
-        raise InputError(f"time {t} outside [1..{instance.num_times}]")
-    if instance.variant == "edge":
-        verts = frozenset(instance.vertices)
-    else:
-        verts = frozenset(v for v in instance.vertices if t in instance.activity(v))
-    ids = tuple(i for i in range(len(instance.edges)) if t in effective_times(instance, i))
-    return Frame(t=t, vertices=verts, edge_ids=ids)
-
-
 def _reachable(adj: Mapping[Vertex, Iterable[Vertex]], source: Vertex) -> set[Vertex]:
     """Vertices reachable from `source` along the adjacency lists."""
     seen = {source}
@@ -275,6 +257,13 @@ def satisfies(
     return demand.b in _reachable(adj, demand.a)
 
 
+# Per-edge decision bytes of a search: `FrameIndex.dual_ascent` reads a
+# `bytearray` of them that the caller sets and resets in place.
+_UNDECIDED, _INCLUDED, _EXCLUDED = 0, 1, 2
+# `state.translate(_INCLUDED_ONLY)` marks the included edges with 1
+_INCLUDED_ONLY = bytes(s == _INCLUDED for s in range(256))
+
+
 class FrameIndex:
     """Integer view of an instance's frames, built once per instance.
 
@@ -285,9 +274,11 @@ class FrameIndex:
     common multiple of all weight denominators, so costs add and compare as
     ints.  `frame(t)` gives, per vertex, the `(head, edge id)` pairs leaving
     it at time t in edge-id order, both directions when the instance is
-    undirected; each frame is built on first use and cached.  `demands` keeps the
-    demands whose endpoints differ as `(tail, head, frame)`; demands with
-    equal endpoints are met by the empty path.
+    undirected; each frame is built on first use and cached.  `demands` keeps
+    the demands whose endpoints differ as `(tail, head, frame)`; demands with
+    equal endpoints are met by the empty path.  `reverse[j]` is demand j's
+    frame with its arcs turned round, and `dual_ascent` bounds the cost of
+    meeting a set of demands from below.
     """
 
     def __init__(self, instance: TemporalInstance):
@@ -357,6 +348,119 @@ class FrameIndex:
                 if not self.reaches(j, member):
                     member[e] = 1
                     break
+
+    @cached_property
+    def reverse(self) -> list[list[list[tuple[int, int]]]]:
+        """Per demand, the `(tail, edge id)` arcs entering each vertex of its
+        frame; an undirected frame lists both directions, so it is its own
+        reverse.  Demands of one time share one list."""
+        reverse: dict[int, list[list[tuple[int, int]]]] = {}
+        out = []
+        for _, _, frame in self.demands:
+            radj = reverse.get(id(frame))
+            if radj is None:
+                radj = frame
+                if self.directed:
+                    radj = [[] for _ in range(self.num_vertices)]
+                    for x, arcs in enumerate(frame):
+                        for y, i in arcs:
+                            radj[y].append((x, i))
+                reverse[id(frame)] = radj
+            out.append(radj)
+        return out
+
+    def dual_ascent(
+        self, state: bytearray, unmet: list[int], budget: Optional[int] = None
+    ) -> tuple[Optional[int], list[int]]:
+        """Wong's dual ascent on the cut relaxation of the demands in `unmet`.
+
+        Every (demand, vertex set S) with the demand's head in S and its tail
+        outside is a cut that any completion must cross with an undecided
+        edge.  Reduced costs start at the scaled weights, 0 for included
+        edges; excluded edges are absent.  Each demand's S is the set of
+        vertices that reach its head in its frame over arcs of reduced cost
+        0.  While some demand's tail is outside its S, the demand whose cut
+        has the fewest arcs is raised: the smallest reduced cost on its cut
+        is added to the bound and taken off every cut arc.  Reduced costs
+        are shared by all demands, so each edge pays at most its weight and
+        the bound never exceeds the scaled cost of the cheapest completion.
+
+        Returns (bound, reduced costs).  Stops as soon as the bound reaches
+        `budget`.  With a budget, a demand in `unmet` that has no completion
+        makes the bound None; without one, it is an internal error.
+        """
+        reduced = self.weight.copy()
+        i = state.find(_INCLUDED)
+        while i >= 0:
+            reduced[i] = 0
+            i = state.find(_INCLUDED, i + 1)
+
+        def grow(inside, radj, grown, cut):
+            """Add to S every vertex that reaches `grown` over tight arcs;
+            collect the other arcs entering S in `cut`."""
+            while grown:
+                for x, i in radj[grown.pop()]:
+                    if inside[x] or state[i] == _EXCLUDED:
+                        continue
+                    if reduced[i]:
+                        cut.append((x, i))
+                    else:
+                        inside[x] = 1
+                        grown.append(x)
+
+        def settle(inside, radj, cut):
+            """Grow S over newly tight arcs; return the cut arcs left."""
+            while True:
+                grown, live = [], []
+                for x, i in cut:
+                    if inside[x]:
+                        continue
+                    if reduced[i]:
+                        live.append((x, i))
+                    else:
+                        inside[x] = 1
+                        grown.append(x)
+                if not grown:
+                    return live
+                grow(inside, radj, grown, live)
+                cut = live
+
+        # per demand: [tail, S as a vertex bytearray, reverse frame, cut arcs]
+        active = []
+        for j in unmet:
+            a, b, _ = self.demands[j]
+            inside = bytearray(self.num_vertices)
+            inside[b] = 1
+            radj = self.reverse[j]
+            cut: list[tuple[int, int]] = []
+            grow(inside, radj, [b], cut)
+            active.append([a, inside, radj, cut])
+        bound = 0
+        while True:
+            pick = None
+            still = []
+            for rec in active:
+                rec[3] = settle(rec[1], rec[2], rec[3])
+                if rec[1][rec[0]]:
+                    continue
+                still.append(rec)
+                if pick is None or len(rec[3]) < len(pick[3]):
+                    pick = rec
+            if pick is None:
+                break
+            active = still
+            cut = pick[3]
+            if not cut:
+                if budget is not None:
+                    return None, reduced
+                raise InternalError("dual ascent met a demand without a completion")
+            delta = min(reduced[i] for _, i in cut)
+            for _, i in cut:
+                reduced[i] -= delta
+            bound += delta
+            if budget is not None and bound >= budget:
+                break
+        return bound, reduced
 
     def shortest_paths(self, t: int, source: int) -> tuple[list, list]:
         """Dijkstra from `source` in frame t on the scaled weights.

@@ -10,14 +10,13 @@ zero-weight wiring; its docstring says why the result is the naive scan's,
 and the test suite cross-checks it against a literal enumeration.
 
 `solve_bb` is an independent branch-and-bound over the same search space.
-Both run on `core.FrameIndex`, built once per instance (vertices interned to
-ints, one adjacency list of `(head, edge id)` pairs per frame, weights scaled
-to ints by the least common multiple of their denominators).  `_FrameIndex`
-adds what the branch and bound needs: one reverse adjacency per demand
-frame and Wong's dual ascent on the cut relaxation (a lower bound and
-reduced costs).  The search is an iterative depth-first search that sets
-and resets a per-edge decision byte in place.  At the root, the dual ascent
-gives a lower bound; the edges of reduced cost 0, thinned by
+Both run on `core.FrameIndex`, built once per instance: vertices interned to
+ints, one adjacency list of `(head, edge id)` pairs per frame and its
+reverse per demand, weights scaled to ints by the least common multiple of
+their denominators, and Wong's dual ascent on the cut relaxation (a lower
+bound and reduced costs).  The search is an iterative depth-first search
+that sets and resets a per-edge decision byte in place.  At the root, the
+dual ascent gives a lower bound; the edges of reduced cost 0, thinned by
 `FrameIndex.reverse_delete`, give an incumbent; and every edge whose
 reduced cost lifts the bound past that incumbent is excluded (reduced-cost
 fixing).  Below the root, `FrameIndex.reaches` finds the demands a node's
@@ -39,10 +38,13 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 from .core import (
+    _EXCLUDED,
+    _INCLUDED,
+    _INCLUDED_ONLY,
+    _UNDECIDED,
     Demand,
     FrameIndex,
     InfeasibleInstanceError,
@@ -60,133 +62,6 @@ DEFAULT_BRUTE_CAP = 20
 
 class BruteForceCapError(InputError):
     """Instance exceeds the subset-enumeration cap."""
-
-
-class _FrameIndex(FrameIndex):
-    """The shared frame index plus what the branch and bound needs: the
-    reverse frames and the dual ascent.
-
-    Per-edge decisions live in a `bytearray` of `_UNDECIDED` / `_INCLUDED` /
-    `_EXCLUDED` that the caller sets and resets in place.
-    """
-
-    @cached_property
-    def reverse(self) -> list[list[list[tuple[int, int]]]]:
-        """Per demand, the `(tail, edge id)` arcs entering each vertex of its
-        frame; an undirected frame lists both directions, so it is its own
-        reverse.  Demands of one time share one list."""
-        reverse: dict[int, list[list[tuple[int, int]]]] = {}
-        out = []
-        for _, _, frame in self.demands:
-            radj = reverse.get(id(frame))
-            if radj is None:
-                radj = frame
-                if self.directed:
-                    radj = [[] for _ in range(self.num_vertices)]
-                    for x, arcs in enumerate(frame):
-                        for y, i in arcs:
-                            radj[y].append((x, i))
-                reverse[id(frame)] = radj
-            out.append(radj)
-        return out
-
-    def dual_ascent(
-        self, state: bytearray, unmet: list[int], budget: Optional[int] = None
-    ) -> tuple[Optional[int], list[int]]:
-        """Wong's dual ascent on the cut relaxation of the demands in `unmet`.
-
-        Every (demand, vertex set S) with the demand's head in S and its tail
-        outside is a cut that any completion must cross with an undecided
-        edge.  Reduced costs start at the scaled weights, 0 for included
-        edges; excluded edges are absent.  Each demand's S is the set of
-        vertices that reach its head in its frame over arcs of reduced cost
-        0.  While some demand's tail is outside its S, the demand whose cut
-        has the fewest arcs is raised: the smallest reduced cost on its cut
-        is added to the bound and taken off every cut arc.  Reduced costs
-        are shared by all demands, so each edge pays at most its weight and
-        the bound never exceeds the scaled cost of the cheapest completion.
-
-        Returns (bound, reduced costs).  Stops as soon as the bound reaches
-        `budget`.  With a budget, a demand in `unmet` that has no completion
-        makes the bound None; without one, it is an internal error.
-        """
-        reduced = self.weight.copy()
-        i = state.find(_INCLUDED)
-        while i >= 0:
-            reduced[i] = 0
-            i = state.find(_INCLUDED, i + 1)
-
-        def grow(inside, radj, grown, cut):
-            """Add to S every vertex that reaches `grown` over tight arcs;
-            collect the other arcs entering S in `cut`."""
-            while grown:
-                for x, i in radj[grown.pop()]:
-                    if inside[x] or state[i] == _EXCLUDED:
-                        continue
-                    if reduced[i]:
-                        cut.append((x, i))
-                    else:
-                        inside[x] = 1
-                        grown.append(x)
-
-        def settle(inside, radj, cut):
-            """Grow S over newly tight arcs; return the cut arcs left."""
-            while True:
-                grown, live = [], []
-                for x, i in cut:
-                    if inside[x]:
-                        continue
-                    if reduced[i]:
-                        live.append((x, i))
-                    else:
-                        inside[x] = 1
-                        grown.append(x)
-                if not grown:
-                    return live
-                grow(inside, radj, grown, live)
-                cut = live
-
-        # per demand: [tail, S as a vertex bytearray, reverse frame, cut arcs]
-        active = []
-        for j in unmet:
-            a, b, _ = self.demands[j]
-            inside = bytearray(self.num_vertices)
-            inside[b] = 1
-            radj = self.reverse[j]
-            cut: list[tuple[int, int]] = []
-            grow(inside, radj, [b], cut)
-            active.append([a, inside, radj, cut])
-        bound = 0
-        while True:
-            pick = None
-            still = []
-            for rec in active:
-                rec[3] = settle(rec[1], rec[2], rec[3])
-                if rec[1][rec[0]]:
-                    continue
-                still.append(rec)
-                if pick is None or len(rec[3]) < len(pick[3]):
-                    pick = rec
-            if pick is None:
-                break
-            active = still
-            cut = pick[3]
-            if not cut:
-                if budget is not None:
-                    return None, reduced
-                raise InternalError("dual ascent met a demand without a completion")
-            delta = min(reduced[i] for _, i in cut)
-            for _, i in cut:
-                reduced[i] -= delta
-            bound += delta
-            if budget is not None and bound >= budget:
-                break
-        return bound, reduced
-
-
-_UNDECIDED, _INCLUDED, _EXCLUDED = 0, 1, 2
-# `state.translate(_INCLUDED_ONLY)` marks the included edges with 1
-_INCLUDED_ONLY = bytes(s == _INCLUDED for s in range(256))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +185,7 @@ def solve_bb(
     if stats is None:
         stats = BbStats()
 
-    fidx = _FrameIndex(instance)
+    fidx = FrameIndex(instance)
     weight = fidx.weight
     order = sorted(
         range(len(weight)),

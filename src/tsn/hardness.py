@@ -24,12 +24,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .core import Demand, Edge, InputError, TemporalInstance
+from .core import MAX_FIRST_TIME_ENTRIES, Demand, Edge, InputError, TemporalInstance
 
 # ---------------------------------------------------------------------------
 # Constraint-graph inputs (labels and colors are 0-based indices)
@@ -313,13 +313,6 @@ def phlc_to_kdtsn(h: KphlcInstance) -> tuple[TemporalInstance, GadgetTrace]:
     return instance, GadgetTrace(contacts=b.contacts, bundles=tuple(bundles))
 
 
-def undirect(instance: TemporalInstance) -> TemporalInstance:
-    """Same weights, times and demands over undirected edges."""
-    if not instance.directed:
-        return instance
-    return replace(instance, directed=False)
-
-
 # ---------------------------------------------------------------------------
 # Instance generators
 #
@@ -342,10 +335,6 @@ def example1_label_cover() -> KphlcInstance:
         num_colors=2,
         projections=(((0, 0), (1, 0)),),
     )
-
-
-def example1_instance() -> tuple[TemporalInstance, GadgetTrace]:
-    return phlc_to_kdtsn(example1_label_cover())
 
 
 def _planted(parts: tuple, edges: tuple, num_labels: int, seed: int) -> KphlcInstance:
@@ -376,9 +365,20 @@ def _planted(parts: tuple, edges: tuple, num_labels: int, seed: int) -> KphlcIns
     )
 
 
+def _check_size(part_sizes: Sequence[int], num_edges: int, num_labels: int) -> None:
+    """Refuse, before anything is built, a constraint graph whose strands
+    (one per vertex and label) or projection tables (one entry per edge,
+    part and label) would exceed MAX_FIRST_TIME_ENTRIES."""
+    strands = sum(part_sizes) * num_labels
+    entries = num_edges * len(part_sizes) * num_labels
+    if max(strands, entries) > MAX_FIRST_TIME_ENTRIES:
+        raise InputError(
+            f"constraint graph would need {strands} strands and {entries} table "
+            f"entries, more than {MAX_FIRST_TIME_ENTRIES}"
+        )
+
+
 def _staircase_blocks(n_sources: int, n_targets: int, degree: int) -> list[list[int]]:
-    if degree > n_targets:
-        raise InputError("degree cannot exceed the number of right vertices")
     blocks = []
     for i in range(n_sources):
         if n_sources == 1:
@@ -399,6 +399,9 @@ def gen_yes_lc(
         raise InputError("degree cannot be negative")
     if num_labels < 1:
         raise InputError("need at least one label")
+    if degree > num_right:
+        raise InputError("degree cannot exceed the number of right vertices")
+    _check_size((num_left, num_right), num_left * degree, num_labels)
     blocks = _staircase_blocks(num_left, num_right, degree)
     parts = (
         tuple(f"u{i+1}" for i in range(num_left)),
@@ -424,6 +427,7 @@ def _check_phlc_args(k: int, part_sizes: Sequence[int], num_edges: int, num_labe
         raise InputError("hyperedge count cannot be negative")
     if num_labels < 1:
         raise InputError("need at least one label")
+    _check_size(part_sizes, num_edges, num_labels)
 
 
 def _phlc_parts(part_sizes: Sequence[int]) -> tuple[tuple[str, ...], ...]:

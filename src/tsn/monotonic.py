@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    MAX_FIRST_TIME_ENTRIES,
     Demand,
     Edge,
     FrameIndex,
@@ -25,6 +26,7 @@ from .core import (
     Solution,
     TemporalInstance,
     _reachable,
+    _weight_to_json,
     effective_times,
     is_feasible,
     is_monotonic,
@@ -32,6 +34,20 @@ from .core import (
     solution_from_edges,
 )
 from .variants import ReductionMap, _lift_ids, fresh_name
+
+
+def single_source(instance: TemporalInstance, what: str) -> Optional[str]:
+    """The one source of a directed monotonic instance's demands, None when
+    it has no demands; an input error naming `what` otherwise."""
+    if not instance.directed:
+        raise InputError(f"{what} expects a directed instance")
+    if not is_monotonic(instance):
+        raise InputError(f"{what} expects a monotonic instance")
+    sources = {d.a for d in instance.demands}
+    if len(sources) > 1:
+        raise InputError("all demands must share a single source")
+    return next(iter(sources), None)
+
 
 # ---------------------------------------------------------------------------
 # Priority formulation
@@ -191,19 +207,20 @@ def _copy_name(v: str, level: int) -> str:
 def single_source_to_dst(instance: TemporalInstance) -> DstInstance:
     """Levels follow the sorted demand times; level i holds a copy of frame
     t_i, and each vertex gets a free edge to its next-level copy.  The root
-    is the source's level-1 copy, terminal i the target's level-i copy."""
-    if not instance.directed:
-        raise InputError("level-graph reduction expects a directed instance")
+    is the source's level-1 copy, terminal i the target's level-i copy.
+    The image holds k * (|V| + |E|) items at most; more than
+    MAX_FIRST_TIME_ENTRIES is an input error."""
+    source = single_source(instance, "level-graph reduction")
     if instance.variant != "edge":
         raise InputError("level-graph reduction expects the edge variant")
-    if not is_monotonic(instance):
-        raise InputError("level-graph reduction expects a monotonic instance")
-    if not instance.demands:
+    if source is None:
         raise InputError("level-graph reduction needs at least one demand")
-    sources = {d.a for d in instance.demands}
-    if len(sources) != 1:
-        raise InputError("all demands must share a single source")
-    (source,) = sources
+    size = len(instance.demands) * (len(instance.vertices) + len(instance.edges))
+    if size > MAX_FIRST_TIME_ENTRIES:
+        raise InputError(
+            f"level graph would hold up to {size} vertices and edges, "
+            f"more than {MAX_FIRST_TIME_ENTRIES}"
+        )
     order = sorted(range(len(instance.demands)), key=lambda j: (instance.demands[j].t, instance.demands[j].b, j))
     k = len(order)
     vertices = [
@@ -263,8 +280,6 @@ def dst_solution_to_tsn(dst: DstInstance, edge_ids: Iterable[int]) -> Solution:
 
 
 def dst_to_dict(dst: DstInstance) -> dict:
-    from .core import _weight_to_json
-
     levels = list(range(1, len(dst.terminals) + 1))
     return {
         "vertices": list(dst.vertices),
@@ -308,13 +323,7 @@ def normalize_to_time_layered_tree(
     tree, and on a tree each edge's necessity set contains its parent's,
     which orders the earliest necessary times.
     """
-    if not instance.directed:
-        raise InputError("normalisation expects a directed instance")
-    if not is_monotonic(instance):
-        raise InputError("normalisation expects a monotonic instance")
-    sources = {d.a for d in instance.demands}
-    if len(sources) > 1:
-        raise InputError("all demands must share a single source")
+    single_source(instance, "normalisation")
     index = FrameIndex(instance)
     if not index.feasible(solution.edges):
         raise InputError("solution is not feasible")

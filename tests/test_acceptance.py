@@ -26,7 +26,7 @@ from tsn.exact import (
     solve_bb,
 )
 from tsn.hardness import (
-    example1_instance,
+    example1_label_cover,
     gen_nosat_phlc,
     gen_yes_lc,
     gen_yes_phlc,
@@ -72,7 +72,7 @@ def test_criterion_1_example1_reproduction(tmp_path, capsys):
     solution, feasible = solution_from_dict(load_json(str(sol_path)))
     assert feasible and solution is not None
     assert solution.cost == Fraction(1)
-    inst, _ = example1_instance()
+    inst, _ = phlc_to_kdtsn(example1_label_cover())
     for d in inst.demands:
         assert satisfies(inst, solution, d)
     assert brute_force(inst).cost == Fraction(1)

@@ -327,6 +327,18 @@ class TestVerify:
         assert code == 2
         assert any("cost mismatch" in p for p in json.loads(out)["problems"])
 
+    def test_rejects_an_edge_listed_twice(self, tmp_path, capsys, example1_file):
+        sol = tmp_path / "sol.json"
+        run(capsys, "solve", "-i", example1_file, "--method", "bb", "-o", sol)
+        data = load_json(str(sol))
+        data["edges"].append(data["edges"][0])
+        dump_json(data, str(sol))
+        code, out = run(capsys, "verify", "-i", example1_file, "-s", sol)
+        assert code == 2
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert report["problems"] == ["edge index listed twice"]
+
     @pytest.mark.parametrize(
         "patch",
         [{"edges": [0.7]}, {"edges": ["0"]}, {"feasible": "false"}],
@@ -435,6 +447,22 @@ class TestReduce:
         assert data["root"] == "a#1"
         assert data["levels"]["x"] == [1, 2]
 
+    def test_huge_level_graph_is_an_input_error(self, tmp_path):
+        # a 3,000-vertex path with 3,000 demands: the level graph would hold
+        # 3,000 * (3,000 + 2,999) vertices and edges
+        n = 3000
+        names = [f"v{i}" for i in range(n)]
+        data = {
+            "directed": True, "variant": "edge", "T": 1, "vertices": names,
+            "edges": [{"u": u, "v": v, "w": 1, "times": [1]} for u, v in zip(names, names[1:])],
+            "demands": [{"a": "v0", "b": b, "t": 1} for b in names],
+        }
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(data))
+        proc = run_capped("reduce", "--to", "dst", "-i", path, "-o", "dst.json", cwd=tmp_path)
+        assert_one_input_error(proc)
+        assert not (tmp_path / "dst.json").exists()
+
     def test_to_priority_requires_undirected_monotonic(self, tmp_path, capsys):
         inst = make_instance(
             directed=False, variant="edge", num_times=2,
@@ -495,6 +523,17 @@ class TestGen:
         assert not (tmp_path / "i.json").exists()
 
     @pytest.mark.parametrize("argv", [
+        ["--kind", "lc-yes", "--u", "100000000", "--v", "1"],
+        ["--kind", "lc-yes", "--sigma", "300000000"],
+        ["--kind", "phlc-yes", "--part-sizes", "100000000,1,1"],
+    ], ids=["lc-many-left", "lc-many-labels", "phlc-huge-part"])
+    def test_huge_constraint_graph_is_an_input_error(self, tmp_path, argv):
+        # each would build 10^8 names or table entries before compiling
+        proc = run_capped("gen", *argv, "-o", "i.json", cwd=tmp_path)
+        assert_one_input_error(proc)
+        assert not (tmp_path / "i.json").exists()
+
+    @pytest.mark.parametrize("argv", [
         ["--kind", "lc-yes", "--u", "2", "--v", "2", "--degree", "0"],
         ["--kind", "phlc-yes", "--edges", "0"],
     ], ids=["lc-degree-zero", "phlc-no-edges"])
@@ -537,10 +576,18 @@ class TestDeterminism:
 
 
 class TestBench:
-    def test_empty_method_list_header_only(self, tmp_path, capsys):
+    def test_empty_method_list_header_only(self, tmp_path, capsys, monkeypatch):
+        # no row reads an optimum, so no oracle runs
+        from tsn import exact
+
+        def refuse(instance, stats=None):
+            raise AssertionError("branch and bound run although no method was requested")
+
+        monkeypatch.setattr(exact, "solve_bb", refuse)
         out = tmp_path / "bench.csv"
         code, _ = run(
-            capsys, "bench", "--kind", "example1", "--methods", "", "-o", out
+            capsys, "bench", "--kind", "example1", "--methods", "", "--seeds", "0,1,2",
+            "-o", out,
         )
         assert code == 0
         lines = out.read_text().strip().splitlines()

@@ -6,7 +6,7 @@ import pytest
 from tsn.core import (
     Demand,
     InputError,
-    frame,
+    effective_times,
     instance_from_dict,
     instance_to_dict,
     is_acyclic,
@@ -17,7 +17,7 @@ from tsn.core import (
     solution_cost,
     validate,
 )
-from tsn.hardness import example1_instance
+from tsn.hardness import example1_label_cover, phlc_to_kdtsn
 
 from helpers import rand_instance
 
@@ -92,12 +92,14 @@ class TestValidate:
 
 
 class TestFrame:
+    """Frame t holds the edges whose effective times contain t."""
+
     def test_edge_variant(self):
         inst = make_instance(
             directed=False, variant="edge", num_times=2,
             vertices=["a", "b"], edges=[("a", "b", 1, (1, 2))], demands=[],
         )
-        assert frame(inst, 1).edge_ids == (0,)
+        assert effective_times(inst, 0) == {1, 2}
 
     def test_node_variant_requires_both_endpoints(self):
         inst = make_instance(
@@ -105,8 +107,7 @@ class TestFrame:
             vertices=["u", "v"], edges=[("u", "v", 1)], demands=[],
             node_activity={"u": (1,), "v": (2,)},
         )
-        assert frame(inst, 1).edge_ids == ()
-        assert frame(inst, 2).edge_ids == ()
+        assert effective_times(inst, 0) == frozenset()
 
     def test_node_and_edge_needs_edge_and_endpoints(self):
         inst = make_instance(
@@ -114,12 +115,7 @@ class TestFrame:
             vertices=["u", "v"], edges=[("u", "v", 1, (2,))], demands=[],
             node_activity={"u": (1, 2), "v": (1, 2)},
         )
-        assert frame(inst, 1).edge_ids == ()
-        assert frame(inst, 2).edge_ids == (0,)
-
-    def test_out_of_range_time_rejected(self):
-        with pytest.raises(InputError):
-            frame(single_edge_instance(), 2)
+        assert effective_times(inst, 0) == {2}
 
 
 class TestSatisfies:
@@ -151,7 +147,7 @@ class TestSatisfies:
     def test_example1_merged_contact_with_access_edges(self):
         # selecting one shared contact path plus its free access edges
         # satisfies both demands at total cost 1
-        inst, trace = example1_instance()
+        inst, trace = phlc_to_kdtsn(example1_label_cover())
         merged = [
             i for i, info in trace.contacts.items() if info.labels == (1, 1)
         ]
@@ -250,8 +246,6 @@ class TestSolutionCost:
 
 def transitive_closure_reaches(inst, t, a, b):
     """Independent reachability check: boolean Floyd-Warshall over frame t."""
-    from tsn.core import effective_times
-
     if a == b:
         return True
     names = list(inst.vertices)
@@ -293,8 +287,9 @@ class TestInvariants:
             if not is_monotonic(inst):
                 continue
             found += 1
-            for t in range(1, inst.num_times):
-                assert set(frame(inst, t).edge_ids) <= set(frame(inst, t + 1).edge_ids)
+            for i in range(len(inst.edges)):
+                eff = effective_times(inst, i)
+                assert all(t + 1 in eff for t in eff if t < inst.num_times)
 
 
 class TestJson:

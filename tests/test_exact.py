@@ -18,7 +18,6 @@ from tsn.core import (
 from tsn.exact import (
     BbStats,
     BruteForceCapError,
-    _FrameIndex,
     assignment_objective,
     assignment_satisfies,
     brute_force,
@@ -29,7 +28,7 @@ from tsn.exact import (
     solve_bb,
 )
 from tsn.hardness import (
-    example1_instance,
+    example1_label_cover,
     gen_nosat_phlc,
     gen_yes_lc,
     phlc_to_kdtsn,
@@ -180,7 +179,7 @@ class TestBruteForce:
 
 class TestSolveBb:
     def test_example1_cost_one(self):
-        inst, _ = example1_instance()
+        inst, _ = phlc_to_kdtsn(example1_label_cover())
         assert solve_bb(inst).cost == 1
 
     def test_matches_brute_on_random_instances(self):
@@ -264,7 +263,7 @@ class TestSolveBb:
         assert bb_corpus_digest() == "0aa4b98ec2f06d9dc0a87658af5c910ed6a014e0b4ced65fba9ea969aeb8147b"
 
     def test_counts_nodes(self):
-        inst, _ = example1_instance()
+        inst, _ = phlc_to_kdtsn(example1_label_cover())
         stats = BbStats()
         solve_bb(inst, stats)
         assert stats.nodes > 0
@@ -309,7 +308,7 @@ def _cheapest_completion(fidx, state, must=None):
 class TestDualAscent:
     def test_root_bound_never_exceeds_brute_force_optimum(self):
         for inst in _bound_corpus("root", 160):
-            fidx = _FrameIndex(inst)
+            fidx = FrameIndex(inst)
             state = bytearray(len(inst.edges))
             bound, reduced = fidx.dual_ascent(state, list(range(len(fidx.demands))))
             assert isinstance(bound, int)
@@ -322,7 +321,7 @@ class TestDualAscent:
         rng = random.Random(71)
         checked = 0
         for inst in _bound_corpus("node", 400):
-            fidx = _FrameIndex(inst)
+            fidx = FrameIndex(inst)
             # 0 undecided, 1 included, 2 excluded
             state = bytearray(rng.choice((0, 0, 1, 2)) for _ in inst.edges)
             if not fidx.feasible(i for i, s in enumerate(state) if s != 2):
@@ -338,7 +337,7 @@ class TestDualAscent:
         # any solution through edge e costs at least LB + reduced[e], so an
         # edge fixed by LB + reduced[e] > UB is in no solution of cost <= UB
         for inst in _bound_corpus("fixing", 120, max_edges=6):
-            fidx = _FrameIndex(inst)
+            fidx = FrameIndex(inst)
             state = bytearray(len(inst.edges))
             bound, reduced = fidx.dual_ascent(state, list(range(len(fidx.demands))))
             for e in range(len(inst.edges)):
@@ -348,7 +347,7 @@ class TestDualAscent:
 
     def test_budget_stops_the_ascent_early(self):
         inst, _ = phlc_to_kdtsn(gen_nosat_phlc(3, [2, 2, 2], 3, 2, seed=0))
-        fidx = _FrameIndex(inst)
+        fidx = FrameIndex(inst)
         state = bytearray(len(inst.edges))
         everything = list(range(len(fidx.demands)))
         full, _ = fidx.dual_ascent(state, everything)
@@ -367,7 +366,7 @@ class TestDualAscent:
             edges=[("a", "x", 1, (1,)), ("x", "b", 1, (1,))],
             demands=[("a", "b", 1)],
         )
-        fidx = _FrameIndex(inst)
+        fidx = FrameIndex(inst)
         state = bytearray([0, 2])
         bound, _ = fidx.dual_ascent(state, [0], 5)
         assert bound is None
@@ -391,7 +390,7 @@ class TestDualAscent:
 
     def test_root_bounds_bracket_the_optimum(self):
         for make in (
-            example1_instance,
+            lambda: phlc_to_kdtsn(example1_label_cover()),
             lambda: phlc_to_kdtsn(gen_yes_lc(3, 3, 2, 3, seed=1)),
             lambda: phlc_to_kdtsn(gen_nosat_phlc(3, [2, 2, 2], 3, 2, seed=0)),
         ):
@@ -621,7 +620,7 @@ class TestLpFormat:
         assert models_equivalent(parse_lp(emit_lp(model)), model)
 
     def test_example1_simple_image_exports_and_optimum_is_one(self):
-        inst, _ = example1_instance()
+        inst, _ = phlc_to_kdtsn(example1_label_cover())
         node_image, _ = normalize(inst, "node")
         simple, _ = to_simple(node_image)
         model = build_ilp(simple)

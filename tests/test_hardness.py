@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -12,7 +13,6 @@ from tsn.exact import brute_force, solve_bb
 from tsn.hardness import (
     KphlcInstance,
     canonical_signature,
-    example1_instance,
     example1_label_cover,
     gen_nosat_phlc,
     gen_yes_lc,
@@ -23,7 +23,6 @@ from tsn.hardness import (
     phlc_to_kdtsn,
     phlc_weakly_satisfies,
     trace_to_dict,
-    undirect,
 )
 
 
@@ -43,13 +42,13 @@ def gadget_wellformed(instance, trace):
 
 class TestExample1:
     def test_optimum_is_one(self):
-        inst, trace = example1_instance()
+        inst, trace = phlc_to_kdtsn(example1_label_cover())
         gadget_wellformed(inst, trace)
         assert opt(inst) == 1
         assert solve_bb(inst).cost == 1
 
     def test_merged_contacts_span_both_frames(self):
-        inst, trace = example1_instance()
+        inst, trace = phlc_to_kdtsn(example1_label_cover())
         merged = [i for i, c in trace.contacts.items() if c.labels is not None]
         fallback = [i for i, c in trace.contacts.items() if c.labels is None]
         assert len(merged) == 2 and len(fallback) == 1
@@ -165,19 +164,19 @@ class TestPhlcGadget:
 
 class TestUndirect:
     def test_example1_retains_optimum(self):
-        inst, _ = example1_instance()
-        und = undirect(inst)
+        inst, _ = phlc_to_kdtsn(example1_label_cover())
+        und = replace(inst, directed=False)
         assert not und.directed
         assert opt(und) == 1
 
     def test_phlc_yes_retains_optimum(self):
         h = gen_yes_phlc(3, [1, 1, 1], 1, 2, seed=4)
         inst, _ = phlc_to_kdtsn(h)
-        assert opt(undirect(inst)) == 1
+        assert opt(replace(inst, directed=False)) == 1
 
     def test_weights_times_and_demands_unchanged(self):
-        inst, _ = example1_instance()
-        und = undirect(inst)
+        inst, _ = phlc_to_kdtsn(example1_label_cover())
+        und = replace(inst, directed=False)
         assert und.edges == inst.edges
         assert und.demands == inst.demands
 
@@ -188,7 +187,7 @@ class TestUndirect:
             directed=True, variant="edge", num_times=1,
             vertices=(), edges=(), demands=(),
         )
-        und = undirect(empty)
+        und = replace(empty, directed=False)
         assert und.edges == () and und.vertices == () and not und.directed
 
 

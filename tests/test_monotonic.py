@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tsn.approx import shortest_paths_union
 from tsn.core import (
     InputError,
+    effective_times,
     is_feasible,
     is_monotonic,
     make_instance,
@@ -209,8 +210,6 @@ class TestSingleSourceToDst:
         assert len(dst.terminals) == 1
 
     def test_edge_count_two_levels(self):
-        from tsn.core import frame
-
         inst = make_instance(
             directed=True, variant="edge", num_times=2,
             vertices=["a", "x", "b"],
@@ -218,9 +217,9 @@ class TestSingleSourceToDst:
             demands=[("a", "b", 1), ("a", "b", 2)],
         )
         dst = single_source_to_dst(inst)
+        # one copy of each frame's edges per level, one advance edge per vertex
         expected = (
-            len(frame(inst, 1).edge_ids)
-            + len(frame(inst, 2).edge_ids)
+            sum(len(effective_times(inst, i)) for i in range(len(inst.edges)))
             + len(inst.vertices)
         )
         assert len(dst.edges) == expected

@@ -7,12 +7,11 @@ from tsn.core import (
     InfeasibleInstanceError,
     InputError,
     effective_times,
-    frame,
     is_feasible,
     make_instance,
 )
 from tsn.exact import brute_force
-from tsn.hardness import example1_instance
+from tsn.hardness import example1_label_cover, phlc_to_kdtsn
 from tsn.variants import (
     lift_chain,
     lift_solution,
@@ -115,9 +114,11 @@ class TestNodeToEdge:
             inst = rand_instance(rng, variant="node")
             image, rmap = node_to_edge(inst)
             back = {imgs[0]: o for o, imgs in rmap.forward_edge_map}
-            for t in range(1, inst.num_times + 1):
-                image_ids = {back[i] for i in frame(image, t).edge_ids}
-                assert image_ids == set(frame(inst, t).edge_ids)
+            assert len(back) == len(image.edges)
+            for i, o in back.items():
+                assert effective_times(image, i) == effective_times(inst, o)
+            for o in set(range(len(inst.edges))) - set(back.values()):
+                assert not effective_times(inst, o)
 
     def test_optimum_preserved(self):
         rng = random.Random(5)
@@ -211,7 +212,7 @@ class TestLift:
         assert lifted.edges == () and lifted.cost == 0
 
     def test_example1_sized_node_and_edge_round_trip(self):
-        inst, _ = example1_instance()
+        inst, _ = phlc_to_kdtsn(example1_label_cover())
         act = {v: frozenset(range(1, inst.num_times + 1)) for v in inst.vertices}
         ne = make_instance(
             directed=True, variant="node_and_edge", num_times=inst.num_times,
