@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -367,7 +368,10 @@ def build_ilp(instance: TemporalInstance) -> IlpModel:
     model then talks about the normalised edge set).  Objective: sum of
     d_{u}_{v} * w.  Constraints: coupling d_uv >= d_uvt per active time,
     flow conservation per (time, interior vertex), unit outflow at the
-    source and unit inflow at the sink per time.
+    source and unit inflow at the sink per time.  One pass over the (edge,
+    active time) pairs claims the names and files each flow variable under
+    the (time, vertex) it enters and leaves; every flow row is read from
+    those two maps, in-terms then out-terms, each in edge order.
     """
     if not instance.directed:
         raise InputError("the flow ILP is defined for directed instances")
@@ -377,7 +381,6 @@ def build_ilp(instance: TemporalInstance) -> IlpModel:
         instance, _ = normalize(instance, "edge")
     a, b, k = _simple_shape(instance)
 
-    eff = [effective_times(instance, i) for i in range(len(instance.edges))]
     seen = {}
     for i, e in enumerate(instance.edges):
         if (e.u, e.v) in seen:
@@ -388,13 +391,19 @@ def build_ilp(instance: TemporalInstance) -> IlpModel:
     edge_var = tuple(
         names.compose("d", names.token(e.u), names.token(e.v)) for e in instance.edges
     )
-    fv_of: dict[tuple[int, int], str] = {}  # flow variable per (edge, time)
+    flow_vars: list[str] = []
+    # flow variables into and out of each (time, vertex), in edge order
+    ins: defaultdict[int, dict[str, list[str]]] = defaultdict(dict)
+    outs: defaultdict[int, dict[str, list[str]]] = defaultdict(dict)
     objective = []
     constraints: list[Constraint] = []
     for i, e in enumerate(instance.edges):
-        objective.append((instance.edges[i].w, edge_var[i]))
-        for t in sorted(eff[i]):
-            fv = fv_of[(i, t)] = names.claim(f"{edge_var[i]}_{t}")
+        objective.append((e.w, edge_var[i]))
+        for t in sorted(effective_times(instance, i)):
+            fv = names.claim(f"{edge_var[i]}_{t}")
+            flow_vars.append(fv)
+            ins[t].setdefault(e.v, []).append(fv)
+            outs[t].setdefault(e.u, []).append(fv)
             constraints.append(
                 Constraint(
                     name=names.compose("cpl", names.token(e.u), names.token(e.v), t),
@@ -409,50 +418,41 @@ def build_ilp(instance: TemporalInstance) -> IlpModel:
         for v in instance.vertices:
             if v in (a, b):
                 continue
-            ins = [
-                (1, fv_of[(i, t)])
-                for i, e in enumerate(instance.edges)
-                if e.v == v and t in eff[i]
-            ]
-            outs = [
-                (-1, fv_of[(i, t)])
-                for i, e in enumerate(instance.edges)
-                if e.u == v and t in eff[i]
-            ]
-            if not ins and not outs:
-                continue
-            conservation.append(
-                Constraint(
-                    name=names.compose("cons", t, names.token(v)),
-                    terms=tuple(ins + outs),
-                    sense="=",
-                    rhs=0,
+            terms = [(1, fv) for fv in ins[t].get(v, ())]
+            terms += [(-1, fv) for fv in outs[t].get(v, ())]
+            if terms:
+                conservation.append(
+                    Constraint(
+                        name=names.compose("cons", t, names.token(v)),
+                        terms=tuple(terms),
+                        sense="=",
+                        rhs=0,
+                    )
                 )
-            )
     source_rows: list[Constraint] = []
     sink_rows: list[Constraint] = []
     for t in range(1, instance.num_times + 1):
-        outs = [
-            (1, fv_of[(i, t)])
-            for i, e in enumerate(instance.edges)
-            if e.u == a and t in eff[i]
-        ]
-        ins = [
-            (1, fv_of[(i, t)])
-            for i, e in enumerate(instance.edges)
-            if e.v == b and t in eff[i]
-        ]
-        if not outs or not ins:
+        if a not in outs[t] or b not in ins[t]:
             raise InfeasibleInstanceError(Demand(a, b, t), f"no flow possible at time {t}")
         source_rows.append(
-            Constraint(name=names.compose("src", t), terms=tuple(outs), sense="=", rhs=1)
+            Constraint(
+                name=names.compose("src", t),
+                terms=tuple((1, fv) for fv in outs[t][a]),
+                sense="=",
+                rhs=1,
+            )
         )
         sink_rows.append(
-            Constraint(name=names.compose("snk", t), terms=tuple(ins), sense="=", rhs=1)
+            Constraint(
+                name=names.compose("snk", t),
+                terms=tuple((1, fv) for fv in ins[t][b]),
+                sense="=",
+                rhs=1,
+            )
         )
 
     all_constraints = tuple(constraints + conservation + source_rows + sink_rows)
-    binaries = tuple(sorted({*edge_var, *fv_of.values()}))
+    binaries = tuple(sorted({*edge_var, *flow_vars}))
     return IlpModel(objective=tuple(objective), constraints=all_constraints, binaries=binaries)
 
 
@@ -525,65 +525,75 @@ def emit_lp(model: IlpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lp_number(txt: str, kind, row: str):
+    """`kind(txt)` for kind int or Fraction; InputError naming the row otherwise."""
+    try:
+        return kind(txt)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"malformed number {txt!r} in LP row {row!r}") from None
+
+
 def parse_lp(text: str) -> IlpModel:
-    """Parse text produced by emit_lp back into the model it was written from."""
+    """Parse text produced by emit_lp back into the model it was written from.
+
+    Text that emit_lp cannot have written raises InputError.
+    """
     scale = 1
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
+    lines = [ln.strip() for ln in text.splitlines()]
     idx = 0
     while idx < len(lines) and lines[idx].startswith("\\"):
         if "objective-scale:" in lines[idx]:
-            scale = int(lines[idx].split(":")[1].strip())
+            scale = _lp_number(lines[idx].split(":", 1)[1].strip(), int, lines[idx])
+            if scale < 1:
+                raise InputError(f"objective scale must be positive, got {scale}")
         idx += 1
-    if idx >= len(lines) or lines[idx].strip() != "Minimize":
+    head = lines[idx:idx + 3]
+    if head[:1] != ["Minimize"]:
         raise InputError("LP text must start with Minimize")
-    idx += 1
-    obj_line = lines[idx].strip()
-    idx += 1
-    if not obj_line.startswith("obj:"):
+    if len(head) < 2 or not head[1].startswith("obj:"):
         raise InputError("missing objective row")
+    if head[2:] != ["Subject To"]:
+        raise InputError("missing Subject To section")
+    obj_line = head[1]
+    idx += 3
     objective: list[tuple[Fraction, str]] = []
     body = obj_line[len("obj:"):].strip()
     if body != "0":
         for chunk in body.split(" + "):
-            coef_txt, var = chunk.rsplit(" ", 1)
-            objective.append((Fraction(coef_txt) / scale, var))
-    if lines[idx].strip() != "Subject To":
-        raise InputError("missing Subject To section")
-    idx += 1
+            coef_txt, _, var = chunk.rpartition(" ")
+            if not coef_txt:
+                raise InputError(f"objective term {chunk!r} is not 'coefficient variable'")
+            objective.append((_lp_number(coef_txt, Fraction, obj_line) / scale, var))
     constraints: list[Constraint] = []
-    while idx < len(lines) and lines[idx].strip() != "Binary":
-        row = lines[idx].strip()
+    while idx < len(lines) and lines[idx] != "Binary":
+        row = lines[idx]
         idx += 1
-        name, rest = row.split(":", 1)
+        name, colon, rest = row.partition(":")
         tokens = rest.split()
-        sense_pos = next(j for j, tok in enumerate(tokens) if tok in (">=", "=", "<="))
-        rhs = int(tokens[sense_pos + 1])
-        sense = tokens[sense_pos]
+        if not colon or len(tokens) < 2 or tokens[-2] not in (">=", "="):
+            raise InputError(f"LP row {row!r} is not 'name: terms sense rhs'")
+        sense, rhs = tokens[-2], _lp_number(tokens[-1], int, row)
         terms: list[tuple[int, str]] = []
         j = 0
         sign = 1
-        while j < sense_pos:
+        while j < len(tokens) - 2:
             tok = tokens[j]
-            if tok == "+":
-                sign = 1
+            if tok in ("+", "-"):
+                sign = 1 if tok == "+" else -1
                 j += 1
                 continue
-            if tok == "-":
-                sign = -1
-                j += 1
-                continue
-            coef = sign * int(tok)
-            var = tokens[j + 1]
-            terms.append((coef, var))
+            if j + 1 >= len(tokens) - 2:
+                raise InputError(f"LP row {row!r} ends in a coefficient without a variable")
+            terms.append((sign * _lp_number(tok, int, row), tokens[j + 1]))
             sign = 1
             j += 2
         constraints.append(Constraint(name.strip(), tuple(terms), sense, rhs))
-    if idx >= len(lines) or lines[idx].strip() != "Binary":
+    if idx >= len(lines):
         raise InputError("missing Binary section")
     idx += 1
     binaries: list[str] = []
-    while idx < len(lines) and lines[idx].strip() != "End":
-        binaries.append(lines[idx].strip())
+    while idx < len(lines) and lines[idx] != "End":
+        binaries.append(lines[idx])
         idx += 1
     return IlpModel(
         objective=tuple(objective),

@@ -70,17 +70,25 @@ def phlc_weakly_satisfies(h: KphlcInstance, labeling: Sequence[Sequence[int]], m
     return len(set(cols)) < len(cols)
 
 
-def phlc_agreeing_tuples(h: KphlcInstance, m: int) -> list[tuple[int, ...]]:
-    tables = h.projections[m]
+def _color_buckets(h: KphlcInstance, m: int) -> list[list[list[int]]]:
+    """One bucket per color that every part's table of hyperedge m uses:
+    each part's labels of that color, in label order."""
     by_color: dict[int, list[list[int]]] = {}
-    for c in range(h.num_colors):
-        per_part = [[l for l in range(h.num_labels) if tables[t][l] == c] for t in range(h.k)]
-        if all(per_part):
-            by_color[c] = per_part
-    out: list[tuple[int, ...]] = []
-    for c in sorted(by_color):
-        out.extend(product(*by_color[c]))
-    return sorted(out)
+    for t, table in enumerate(h.projections[m]):
+        for l in range(h.num_labels):
+            parts = by_color.get(table[l])
+            if parts is None:
+                parts = by_color[table[l]] = [[] for _ in range(h.k)]
+            parts[t].append(l)
+    return [parts for c, parts in by_color.items() if 0 <= c < h.num_colors and all(parts)]
+
+
+def _tuples(buckets: list[list[list[int]]]) -> list[tuple[int, ...]]:
+    return sorted(tup for parts in buckets for tup in product(*parts))
+
+
+def phlc_agreeing_tuples(h: KphlcInstance, m: int) -> list[tuple[int, ...]]:
+    return _tuples(_color_buckets(h, m))
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +260,68 @@ def _fallback_contact(part: int, pos: int, label: int, m: int) -> tuple[str, str
 # Hypergraph construction (k demands)
 
 
+def _incidence(h: KphlcInstance) -> list[list[list[int]]]:
+    """Per part and vertex, the hyperedges through that vertex, in edge order."""
+    incident: list[list[list[int]]] = [[[] for _ in part] for part in h.parts]
+    for m, e in enumerate(h.edges):
+        for t, i in enumerate(e):
+            incident[t][i].append(m)
+    return incident
+
+
+def _gadget_edges(
+    h: KphlcInstance, incident: list[list[list[int]]], buckets: list[list[list[list[int]]]]
+) -> int:
+    """Edge count of the compiled gadget, from the color buckets alone.
+
+    A vertex without hyperedges is one wire.  Otherwise each (vertex,
+    label, incident hyperedge) holds one contact path per agreeing tuple
+    through that label, or one fallback path: two wires and a contact each,
+    where a tuple's contact is shared by all k frames.  So a bucket gives
+    the product of its part sizes in tuples, each with k paths and one
+    contact, and a label in no bucket gives a fallback path.  Products
+    saturate just above MAX_FIRST_TIME_ENTRIES: the count is exact up to
+    that cap and stays above it past it.
+    """
+    cap = MAX_FIRST_TIME_ENTRIES + 1
+    edges = sum(1 for part in incident for through in part if not through)
+    for edge_buckets in buckets:
+        agreeing = 0
+        fallback = h.k * h.num_labels
+        for parts in edge_buckets:
+            n = 1
+            for labels in parts:
+                n = min(n * len(labels), cap)
+                fallback -= len(labels)
+            agreeing += n
+        edges += (2 * h.k + 1) * agreeing + 3 * fallback
+    return edges
+
+
 def phlc_to_kdtsn(h: KphlcInstance) -> tuple[TemporalInstance, GadgetTrace]:
     """Compile a k-partite constraint hypergraph into a k-frame instance.
 
     Frame t chains one bundle per part-t vertex; a strand exists per label,
     chaining one sub-bundle per incident hyperedge with one contact path per
     agreeing label k-tuple.  Tuple paths are shared across all k frames.
+    A gadget of more than MAX_FIRST_TIME_ENTRIES edges is refused before
+    anything is built.
     """
+    incidence = _incidence(h)
+    buckets = [_color_buckets(h, m) for m in range(len(h.edges))]
+    size = _gadget_edges(h, incidence, buckets)
+    if size > MAX_FIRST_TIME_ENTRIES:
+        raise InputError(
+            f"gadget would need at least {size} edges, more than {MAX_FIRST_TIME_ENTRIES}"
+        )
     b = _Builder()
     bundles: list[BundleInfo] = []
-    agreeing = [phlc_agreeing_tuples(h, m) for m in range(len(h.edges))]
+    agreeing = [_tuples(edge_buckets) for edge_buckets in buckets]
     for t in range(h.k):
         part_no = t + 1
-        for i in range(len(h.parts[t])):
+        for i, incident in enumerate(incidence[t]):
             src = b.vertex(_endpoint(part_no, i + 1))
             snk = b.vertex(_endpoint(part_no, i + 2))
-            incident = [m for m, e in enumerate(h.edges) if e[t] == i]
             if not incident:
                 b.wire(src, snk, part_no)
                 bundles.append(BundleInfo(part_no, i, src, snk, ()))

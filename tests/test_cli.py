@@ -533,6 +533,14 @@ class TestGen:
         assert_one_input_error(proc)
         assert not (tmp_path / "i.json").exists()
 
+    def test_huge_compiled_gadget_is_an_input_error(self, tmp_path):
+        # the constraint graph passes its own guard (600,000 table entries),
+        # but the compiled gadget would hold about 1.8 million edges
+        proc = run_capped("gen", "--kind", "lc-yes", "--u", "1", "--v", "1000",
+                          "--degree", "1000", "--sigma", "300", "-o", "i.json", cwd=tmp_path)
+        assert_one_input_error(proc)
+        assert not (tmp_path / "i.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["--kind", "lc-yes", "--u", "2", "--v", "2", "--degree", "0"],
         ["--kind", "phlc-yes", "--edges", "0"],

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from tsn.core import (
     FrameIndex,
     InfeasibleInstanceError,
+    InputError,
     InternalError,
+    effective_times,
     is_feasible,
     make_instance,
     solution_cost,
@@ -486,6 +488,88 @@ def _random_simple_instance(rng, max_mid=2, max_edges=4, max_k=2):
     return inst
 
 
+def _flow_rows_by_scan(inst, model):
+    """(terms, sense, rhs) of the conservation, source and sink rows, rebuilt
+    from the model's coupling rows by a direct scan.  Coupling rows tie an
+    edge's variable to its flow variables in increasing time order, so each
+    row names one (edge, time, flow variable)."""
+    a, b = inst.demands[0].a, inst.demands[0].b
+    times = {var: sorted(effective_times(inst, i)) for i, var in enumerate(model.edge_var)}
+    arcs = []
+    for con in model.constraints:
+        if con.kind == "coupling":
+            (_, dvar), (_, fv) = con.terms
+            i = model.edge_var.index(dvar)
+            arcs.append((inst.edges[i], times[dvar].pop(0), fv))
+    rows = {"conservation": [], "source": [], "sink": []}
+    for t in range(1, inst.num_times + 1):
+        for v in inst.vertices:
+            if v in (a, b):
+                continue
+            terms = [(1, fv) for e, s, fv in arcs if s == t and e.v == v]
+            terms += [(-1, fv) for e, s, fv in arcs if s == t and e.u == v]
+            if terms:
+                rows["conservation"].append((tuple(terms), "=", 0))
+    for t in range(1, inst.num_times + 1):
+        rows["source"].append((tuple((1, fv) for e, s, fv in arcs if s == t and e.u == a), "=", 1))
+        rows["sink"].append((tuple((1, fv) for e, s, fv in arcs if s == t and e.v == b), "=", 1))
+    return rows
+
+
+def _name_collision_instance():
+    """Vertex names that fuse under "_" joins: (a, b_c) and (a_b, c) share
+    d_a_b_c, and the flow variable of c->b at time 2 meets the edge
+    variable of c->b_2."""
+    return make_instance(
+        directed=True, variant="edge", num_times=2,
+        vertices=["a", "a_b", "b_c", "b", "c", "c_1", "b_2"],
+        edges=[("a", "b_c", 1, (1, 2)), ("a_b", "c", 2, (1, 2)), ("a", "a_b", 1, (1, 2)),
+               ("b_c", "b", 1, (1,)), ("c", "b", 1, (2,)), ("c", "c_1", 1, (1, 2)),
+               ("c_1", "b", 3, (1, 2)), ("c", "b_2", 1, (1, 2)), ("b_2", "b", 1, (1, 2))],
+        demands=[("a", "b", 1), ("a", "b", 2)],
+    )
+
+
+class TestIlpRows:
+    def test_flow_rows_match_a_direct_scan(self):
+        rng = random.Random(67)
+        gadget, _ = phlc_to_kdtsn(gen_yes_lc(3, 3, 2, 3, seed=1))
+        cases = [_name_collision_instance(), to_simple(normalize(gadget, "node")[0])[0]]
+        while len(cases) < 42:
+            cases.append(_random_simple_instance(rng, max_mid=4, max_edges=10, max_k=3))
+        built = 0
+        for inst in cases:
+            try:
+                model = build_ilp(inst)
+            except InfeasibleInstanceError:
+                continue
+            kinds = [c.kind for c in model.constraints]
+            assert kinds == sorted(kinds, key=["coupling", "conservation", "source", "sink"].index)
+            got = {
+                kind: [(c.terms, c.sense, c.rhs) for c in model.constraints if c.kind == kind]
+                for kind in ("conservation", "source", "sink")
+            }
+            assert got == _flow_rows_by_scan(inst, model)
+            built += 1
+        assert built >= 20
+
+    def test_uniquified_names_are_pinned(self):
+        model = build_ilp(_name_collision_instance())
+        assert model.binaries == (
+            "d_a_a_b", "d_a_a_b_1", "d_a_a_b_2", "d_a_b_c", "d_a_b_c_1", "d_a_b_c_2",
+            "d_a_b_c__2", "d_a_b_c__2_1", "d_a_b_c__2_2", "d_b_2_b", "d_b_2_b_1", "d_b_2_b_2",
+            "d_b_c_b", "d_b_c_b_1", "d_c_1_b", "d_c_1_b_1", "d_c_1_b_2", "d_c_b", "d_c_b_2",
+            "d_c_b_2_1", "d_c_b_2_2", "d_c_b_2__2", "d_c_c_1", "d_c_c_1_1", "d_c_c_1_2",
+        )
+        assert [c.name for c in model.constraints] == [
+            "cpl_a_b_c_1", "cpl_a_b_c_2", "cpl_a_b_c_1__2", "cpl_a_b_c_2__2", "cpl_a_a_b_1",
+            "cpl_a_a_b_2", "cpl_b_c_b_1", "cpl_c_b_2", "cpl_c_c_1_1", "cpl_c_c_1_2",
+            "cpl_c_1_b_1", "cpl_c_1_b_2", "cpl_c_b_2_1", "cpl_c_b_2_2", "cpl_b_2_b_1",
+            "cpl_b_2_b_2", "cons_1_a_b", "cons_1_b_c", "cons_1_c", "cons_1_c_1", "cons_1_b_2",
+            "cons_2_a_b", "cons_2_b_c", "cons_2_c", "cons_2_c_1", "cons_2_b_2",
+            "src_1", "src_2", "snk_1", "snk_2",
+        ]
+
 class TestIlpValidity:
     def test_satisfying_assignments_project_onto_feasible_solutions(self):
         rng = random.Random(59)
@@ -618,6 +702,25 @@ class TestLpFormat:
         # distinct raw vertices must stay distinct variables
         assert len({v for _, v in model.objective}) == len(inst.edges)
         assert models_equivalent(parse_lp(emit_lp(model)), model)
+
+    @pytest.mark.parametrize("text", [
+        "Minimize\n obj: 1 x\nSubject To\n c1 1 x = 1\nBinary\n x\nEnd\n",
+        "Minimize\n obj: 1 x\nSubject To\n c1: 1 x 1\nBinary\n x\nEnd\n",
+        "Minimize\n obj: 1 x\n",
+        "Minimize\n obj: 1 x\nSubject To\n c1: 1 x + y = 1\nBinary\n x\nEnd\n",
+        "Minimize\n obj: 1 x\nSubject To\n c1: 1 x = one\nBinary\n x\nEnd\n",
+        "Minimize\n obj: 1/0 x\nSubject To\nBinary\n x\nEnd\n",
+        "Minimize\n obj: x\nSubject To\nBinary\n x\nEnd\n",
+        "\\ objective-scale: 0\nMinimize\n obj: 1 x\nSubject To\nBinary\n x\nEnd\n",
+        "Minimize\n obj: 1 x\nSubject To\n c1: 1 x = 1\n",
+        "Minimize\n obj: 1 x\nSubject To\n c1: 1 x <= 1\nBinary\n x\nEnd\n",
+    ], ids=["row-without-colon", "row-without-sense", "ends-after-objective",
+            "term-without-coefficient", "rhs-not-a-number", "zero-denominator",
+            "objective-without-coefficient", "zero-scale", "no-binary-section",
+            "sense-emit-lp-never-writes"])
+    def test_malformed_text_is_an_input_error(self, text):
+        with pytest.raises(InputError):
+            parse_lp(text)
 
     def test_example1_simple_image_exports_and_optimum_is_one(self):
         inst, _ = phlc_to_kdtsn(example1_label_cover())

@@ -5,7 +5,9 @@ JSON) and pushes it through `reduce --to simple --map` (`--to node` for the
 undirected case, which the simple form does not accept), `solve --method
 ilp-export --lp` (directed only), `solve --method bb -o` and `approx
 --method union -o`.  Two small monotonic instances cover the `priority-st`
-and `dst` reductions.  The pinned digests catch any byte-level change in
+and `dst` reductions.  Two large gadgets, the biggest of the export
+benchmark, go through `gen` and `solve --method ilp-export` only, so the
+LP writer is pinned on models of thousands of rows.  The pinned digests catch any byte-level change in
 file output, so a refactor that claims to preserve behaviour can be checked
 against them.
 """
@@ -30,6 +32,14 @@ CASES = {
     ],
     "phlc-yes": ["--kind", "phlc-yes", "--k", "3", "--part-sizes", "2,1,2", "--edges", "2", "--sigma", "2", "--seed", "3"],
     "phlc-nosat": ["--kind", "phlc-nosat", "--k", "3", "--part-sizes", "1,2,1", "--edges", "2", "--sigma", "2"],
+}
+
+EXPORT_CASES = {
+    "lc-yes-12": ["--kind", "lc-yes", "--u", "12", "--v", "12", "--degree", "4", "--sigma", "4", "--seed", "0"],
+    "phlc-yes-k5": [
+        "--kind", "phlc-yes", "--k", "5", "--part-sizes", "3,3,3,3,3", "--edges", "6", "--sigma", "3",
+        "--seed", "0",
+    ],
 }
 
 GOLDEN: dict[str, dict[str, str]] = {
@@ -81,6 +91,14 @@ GOLDEN: dict[str, dict[str, str]] = {
         "source.json": "b44baaa941e7b4e67d3e0a9951fb6c2fab65da7e2621cb3dde12c1e87f31e206",
         "trace.json": "a057f787b9610dfcc50903fc75763f335a3651ca44554864e552939b24a7d85d",
         "union.json": "ff4876f857fabef383a0930a1ddca78fc0c6e3663af558f906584c2ed1b4135a",
+    },
+    "lc-yes-12": {
+        "instance.json": "c8ded202f5741bc1458f7d97081688052a4390ed77312d468fff46c7d7c04b46",
+        "model.lp": "5b8b08df7e64bbaed25dd94faeda704758b24761fb2b2486447ab94eaf055607",
+    },
+    "phlc-yes-k5": {
+        "instance.json": "5219a8b1e2be388b840dcb2bf3c31b7ab728e43febbf90af7944a804354c8ca2",
+        "model.lp": "c14e486398c8888098b7f244e3bbcabe4b5499cc18a08dca4468293fa06ca207",
     },
     "monotonic": {
         "directed.json": "0f734482b1ed017645e1bf059870bb721d51c76c7bbf781503fa844510f17a7f",
@@ -161,6 +179,20 @@ def run_monotonic_reductions(workdir) -> dict[str, str]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_files_are_pinned(case, tmp_path, capsys):
     digests = run_corpus_case(CASES[case], tmp_path)
+    capsys.readouterr()
+    assert digests == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(EXPORT_CASES))
+def test_large_ilp_exports_are_pinned(case, tmp_path, capsys):
+    inst = tmp_path / "instance.json"
+    digests = run_commands(
+        [
+            ["gen", *EXPORT_CASES[case], "-o", inst],
+            ["solve", "-i", inst, "--method", "ilp-export", "--lp", tmp_path / "model.lp"],
+        ],
+        tmp_path,
+    )
     capsys.readouterr()
     assert digests == GOLDEN[case]
 

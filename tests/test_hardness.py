@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from tsn.approx import metric_closure
-from tsn.core import instance_to_dict, is_acyclic, validate
+from tsn.core import MAX_FIRST_TIME_ENTRIES, InputError, instance_to_dict, is_acyclic, validate
 from tsn.exact import brute_force, solve_bb
 from tsn.hardness import (
     KphlcInstance,
@@ -24,6 +24,11 @@ from tsn.hardness import (
     phlc_weakly_satisfies,
     trace_to_dict,
 )
+from tsn.hardness import _color_buckets, _gadget_edges, _incidence
+
+
+def _buckets(h):
+    return [_color_buckets(h, m) for m in range(len(h.edges))]
 
 
 def opt(instance):
@@ -225,6 +230,41 @@ class TestGenerators:
             h = gen_yes_phlc(3, [2, 1, 2], 2, 2, seed=seed)
             inst2, trace2 = phlc_to_kdtsn(h)
             gadget_wellformed(inst2, trace2)
+
+    @pytest.mark.parametrize("h", [
+        example1_label_cover(),
+        gen_yes_lc(3, 3, 2, 3, seed=1),
+        gen_yes_lc(2, 2, 0, 2, seed=0),
+        gen_yes_lc(1, 30, 30, 8, seed=2),
+        gen_yes_phlc(4, [2, 3, 1, 4], 5, 4, seed=7),
+        gen_nosat_phlc(3, [1, 2, 1], 2, 2),
+    ], ids=["example1", "lc-yes", "lc-no-edges", "lc-wide", "phlc-yes", "phlc-nosat"])
+    def test_size_guard_counts_the_compiled_edges(self, h):
+        inst, _ = phlc_to_kdtsn(h)
+        assert _gadget_edges(h, _incidence(h), _buckets(h)) == len(inst.edges)
+
+    def test_gadget_over_the_cap_is_refused(self):
+        # one hyperedge whose 1001 x 1001 label pairs all agree: about
+        # 5 million edges from a constraint graph of 2002 table entries
+        labels = (0,) * 1001
+        h = KphlcInstance(parts=(("u",), ("v",)), edges=((0, 0),), num_labels=1001,
+                          num_colors=1, projections=((labels, labels),))
+        assert _gadget_edges(h, _incidence(h), _buckets(h)) > MAX_FIRST_TIME_ENTRIES
+        with pytest.raises(InputError, match="gadget would need"):
+            phlc_to_kdtsn(h)
+
+    @pytest.mark.parametrize("h", [
+        gen_yes_lc(3, 3, 2, 4, seed=5),
+        gen_yes_phlc(3, [2, 1, 2], 3, 3, seed=4),
+        gen_nosat_phlc(3, [1, 2, 1], 2, 2),
+    ], ids=["lc-yes", "phlc-yes", "phlc-nosat"])
+    def test_agreeing_tuples_match_literal_enumeration(self, h):
+        for m, tables in enumerate(h.projections):
+            literal = [
+                tup for tup in product(range(h.num_labels), repeat=h.k)
+                if len({tables[t][l] for t, l in enumerate(tup)}) == 1
+            ]
+            assert phlc_agreeing_tuples(h, m) == literal
 
 
 class TestCanonicalSignature:
