@@ -13,11 +13,16 @@ The union and `metric_closure` run Dijkstra on `core.FrameIndex`, whose
 weights are scaled to ints by the LCM of their denominators;
 `metric_closure` keeps the scaled ints, keyed by vertex name.  The greedy
 searches on them: densities are compared by cross-multiplication, and
-`Fraction` appears only in the returned `ClosureTree` edges and cost.  It
-relies on the instance being monotonic (frames nest, so closure
-reachability is transitive): its memo is keyed on (level, sub-root,
-sub-budget, residual pairs reachable from the sub-root at or after its
-time), and each sub-call receives only that residual.
+`Fraction` appears only in the returned `ClosureTree` edges and cost, one
+cached `Fraction` per closure distance.  It relies on the instance being
+monotonic (frames nest, so closure reachability is transitive): each
+sub-call receives only the residual pairs reachable from its sub-root at or
+after its time.  The closure numbers the (vertex, time) pairs as bits and
+keeps, per sub-root, its sorted successor pairs with their hops and reach
+masks, built on first use; the memo is keyed on the ints (level, sub-root
+bit, sub-budget, live pairs & reach mask).  The mask is exact because,
+within one top-level call, a demand pair sits in every residual either with
+its full multiplicity or not at all.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ from .variants import lift_chain, normalize
 
 Pair = tuple[str, int]  # (vertex, time)
 
+_ZERO = Fraction(0)
+
 # Deepest greedy level `charikar` accepts.  A level-i call recurses i deep,
 # and a tracer that wraps each call doubles the frames per level, so the cap
 # stays far below Python's default recursion limit of 1000.
@@ -64,6 +71,8 @@ class MetricClosure:
     t times `scale`, the LCM of the edge-weight denominators, an int;
     unreachable pairs are absent.  `distance` gives the exact length.
     pred[(u, v, t)] = (w, edge_id) gives the last hop of one such path.
+    The distance `Fraction`s and the greedy's pair bits, reach masks and
+    successor lists are cached on the object, each built on first use.
     """
 
     num_times: int
@@ -74,9 +83,63 @@ class MetricClosure:
 
     def distance(self, u: str, v: str, t: int) -> Optional[Fraction]:
         if u == v:
-            return Fraction(0)
-        d = self.scaled.get((u, v, t))
-        return None if d is None else Fraction(d, self.scale)
+            return _ZERO
+        key = (u, v, t)
+        d = self._distances.get(key)
+        if d is None:
+            s = self.scaled.get(key)
+            if s is None:
+                return None
+            d = self._distances[key] = Fraction(s, self.scale)
+        return d
+
+    @cached_property
+    def _distances(self) -> dict[tuple[str, str, int], Fraction]:
+        return {}
+
+    @cached_property
+    def bits(self) -> dict[Pair, int]:
+        """Bit index of each (vertex, time) pair, time 0 included:
+        vertex index * (T + 1) + time."""
+        width = self.num_times + 1
+        return {(v, t): n * width + t for n, v in enumerate(self.vertices) for t in range(width)}
+
+    @cached_property
+    def _reach(self) -> dict[Pair, int]:
+        """Bit mask of what each pair (v, t), t >= 1, reaches: itself and
+        every (w, t') with t' >= t and w == v or a v->w path in frame t'."""
+        scaled, bits = self.scaled, self.bits
+        reach: dict[Pair, int] = {}
+        for v in self.vertices:
+            mask = 0
+            for t in range(self.num_times, 0, -1):
+                for w in self.vertices:
+                    if w == v or (v, w, t) in scaled:
+                        mask |= 1 << bits[(w, t)]
+                reach[(v, t)] = mask
+        return reach
+
+    @cached_property
+    def _successors(self) -> dict[Pair, list[tuple[Pair, int, int, int]]]:
+        return {}
+
+    def successors(self, root: Pair) -> list[tuple[Pair, int, int, int]]:
+        """The pairs (v, t) other than root with t >= max(root's time, 1)
+        that root's vertex reaches in frame t, in sorted order, each as
+        (pair, scaled hop from root's vertex, reach mask, bit index); built
+        on the first request for root."""
+        out = self._successors.get(root)
+        if out is None:
+            u, t0 = root
+            out = []
+            for v in self.vertices:
+                for t in range(max(t0, 1), self.num_times + 1):
+                    hop = _hop(self, u, (v, t))
+                    if hop is not None and (v, t) != root:
+                        out.append(((v, t), hop, self._reach[(v, t)], self.bits[(v, t)]))
+            out.sort()
+            self._successors[root] = out
+        return out
 
     def path_edges(self, u: str, v: str, t: int) -> list[int]:
         if u == v:
@@ -232,14 +295,22 @@ def charikar_level(
     is contained in frame t' for t <= t' and closure reachability between
     pairs is transitive.  A level-(i-1) sub-call at pair p can then only
     see the residual pairs at time >= p's time reachable from p; it gets
-    just those, and the memo `_cache` is keyed on (i-1, p, sub-budget, that
-    restricted residual).  Costs are compared as scaled ints by
-    cross-multiplication; each memo entry keeps its tree's scaled cost and
-    the number of residual entries it covers.  `_stats` counts "calls"
-    (invocations) and "memo_hits".
+    just those.  Each candidate comes from `closure.successors(root)` with
+    the bit mask of the pairs it reaches, and the memo `_cache` is keyed on
+    the ints (i-1, p's bit, sub-budget, live pairs & p's reach mask).  The
+    mask stands for the whole restricted residual because, inside one
+    top-level call tree, a demand pair is in a residual either with its
+    full top-level multiplicity or not at all: a round removes whole pairs
+    and a sub-residual keeps or drops whole pairs.  So `_cache` must serve
+    one top-level call only; each sub-call adds one entry.  Costs are
+    compared as scaled ints by cross-multiplication; each memo entry keeps
+    its tree's scaled cost and the number of residual entries it covers.
+    `_stats` counts "calls" (invocations) and "memo_hits".
     """
     if i < 1:
         raise InputError("level must be a positive integer")
+    if k < 0:
+        raise InputError(f"the budget k must be non-negative, got {k}")
     if _cache is None:
         _cache = {}
     if _stats is not None:
@@ -247,8 +318,11 @@ def charikar_level(
         _stats.setdefault("memo_hits", 0)
 
     root_v, root_t = root
+    bits = closure.bits
     counts: dict[Pair, int] = {}
     for p in demands:
+        if p not in bits:
+            raise InputError(f"demand pair {p} is no (vertex, time) pair of the closure")
         if p[1] >= root_t and _hop(closure, root_v, p) is not None:
             counts[p] = counts.get(p, 0) + 1
     reachable_entries = sum(counts.values())
@@ -274,16 +348,7 @@ def charikar_level(
             covered=covered_pairs(root, edges, counts),
         )
 
-    candidates = []
-    for v in closure.vertices:
-        for t in range(max(root_t, 1), closure.num_times + 1):
-            hop = _hop(closure, root_v, (v, t))
-            if hop is not None and (v, t) != root:
-                candidates.append(((v, t), hop))
-    candidates.sort()
-    scaled = closure.scaled
     level = i - 1
-
     tree_edges: list[tuple[Pair, Pair, Fraction]] = []
     tree_nodes: set[Pair] = {root}
     remaining = k
@@ -293,20 +358,26 @@ def charikar_level(
         remaining -= counts.pop(root)
     while remaining > 0:
         residual = _expand(counts)
+        live = sum(1 << bits[p] for p in counts)
+        repeats = [(1 << bits[p], c - 1) for p, c in counts.items() if c > 1]
         hits = 0
         best = None  # (scaled cost, newly covered, |nodes|, pair, subtree)
-        for pair, hop in candidates:
-            v, t = pair
-            sub_residual = tuple(
-                q for q in residual
-                if q[1] >= t and (q[0] == v or (v, q[0], q[1]) in scaled)
-            )
-            for sub_k in range(min(remaining, len(sub_residual)), 0, -1):
-                key = (level, pair, sub_k, sub_residual)
+        for pair, hop, reach, bit in closure.successors(root):
+            sub_mask = live & reach
+            if not sub_mask:
+                continue
+            # residual entries the sub-call at pair can reach
+            cap = sub_mask.bit_count()
+            for b, extra in repeats:
+                if sub_mask & b:
+                    cap += extra
+            for sub_k in range(min(remaining, cap), 0, -1):
+                key = (level, bit, sub_k, sub_mask)
                 entry = _cache.get(key)
                 if entry is None:
-                    # sub_residual is exactly what the sub-call can reach,
-                    # so its count check holds
+                    # exactly what the sub-call can reach, so its count
+                    # check holds
+                    sub_residual = tuple(q for q in residual if sub_mask >> bits[q] & 1)
                     sub = charikar_level(level, closure, pair, sub_k, sub_residual, _cache, _stats)
                     entry = _cache[key] = (
                         sub, _scaled_cost(closure, sub), sum(counts[p] for p in sub.covered)

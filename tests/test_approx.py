@@ -15,6 +15,7 @@ from tsn.approx import (
 )
 from tsn.core import (
     InfeasibleInstanceError,
+    InputError,
     is_feasible,
     make_instance,
 )
@@ -107,6 +108,16 @@ class TestMetricClosure:
                         d2 = closure.distance(u, v, t + 1)
                         if d1 is not None:
                             assert d2 is not None and d2 <= d1
+
+    def test_distance_is_one_cached_fraction_per_triple(self):
+        inst = make_instance(
+            directed=True, variant="edge", num_times=1, vertices=["a", "b"],
+            edges=[("a", "b", Fraction(3, 2), (1,))], demands=[],
+        )
+        closure = metric_closure(inst)
+        d = closure.distance("a", "b", 1)
+        assert d == Fraction(3, 2) and closure.distance("a", "b", 1) is d
+        assert closure.distance("b", "a", 1) is None
 
 
 class TestShortestPathsUnion:
@@ -219,6 +230,41 @@ class TestCharikarLevel:
         closure = metric_closure(inst)
         with pytest.raises(NoSolutionError):
             charikar_level(1, closure, ("a", 0), 1, [("c", 1)])
+
+    @pytest.mark.parametrize("level, k, pair", [(0, 1, ("b", 2)), (2, -1, ("b", 2)),
+                                                (2, 1, ("b", 3)), (1, 1, ("z", 1))],
+                             ids=["level-below-1", "negative-k", "time-past-T", "unknown-vertex"])
+    def test_bad_arguments_are_input_errors(self, level, k, pair):
+        inst = make_instance(
+            directed=True, variant="edge", num_times=2,
+            vertices=["s", "b"], edges=[("s", "b", 1, (1, 2))], demands=[("s", "b", 2)],
+        )
+        with pytest.raises(InputError):
+            charikar_level(level, metric_closure(inst), ("s", 0), k, [pair])
+
+    def test_every_sub_call_goes_through_the_module_name(self, monkeypatch):
+        # a tracer that wraps `tsn.approx.charikar_level` must see every
+        # call the greedy counts, and read the memo as its sixth argument:
+        # one entry per sub-call
+        import tsn.approx
+
+        real = tsn.approx.charikar_level
+        seen = []
+
+        def counting(*args, **kwargs):
+            cache = kwargs.get("_cache", args[5] if len(args) > 5 else None)
+            seen.append(cache)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tsn.approx, "charikar_level", counting)
+        inst = rand_monotonic_single_source(
+            random.Random(7), max_vertices=9, max_edges=24, max_times=4, max_demands=6
+        )
+        stats = {}
+        charikar(inst, 3, stats)
+        assert len(seen) == stats["calls"] > 1
+        assert all(cache is seen[0] for cache in seen)
+        assert len(seen[0]) == stats["calls"] - 1
 
     def test_time_monotone_along_edges(self):
         rng = random.Random(35)
@@ -377,6 +423,43 @@ class TestGreedyPinned:
         stats = {}
         assert charikar(inst, 3, stats).cost == 5
         assert stats == {"calls": 212, "memo_hits": 2072}
+
+    def test_repeated_pairs_are_pinned_with_calls_and_memo_hits(self):
+        # digest taken before the memo key became a bitmask of the live
+        # pairs; any change to a tree, its cover, its cost or to the number
+        # of calls and memo hits that built it changes it
+        assert repeated_pairs_digest() == "017a50c961b64a9f7f70c2ab2f146900d33680978c6b9cef9da7cd910e367ebf"
+
+
+def repeated_pairs_digest():
+    """sha256 over every `charikar_level` tree, cover and cost, and the calls
+    and memo hits behind it, at levels 1-3 and every budget k, on a seeded
+    corpus whose demand multisets repeat pairs (up to three copies each)."""
+    rng = random.Random(2718)
+    h = hashlib.sha256()
+    for _ in range(150):
+        inst = rand_monotonic_single_source(
+            rng, max_vertices=7, max_edges=14, max_times=4, max_demands=4,
+            require_feasible=False, weights=MIXED_WEIGHTS,
+        )
+        closure = metric_closure(inst)
+        pairs = [(d.b, d.t) for d in inst.demands]
+        pairs += [rng.choice(pairs) for _ in range(rng.randint(1, 4))]
+        rng.shuffle(pairs)
+        root = (inst.demands[0].a, 0)
+        for level in (1, 2, 3):
+            for k in range(1, len(pairs) + 1):
+                stats = {}
+                try:
+                    tree = charikar_level(level, closure, root, k, pairs, _stats=stats)
+                except NoSolutionError:
+                    h.update(f"{level} {k} none {stats}\n".encode())
+                    continue
+                edges = [(p, c, str(w)) for p, c, w in tree.edges]
+                record = (level, k, sorted(tree.nodes), edges, tree.covered, str(tree.cost),
+                          stats["calls"], stats["memo_hits"])
+                h.update(repr(record).encode() + b"\n")
+    return h.hexdigest()
 
 
 TIED_WEIGHTS = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2)]
