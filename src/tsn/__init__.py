@@ -22,7 +22,6 @@ from .exact import brute_force, build_ilp, emit_lp, parse_lp, solve_bb
 from .approx import charikar, charikar_level, expand_tree, metric_closure, shortest_paths_union
 from .variants import (
     ReductionMap,
-    lift_solution,
     node_edge_to_node,
     node_to_edge,
     normalize,

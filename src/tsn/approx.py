@@ -11,8 +11,10 @@ exactly -- intermediate hops may use any non-decreasing times.
 
 The union and `metric_closure` run Dijkstra on `core.FrameIndex`, whose
 weights are scaled to ints by the LCM of their denominators;
-`metric_closure` keeps the scaled ints, keyed by vertex name.  The greedy
-searches on them: densities are compared by cross-multiplication, and
+`metric_closure` keeps the index and the scaled `dist` list of each
+(source, time), and every concrete path, in the union and in the tree
+expansion, is one `FrameIndex.path` walk.  The greedy searches on the
+scaled ints: densities are compared by cross-multiplication, and
 `Fraction` appears only in the returned `ClosureTree` edges and cost, one
 cached `Fraction` per closure distance.  It relies on the instance being
 monotonic (frames nest, so closure reachability is transitive): each
@@ -65,21 +67,21 @@ class NoSolutionError(Exception):
 
 @dataclass(frozen=True)
 class MetricClosure:
-    """Per-time all-pairs shortest-path table with path reconstruction.
+    """Per-time all-pairs shortest-path table over a frame index.
 
-    scaled[(u, v, t)] is the length of the shortest u->v path inside frame
-    t times `scale`, the LCM of the edge-weight denominators, an int;
-    unreachable pairs are absent.  `distance` gives the exact length.
-    pred[(u, v, t)] = (w, edge_id) gives the last hop of one such path.
-    The distance `Fraction`s and the greedy's pair bits, reach masks and
-    successor lists are cached on the object, each built on first use.
+    dist[(u, t)] is the list `index.shortest_paths(t, index.ids[u])`
+    returns for each vertex u and time t in 1..T: by vertex id, the length
+    of the shortest u->v path inside frame t times `index.scale`, the LCM
+    of the edge-weight denominators, or None when v is unreachable.
+    `distance` gives the exact length and `path_edges` the edges of that
+    path.  The distance `Fraction`s and the greedy's pair bits, reach masks
+    and successor lists are cached on the object, each built on first use.
     """
 
     num_times: int
     vertices: tuple[str, ...]
-    pred: dict[tuple[str, str, int], tuple[str, int]]
-    scaled: dict[tuple[str, str, int], int]
-    scale: int
+    index: FrameIndex
+    dist: dict[tuple[str, int], list[Optional[int]]]
 
     def distance(self, u: str, v: str, t: int) -> Optional[Fraction]:
         if u == v:
@@ -87,10 +89,10 @@ class MetricClosure:
         key = (u, v, t)
         d = self._distances.get(key)
         if d is None:
-            s = self.scaled.get(key)
+            s = _hop(self, u, (v, t))
             if s is None:
                 return None
-            d = self._distances[key] = Fraction(s, self.scale)
+            d = self._distances[key] = Fraction(s, self.index.scale)
         return d
 
     @cached_property
@@ -108,13 +110,14 @@ class MetricClosure:
     def _reach(self) -> dict[Pair, int]:
         """Bit mask of what each pair (v, t), t >= 1, reaches: itself and
         every (w, t') with t' >= t and w == v or a v->w path in frame t'."""
-        scaled, bits = self.scaled, self.bits
+        ids, bits = self.index.ids, self.bits
         reach: dict[Pair, int] = {}
         for v in self.vertices:
             mask = 0
             for t in range(self.num_times, 0, -1):
+                row = self.dist[(v, t)]
                 for w in self.vertices:
-                    if w == v or (v, w, t) in scaled:
+                    if w == v or row[ids[w]] is not None:
                         mask |= 1 << bits[(w, t)]
                 reach[(v, t)] = mask
         return reach
@@ -144,48 +147,32 @@ class MetricClosure:
     def path_edges(self, u: str, v: str, t: int) -> list[int]:
         if u == v:
             return []
-        if (u, v, t) not in self.scaled:
+        if _hop(self, u, (v, t)) is None:
             raise InputError(f"no {u}->{v} path in frame {t}")
-        out: list[int] = []
-        cur = v
-        while cur != u:
-            prev, eid = self.pred[(u, cur, t)]
-            out.append(eid)
-            cur = prev
-        out.reverse()
-        return out
+        ids = self.index.ids
+        return self.index.path(t, ids[u], ids[v])
 
 
 def metric_closure(instance: TemporalInstance) -> MetricClosure:
     """Dijkstra from every vertex in every frame (edge-variant instances),
-    on the frame index's scaled int weights; the table holds up to |V|^2 * T
-    entries."""
+    on the frame index's scaled int weights; the table holds |V| * T lists
+    of |V| entries."""
     if instance.variant != "edge":
         raise InputError("metric_closure expects an edge-variant instance")
     if len(instance.vertices) ** 2 * instance.num_times > MAX_FIRST_TIME_ENTRIES:
         raise InputError(f"the metric closure would hold |V|^2 * T entries, "
                          f"more than {MAX_FIRST_TIME_ENTRIES}")
     index = FrameIndex(instance)
-    names = index.names
-    scaled: dict[tuple[str, str, int], int] = {}
-    pred: dict[tuple[str, str, int], tuple[str, int]] = {}
-    for t in range(1, instance.num_times + 1):
-        for s in instance.vertices:
-            d, p = index.shortest_paths(t, index.ids[s])
-            for v, dv in enumerate(d):
-                if dv is None:
-                    continue
-                key = (s, names[v], t)
-                scaled[key] = dv
-                if p[v] is not None:
-                    prev, eid = p[v]
-                    pred[key] = (names[prev], eid)
+    dist = {
+        (s, t): index.shortest_paths(t, index.ids[s])[0]
+        for t in range(1, instance.num_times + 1)
+        for s in instance.vertices
+    }
     return MetricClosure(
         num_times=instance.num_times,
         vertices=tuple(instance.vertices),
-        pred=pred,
-        scaled=scaled,
-        scale=index.scale,
+        index=index,
+        dist=dist,
     )
 
 
@@ -206,14 +193,10 @@ def shortest_paths_union(instance: TemporalInstance) -> Solution:
     for d in edge_inst.demands:
         if d.a == d.b:
             continue
-        a, b = index.ids[d.a], index.ids[d.b]
-        dist, pred = index.shortest_paths(d.t, a)
-        if dist[b] is None:
+        path = index.path(d.t, index.ids[d.a], index.ids[d.b])
+        if path is None:
             raise InfeasibleInstanceError(d)
-        cur = b
-        while cur != a:
-            cur, eid = pred[cur]
-            union.add(eid)
+        union.update(path)
     image_sol = solution_from_edges(edge_inst, union)
     return lift_chain(steps, image_sol, instance)
 
@@ -266,8 +249,15 @@ def _merge(base_edges: list, base_nodes: set, extra: Iterable, root: Pair) -> No
 
 
 def _hop(closure: MetricClosure, u: str, pair: Pair) -> Optional[int]:
-    """Scaled closure distance from u to pair's vertex in pair's frame."""
-    return 0 if u == pair[0] else closure.scaled.get((u, pair[0], pair[1]))
+    """Scaled closure distance from u to pair's vertex in pair's frame: 0
+    when the vertices agree, None when there is no path or u, the vertex
+    or the time is outside the closure."""
+    v, t = pair
+    if u == v:
+        return 0
+    row = closure.dist.get((u, t))
+    i = closure.index.ids.get(v)
+    return None if row is None or i is None else row[i]
 
 
 def _scaled_cost(closure: MetricClosure, tree: ClosureTree) -> int:

@@ -172,14 +172,15 @@ def cmd_solve(args) -> int:
         return EXIT_OK
     else:
         raise InputError(f"unknown method {args.method!r}")
+    feasible = is_feasible(instance, solution)
     if args.output:
-        dump_json(solution_to_dict(solution, is_feasible(instance, solution)), args.output)
+        dump_json(solution_to_dict(solution, feasible), args.output)
     _report(
         "solve",
         instance,
         method=args.method,
         cost=str(solution.cost),
-        feasible=True,
+        feasible=feasible,
         stats=stats,
         wall_time_s=round(time.perf_counter() - started, 6),
     )
@@ -419,15 +420,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except InfeasibleInstanceError as exc:
+    except (InfeasibleInstanceError, approx_mod.NoSolutionError) as exc:
         print(json.dumps({"command": args.command, "error": "infeasible", "detail": str(exc)}))
         return EXIT_INFEASIBLE
     except InputError as exc:
         print(json.dumps({"command": args.command, "error": "input", "detail": str(exc)}))
         return EXIT_INPUT
-    except approx_mod.NoSolutionError as exc:
-        print(json.dumps({"command": args.command, "error": "infeasible", "detail": str(exc)}))
-        return EXIT_INFEASIBLE
     except InternalError as exc:
         print(json.dumps({"command": args.command, "error": "internal", "detail": str(exc)}))
         return EXIT_INTERNAL

@@ -13,7 +13,8 @@ vertices interned to ints in name order, effective times computed once,
 weights scaled to ints by the LCM of their denominators, one cached
 adjacency list per frame and one reversed per demand, one reachability test
 behind the feasibility check and the reverse delete, one shortest-path
-search, and Wong's dual ascent, the branch and bound's lower bound.
+search with one walk along the path it picks (`path`), and Wong's dual
+ascent, the branch and bound's lower bound.
 """
 
 from __future__ import annotations
@@ -488,6 +489,19 @@ class FrameIndex:
                     pred[y] = (x, i)
                     heapq.heappush(heap, (nd, y))
         return dist, pred
+
+    def path(self, t: int, a: int, b: int) -> Optional[list[int]]:
+        """The edge ids, in order, of the a->b path in frame t that
+        `shortest_paths(t, a)` picks; None when b is unreachable."""
+        dist, pred = self.shortest_paths(t, a)
+        if dist[b] is None:
+            return None
+        out: list[int] = []
+        while b != a:
+            b, i = pred[b]
+            out.append(i)
+        out.reverse()
+        return out
 
 
 def is_feasible(instance: TemporalInstance, solution: Solution | Iterable[int]) -> bool:

@@ -135,11 +135,11 @@ def node_to_edge(instance: TemporalInstance) -> tuple[TemporalInstance, Reductio
     return image, rmap
 
 
-def _embed(instance: TemporalInstance, target: str) -> tuple[TemporalInstance, ReductionMap]:
+def _embed(instance: TemporalInstance) -> tuple[TemporalInstance, ReductionMap]:
     """Identity embeddings into the node_and_edge variant, which list the
     times 1..T per vertex (edge input) or per edge (node input)."""
-    if target != "node_and_edge" or instance.variant not in ("edge", "node"):
-        raise InputError(f"no embedding from {instance.variant} to {target}")
+    if instance.variant not in ("edge", "node"):
+        raise InputError(f"no embedding from {instance.variant} to node_and_edge")
     owners = instance.vertices if instance.variant == "edge" else instance.edges
     if instance.num_times * len(owners) > MAX_FIRST_TIME_ENTRIES:
         raise InputError(f"embedding into node_and_edge would list T * {len(owners)} times, "
@@ -183,11 +183,11 @@ def normalize(
                 cur, m = node_to_edge(cur)
         elif target_variant == "node":
             if cur.variant == "edge":
-                cur, m = _embed(cur, "node_and_edge")
+                cur, m = _embed(cur)
             else:
                 cur, m = node_edge_to_node(cur)
         else:
-            cur, m = _embed(cur, "node_and_edge")
+            cur, m = _embed(cur)
         steps.append(m)
     return cur, steps
 
@@ -293,10 +293,3 @@ def lift_chain(
     for rmap in reversed(steps):
         ids = _lift_ids(rmap, ids)
     return solution_from_edges(original, ids)
-
-
-def lift_solution(
-    rmap: ReductionMap, image_solution: Solution, original: TemporalInstance
-) -> Solution:
-    """lift_chain() over the single step `rmap`."""
-    return lift_chain([rmap], image_solution, original)

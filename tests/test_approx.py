@@ -119,6 +119,41 @@ class TestMetricClosure:
         assert d == Fraction(3, 2) and closure.distance("a", "b", 1) is d
         assert closure.distance("b", "a", 1) is None
 
+    def test_arguments_outside_the_closure(self):
+        # times outside 1..T and unknown vertices have no distance and no
+        # path; equal endpoints have distance 0 and the empty path, even
+        # for an unknown vertex or time
+        inst = make_instance(
+            directed=True, variant="edge", num_times=2, vertices=["s", "a", "b"],
+            edges=[("s", "a", 1, (1, 2)), ("a", "b", 2, (2,))], demands=[("s", "b", 2)],
+        )
+        closure = metric_closure(inst)
+        for u, v, t in [("s", "a", 0), ("s", "a", 3), ("s", "zz", 1), ("zz", "a", 1),
+                        ("b", "a", 1), ("s", "b", 1)]:
+            assert closure.distance(u, v, t) is None
+            with pytest.raises(InputError, match=f"no {u}->{v} path in frame {t}"):
+                closure.path_edges(u, v, t)
+        for u, t in [("zz", 1), ("zz", 0), ("s", 0), ("s", 7), ("a", 1)]:
+            assert closure.distance(u, u, t) == 0
+            assert closure.path_edges(u, u, t) == []
+        assert closure.distance("s", "b", 2) == 3
+        assert closure.path_edges("s", "b", 2) == [0, 1]
+        assert closure.successors(("zz", 1)) == [] and closure.successors(("s", 5)) == []
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize(
+        "root, pair",
+        [(("s", 0), ("a", 0)), (("zz", 0), ("a", 1)), (("s", 3), ("a", 1))],
+        ids=["time-0-demand", "unknown-root", "root-past-T"],
+    )
+    def test_greedy_finds_nothing_outside_the_closure(self, level, root, pair):
+        inst = make_instance(
+            directed=True, variant="edge", num_times=2, vertices=["s", "a", "b"],
+            edges=[("s", "a", 1, (1, 2)), ("a", "b", 2, (2,))], demands=[("s", "b", 2)],
+        )
+        with pytest.raises(NoSolutionError, match="only 0 residual demands"):
+            charikar_level(level, metric_closure(inst), root, 1, [pair])
+
 
 class TestShortestPathsUnion:
     def test_single_demand_is_one_shortest_path(self):
@@ -475,7 +510,7 @@ def _shuffled_vertices(rng, inst):
 
 
 def tie_break_digest():
-    """sha256 over the closure `pred` tables and the union solutions on a
+    """sha256 over every closure path and the union solutions on a
     seeded corpus of random monotonic and random instances whose few
     distinct weights make equal-cost paths common."""
     rng = random.Random(5813)
@@ -493,7 +528,14 @@ def tie_break_digest():
             )
         inst = _shuffled_vertices(rng, inst)
         closure = metric_closure(normalize(inst, "edge")[0])
-        h.update(repr(sorted(closure.pred.items())).encode() + b"\n")
+        paths = [
+            (u, v, t, closure.path_edges(u, v, t))
+            for t in range(1, closure.num_times + 1)
+            for u in sorted(closure.vertices)
+            for v in sorted(closure.vertices)
+            if u != v and closure.distance(u, v, t) is not None
+        ]
+        h.update(repr(paths).encode() + b"\n")
         try:
             sol = shortest_paths_union(inst)
         except InfeasibleInstanceError as exc:
@@ -508,10 +550,10 @@ class TestTieBreaks:
     the `vertices` list: the shortest-path heap pops the smaller name first
     and a vertex's last hop changes only for a strictly shorter path."""
 
-    def test_pred_and_union_are_pinned_on_tied_weight_corpus(self):
-        # digest taken before the closure and the union moved onto the
-        # shared frame index
-        assert tie_break_digest() == "cc46685bebebf96788088bd99053ad0df65e02865bd60ac9b9e07bbe2f1a2a63"
+    def test_paths_and_union_are_pinned_on_tied_weight_corpus(self):
+        # digest taken while the closure still walked its own name-keyed
+        # last-hop table, so it pins that the paths did not move
+        assert tie_break_digest() == "0a837eaae8d8db005775f5e5d77eb895db3c5e21708d46036fd94703bea1240a"
 
     def test_equal_cost_paths_break_by_name_not_input_order(self):
         # s->y->t and s->x->t both cost 2; x < y by name, but the vertex
@@ -524,6 +566,5 @@ class TestTieBreaks:
             demands=[("s", "t", 1)],
         )
         closure = metric_closure(inst)
-        assert closure.pred[("s", "t", 1)] == ("x", 3)
         assert closure.path_edges("s", "t", 1) == [2, 3]
         assert shortest_paths_union(inst).edges == (2, 3)

@@ -297,6 +297,20 @@ class TestSolve:
         assert json.loads(captured.out)["error"] == "input"
         assert captured.err == ""
 
+    def test_report_checks_feasibility(self, tmp_path, capsys, example1_file, monkeypatch):
+        # a solver that returns an infeasible solution must not be reported
+        # feasible, with or without -o
+        from tsn import exact
+        from tsn.core import Solution
+
+        monkeypatch.setattr(exact, "solve_bb", lambda *_: Solution((), Fraction(0)))
+        code, out = run(capsys, "solve", "-i", example1_file, "--method", "bb")
+        assert code == 0 and json.loads(out)["feasible"] is False
+        sol = tmp_path / "sol.json"
+        code, out = run(capsys, "solve", "-i", example1_file, "--method", "bb", "-o", sol)
+        assert code == 0 and json.loads(out)["feasible"] is False
+        assert load_json(str(sol))["feasible"] is False
+
     def test_failed_invariant_exits_three(self, tmp_path, capsys, example1_file, monkeypatch):
         # a feasibility check that rejects every subset breaks brute force's
         # invariant that a feasible instance has an optimum; the explicit

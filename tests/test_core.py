@@ -5,6 +5,7 @@ import pytest
 
 from tsn.core import (
     Demand,
+    FrameIndex,
     InputError,
     effective_times,
     instance_from_dict,
@@ -116,6 +117,47 @@ class TestFrame:
             node_activity={"u": (1, 2), "v": (1, 2)},
         )
         assert effective_times(inst, 0) == {2}
+
+
+class TestFrameIndexPath:
+    """`FrameIndex.path` walks the path that `shortest_paths` picks."""
+
+    def test_edge_ids_in_path_order(self):
+        # the cheap route a->c->b->d uses edges 2, 1, 3, listed out of order
+        inst = make_instance(
+            directed=True, variant="edge", num_times=2, vertices=["a", "b", "c", "d"],
+            edges=[("a", "b", 5, (1, 2)), ("c", "b", 1, (1, 2)), ("a", "c", 1, (1, 2)),
+                   ("b", "d", 1, (2,))],
+            demands=[],
+        )
+        index = FrameIndex(inst)
+        a, b, d = index.ids["a"], index.ids["b"], index.ids["d"]
+        assert index.path(1, a, b) == [2, 1]
+        assert index.path(2, a, d) == [2, 1, 3]
+        assert index.path(1, a, a) == []
+
+    def test_unreachable_is_none(self):
+        inst = make_instance(
+            directed=True, variant="edge", num_times=2, vertices=["a", "b"],
+            edges=[("a", "b", 1, (2,))], demands=[],
+        )
+        index = FrameIndex(inst)
+        a, b = index.ids["a"], index.ids["b"]
+        assert index.path(1, a, b) is None
+        assert index.path(2, b, a) is None
+        assert index.path(2, a, b) == [0]
+
+    def test_equal_cost_paths_break_by_name(self):
+        # s->y->t and s->x->t both cost 2; x < y by name, but the vertex
+        # list and the edge ids both put y first
+        inst = make_instance(
+            directed=True, variant="edge", num_times=1, vertices=["t", "y", "x", "s"],
+            edges=[("s", "y", 1, (1,)), ("y", "t", 1, (1,)),
+                   ("s", "x", 1, (1,)), ("x", "t", 1, (1,))],
+            demands=[],
+        )
+        index = FrameIndex(inst)
+        assert index.path(1, index.ids["s"], index.ids["t"]) == [2, 3]
 
 
 class TestSatisfies:

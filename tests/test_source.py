@@ -67,6 +67,22 @@ def test_package_imports_only_stdlib():
     assert found == []
 
 
+def test_only_core_imports_heapq():
+    # one Dijkstra: every shortest path comes from core.FrameIndex
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if "heapq" in names:
+                found.append(path.relative_to(SOURCE).as_posix())
+    assert found == ["core.py"]
+
+
 def test_benchmark_imports_resolve():
     # the benchmark under perfbench/ imports program names by hand; a rename
     # in src/tsn must not leave it importing a name that is gone

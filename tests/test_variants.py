@@ -14,7 +14,6 @@ from tsn.exact import brute_force
 from tsn.hardness import example1_label_cover, phlc_to_kdtsn
 from tsn.variants import (
     lift_chain,
-    lift_solution,
     node_edge_to_node,
     node_to_edge,
     normalize,
@@ -77,7 +76,7 @@ class TestNodeEdgeToNode:
                 continue
             img_sol = image_opt(image)
             assert img_sol.cost == orig_opt.cost
-            lifted = lift_solution(rmap, img_sol, inst)
+            lifted = lift_chain([rmap], img_sol, inst)
             assert is_feasible(inst, lifted)
             assert lifted.cost == orig_opt.cost
             done += 1
@@ -134,7 +133,7 @@ class TestNodeToEdge:
                 continue
             img_sol = image_opt(image)
             assert img_sol.cost == orig_opt.cost
-            lifted = lift_solution(rmap, img_sol, inst)
+            lifted = lift_chain([rmap], img_sol, inst)
             assert is_feasible(inst, lifted)
             assert lifted.cost == orig_opt.cost
             done += 1
@@ -189,7 +188,7 @@ class TestToSimple:
                 continue
             img_sol = image_opt(image)
             assert img_sol.cost == orig_opt.cost
-            lifted = lift_solution(rmap, img_sol, inst)
+            lifted = lift_chain([rmap], img_sol, inst)
             assert is_feasible(inst, lifted)
             assert lifted.cost == orig_opt.cost
             done += 1
@@ -208,7 +207,7 @@ class TestLift:
             node_activity={"s": (1,), "d": (1,)},
         )
         image, rmap = to_simple(inst)
-        lifted = lift_solution(rmap, image_opt(image), inst)
+        lifted = lift_chain([rmap], image_opt(image), inst)
         assert lifted.edges == () and lifted.cost == 0
 
     def test_example1_sized_node_and_edge_round_trip(self):
@@ -223,7 +222,7 @@ class TestLift:
         )
         image, rmap = node_edge_to_node(ne)
         img_sol = image_opt(image)
-        lifted = lift_solution(rmap, img_sol, ne)
+        lifted = lift_chain([rmap], img_sol, ne)
         assert lifted.cost == img_sol.cost == 1
         assert is_feasible(ne, lifted)
 
