@@ -57,11 +57,10 @@ def _digest(instance: TemporalInstance) -> dict:
     }
 
 
-_ARGV_ECHO: list[str] = []
-
-
-def _report(command: str, instance: Optional[TemporalInstance], **extra) -> None:
-    rep: dict = {"command": command, "argv": list(_ARGV_ECHO)}
+def _report(args, instance: Optional[TemporalInstance], **extra) -> None:
+    """Print the stdout report: the command and argv of `args`, the
+    instance's digest when there is one, then `extra` in order."""
+    rep: dict = {"command": args.command, "argv": args.argv}
     if instance is not None:
         rep["digest"] = _digest(instance)
     rep.update(extra)
@@ -87,7 +86,7 @@ def cmd_validate(args) -> int:
     instance = instance_from_dict(load_json(args.input))
     violations = validate(instance)
     _report(
-        "validate",
+        args,
         instance if not violations else None,
         violations=violations,
         ok=not violations,
@@ -132,10 +131,29 @@ def cmd_reduce(args) -> int:
     if args.map:
         dump_json({"steps": [variants.reduction_map_to_dict(m) for m in steps]}, args.map)
     _report(
-        "reduce",
+        args,
         instance,
         target=args.to,
         output=args.output,
+        wall_time_s=round(time.perf_counter() - started, 6),
+    )
+    return EXIT_OK
+
+
+def _solution_report(args, instance, solution, stats: dict, started: float, **extra) -> int:
+    """The tail of `solve` and `approx`: check the solution, write it to
+    `-o` when given, and report it; `extra` goes between method and cost."""
+    feasible = is_feasible(instance, solution)
+    if args.output:
+        dump_json(solution_to_dict(solution, feasible), args.output)
+    _report(
+        args,
+        instance,
+        method=args.method,
+        **extra,
+        cost=str(solution.cost),
+        feasible=feasible,
+        stats=stats,
         wall_time_s=round(time.perf_counter() - started, 6),
     )
     return EXIT_OK
@@ -161,30 +179,18 @@ def cmd_solve(args) -> int:
         with open(args.lp, "w", encoding="ascii") as fh:
             fh.write(exact.emit_lp(model))
         _report(
-            "solve",
+            args,
             instance,
             method=args.method,
             lp=args.lp,
-            variables=model.variable_count(),
+            variables=len(model.binaries),
             constraints=len(model.constraints),
             wall_time_s=round(time.perf_counter() - started, 6),
         )
         return EXIT_OK
     else:
         raise InputError(f"unknown method {args.method!r}")
-    feasible = is_feasible(instance, solution)
-    if args.output:
-        dump_json(solution_to_dict(solution, feasible), args.output)
-    _report(
-        "solve",
-        instance,
-        method=args.method,
-        cost=str(solution.cost),
-        feasible=feasible,
-        stats=stats,
-        wall_time_s=round(time.perf_counter() - started, 6),
-    )
-    return EXIT_OK
+    return _solution_report(args, instance, solution, stats, started)
 
 
 def cmd_approx(args) -> int:
@@ -197,20 +203,8 @@ def cmd_approx(args) -> int:
         solution = approx_mod.charikar(instance, args.level, stats)
     else:
         raise InputError(f"unknown method {args.method!r}")
-    feasible = is_feasible(instance, solution)
-    if args.output:
-        dump_json(solution_to_dict(solution, feasible), args.output)
-    _report(
-        "approx",
-        instance,
-        method=args.method,
-        level=args.level if args.method == "charikar" else None,
-        cost=str(solution.cost),
-        feasible=feasible,
-        stats=stats,
-        wall_time_s=round(time.perf_counter() - started, 6),
-    )
-    return EXIT_OK
+    level = args.level if args.method == "charikar" else None
+    return _solution_report(args, instance, solution, stats, started, level=level)
 
 
 def _generate(kind: str, args):
@@ -242,7 +236,7 @@ def cmd_gen(args) -> int:
     if args.source:
         dump_json(source, args.source)
     _report(
-        "gen",
+        args,
         instance,
         kind=args.kind,
         seed=args.seed,
@@ -257,7 +251,7 @@ def cmd_verify(args) -> int:
     solution, claimed_feasible = solution_from_dict(load_json(args.solution))
     if solution is None:
         ok = first_unsatisfiable_demand(instance) is not None
-        _report("verify", instance, ok=ok, note="infeasibility marker")
+        _report(args, instance, ok=ok, note="infeasibility marker")
         return EXIT_OK if ok else EXIT_INPUT
     problems = []
     if len(set(solution.edges)) != len(solution.edges):
@@ -271,7 +265,7 @@ def cmd_verify(args) -> int:
         actual = is_feasible(instance, solution)
         if actual != claimed_feasible:
             problems.append(f"feasible flag mismatch: file says {claimed_feasible}, actual {actual}")
-    _report("verify", instance, ok=not problems, problems=problems)
+    _report(args, instance, ok=not problems, problems=problems)
     return EXIT_OK if not problems else EXIT_INPUT
 
 
@@ -413,11 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    _ARGV_ECHO[:] = list(argv) if argv is not None else sys.argv[1:]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    args.argv = list(argv) if argv is not None else sys.argv[1:]
     try:
         return args.func(args)
     except (InfeasibleInstanceError, approx_mod.NoSolutionError) as exc:

@@ -12,9 +12,10 @@ are never used.
 vertices interned to ints in name order, effective times computed once,
 weights scaled to ints by the LCM of their denominators, one cached
 adjacency list per frame and one reversed per demand, one reachability test
-behind the feasibility check and the reverse delete, one shortest-path
-search with one walk along the path it picks (`path`), and Wong's dual
-ascent, the branch and bound's lower bound.
+and one demand loop over it (`first_unmet`) behind the exact solvers'
+infeasibility check, the feasibility check and the reverse delete, one
+shortest-path search with one walk along the path it picks (`path`), and
+Wong's dual ascent, the branch and bound's lower bound.
 """
 
 from __future__ import annotations
@@ -276,10 +277,10 @@ class FrameIndex:
     ints.  `frame(t)` gives, per vertex, the `(head, edge id)` pairs leaving
     it at time t in edge-id order, both directions when the instance is
     undirected; each frame is built on first use and cached.  `demands` keeps
-    the demands whose endpoints differ as `(tail, head, frame)`; demands with
-    equal endpoints are met by the empty path.  `reverse[j]` is demand j's
-    frame with its arcs turned round, and `dual_ascent` bounds the cost of
-    meeting a set of demands from below.
+    the demands whose endpoints differ, in input order, as `(tail, head,
+    frame, demand)`; demands with equal endpoints are met by the empty path.
+    `reverse[j]` is demand j's frame with its arcs turned round, and
+    `dual_ascent` bounds the cost of meeting a set of demands from below.
     """
 
     def __init__(self, instance: TemporalInstance):
@@ -298,7 +299,7 @@ class FrameIndex:
         self.weight = [e.w.numerator * (self.scale // e.w.denominator) for e in instance.edges]
         self._frames: dict[int, list[list[tuple[int, int]]]] = {}
         self.demands = [
-            (self.ids[d.a], self.ids[d.b], self.frame(d.t))
+            (self.ids[d.a], self.ids[d.b], self.frame(d.t), d)
             for d in instance.demands if d.a != d.b
         ]
 
@@ -317,7 +318,7 @@ class FrameIndex:
     def reaches(self, j: int, member) -> bool:
         """Does demand j have a path in its frame over the edges i with
         `member[i]` set?"""
-        a, b, frame = self.demands[j]
+        a, b, frame, _ = self.demands[j]
         seen = {a}
         stack = [a]
         while stack:
@@ -329,15 +330,20 @@ class FrameIndex:
                     stack.append(y)
         return False
 
+    def first_unmet(self, member) -> Optional[Demand]:
+        """The first demand, in input order, that the edges i with
+        `member[i]` set leave unmet; None when they meet every demand."""
+        for j in range(len(self.demands)):
+            if not self.reaches(j, member):
+                return self.demands[j][3]
+        return None
+
     def feasible(self, chosen: Iterable[int]) -> bool:
         """Do the chosen edges meet every demand?"""
         member = bytearray(len(self.weight))
         for i in chosen:
             member[i] = 1
-        for j in range(len(self.demands)):
-            if not self.reaches(j, member):
-                return False
-        return True
+        return self.first_unmet(member) is None
 
     def reverse_delete(self, member: bytearray, candidates: Iterable[int]) -> None:
         """Drop from `member`, in the order of `candidates`, each edge whose
@@ -345,10 +351,8 @@ class FrameIndex:
         every candidate kept stays necessary."""
         for e in candidates:
             member[e] = 0
-            for j in range(len(self.demands)):
-                if not self.reaches(j, member):
-                    member[e] = 1
-                    break
+            if self.first_unmet(member) is not None:
+                member[e] = 1
 
     @cached_property
     def reverse(self) -> list[list[list[tuple[int, int]]]]:
@@ -357,7 +361,7 @@ class FrameIndex:
         reverse.  Demands of one time share one list."""
         reverse: dict[int, list[list[tuple[int, int]]]] = {}
         out = []
-        for _, _, frame in self.demands:
+        for _, _, frame, _ in self.demands:
             radj = reverse.get(id(frame))
             if radj is None:
                 radj = frame
@@ -429,7 +433,7 @@ class FrameIndex:
         # per demand: [tail, S as a vertex bytearray, reverse frame, cut arcs]
         active = []
         for j in unmet:
-            a, b, _ = self.demands[j]
+            a, b, _, _ = self.demands[j]
             inside = bytearray(self.num_vertices)
             inside[b] = 1
             radj = self.reverse[j]
@@ -693,11 +697,8 @@ def instance_from_dict(data: dict) -> TemporalInstance:
     )
 
 
-def solution_to_dict(solution: Solution | None, feasible: bool) -> dict:
-    """`feasible` is the caller's check of the solution; None writes the
-    infeasibility marker."""
-    if solution is None:
-        return {"edges": [], "cost": None, "feasible": False}
+def solution_to_dict(solution: Solution, feasible: bool) -> dict:
+    """`feasible` is the caller's check of the solution."""
     return {"edges": list(solution.edges), "cost": str(solution.cost), "feasible": feasible}
 
 

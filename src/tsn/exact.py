@@ -14,15 +14,17 @@ Both run on `core.FrameIndex`, built once per instance: vertices interned to
 ints, one adjacency list of `(head, edge id)` pairs per frame and its
 reverse per demand, weights scaled to ints by the least common multiple of
 their denominators, and Wong's dual ascent on the cut relaxation (a lower
-bound and reduced costs).  The search is an iterative depth-first search
-that sets and resets a per-edge decision byte in place.  At the root, the
-dual ascent gives a lower bound; the edges of reduced cost 0, thinned by
-`FrameIndex.reverse_delete`, give an incumbent; and every edge whose
-reduced cost lifts the bound past that incumbent is excluded (reduced-cost
-fixing).  Below the root, `FrameIndex.reaches` finds the demands a node's
-included edges leave unmet, and one dual ascent over them prunes it.  Costs
-return to `Fraction` only through `solution_from_edges`, so results stay
-exact and no float is ever used.
+bound and reduced costs).  Each builds its index first and names an
+infeasible instance by `FrameIndex.first_unmet` over every edge: the first
+demand in input order that no edge set meets.  The search is an iterative
+depth-first search that sets and resets a per-edge decision byte in place.
+At the root, the dual ascent gives a lower bound; the edges of reduced cost
+0, thinned by `FrameIndex.reverse_delete`, give an incumbent; and every
+edge whose reduced cost lifts the bound past that incumbent is excluded
+(reduced-cost fixing).  Below the root, `FrameIndex.reaches` finds the
+demands a node's included edges leave unmet, and one dual ascent over them
+prunes it.  Costs return to `Fraction` only through `solution_from_edges`,
+so results stay exact and no float is ever used.
 
 `build_ilp`/`emit_lp`/`parse_lp` realise the per-time unit-flow integer
 program over simple single-source/single-sink instances.  An `IlpModel`
@@ -54,7 +56,6 @@ from .core import (
     Solution,
     TemporalInstance,
     effective_times,
-    first_unsatisfiable_demand,
     solution_from_edges,
 )
 
@@ -96,12 +97,11 @@ def brute_force(instance: TemporalInstance, cap: Optional[int] = None) -> Soluti
         raise BruteForceCapError(
             f"instance has {len(edges)} edges, brute-force cap is {cap}"
         )
-    bad = first_unsatisfiable_demand(instance)
-    if bad is not None:
-        raise InfeasibleInstanceError(bad)
-
     index = FrameIndex(instance)
     weight = index.weight
+    bad = index.first_unmet(b"\x01" * len(weight))
+    if bad is not None:
+        raise InfeasibleInstanceError(bad)
     pos = [i for i, w in enumerate(weight) if w > 0]
     zeros = [i for i, w in enumerate(weight) if w == 0]
 
@@ -180,14 +180,13 @@ def solve_bb(
     optimum in branch order whatever the bounds prune.  It is iterative, so
     its depth is not bounded by the interpreter's recursion limit.
     """
-    bad = first_unsatisfiable_demand(instance)
+    fidx = FrameIndex(instance)
+    weight = fidx.weight
+    bad = fidx.first_unmet(b"\x01" * len(weight))
     if bad is not None:
         raise InfeasibleInstanceError(bad)
     if stats is None:
         stats = BbStats()
-
-    fidx = FrameIndex(instance)
-    weight = fidx.weight
     order = sorted(
         range(len(weight)),
         key=lambda i: (-weight[i], -len(fidx.eff[i]), i),
@@ -300,9 +299,6 @@ class IlpModel:
     def edge_var(self) -> tuple[str, ...]:
         """The decision variable of each underlying edge, in edge order."""
         return tuple(var for _, var in self.objective)
-
-    def variable_count(self) -> int:
-        return len(self.binaries)
 
 
 class _LpNames:

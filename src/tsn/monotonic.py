@@ -196,7 +196,6 @@ class DstInstance:
     edges: tuple[DstEdge, ...]
     root: str
     terminals: tuple[str, ...]
-    back_vertex: dict[str, tuple[str, int]]
     source_instance: TemporalInstance
 
 
@@ -226,11 +225,6 @@ def single_source_to_dst(instance: TemporalInstance) -> DstInstance:
     vertices = [
         _copy_name(v, i) for i in range(1, k + 1) for v in instance.vertices
     ]
-    back = {
-        _copy_name(v, i): (v, i)
-        for i in range(1, k + 1)
-        for v in instance.vertices
-    }
     edges: list[DstEdge] = []
     for lvl, j in enumerate(order, start=1):
         t = instance.demands[j].t
@@ -252,7 +246,6 @@ def single_source_to_dst(instance: TemporalInstance) -> DstInstance:
         edges=tuple(edges),
         root=_copy_name(source, 1),
         terminals=terminals,
-        back_vertex=back,
         source_instance=instance,
     )
 

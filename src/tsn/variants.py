@@ -34,12 +34,6 @@ class ReductionMap:
     aux_edges: tuple[int, ...] = ()  # zero-weight image-only edges
     dropped_edges: tuple[int, ...] = ()  # originals with no usable image
 
-    def image_edges_of(self, orig: int) -> tuple[int, ...]:
-        for o, imgs in self.forward_edge_map:
-            if o == orig:
-                return imgs
-        return ()
-
 
 def reduction_map_to_dict(rmap: ReductionMap) -> dict:
     return {

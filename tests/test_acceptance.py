@@ -293,11 +293,11 @@ def test_criterion_8_ilp_validity(capsys):
             model = build_ilp(inst)
         except InfeasibleInstanceError:
             continue
-        if model.variable_count() > 14:
+        if len(model.binaries) > 14:
             continue
         projections = set()
         best = None
-        for bits in product((0, 1), repeat=model.variable_count()):
+        for bits in product((0, 1), repeat=len(model.binaries)):
             values = dict(zip(model.binaries, bits))
             if not assignment_satisfies(model, values):
                 continue

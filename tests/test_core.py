@@ -1,13 +1,16 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from tsn.core import (
+    VARIANTS,
     Demand,
     FrameIndex,
     InputError,
     effective_times,
+    first_unsatisfiable_demand,
     instance_from_dict,
     instance_to_dict,
     is_acyclic,
@@ -320,6 +323,31 @@ class TestInvariants:
                 transitive_closure_reaches(inst, d.t, d.a, d.b) for d in inst.demands
             )
             assert is_feasible(inst, every) == expected
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_demand_checks_on_edge_subsets_match_reachability(self, directed, variant):
+        # the index's demand loop and the name-keyed checker must both
+        # agree with Floyd-Warshall on every subset, not only the full set
+        rng = random.Random(13)
+        for _ in range(30):
+            inst = rand_instance(rng, directed=directed, variant=variant, max_demands=4)
+            index = FrameIndex(inst)
+            for _ in range(4):
+                chosen = [i for i in range(len(inst.edges)) if rng.random() < 0.6]
+                sub = replace(inst, edges=tuple(inst.edges[i] for i in chosen))
+                expected = next(
+                    (d for d in inst.demands
+                     if not transitive_closure_reaches(sub, d.t, d.a, d.b)),
+                    None,
+                )
+                member = bytearray(len(inst.edges))
+                for i in chosen:
+                    member[i] = 1
+                assert index.first_unmet(member) == expected
+                assert first_unsatisfiable_demand(sub) == expected
+                assert index.feasible(chosen) == (expected is None)
+                assert is_feasible(inst, chosen) == (expected is None)
 
     def test_monotonic_frames_nested(self):
         rng = random.Random(12)

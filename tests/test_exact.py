@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -8,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsn.core import (
+    Demand,
     FrameIndex,
     InfeasibleInstanceError,
     InputError,
     InternalError,
     effective_times,
+    first_unsatisfiable_demand,
     is_feasible,
     make_instance,
     solution_cost,
@@ -307,6 +310,42 @@ def _cheapest_completion(fidx, state, must=None):
     return best
 
 
+class TestInfeasibleDemandNamed:
+    """Both exact solvers name the demand that `first_unsatisfiable_demand`
+    names.  The index drops demands with equal endpoints, so on instances
+    that open with one an index position is not an input position."""
+
+    @staticmethod
+    def assert_both_name(inst):
+        expected = first_unsatisfiable_demand(inst)
+        assert expected is not None
+        for solve in (brute_force, solve_bb):
+            with pytest.raises(InfeasibleInstanceError) as info:
+                solve(inst)
+            assert info.value.demand == expected
+
+    def test_hand_built_instance_opening_with_a_self_demand(self):
+        inst = make_instance(
+            directed=True, variant="edge", num_times=1,
+            vertices=["a", "b", "c"], edges=[("a", "b", 1, (1,))],
+            demands=[("c", "c", 1), ("a", "b", 1), ("b", "a", 1), ("a", "c", 1)],
+        )
+        self.assert_both_name(inst)
+        assert first_unsatisfiable_demand(inst) == Demand("b", "a", 1)
+
+    def test_seeded_instances_opening_with_a_self_demand(self):
+        rng = random.Random(4409)
+        checked = 0
+        while checked < 150:
+            inst = rand_instance(rng, max_edges=6, max_demands=4)
+            if first_unsatisfiable_demand(inst) is None:
+                continue
+            v = rng.choice(inst.vertices)
+            inst = replace(inst, demands=(Demand(v, v, rng.randint(1, inst.num_times)),) + inst.demands)
+            self.assert_both_name(inst)
+            checked += 1
+
+
 class TestDualAscent:
     def test_root_bound_never_exceeds_brute_force_optimum(self):
         for inst in _bound_corpus("root", 160):
@@ -420,7 +459,7 @@ class TestBuildIlp:
             demands=[("a", "b", 1)],
         )
         model = build_ilp(inst)
-        assert model.variable_count() == 2
+        assert len(model.binaries) == 2
         assert model.objective == ((Fraction(4), "d_a_b"),)
         # the only satisfying assignments set both variables to one
         sats = []
@@ -451,7 +490,7 @@ class TestBuildIlp:
             expected = len(inst.edges)
             for t in range(1, inst.num_times + 1):
                 expected += sum(1 for e in inst.edges if t in e.times)
-            assert model.variable_count() == expected
+            assert len(model.binaries) == expected
             built += 1
 
     def test_rejects_non_simple_demands(self):
@@ -580,11 +619,11 @@ class TestIlpValidity:
                 model = build_ilp(inst)
             except InfeasibleInstanceError:
                 continue
-            if model.variable_count() > 14:
+            if len(model.binaries) > 14:
                 continue
             projections = set()
             best = None
-            for bits in product((0, 1), repeat=model.variable_count()):
+            for bits in product((0, 1), repeat=len(model.binaries)):
                 values = dict(zip(model.binaries, bits))
                 if not assignment_satisfies(model, values):
                     continue

@@ -129,8 +129,8 @@ class TestPriorityToTsn:
         )
         image, rmap = priority_to_tsn(p)
         assert len(image.edges) == 4
-        halves0 = [image.edges[i].w for i in rmap.image_edges_of(0)]
-        halves1 = [image.edges[i].w for i in rmap.image_edges_of(1)]
+        halves0 = [image.edges[i].w for i in dict(rmap.forward_edge_map)[0]]
+        halves1 = [image.edges[i].w for i in dict(rmap.forward_edge_map)[1]]
         assert halves0 == [2, 2] and halves1 == [3, 3]
         assert len(rmap.added_vertices) == 2
 
@@ -230,8 +230,8 @@ class TestSingleSourceToDst:
             inst = rand_monotonic_single_source(rng)
             dst = single_source_to_dst(inst)
             for e in dst.edges:
-                lu = dst.back_vertex[e.u][1]
-                lv = dst.back_vertex[e.v][1]
+                lu = int(e.u.rsplit("#", 1)[1])
+                lv = int(e.v.rsplit("#", 1)[1])
                 if e.orig_edge is None:
                     assert lv == lu + 1
                 else:

@@ -40,7 +40,7 @@ class TestNodeEdgeToNode:
         assert len(image.edges) == 2 * len(inst.edges)
         (x,) = rmap.added_vertices
         assert image.node_activity[x] == frozenset({2})
-        heavy, zero = rmap.image_edges_of(0)
+        heavy, zero = dict(rmap.forward_edge_map)[0]
         assert image.edges[heavy].w == 3 and image.edges[zero].w == 0
 
     def test_counts_on_random_instances(self):
@@ -57,7 +57,7 @@ class TestNodeEdgeToNode:
             inst = rand_instance(rng, variant="node_and_edge")
             image, rmap = node_edge_to_node(inst)
             for i in range(len(inst.edges)):
-                heavy, zero = rmap.image_edges_of(i)
+                heavy, zero = dict(rmap.forward_edge_map)[i]
                 assert effective_times(inst, i) == (
                     effective_times(image, heavy) & effective_times(image, zero)
                 )
