@@ -30,7 +30,6 @@ from .variants import (
 from .monotonic import (
     DstInstance,
     PriorityInstance,
-    dst_solution_to_tsn,
     normalize_to_time_layered_tree,
     priority_to_tsn,
     single_source_to_dst,

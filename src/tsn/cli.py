@@ -36,6 +36,7 @@ from .core import (
     solution_from_dict,
     solution_to_dict,
     validate,
+    write_text,
 )
 
 EXIT_OK = 0
@@ -176,8 +177,7 @@ def cmd_solve(args) -> int:
         node_image, _ = variants.normalize(instance, "node")
         simple, _ = variants.to_simple(node_image)
         model = exact.build_ilp(simple)
-        with open(args.lp, "w", encoding="ascii") as fh:
-            fh.write(exact.emit_lp(model))
+        write_text(exact.emit_lp(model), args.lp)
         _report(
             args,
             instance,
@@ -331,8 +331,7 @@ def cmd_bench(args) -> int:
         writer.writerow(row)
     text = buf.getvalue()
     if args.output:
-        with open(args.output, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        write_text(text, args.output)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -703,11 +703,13 @@ def solution_to_dict(solution: Solution, feasible: bool) -> dict:
 
 
 def solution_from_dict(data: dict) -> tuple[Solution | None, bool]:
-    """Returns (solution, claimed_feasible); solution is None for an
-    infeasible marker file."""
+    """Returns (solution, claimed_feasible); solution is None for the
+    infeasibility marker `{"edges": [], "cost": null, "feasible": false}`."""
     try:
         feasible = _scalar_from_json(data["feasible"], bool, "feasible")
         if data.get("cost") is None and not feasible:
+            if "cost" not in data or data.get("edges") != []:
+                raise InputError('an infeasibility marker has "edges": [] and "cost": null')
             return None, False
         ids = tuple(sorted(_scalar_from_json(i, int, "edge index") for i in data["edges"]))
         cost = _weight_from_json(data["cost"])
@@ -716,10 +718,18 @@ def solution_from_dict(data: dict) -> tuple[Solution | None, bool]:
     return Solution(edges=ids, cost=cost), feasible
 
 
+def write_text(text: str, path: str) -> None:
+    """Write `text` to `path` as ASCII, newlines as given; a path that
+    cannot be opened or written is an input error."""
+    try:
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def dump_json(data: dict, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    write_text(json.dumps(data, indent=2) + "\n", path)
 
 
 def load_json(path: str) -> dict:

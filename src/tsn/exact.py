@@ -601,17 +601,3 @@ def parse_lp(text: str) -> IlpModel:
 def models_equivalent(a: IlpModel, b: IlpModel) -> bool:
     """Equality of objective, constraints and binaries: all a model holds."""
     return a == b
-
-
-def assignment_satisfies(model: IlpModel, values: dict[str, int]) -> bool:
-    for con in model.constraints:
-        total = sum(coef * values[var] for coef, var in con.terms)
-        if con.sense == ">=" and total < con.rhs:
-            return False
-        if con.sense == "=" and total != con.rhs:
-            return False
-    return True
-
-
-def assignment_objective(model: IlpModel, values: dict[str, int]) -> Fraction:
-    return sum((c * values[var] for c, var in model.objective), Fraction(0))

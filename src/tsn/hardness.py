@@ -21,8 +21,6 @@ structure is recoverable from names alone.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,26 +48,6 @@ class KphlcInstance:
         return len(self.parts)
 
 
-def phlc_strongly_satisfies(h: KphlcInstance, labeling: Sequence[Sequence[int]], m: int) -> bool:
-    e = h.edges[m]
-    colors = {h.projections[m][t][labeling[t][e[t]]] for t in range(h.k)}
-    return len(colors) == 1
-
-
-def phlc_has_strong_labeling(h: KphlcInstance) -> bool:
-    """Whether one labeling strongly satisfies every hyperedge (exhaustive)."""
-    labelings = product(*[product(range(h.num_labels), repeat=len(p)) for p in h.parts])
-    return any(
-        all(phlc_strongly_satisfies(h, lab, m) for m in range(len(h.edges))) for lab in labelings
-    )
-
-
-def phlc_weakly_satisfies(h: KphlcInstance, labeling: Sequence[Sequence[int]], m: int) -> bool:
-    e = h.edges[m]
-    cols = [h.projections[m][t][labeling[t][e[t]]] for t in range(h.k)]
-    return len(set(cols)) < len(cols)
-
-
 def _color_buckets(h: KphlcInstance, m: int) -> list[list[list[int]]]:
     """One bucket per color that every part's table of hyperedge m uses:
     each part's labels of that color, in label order."""
@@ -85,10 +63,6 @@ def _color_buckets(h: KphlcInstance, m: int) -> list[list[list[int]]]:
 
 def _tuples(buckets: list[list[list[int]]]) -> list[tuple[int, ...]]:
     return sorted(tup for parts in buckets for tup in product(*parts))
-
-
-def phlc_agreeing_tuples(h: KphlcInstance, m: int) -> list[tuple[int, ...]]:
-    return _tuples(_color_buckets(h, m))
 
 
 # ---------------------------------------------------------------------------
@@ -146,47 +120,6 @@ def trace_to_dict(trace: GadgetTrace) -> dict:
             for b in trace.bundles
         ],
     }
-
-
-def canonical_signature(instance: TemporalInstance, trace: GadgetTrace) -> str:
-    """Hash of the gadget structure that is invariant under relabelling.
-
-    Per hyperedge it records the merged-tuple count and, per part, the
-    sorted multiset of per-strand path counts, so permuting the label set
-    leaves the signature unchanged.
-    """
-    per_edge: dict[int, dict] = {}
-    for b in trace.bundles:
-        for lab, chain in b.strands:
-            for m, ids in chain:
-                rec = per_edge.setdefault(m, {"parts": {}, "merged": set(), "fallback": 0})
-                rec["parts"].setdefault(b.part, []).append(len(ids))
-                for eid in ids:
-                    info = trace.contacts[eid]
-                    if info.labels is not None:
-                        rec["merged"].add(info.labels)
-                    else:
-                        rec["fallback"] += 1
-    payload = {
-        "vertices": len(instance.vertices),
-        "edges": len(instance.edges),
-        "T": instance.num_times,
-        "demands": len(instance.demands),
-        "weight": str(sum((e.w for e in instance.edges), Fraction(0))),
-        "per_edge": [
-            {
-                "edge": m,
-                "merged": len(rec["merged"]),
-                "fallback": rec["fallback"],
-                "strand_profile": sorted(
-                    (part, tuple(sorted(counts))) for part, counts in rec["parts"].items()
-                ),
-            }
-            for m, rec in sorted(per_edge.items())
-        ],
-    }
-    blob = json.dumps(payload, sort_keys=True, default=list)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .core import (
     MAX_FIRST_TIME_ENTRIES,
@@ -22,18 +22,14 @@ from .core import (
     Edge,
     FrameIndex,
     InputError,
-    InternalError,
     Solution,
     TemporalInstance,
-    _reachable,
     _weight_to_json,
     effective_times,
-    is_feasible,
     is_monotonic,
-    satisfies,
     solution_from_edges,
 )
-from .variants import ReductionMap, _lift_ids, fresh_name
+from .variants import ReductionMap, fresh_name
 
 
 def single_source(instance: TemporalInstance, what: str) -> Optional[str]:
@@ -77,23 +73,6 @@ class PriorityInstance:
     edges: tuple[PriorityEdge, ...]
     max_priority: int
     demands: tuple[PriorityDemand, ...]
-
-
-def priority_feasible(p: PriorityInstance, edge_ids: Iterable[int]) -> bool:
-    ids = set(edge_ids)
-    for d in p.demands:
-        if d.a == d.b:
-            continue
-        adj: dict[str, list[str]] = {}
-        for i in ids:
-            e = p.edges[i]
-            if e.priority > d.priority:
-                continue
-            adj.setdefault(e.u, []).append(e.v)
-            adj.setdefault(e.v, []).append(e.u)
-        if d.b not in _reachable(adj, d.a):
-            return False
-    return True
 
 
 def tsn_to_priority(instance: TemporalInstance) -> PriorityInstance:
@@ -163,16 +142,6 @@ def priority_to_tsn(p: PriorityInstance) -> tuple[TemporalInstance, ReductionMap
         added_vertices=tuple(added),
     )
     return image, rmap
-
-
-def priority_solution_from_tsn(
-    rmap: ReductionMap, image_solution: Solution, p: PriorityInstance
-) -> tuple[tuple[int, ...], Fraction]:
-    """Contract split edges back: a priority edge is used iff both halves
-    are.  Returns (edge indices, cost)."""
-    ids = tuple(_lift_ids(rmap, image_solution.edges))
-    cost = sum((p.edges[i].w for i in ids), Fraction(0))
-    return ids, cost
 
 
 # ---------------------------------------------------------------------------
@@ -250,28 +219,6 @@ def single_source_to_dst(instance: TemporalInstance) -> DstInstance:
     )
 
 
-def dst_feasible(dst: DstInstance, edge_ids: Iterable[int]) -> bool:
-    adj: dict[str, list[str]] = {}
-    for i in set(edge_ids):
-        e = dst.edges[i]
-        adj.setdefault(e.u, []).append(e.v)
-    seen = _reachable(adj, dst.root)
-    return all(t in seen for t in dst.terminals)
-
-
-def dst_solution_to_tsn(dst: DstInstance, edge_ids: Iterable[int]) -> Solution:
-    """Project level edges back to underlying edges (free level-advance
-    edges vanish, duplicates collapse), never increasing the cost."""
-    ids = list(edge_ids)
-    if not dst_feasible(dst, ids):
-        raise InputError("edge set does not connect the root to every terminal")
-    orig = {dst.edges[i].orig_edge for i in ids if dst.edges[i].orig_edge is not None}
-    sol = solution_from_edges(dst.source_instance, orig)
-    if not is_feasible(dst.source_instance, sol):
-        raise InternalError("projected level-graph solution is infeasible")
-    return sol
-
-
 def dst_to_dict(dst: DstInstance) -> dict:
     levels = list(range(1, len(dst.terminals) + 1))
     return {
@@ -286,20 +233,6 @@ def dst_to_dict(dst: DstInstance) -> dict:
 
 # ---------------------------------------------------------------------------
 # Solution normalisation
-
-
-def earliest_necessary_times(
-    instance: TemporalInstance, edge_ids: Sequence[int]
-) -> dict[int, Optional[int]]:
-    """Per edge, the smallest demand time whose satisfaction breaks when the
-    edge is removed from the given solution; None if removal breaks nothing."""
-    ids = set(edge_ids)
-    out: dict[int, Optional[int]] = {}
-    for e in ids:
-        rest = ids - {e}
-        broken = [d.t for d in instance.demands if not satisfies(instance, rest, d)]
-        out[e] = min(broken) if broken else None
-    return out
 
 
 def normalize_to_time_layered_tree(

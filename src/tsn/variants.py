@@ -46,17 +46,6 @@ def reduction_map_to_dict(rmap: ReductionMap) -> dict:
     }
 
 
-def reduction_map_from_dict(data: dict) -> ReductionMap:
-    return ReductionMap(
-        kind=data["kind"],
-        forward_edge_map=tuple((o, tuple(imgs)) for o, imgs in data["forward_edge_map"]),
-        demand_map=tuple((a, b) for a, b in data["demand_map"]),
-        added_vertices=tuple(data.get("added_vertices", ())),
-        aux_edges=tuple(data.get("aux_edges", ())),
-        dropped_edges=tuple(data.get("dropped_edges", ())),
-    )
-
-
 def fresh_name(base: str, taken: set[str]) -> str:
     name = base
     while name in taken:

@@ -1,4 +1,6 @@
-"""Shared test fixtures: literal reference oracles and random instance
+"""Shared test fixtures: every reference checker and solution lift that no
+program path reads (the constraint-graph checks sit in test_hardness.py,
+their one reader), literal reference oracles and random instance
 generators.  The reference brute force here deliberately stays a plain
 2^|E| loop so it can cross-check the packaged solver's faster strategy."""
 
@@ -6,15 +8,117 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 from tsn.core import (
+    InputError,
+    InternalError,
     Solution,
     TemporalInstance,
+    _reachable,
     is_feasible,
     make_instance,
+    satisfies,
+    solution_from_edges,
 )
-from tsn.monotonic import DstInstance, PriorityInstance, dst_feasible, priority_feasible
+from tsn.exact import IlpModel
+from tsn.monotonic import DstInstance, PriorityInstance
+from tsn.variants import ReductionMap, _lift_ids
+
+# ---------------------------------------------------------------------------
+# Reference checkers and lifts
+
+
+def priority_feasible(p: PriorityInstance, edge_ids: Iterable[int]) -> bool:
+    ids = set(edge_ids)
+    for d in p.demands:
+        if d.a == d.b:
+            continue
+        adj: dict[str, list[str]] = {}
+        for i in ids:
+            e = p.edges[i]
+            if e.priority > d.priority:
+                continue
+            adj.setdefault(e.u, []).append(e.v)
+            adj.setdefault(e.v, []).append(e.u)
+        if d.b not in _reachable(adj, d.a):
+            return False
+    return True
+
+
+def priority_solution_from_tsn(
+    rmap: ReductionMap, image_solution: Solution, p: PriorityInstance
+) -> tuple[tuple[int, ...], Fraction]:
+    """Contract split edges back: a priority edge is used iff both halves
+    are.  Returns (edge indices, cost)."""
+    ids = tuple(_lift_ids(rmap, image_solution.edges))
+    cost = sum((p.edges[i].w for i in ids), Fraction(0))
+    return ids, cost
+
+
+def dst_feasible(dst: DstInstance, edge_ids: Iterable[int]) -> bool:
+    adj: dict[str, list[str]] = {}
+    for i in set(edge_ids):
+        e = dst.edges[i]
+        adj.setdefault(e.u, []).append(e.v)
+    seen = _reachable(adj, dst.root)
+    return all(t in seen for t in dst.terminals)
+
+
+def dst_solution_to_tsn(dst: DstInstance, edge_ids: Iterable[int]) -> Solution:
+    """Project level edges back to underlying edges (free level-advance
+    edges vanish, duplicates collapse), never increasing the cost."""
+    ids = list(edge_ids)
+    if not dst_feasible(dst, ids):
+        raise InputError("edge set does not connect the root to every terminal")
+    orig = {dst.edges[i].orig_edge for i in ids if dst.edges[i].orig_edge is not None}
+    sol = solution_from_edges(dst.source_instance, orig)
+    if not is_feasible(dst.source_instance, sol):
+        raise InternalError("projected level-graph solution is infeasible")
+    return sol
+
+
+def earliest_necessary_times(
+    instance: TemporalInstance, edge_ids: Sequence[int]
+) -> dict[int, Optional[int]]:
+    """Per edge, the smallest demand time whose satisfaction breaks when the
+    edge is removed from the given solution; None if removal breaks nothing."""
+    ids = set(edge_ids)
+    out: dict[int, Optional[int]] = {}
+    for e in ids:
+        rest = ids - {e}
+        broken = [d.t for d in instance.demands if not satisfies(instance, rest, d)]
+        out[e] = min(broken) if broken else None
+    return out
+
+
+def assignment_satisfies(model: IlpModel, values: dict[str, int]) -> bool:
+    for con in model.constraints:
+        total = sum(coef * values[var] for coef, var in con.terms)
+        if con.sense == ">=" and total < con.rhs:
+            return False
+        if con.sense == "=" and total != con.rhs:
+            return False
+    return True
+
+
+def assignment_objective(model: IlpModel, values: dict[str, int]) -> Fraction:
+    return sum((c * values[var] for c, var in model.objective), Fraction(0))
+
+
+def reduction_map_from_dict(data: dict) -> ReductionMap:
+    return ReductionMap(
+        kind=data["kind"],
+        forward_edge_map=tuple((o, tuple(imgs)) for o, imgs in data["forward_edge_map"]),
+        demand_map=tuple((a, b) for a, b in data["demand_map"]),
+        added_vertices=tuple(data.get("added_vertices", ())),
+        aux_edges=tuple(data.get("aux_edges", ())),
+        dropped_edges=tuple(data.get("dropped_edges", ())),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles
 
 
 def naive_brute(instance: TemporalInstance):
@@ -51,7 +155,8 @@ def priority_brute(p: PriorityInstance):
 
 
 def dst_brute(dst: DstInstance):
-    """Optimal cost of a level-graph instance.
+    """Optimal cost of a level-graph instance and a cheapest level-edge set
+    reaching it, (None, None) when no edge set connects every terminal.
 
     Enumerates subsets of the source instance's edges rather than raw level
     edges: a solution never benefits from paying for two level copies of
@@ -69,6 +174,7 @@ def dst_brute(dst: DstInstance):
             by_orig.setdefault(e.orig_edge, []).append(i)
     n = len(src.edges)
     best = None
+    best_ids = None
     for mask in range(1 << n):
         ids = [i for i in range(n) if mask >> i & 1]
         cost = sum((src.edges[i].w for i in ids), Fraction(0))
@@ -79,7 +185,8 @@ def dst_brute(dst: DstInstance):
             level_ids.extend(by_orig.get(o, ()))
         if dst_feasible(dst, level_ids):
             best = cost
-    return best
+            best_ids = level_ids
+    return best, best_ids
 
 
 def dst_brute_literal(dst: DstInstance):

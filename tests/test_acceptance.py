@@ -18,13 +18,7 @@ from tsn.core import (
     solution_from_edges,
     load_json,
 )
-from tsn.exact import (
-    assignment_objective,
-    assignment_satisfies,
-    brute_force,
-    build_ilp,
-    solve_bb,
-)
+from tsn.exact import brute_force, build_ilp, solve_bb
 from tsn.hardness import (
     example1_label_cover,
     gen_nosat_phlc,
@@ -33,8 +27,6 @@ from tsn.hardness import (
     phlc_to_kdtsn,
 )
 from tsn.monotonic import (
-    dst_solution_to_tsn,
-    earliest_necessary_times,
     normalize_to_time_layered_tree,
     priority_to_tsn,
     single_source_to_dst,
@@ -43,7 +35,11 @@ from tsn.monotonic import (
 from tsn.variants import node_edge_to_node, node_to_edge, to_simple
 
 from helpers import (
+    assignment_objective,
+    assignment_satisfies,
     dst_brute,
+    dst_solution_to_tsn,
+    earliest_necessary_times,
     hub_instance,
     priority_brute,
     rand_instance,
@@ -191,42 +187,13 @@ def test_criterion_5_strict_reduction_preservation(capsys):
         inst = rand_monotonic_single_source(rng, max_edges=6)
         dst = single_source_to_dst(inst)
         opt = brute_force(inst).cost
-        assert dst_brute(dst) == opt
-        level_ids = _cheapest_dst_edges(dst)
+        cost, level_ids = dst_brute(dst)
+        assert cost == opt
         lifted = dst_solution_to_tsn(dst, level_ids)
         assert lifted.cost == opt and is_feasible(inst, lifted)
         done += 1
     with capsys.disabled():
         report(5, "5 reductions x 200 instances, zero mismatches", started)
-
-
-def _cheapest_dst_edges(dst):
-    """Cheapest terminal-connecting level-edge set, via underlying subsets."""
-    from tsn.monotonic import dst_feasible
-
-    src = dst.source_instance
-    by_orig = {}
-    free = []
-    for i, e in enumerate(dst.edges):
-        if e.orig_edge is None:
-            free.append(i)
-        else:
-            by_orig.setdefault(e.orig_edge, []).append(i)
-    n = len(src.edges)
-    best = None
-    best_ids = None
-    for mask in range(1 << n):
-        ids = [i for i in range(n) if mask >> i & 1]
-        cost = sum((src.edges[i].w for i in ids), Fraction(0))
-        if best is not None and cost >= best:
-            continue
-        level_ids = list(free)
-        for o in ids:
-            level_ids.extend(by_orig.get(o, ()))
-        if dst_feasible(dst, level_ids):
-            best = cost
-            best_ids = level_ids
-    return best_ids
 
 
 def test_criterion_6_trivial_approximation_bound(capsys):

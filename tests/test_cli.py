@@ -381,6 +381,44 @@ class TestVerify:
         code, _ = run(capsys, "verify", "-i", example1_file, "-s", sol)
         assert code == 0
 
+    @pytest.fixture
+    def unmet_file(self, tmp_path):
+        path = tmp_path / "unmet.json"
+        write_instance(path, make_instance(
+            directed=True, variant="edge", num_times=1,
+            vertices=["a", "b"], edges=[("b", "a", 1, (1,))],
+            demands=[("a", "b", 1)],
+        ))
+        return path
+
+    @pytest.mark.parametrize("marker", [
+        {"edges": [0, 99, -4], "cost": None, "feasible": False},
+        {"feasible": False},
+    ], ids=["edges-listed", "cost-missing"])
+    def test_malformed_marker_is_an_input_error(self, tmp_path, capsys, unmet_file, marker):
+        # on an instance with an unmet demand these used to verify ok
+        sol = tmp_path / "sol.json"
+        dump_json(marker, str(sol))
+        code, out = run(capsys, "verify", "-i", unmet_file, "-s", sol)
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "input"
+
+    @pytest.mark.parametrize("unmet, code, ok", [(True, 0, True), (False, 2, False)],
+                             ids=["infeasible-instance", "feasible-instance"])
+    def test_exact_marker_holds_only_on_an_infeasible_instance(
+        self, tmp_path, capsys, unmet_file, example1_file, unmet, code, ok
+    ):
+        sol = tmp_path / "sol.json"
+        dump_json({"edges": [], "cost": None, "feasible": False}, str(sol))
+        instance = unmet_file if unmet else example1_file
+        got, out = run(capsys, "verify", "-i", instance, "-s", sol)
+        assert got == code
+        report = json.loads(out)
+        assert report["ok"] is ok
+        assert report["note"] == "infeasibility marker"
+
 
 class TestApprox:
     def test_charikar_reports_calls_and_memo_hits(self, tmp_path, capsys):
@@ -719,3 +757,30 @@ class TestBench:
             if row["method"] in ("brute", "bb"):
                 assert row["cost"] == str(edge_count)
             assert Fraction(row["cost"]) <= k * Fraction(row["optimum"])
+
+
+class TestOutputPaths:
+    # every output flag writes through one writer; a path it cannot open is
+    # an input error, never a traceback with the "infeasible" exit code
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "example1", "-o", "BAD"],
+        ["gen", "--kind", "example1", "-o", "OK", "--trace", "BAD"],
+        ["gen", "--kind", "example1", "-o", "OK", "--source", "BAD"],
+        ["reduce", "--to", "edge", "-i", "IN", "-o", "BAD"],
+        ["reduce", "--to", "edge", "-i", "IN", "-o", "OK", "--map", "BAD"],
+        ["solve", "-i", "IN", "--method", "brute", "-o", "BAD"],
+        ["solve", "-i", "IN", "--method", "ilp-export", "--lp", "BAD"],
+        ["approx", "-i", "IN", "--method", "union", "-o", "BAD"],
+        ["bench", "--kind", "example1", "--methods", "bb", "-o", "BAD"],
+    ], ids=["gen-o", "gen-trace", "gen-source", "reduce-o", "reduce-map", "solve-o",
+            "solve-lp", "approx-o", "bench-o"])
+    @pytest.mark.parametrize("bad", ["missing/out", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_output_path_exits_two(self, tmp_path, capsys, example1_file, argv, bad):
+        paths = {"IN": example1_file, "OK": tmp_path / "ok.json", "BAD": tmp_path / bad}
+        code, out = run(capsys, *[paths.get(a, a) for a in argv])
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "input"
+        assert report["detail"].startswith(f"cannot write {paths['BAD']}: ")

@@ -23,8 +23,6 @@ from tsn.core import (
 from tsn.exact import (
     BbStats,
     BruteForceCapError,
-    assignment_objective,
-    assignment_satisfies,
     brute_force,
     build_ilp,
     emit_lp,
@@ -41,6 +39,8 @@ from tsn.hardness import (
 from tsn.variants import normalize, to_simple
 
 from helpers import (
+    assignment_objective,
+    assignment_satisfies,
     naive_brute,
     rand_feasible_instance,
     rand_instance,

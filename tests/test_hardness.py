@@ -4,27 +4,95 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 import pytest
 
 from tsn.approx import metric_closure
-from tsn.core import MAX_FIRST_TIME_ENTRIES, InputError, instance_to_dict, is_acyclic, validate
+from tsn.core import (
+    MAX_FIRST_TIME_ENTRIES,
+    InputError,
+    TemporalInstance,
+    instance_to_dict,
+    is_acyclic,
+    validate,
+)
 from tsn.exact import brute_force, solve_bb
 from tsn.hardness import (
+    GadgetTrace,
     KphlcInstance,
-    canonical_signature,
     example1_label_cover,
     gen_nosat_phlc,
     gen_yes_lc,
     gen_yes_phlc,
-    phlc_agreeing_tuples,
-    phlc_has_strong_labeling,
-    phlc_strongly_satisfies,
     phlc_to_kdtsn,
-    phlc_weakly_satisfies,
     trace_to_dict,
 )
-from tsn.hardness import _color_buckets, _gadget_edges, _incidence
+from tsn.hardness import _color_buckets, _gadget_edges, _incidence, _tuples
+
+
+# Reference checks on constraint graphs and gadgets
+
+
+def phlc_strongly_satisfies(h: KphlcInstance, labeling: Sequence[Sequence[int]], m: int) -> bool:
+    e = h.edges[m]
+    colors = {h.projections[m][t][labeling[t][e[t]]] for t in range(h.k)}
+    return len(colors) == 1
+
+
+def phlc_has_strong_labeling(h: KphlcInstance) -> bool:
+    """Whether one labeling strongly satisfies every hyperedge (exhaustive)."""
+    labelings = product(*[product(range(h.num_labels), repeat=len(p)) for p in h.parts])
+    return any(
+        all(phlc_strongly_satisfies(h, lab, m) for m in range(len(h.edges))) for lab in labelings
+    )
+
+
+def phlc_weakly_satisfies(h: KphlcInstance, labeling: Sequence[Sequence[int]], m: int) -> bool:
+    e = h.edges[m]
+    cols = [h.projections[m][t][labeling[t][e[t]]] for t in range(h.k)]
+    return len(set(cols)) < len(cols)
+
+
+def canonical_signature(instance: TemporalInstance, trace: GadgetTrace) -> str:
+    """Hash of the gadget structure that is invariant under relabelling.
+
+    Per hyperedge it records the merged-tuple count and, per part, the
+    sorted multiset of per-strand path counts, so permuting the label set
+    leaves the signature unchanged.
+    """
+    per_edge: dict[int, dict] = {}
+    for b in trace.bundles:
+        for lab, chain in b.strands:
+            for m, ids in chain:
+                rec = per_edge.setdefault(m, {"parts": {}, "merged": set(), "fallback": 0})
+                rec["parts"].setdefault(b.part, []).append(len(ids))
+                for eid in ids:
+                    info = trace.contacts[eid]
+                    if info.labels is not None:
+                        rec["merged"].add(info.labels)
+                    else:
+                        rec["fallback"] += 1
+    payload = {
+        "vertices": len(instance.vertices),
+        "edges": len(instance.edges),
+        "T": instance.num_times,
+        "demands": len(instance.demands),
+        "weight": str(sum((e.w for e in instance.edges), Fraction(0))),
+        "per_edge": [
+            {
+                "edge": m,
+                "merged": len(rec["merged"]),
+                "fallback": rec["fallback"],
+                "strand_profile": sorted(
+                    (part, tuple(sorted(counts))) for part, counts in rec["parts"].items()
+                ),
+            }
+            for m, rec in sorted(per_edge.items())
+        ],
+    }
+    blob = json.dumps(payload, sort_keys=True, default=list)
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _buckets(h):
@@ -66,7 +134,7 @@ class TestExample1:
         lc = example1_label_cover()
         assert phlc_has_strong_labeling(lc)
         # both left labels agree with the second right label only
-        assert phlc_agreeing_tuples(lc, 0) == [(0, 1), (1, 1)]
+        assert _tuples(_color_buckets(lc, 0)) == [(0, 1), (1, 1)]
 
 
 class TestLcGadget:
@@ -264,7 +332,7 @@ class TestGenerators:
                 tup for tup in product(range(h.num_labels), repeat=h.k)
                 if len({tables[t][l] for t, l in enumerate(tup)}) == 1
             ]
-            assert phlc_agreeing_tuples(h, m) == literal
+            assert _tuples(_color_buckets(h, m)) == literal
 
 
 class TestCanonicalSignature:

@@ -83,6 +83,53 @@ def test_only_core_imports_heapq():
     assert found == ["core.py"]
 
 
+def _names_read(node):
+    """Names that `node` reads: loaded names, attributes and imported names."""
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name):
+            yield inner.id
+        elif isinstance(inner, ast.Attribute):
+            yield inner.attr
+        elif isinstance(inner, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name.rsplit(".", 1)[-1] for alias in inner.names)
+
+
+def test_name_keyed_bfs_stays_in_core():
+    # `_reachable` serves `satisfies`, the independent name-keyed checker;
+    # the solvers and reductions decide reachability on core.FrameIndex
+    found = [
+        path.relative_to(SOURCE).as_posix()
+        for path in sorted(SOURCE.rglob("*.py"))
+        if "_reachable" in _names_read(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == ["core.py"]
+
+
+def test_every_public_function_has_a_program_reader():
+    # a public function or class of the package is read by program code:
+    # another top-level statement of src/tsn (re-exports in __init__ do not
+    # count) or the benchmark under perfbench/.  Checkers and lifts that
+    # only tests read live in tests/.  `priority_to_tsn` is the paper's
+    # converse reduction, kept because tests hold `tsn_to_priority` to it.
+    allowed = {"priority_to_tsn"}
+    modules = [path for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"]
+    programs = modules + sorted((SOURCE.parent.parent / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in programs}
+    readers: dict[str, list] = {}
+    for tree in trees.values():
+        for stmt in tree.body:
+            for name in _names_read(stmt):
+                readers.setdefault(name, []).append(stmt)
+    unread = [
+        f"{path.stem}.{stmt.name}"
+        for path in modules
+        for stmt in trees[path].body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+        and stmt.name not in allowed
+        and all(reader is stmt for reader in readers.get(stmt.name, ()))
+    ]
+    assert unread == []
+
 def test_benchmark_imports_resolve():
     # the benchmark under perfbench/ imports program names by hand; a rename
     # in src/tsn must not leave it importing a name that is gone

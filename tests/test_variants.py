@@ -20,7 +20,7 @@ from tsn.variants import (
     to_simple,
 )
 
-from helpers import rand_instance
+from helpers import rand_instance, reduction_map_from_dict
 
 
 def image_opt(instance):
@@ -256,7 +256,7 @@ class TestReductionMapInvariants:
             assert sorted(dsts) == list(range(len(image.demands)))
 
     def test_serialization_round_trip(self):
-        from tsn.variants import reduction_map_from_dict, reduction_map_to_dict
+        from tsn.variants import reduction_map_to_dict
 
         rng = random.Random(72)
         inst = rand_instance(rng, directed=True, variant="node")
