@@ -20,11 +20,13 @@ from typing import Optional, Sequence
 from . import approx as approx_mod
 from . import exact, hardness, monotonic, variants
 from .core import (
+    VARIANTS,
     InfeasibleInstanceError,
     InputError,
     InternalError,
     TemporalInstance,
     dump_json,
+    dump_jsons,
     first_unsatisfiable_demand,
     instance_from_dict,
     instance_to_dict,
@@ -98,39 +100,23 @@ def cmd_validate(args) -> int:
 def cmd_reduce(args) -> int:
     instance = _load_instance(args.input)
     started = time.perf_counter()
-    if args.to in ("edge", "node", "node_and_edge"):
-        image, steps = variants.normalize(instance, args.to)
-        dump_json(instance_to_dict(image), args.output)
-    elif args.to == "simple":
+    if args.to == "simple":
         node_image, steps = variants.normalize(instance, "node")
         image, last = variants.to_simple(node_image)
         steps = steps + [last]
-        dump_json(instance_to_dict(image), args.output)
-    elif args.to == "priority-st":
-        edge_image, steps = variants.normalize(instance, "edge")
-        p = monotonic.tsn_to_priority(edge_image)
-        dump_json(
-            {
-                "vertices": list(p.vertices),
-                "edges": [
-                    {"u": e.u, "v": e.v, "w": str(e.w), "priority": e.priority}
-                    for e in p.edges
-                ],
-                "max_priority": p.max_priority,
-                "demands": [
-                    {"a": d.a, "b": d.b, "priority": d.priority} for d in p.demands
-                ],
-            },
-            args.output,
-        )
-    elif args.to == "dst":
-        edge_image, steps = variants.normalize(instance, "edge")
-        dst = monotonic.single_source_to_dst(edge_image)
-        dump_json(monotonic.dst_to_dict(dst), args.output)
     else:
-        raise InputError(f"unknown reduction target {args.to!r}")
+        # priority-st and dst read the edge variant
+        image, steps = variants.normalize(instance, args.to if args.to in VARIANTS else "edge")
+    if args.to == "priority-st":
+        data = monotonic.priority_to_dict(monotonic.tsn_to_priority(image))
+    elif args.to == "dst":
+        data = monotonic.dst_to_dict(monotonic.single_source_to_dst(image))
+    else:
+        data = instance_to_dict(image)
+    outputs = {args.output: data}
     if args.map:
-        dump_json({"steps": [variants.reduction_map_to_dict(m) for m in steps]}, args.map)
+        outputs[args.map] = {"steps": [variants.reduction_map_to_dict(m) for m in steps]}
+    dump_jsons(outputs)
     _report(
         args,
         instance,
@@ -141,9 +127,30 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _solution_report(args, instance, solution, stats: dict, started: float, **extra) -> int:
-    """The tail of `solve` and `approx`: check the solution, write it to
-    `-o` when given, and report it; `extra` goes between method and cost."""
+def _solve(method: str, instance: TemporalInstance, level: Optional[int], stats: dict):
+    """Run the solver that `method` names, the greedy at `level`, and put
+    its counters in `stats`: the one place a method name picks a solver."""
+    if method == "brute":
+        return exact.brute_force(instance)
+    if method == "bb":
+        bb_stats = exact.BbStats()
+        solution = exact.solve_bb(instance, bb_stats)
+        # the root bounds are exact costs, written like `cost`
+        stats.update((k, v if isinstance(v, int) else str(v)) for k, v in vars(bb_stats).items())
+        return solution
+    if method == "union":
+        return approx_mod.shortest_paths_union(instance)
+    return approx_mod.charikar(instance, level, stats)
+
+
+def _solution_report(args, **extra) -> int:
+    """`solve` and `approx`: run `args.method` on the input, check the
+    solution, write it to `-o` when given, and report it; `extra` goes
+    between method and cost."""
+    instance = _load_instance(args.input)
+    started = time.perf_counter()
+    stats: dict = {}
+    solution = _solve(args.method, instance, getattr(args, "level", None), stats)
     feasible = is_feasible(instance, solution)
     if args.output:
         dump_json(solution_to_dict(solution, feasible), args.output)
@@ -161,80 +168,59 @@ def _solution_report(args, instance, solution, stats: dict, started: float, **ex
 
 
 def cmd_solve(args) -> int:
+    if args.method != "ilp-export":
+        return _solution_report(args)
     instance = _load_instance(args.input)
     started = time.perf_counter()
-    stats: dict = {}
-    if args.method == "brute":
-        solution = exact.brute_force(instance)
-    elif args.method == "bb":
-        bb_stats = exact.BbStats()
-        solution = exact.solve_bb(instance, bb_stats)
-        # the root bounds are exact costs, written like `cost`
-        stats = {k: v if isinstance(v, int) else str(v) for k, v in vars(bb_stats).items()}
-    elif args.method == "ilp-export":
-        if not args.lp:
-            raise InputError("--lp PATH is required for ilp-export")
-        node_image, _ = variants.normalize(instance, "node")
-        simple, _ = variants.to_simple(node_image)
-        model = exact.build_ilp(simple)
-        write_text(exact.emit_lp(model), args.lp)
-        _report(
-            args,
-            instance,
-            method=args.method,
-            lp=args.lp,
-            variables=len(model.binaries),
-            constraints=len(model.constraints),
-            wall_time_s=round(time.perf_counter() - started, 6),
-        )
-        return EXIT_OK
-    else:
-        raise InputError(f"unknown method {args.method!r}")
-    return _solution_report(args, instance, solution, stats, started)
+    if not args.lp:
+        raise InputError("--lp PATH is required for ilp-export")
+    node_image, _ = variants.normalize(instance, "node")
+    simple, _ = variants.to_simple(node_image)
+    model = exact.build_ilp(simple)
+    write_text(exact.emit_lp(model), args.lp)
+    _report(
+        args,
+        instance,
+        method=args.method,
+        lp=args.lp,
+        variables=len(model.binaries),
+        constraints=len(model.constraints),
+        wall_time_s=round(time.perf_counter() - started, 6),
+    )
+    return EXIT_OK
 
 
 def cmd_approx(args) -> int:
-    instance = _load_instance(args.input)
-    started = time.perf_counter()
-    stats: dict = {}
-    if args.method == "union":
-        solution = approx_mod.shortest_paths_union(instance)
-    elif args.method == "charikar":
-        solution = approx_mod.charikar(instance, args.level, stats)
-    else:
-        raise InputError(f"unknown method {args.method!r}")
-    level = args.level if args.method == "charikar" else None
-    return _solution_report(args, instance, solution, stats, started, level=level)
+    return _solution_report(args, level=args.level if args.method == "charikar" else None)
 
 
-def _generate(kind: str, args):
+def _generate(args, seed: int):
     """Returns (instance, trace, constraint_graph_dict)."""
-    if kind == "example1":
+    if args.kind == "example1":
         h = hardness.example1_label_cover()
-    elif kind == "lc-yes":
-        h = hardness.gen_yes_lc(args.u, args.v, args.degree, args.sigma, args.seed)
-    elif kind in ("phlc-yes", "phlc-nosat"):
-        gen = hardness.gen_yes_phlc if kind == "phlc-yes" else hardness.gen_nosat_phlc
-        sizes = [_to_int(s, "--part-sizes entry") for s in args.part_sizes.split(",")]
-        h = gen(args.k, sizes, args.edges, args.sigma, args.seed)
+    elif args.kind == "lc-yes":
+        h = hardness.gen_yes_lc(args.u, args.v, args.degree, args.sigma, seed)
     else:
-        raise InputError(f"unknown generator kind {kind!r}")
+        gen = hardness.gen_yes_phlc if args.kind == "phlc-yes" else hardness.gen_nosat_phlc
+        sizes = [_to_int(s, "--part-sizes entry") for s in args.part_sizes.split(",")]
+        h = gen(args.k, sizes, args.edges, args.sigma, seed)
     # the bipartite kinds keep their left/right JSON form
-    to_dict = hardness.phlc_to_dict if kind.startswith("phlc") else hardness.lc_to_dict
+    to_dict = hardness.phlc_to_dict if args.kind.startswith("phlc") else hardness.lc_to_dict
     instance, trace = hardness.phlc_to_kdtsn(h)
     return instance, trace, to_dict(h)
 
 
 def cmd_gen(args) -> int:
     started = time.perf_counter()
-    instance, trace, source = _generate(args.kind, args)
+    instance, trace, source = _generate(args, args.seed)
     if args.undirected:
         instance = replace(instance, directed=False)
-    dump_json(instance_to_dict(instance), args.output)
+    outputs = {args.output: instance_to_dict(instance)}
     if args.trace:
-        dump_json(hardness.trace_to_dict(trace), args.trace)
+        outputs[args.trace] = hardness.trace_to_dict(trace)
     if args.source:
-        dump_json(source, args.source)
+        outputs[args.source] = source
+    dump_jsons(outputs)
     _report(
         args,
         instance,
@@ -284,7 +270,7 @@ def cmd_bench(args) -> int:
     seeds = [_to_int(s, "--seeds entry") for s in args.seeds.split(",") if s]
     rows = []
     for seed in seeds:
-        instance, _, _ = _generate(args.kind, argparse.Namespace(**{**vars(args), "seed": seed}))
+        instance, _, _ = _generate(args, seed)
         # brute force is the oracle when it is asked for, otherwise branch
         # and bound; the oracle's own row reuses its result.  bench trusts
         # its own generated instances: the subset cap guards arbitrary user
@@ -301,12 +287,8 @@ def cmd_bench(args) -> int:
             try:
                 if method == oracle:
                     cost = optimum
-                elif method == "bb":
-                    cost = exact.solve_bb(instance).cost
-                elif method == "union":
-                    cost = approx_mod.shortest_paths_union(instance).cost
                 else:
-                    cost = approx_mod.charikar(instance, levels[method]).cost
+                    cost = _solve(method.partition(":")[0], instance, levels.get(method), {}).cost
             except InputError:
                 # method not applicable to this instance family: keep the
                 # row, leave the cost empty

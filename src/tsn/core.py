@@ -20,9 +20,11 @@ Wong's dual ascent, the branch and bound's lower bound.
 
 from __future__ import annotations
 
+import errno
 import heapq
 import json
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,10 +81,6 @@ class TemporalInstance:
     node_activity: Optional[Mapping[Vertex, frozenset[int]]] = None
     # Reductions may legitimately produce parallel edges; user input may not.
     allow_parallel: bool = False
-
-    @property
-    def k(self) -> int:
-        return len(self.demands)
 
     def activity(self, v: Vertex) -> frozenset[int]:
         if self.node_activity is None:
@@ -173,10 +171,9 @@ def validate(instance: TemporalInstance) -> list[str]:
             out.append(f"edge {i}: endpoint {e.v!r} not a vertex")
         if e.w < 0:
             out.append(f"edge {i}: negative weight {e.w}")
-        if instance.variant == "node":
-            # activity is derived from the endpoints, stored times are ignored
-            pass
-        else:
+        # a node-variant edge's activity comes from its endpoints: its
+        # stored times are ignored
+        if instance.variant != "node":
             if not e.times:
                 out.append(f"edge {i}: empty active-time set")
             for t in e.times:
@@ -730,6 +727,17 @@ def write_text(text: str, path: str) -> None:
 
 def dump_json(data: dict, path: str) -> None:
     write_text(json.dumps(data, indent=2) + "\n", path)
+
+
+def dump_jsons(outputs: Mapping[str, dict]) -> None:
+    """`dump_json` each document to its path, or none: a path that names a
+    directory or lies in a missing one is an input error before any write."""
+    for path in outputs:
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            err = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+            raise InputError(f"cannot write {path}: {OSError(err, os.strerror(err), path)}")
+    for path, data in outputs.items():
+        dump_json(data, path)
 
 
 def load_json(path: str) -> dict:

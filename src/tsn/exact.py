@@ -342,7 +342,7 @@ class _LpNames:
         return candidate
 
 
-def _simple_shape(instance: TemporalInstance) -> tuple[str, str, int]:
+def _simple_shape(instance: TemporalInstance) -> tuple[str, str]:
     ds = instance.demands
     if not ds:
         raise InputError("simple instance requires at least one demand")
@@ -354,7 +354,7 @@ def _simple_shape(instance: TemporalInstance) -> tuple[str, str, int]:
         )
     if instance.num_times != len(ds):
         raise InputError("time horizon must equal the number of demands")
-    return a, b, len(ds)
+    return a, b
 
 
 def build_ilp(instance: TemporalInstance) -> IlpModel:
@@ -375,7 +375,7 @@ def build_ilp(instance: TemporalInstance) -> IlpModel:
         from .variants import normalize
 
         instance, _ = normalize(instance, "edge")
-    a, b, k = _simple_shape(instance)
+    a, b = _simple_shape(instance)
 
     seen = {}
     for i, e in enumerate(instance.edges):
@@ -487,8 +487,7 @@ def emit_lp(model: IlpModel) -> str:
     coefs = [c for c, _ in model.objective]
     scale = 1
     if any(_decimal_exact(c) is None for c in coefs):
-        for c in coefs:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
+        scale = math.lcm(*(c.denominator for c in coefs))
     lines: list[str] = []
     if scale != 1:
         lines.append(f"\\ objective-scale: {scale}")
@@ -512,8 +511,7 @@ def emit_lp(model: IlpModel) -> str:
                 parts.append(f"{coef} {var}" if coef >= 0 else f"- {abs(coef)} {var}")
             else:
                 parts.append(f"+ {coef} {var}" if coef >= 0 else f"- {abs(coef)} {var}")
-        sense = ">=" if con.sense == ">=" else "="
-        lines.append(f" {con.name}: " + " ".join(parts) + f" {sense} {con.rhs}")
+        lines.append(f" {con.name}: " + " ".join(parts) + f" {con.sense} {con.rhs}")
     lines.append("Binary")
     for var in model.binaries:
         lines.append(f" {var}")

@@ -219,6 +219,17 @@ def single_source_to_dst(instance: TemporalInstance) -> DstInstance:
     )
 
 
+def priority_to_dict(p: PriorityInstance) -> dict:
+    return {
+        "vertices": list(p.vertices),
+        "edges": [
+            {"u": e.u, "v": e.v, "w": str(e.w), "priority": e.priority} for e in p.edges
+        ],
+        "max_priority": p.max_priority,
+        "demands": [{"a": d.a, "b": d.b, "priority": d.priority} for d in p.demands],
+    }
+
+
 def dst_to_dict(dst: DstInstance) -> dict:
     levels = list(range(1, len(dst.terminals) + 1))
     return {

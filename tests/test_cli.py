@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import resource
@@ -352,6 +353,19 @@ class TestVerify:
         report = json.loads(out)
         assert report["ok"] is False
         assert report["problems"] == ["edge index listed twice"]
+
+    @pytest.mark.parametrize("index", [99, -1])
+    def test_rejects_an_edge_index_out_of_range(self, tmp_path, capsys, example1_file, index):
+        sol = tmp_path / "sol.json"
+        run(capsys, "solve", "-i", example1_file, "--method", "bb", "-o", sol)
+        data = load_json(str(sol))
+        data["edges"].append(index)
+        dump_json(data, str(sol))
+        code, out = run(capsys, "verify", "-i", example1_file, "-s", sol)
+        assert code == 2
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert report["problems"] == ["edge index out of range"]
 
     @pytest.mark.parametrize(
         "patch",
@@ -741,6 +755,37 @@ class TestBench:
         assert json.loads(captured.out)["error"] == "input"
         assert captured.err == ""
 
+    def test_csv_on_stdout_without_output(self, tmp_path, capsys):
+        argv = ["bench", "--kind", "example1", "--methods", "brute,union", "--seeds", "0,1"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["seed"], r["method"]) for r in rows] == [
+            ("0", "brute"), ("0", "union"), ("1", "brute"), ("1", "union"),
+        ]
+        path = tmp_path / "bench.csv"
+        code, written = run(capsys, *argv, "-o", path)
+        assert code == 0 and written == ""
+        assert out == path.read_bytes().decode("ascii")
+
+    def test_costs_match_solve_and_approx(self, tmp_path, capsys):
+        # one dispatch: a bench row costs what the single-instance command
+        # reports for the same method on the same gadget, one small enough
+        # for brute force's default subset cap
+        gadget = ["--kind", "lc-yes", "--u", "2", "--v", "1", "--degree", "1", "--sigma", "2"]
+        path = tmp_path / "lc.json"
+        code, _ = run(capsys, "gen", *gadget, "--seed", "3", "-o", path)
+        assert code == 0
+        code, out = run(capsys, "bench", *gadget, "--methods", "brute,bb,union", "--seeds", "3")
+        assert code == 0
+        bench = {r["method"]: r["cost"] for r in csv.DictReader(io.StringIO(out))}
+        single = {}
+        for command, method in [("solve", "brute"), ("solve", "bb"), ("approx", "union")]:
+            code, out = run(capsys, command, "-i", path, "--method", method)
+            assert code == 0
+            single[method] = json.loads(out)["cost"]
+        assert bench == single
+
     def test_yes_lc_batch_columns(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code, _ = run(
@@ -784,3 +829,21 @@ class TestOutputPaths:
         report = json.loads(lines[0])
         assert report["error"] == "input"
         assert report["detail"].startswith(f"cannot write {paths['BAD']}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "example1", "-o", "OK", "--trace", "MISSING"],
+        ["reduce", "--to", "edge", "-i", "IN", "-o", "OK", "--map", "MISSING"],
+        ["gen", "--kind", "example1", "-o", "OK", "--source", "DIR"],
+    ], ids=["gen-trace", "reduce-map", "gen-source"])
+    def test_bad_later_path_writes_no_file(self, tmp_path, capsys, example1_file, argv):
+        # every output path is checked before the first file is written
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        paths = {"IN": example1_file, "OK": out_dir / "ok.json",
+                 "MISSING": out_dir / "missing" / "out.json", "DIR": out_dir}
+        code, out = run(capsys, *[paths.get(a, a) for a in argv])
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "input"
+        assert list(out_dir.iterdir()) == []

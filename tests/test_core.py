@@ -94,6 +94,18 @@ class TestValidate:
         )
         assert any("node_activity" in v for v in validate(inst))
 
+    @pytest.mark.parametrize("change, message", [
+        ({"num_times": 0, "edges": (), "demands": ()}, "num_times must be positive, got 0"),
+        ({"vertices": ("a", "b", "a")}, "duplicate vertex identifiers"),
+        ({"variant": "node"}, "node variant requires node_activity"),
+        ({"variant": "node", "node_activity": {"a": frozenset({1}), "b": frozenset({2})}},
+         "node_activity['b']: time 2 outside range"),
+        ({"demands": (Demand("a", "b", 2),)}, "demand 0: time 2 outside [1..1]"),
+    ], ids=["horizon", "duplicate-vertex", "node-without-activity", "activity-time",
+            "demand-time"])
+    def test_each_rule_names_its_violation(self, change, message):
+        assert validate(replace(single_edge_instance(), **change)) == [message]
+
 
 class TestFrame:
     """Frame t holds the edges whose effective times contain t."""

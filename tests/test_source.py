@@ -130,6 +130,24 @@ def test_every_public_function_has_a_program_reader():
     ]
     assert unread == []
 
+
+def test_cli_runs_each_solver_in_one_place():
+    # `_solve` maps a method name to its solver for solve, approx and bench;
+    # bench's oracle is the one other reader of the exact solvers
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    readers = {
+        solver: sorted(getattr(stmt, "name", f"line {stmt.lineno}") for stmt in tree.body
+                       if solver in set(_names_read(stmt)))
+        for solver in ("brute_force", "solve_bb", "shortest_paths_union", "charikar")
+    }
+    assert readers == {
+        "brute_force": ["_solve", "cmd_bench"],
+        "solve_bb": ["_solve", "cmd_bench"],
+        "shortest_paths_union": ["_solve"],
+        "charikar": ["_solve"],
+    }
+
+
 def test_benchmark_imports_resolve():
     # the benchmark under perfbench/ imports program names by hand; a rename
     # in src/tsn must not leave it importing a name that is gone

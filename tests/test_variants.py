@@ -193,6 +193,20 @@ class TestToSimple:
             assert lifted.cost == orig_opt.cost
             done += 1
 
+    def test_taken_names_get_primes(self):
+        # the source, sink and gate names of the image avoid the original's
+        inst = make_instance(
+            directed=True, variant="node", num_times=2,
+            vertices=["a", "b", "x1", "y1"],
+            edges=[("a", "x1", 1), ("x1", "b", 1), ("a", "y1", 3), ("y1", "b", 1)],
+            demands=[("a", "b", 1), ("x1", "b", 2)],
+            node_activity={"a": (1, 2), "b": (1, 2), "x1": (1, 2), "y1": (1,)},
+        )
+        image, rmap = to_simple(inst)
+        assert rmap.added_vertices == ("a'", "b'", "x1'", "y1'", "x2", "y2")
+        assert image.demands == (Demand("a'", "b'", 1), Demand("a'", "b'", 2))
+        assert image_opt(image).cost == brute_force(inst).cost == 2
+
     def test_undirected_rejected(self):
         inst = rand_instance(random.Random(1), directed=False, variant="node")
         with pytest.raises(InputError):
