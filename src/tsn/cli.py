@@ -131,7 +131,7 @@ def _solve(method: str, instance: TemporalInstance, level: Optional[int], stats:
     """Run the solver that `method` names, the greedy at `level`, and put
     its counters in `stats`: the one place a method name picks a solver."""
     if method == "brute":
-        return exact.brute_force(instance)
+        return exact.brute_force(instance, stats=stats)
     if method == "bb":
         bb_stats = exact.BbStats()
         solution = exact.solve_bb(instance, bb_stats)

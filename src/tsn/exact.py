@@ -3,11 +3,14 @@
 `brute_force` is the reference oracle used throughout the test suite.  Its
 contract is the naive one -- consider all 2^|E| edge subsets, return the
 cheapest feasible one, break ties by the lexicographically smallest sorted
-index tuple -- but it enumerates only the positive-weight edges, in one
-iterative include-first search pruned by cost, since zero-weight edges never
-change a cost.  That keeps it fast on gadget instances that are mostly
-zero-weight wiring; its docstring says why the result is the naive scan's,
-and the test suite cross-checks it against a literal enumeration.
+index tuple -- but it enumerates only the positive-weight edges, since
+zero-weight edges never change a cost, in one iterative include-first search
+pruned by cost and by completion: a subtree whose edges, taken all together
+with the chosen ones and every zero edge, leave a demand unmet holds no
+feasible leaf and is skipped.  That keeps it fast on gadget instances that
+are mostly zero-weight wiring; its docstring says why the result is the
+naive scan's, and the test suite cross-checks it against a literal
+enumeration.
 
 `solve_bb` is an independent branch-and-bound over the same search space.
 Both run on `core.FrameIndex`, built once per instance: vertices interned to
@@ -70,7 +73,9 @@ class BruteForceCapError(InputError):
 # Brute force
 
 
-def brute_force(instance: TemporalInstance, cap: Optional[int] = None) -> Solution:
+def brute_force(
+    instance: TemporalInstance, cap: Optional[int] = None, stats: Optional[dict] = None
+) -> Solution:
     """Cheapest feasible edge subset; ties go to the lexicographically
     smallest sorted index tuple.
 
@@ -85,6 +90,16 @@ def brute_force(instance: TemporalInstance, cap: Optional[int] = None) -> Soluti
     plus the zero edges below the first index at which the whole set is
     taken and the edges taken so far meet every demand, which is where the
     naive scan's smallest optimal tuple ends.
+
+    A node whose cost reaches the best found is cut, and so is a node whose
+    completion set -- the edges chosen, every zero edge and the positive
+    edges from its depth on -- leaves a demand unmet: feasibility is
+    monotone under adding edges, so no leaf below it is feasible.  An
+    include child has its parent's completion set, so only the root and
+    each exclude child are tested, and a leaf the search reaches is
+    feasible.  Cutting subtrees without a feasible leaf keeps every strict
+    improvement, so the answer is the one above.  `stats`, when given,
+    receives the number of `completion_tests` and of `improvements`.
 
     Raises InfeasibleInstanceError when some demand cannot be met even by
     the full edge set, and BruteForceCapError when |E| exceeds `cap`
@@ -105,26 +120,35 @@ def brute_force(instance: TemporalInstance, cap: Optional[int] = None) -> Soluti
     pos = [i for i, w in enumerate(weight) if w > 0]
     zeros = [i for i, w in enumerate(weight) if w == 0]
 
-    # Each stack entry is (depth, cost, size): the first `size` edges of
-    # `chosen` are the positive edges taken above that depth.
+    # Each stack entry is (depth, cost, size, test): the first `size` edges
+    # of `chosen` are the positive edges taken above that depth, and `test`
+    # marks the root and the exclude children, whose completion set is new.
     best, best_set = sum(weight) + 1, None
+    tests = improvements = 0
     chosen: list[int] = []
-    stack = [(0, 0, 0)]
+    stack = [(0, 0, 0, True)]
     while stack:
-        depth, cost, size = stack.pop()
+        depth, cost, size, test = stack.pop()
         del chosen[size:]
         if cost >= best:
             continue  # weights are nonnegative, no improvement below
+        if test:
+            tests += 1
+            if not index.feasible(chosen + zeros + pos[depth:]):
+                continue  # no feasible leaf below
         if depth == len(pos):
-            if index.feasible(chosen + zeros):
-                best, best_set = cost, set(chosen)
+            best, best_set = cost, set(chosen)
+            improvements += 1
             continue
         e = pos[depth]
-        stack.append((depth + 1, cost, size))
+        stack.append((depth + 1, cost, size, True))
         chosen.append(e)
-        stack.append((depth + 1, cost + weight[e], size + 1))
+        stack.append((depth + 1, cost + weight[e], size + 1, False))
     if best_set is None:
         raise InternalError("brute force found no feasible subset of a feasible instance")
+    if stats is not None:
+        stats["completion_tests"] = tests
+        stats["improvements"] = improvements
 
     last = max(best_set, default=-1)
     taken: list[int] = []
@@ -177,8 +201,10 @@ def solve_bb(
     no completion left.  For a single demand the ascent is a shortest-path
     search.  The search starts from an incumbent of cost UB + 1 with no
     edges and takes only strictly cheaper solutions, so it returns the first
-    optimum in branch order whatever the bounds prune.  It is iterative, so
-    its depth is not bounded by the interpreter's recursion limit.
+    optimum in branch order whatever the bounds prune.  It stops at an
+    incumbent of cost LB, since nothing after it can be strictly cheaper.
+    It is iterative, so its depth is not bounded by the interpreter's
+    recursion limit.
     """
     fidx = FrameIndex(instance)
     weight = fidx.weight
@@ -230,6 +256,8 @@ def solve_bb(
                 best_cost = cost
                 best_edges = [i for i, s in enumerate(state) if s == _INCLUDED]
                 stats.incumbent_updates += 1
+                if cost == lower:
+                    break  # at the root bound: nothing later is strictly cheaper
             else:
                 bound = fidx.dual_ascent(state, unmet, budget)[0]
                 if bound is None:

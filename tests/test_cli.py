@@ -234,6 +234,13 @@ class TestSolve:
         data = load_json(str(sol))
         assert data["cost"] == "1" and data["feasible"] is True
 
+    def test_brute_reports_its_search(self, capsys, example1_file):
+        code, out = run(capsys, "solve", "-i", example1_file, "--method", "brute")
+        assert code == 0
+        stats = json.loads(out)["stats"]
+        assert set(stats) == {"completion_tests", "improvements"}
+        assert stats["completion_tests"] >= stats["improvements"] >= 1
+
     def test_bb_reports_nodes(self, tmp_path, capsys, example1_file):
         code, out = run(capsys, "solve", "-i", example1_file, "--method", "bb")
         assert code == 0

@@ -172,6 +172,33 @@ class TestBruteForce:
         # include-first search must return the same set on every instance
         assert brute_corpus_digest() == "42419c6428eed86ed9c5ac8794415fb60437c719495fa7767582332d8d5f53d0"
 
+    @pytest.mark.parametrize(
+        "u, v, degree, sigma, seed, edges, left_out, tests, improvements",
+        [
+            (3, 3, 2, 2, 0, 63, (0, 3, 12, 15, 30, 33, 46, 49, 58), 380, 10),
+            (3, 3, 2, 2, 1, 66, (6, 9, 18, 21, 24, 27, 40, 43, 46, 49, 52, 61), 380, 13),
+            (3, 3, 2, 2, 2, 63, (6, 9, 18, 21, 30, 33, 36, 53, 58), 234, 10),
+            (3, 3, 2, 3, 0, 99, (0, 3, 12, 15, 18, 21, 30, 33, 42, 45, 48, 51, 54, 57,
+                                 64, 69, 72, 75, 78, 81, 92, 97, 98), 7932, 22),
+        ],
+        ids=["lc-yes-3322-s0", "lc-yes-3322-s1", "lc-yes-3322-s2", "lc-yes-3323-s0"],
+    )
+    def test_search_pinned_on_gadgets(
+        self, u, v, degree, sigma, seed, edges, left_out, tests, improvements
+    ):
+        # edge sets recorded before the completion test cut subtrees with no
+        # feasible leaf, pinned by the edges the solution leaves out.  Before
+        # it, brute force tested every leaf it reached: the three 3/3/2/2
+        # draws made 10,205, 14,010 and 5,591 feasibility calls, against
+        # 415, 412 and 269 with it (tie-break pass included)
+        inst, _ = phlc_to_kdtsn(gen_yes_lc(u, v, degree, sigma, seed=seed))
+        assert len(inst.edges) == edges
+        stats = {}
+        sol = brute_force(inst, cap=edges, stats=stats)
+        assert sol.edges == tuple(i for i in range(edges) if i not in left_out)
+        assert solve_bb(inst).cost == sol.cost == 6
+        assert stats == {"completion_tests": tests, "improvements": improvements}
+
     def test_deterministic(self):
         rng = random.Random(17)
         inst = rand_instance(rng, max_edges=6)
@@ -235,15 +262,17 @@ class TestSolveBb:
     @pytest.mark.parametrize(
         "make, nodes",
         [
-            (lambda: phlc_to_kdtsn(gen_yes_lc(3, 3, 2, 3, seed=0)), 383),
-            (lambda: phlc_to_kdtsn(gen_nosat_phlc(3, [2, 2, 2], 3, 2, seed=0)), 105),
+            (lambda: phlc_to_kdtsn(gen_yes_lc(3, 3, 2, 3, seed=0)), 307),
+            (lambda: phlc_to_kdtsn(gen_nosat_phlc(3, [2, 2, 2], 3, 2, seed=0)), 62),
         ],
         ids=["lc-yes-u3", "phlc-nosat-k3"],
     )
     def test_node_count_pinned_on_gadgets(self, make, nodes):
         # the search itself (branch order, bounds, root incumbent, fixing)
         # is fixed: only the time per node may change.  Before the
-        # dual-ascent bound these took 3559 and 1383 nodes.
+        # dual-ascent bound these took 3559 and 1383 nodes, and before the
+        # search stopped at an incumbent that meets the root bound, 383 and
+        # 105.
         inst, _ = make()
         stats = BbStats()
         solve_bb(inst, stats)
