@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 from . import approx as approx_mod
 from . import exact, hardness, monotonic, variants
 from .core import (
-    VARIANTS,
     InfeasibleInstanceError,
     InputError,
     InternalError,
@@ -100,13 +99,9 @@ def cmd_validate(args) -> int:
 def cmd_reduce(args) -> int:
     instance = _load_instance(args.input)
     started = time.perf_counter()
-    if args.to == "simple":
-        node_image, steps = variants.normalize(instance, "node")
-        image, last = variants.to_simple(node_image)
-        steps = steps + [last]
-    else:
-        # priority-st and dst read the edge variant
-        image, steps = variants.normalize(instance, args.to if args.to in VARIANTS else "edge")
+    # priority-st and dst read the edge variant
+    target = "edge" if args.to in ("priority-st", "dst") else args.to
+    image, steps = variants.normalize(instance, target)
     if args.to == "priority-st":
         data = monotonic.priority_to_dict(monotonic.tsn_to_priority(image))
     elif args.to == "dst":
@@ -133,11 +128,7 @@ def _solve(method: str, instance: TemporalInstance, level: Optional[int], stats:
     if method == "brute":
         return exact.brute_force(instance, stats=stats)
     if method == "bb":
-        bb_stats = exact.BbStats()
-        solution = exact.solve_bb(instance, bb_stats)
-        # the root bounds are exact costs, written like `cost`
-        stats.update((k, v if isinstance(v, int) else str(v)) for k, v in vars(bb_stats).items())
-        return solution
+        return exact.solve_bb(instance, stats)
     if method == "union":
         return approx_mod.shortest_paths_union(instance)
     return approx_mod.charikar(instance, level, stats)
@@ -161,7 +152,8 @@ def _solution_report(args, **extra) -> int:
         **extra,
         cost=str(solution.cost),
         feasible=feasible,
-        stats=stats,
+        # exact costs such as the root bounds are written like `cost`
+        stats={k: v if isinstance(v, int) else str(v) for k, v in stats.items()},
         wall_time_s=round(time.perf_counter() - started, 6),
     )
     return EXIT_OK
@@ -174,9 +166,7 @@ def cmd_solve(args) -> int:
     started = time.perf_counter()
     if not args.lp:
         raise InputError("--lp PATH is required for ilp-export")
-    node_image, _ = variants.normalize(instance, "node")
-    simple, _ = variants.to_simple(node_image)
-    model = exact.build_ilp(simple)
+    model = exact.build_ilp(variants.normalize(instance, "simple")[0])
     write_text(exact.emit_lp(model), args.lp)
     _report(
         args,

@@ -102,15 +102,15 @@ def brute_force(
     receives the number of `completion_tests` and of `improvements`.
 
     Raises InfeasibleInstanceError when some demand cannot be met even by
-    the full edge set, and BruteForceCapError when |E| exceeds `cap`
-    (DEFAULT_BRUTE_CAP when None).
+    the full edge set, and BruteForceCapError when more than `cap`
+    (DEFAULT_BRUTE_CAP when None) edges have positive weight.
     """
-    edges = instance.edges
     if cap is None:
         cap = DEFAULT_BRUTE_CAP
-    if len(edges) > cap:
+    positive = sum(1 for e in instance.edges if e.w > 0)
+    if positive > cap:
         raise BruteForceCapError(
-            f"instance has {len(edges)} edges, brute-force cap is {cap}"
+            f"instance has {positive} positive-weight edges, brute-force cap is {cap}"
         )
     index = FrameIndex(instance)
     weight = index.weight
@@ -147,8 +147,7 @@ def brute_force(
     if best_set is None:
         raise InternalError("brute force found no feasible subset of a feasible instance")
     if stats is not None:
-        stats["completion_tests"] = tests
-        stats["improvements"] = improvements
+        stats.update(completion_tests=tests, improvements=improvements)
 
     last = max(best_set, default=-1)
     taken: list[int] = []
@@ -164,25 +163,7 @@ def brute_force(
 # Branch and bound
 
 
-@dataclass
-class BbStats:
-    """What one `solve_bb` run did: nodes visited; nodes pruned because the
-    included edges alone reach the incumbent or leave a demand with no
-    completion (`completion_prunes`) and by the dual-ascent bound; incumbents
-    found by the search; and the root's dual-ascent lower bound and the cost
-    of the incumbent built from it, as exact costs."""
-
-    nodes: int = 0
-    completion_prunes: int = 0
-    dual_ascent_prunes: int = 0
-    incumbent_updates: int = 0
-    root_lower_bound: Optional[Fraction] = None
-    root_upper_bound: Optional[Fraction] = None
-
-
-def solve_bb(
-    instance: TemporalInstance, stats: Optional[BbStats] = None
-) -> Solution:
+def solve_bb(instance: TemporalInstance, stats: Optional[dict] = None) -> Solution:
     """Provably optimal solution by depth-first branch and bound on edges.
 
     At the root, a full dual ascent gives a lower bound LB and reduced
@@ -205,14 +186,18 @@ def solve_bb(
     incumbent of cost LB, since nothing after it can be strictly cheaper.
     It is iterative, so its depth is not bounded by the interpreter's
     recursion limit.
+
+    `stats`, when given, receives the number of `nodes` visited; of nodes
+    pruned because the included edges alone reach the incumbent or leave a
+    demand with no completion (`completion_prunes`) and by the dual-ascent
+    bound (`dual_ascent_prunes`); of `incumbent_updates`; and the root's
+    `root_lower_bound` and `root_upper_bound` as exact costs.
     """
     fidx = FrameIndex(instance)
     weight = fidx.weight
     bad = fidx.first_unmet(b"\x01" * len(weight))
     if bad is not None:
         raise InfeasibleInstanceError(bad)
-    if stats is None:
-        stats = BbStats()
     order = sorted(
         range(len(weight)),
         key=lambda i: (-weight[i], -len(fidx.eff[i]), i),
@@ -229,14 +214,13 @@ def solve_bb(
         key=lambda i: (-weight[i], len(fidx.eff[i]), i),
     ))
     upper = sum(w for w, m in zip(weight, member) if m)
-    stats.root_lower_bound = Fraction(lower, fidx.scale)
-    stats.root_upper_bound = Fraction(upper, fidx.scale)
     for i, r in enumerate(reduced):
         if lower + r > upper:
             state[i] = _EXCLUDED
     order = [i for i in order if state[i] == _UNDECIDED]
     best_cost = upper + 1
     best_edges: Optional[list[int]] = None
+    nodes = completion_prunes = dual_ascent_prunes = incumbent_updates = 0
 
     # One entry per node whose children are being searched: its depth and
     # the demands its included edges leave unmet.  Both children start from
@@ -244,10 +228,10 @@ def solve_bb(
     stack: list[tuple[int, list[int]]] = []
     depth, cost = 0, 0
     while True:
-        stats.nodes += 1
+        nodes += 1
         budget = best_cost - cost
         if budget <= 0:
-            stats.completion_prunes += 1
+            completion_prunes += 1
         else:
             included = state.translate(_INCLUDED_ONLY)
             unmet = [j for j in pending if not fidx.reaches(j, included)]
@@ -255,15 +239,15 @@ def solve_bb(
                 # every demand met below the budget: strictly cheaper than the incumbent
                 best_cost = cost
                 best_edges = [i for i, s in enumerate(state) if s == _INCLUDED]
-                stats.incumbent_updates += 1
+                incumbent_updates += 1
                 if cost == lower:
                     break  # at the root bound: nothing later is strictly cheaper
             else:
                 bound = fidx.dual_ascent(state, unmet, budget)[0]
                 if bound is None:
-                    stats.completion_prunes += 1
+                    completion_prunes += 1
                 elif bound >= budget:
-                    stats.dual_ascent_prunes += 1
+                    dual_ascent_prunes += 1
                 else:
                     e = order[depth]
                     state[e] = _INCLUDED
@@ -287,6 +271,15 @@ def solve_bb(
             break
     if best_edges is None:
         raise InternalError("branch and bound ended without a solution on a feasible instance")
+    if stats is not None:
+        stats.update(
+            nodes=nodes,
+            completion_prunes=completion_prunes,
+            dual_ascent_prunes=dual_ascent_prunes,
+            incumbent_updates=incumbent_updates,
+            root_lower_bound=Fraction(lower, fidx.scale),
+            root_upper_bound=Fraction(upper, fidx.scale),
+        )
     return solution_from_edges(instance, best_edges)
 
 
@@ -325,7 +318,7 @@ class IlpModel:
 
     @property
     def edge_var(self) -> tuple[str, ...]:
-        """The decision variable of each underlying edge, in edge order."""
+        """The decision variable of each arc of the model, in edge order."""
         return tuple(var for _, var in self.objective)
 
 
@@ -388,50 +381,50 @@ def _simple_shape(instance: TemporalInstance) -> tuple[str, str]:
 def build_ilp(instance: TemporalInstance) -> IlpModel:
     """Unit-flow integer program for a simple directed instance.
 
-    Node-variant inputs are normalised to the edge variant internally (the
-    model then talks about the normalised edge set).  Objective: sum of
-    d_{u}_{v} * w.  Constraints: coupling d_uv >= d_uvt per active time,
-    flow conservation per (time, interior vertex), unit outflow at the
-    source and unit inflow at the sink per time.  One pass over the (edge,
-    active time) pairs claims the names and files each flow variable under
-    the (time, vertex) it enters and leaves; every flow row is read from
-    those two maps, in-terms then out-terms, each in edge order.
+    Each arc is active at its `effective_times`, so node activity is read
+    directly; on node-variant input an arc active at no time is left out,
+    as `variants.node_to_edge` drops it.  Objective: sum of d_{u}_{v} * w.
+    Constraints: coupling d_uv >= d_uvt per active time, flow conservation
+    per (time, interior vertex), unit outflow at the source and unit inflow
+    at the sink per time.  One pass over the (arc, active time) pairs claims
+    the names and files each flow variable under the (time, vertex) it
+    enters and leaves; every flow row is read from those two maps, in-terms
+    then out-terms, each in arc order.
     """
     if not instance.directed:
         raise InputError("the flow ILP is defined for directed instances")
-    if instance.variant != "edge":
-        from .variants import normalize
-
-        instance, _ = normalize(instance, "edge")
     a, b = _simple_shape(instance)
+    arcs = []  # (edge id, edge, active times) of every arc the model holds
+    for i, e in enumerate(instance.edges):
+        times = effective_times(instance, i)
+        if times or instance.variant == "edge":
+            arcs.append((i, e, times))
 
     seen = {}
-    for i, e in enumerate(instance.edges):
+    for i, e, _ in arcs:
         if (e.u, e.v) in seen:
             raise InputError(f"parallel arcs {seen[(e.u, e.v)]} and {i} not supported")
         seen[(e.u, e.v)] = i
 
     names = _LpNames()
-    edge_var = tuple(
-        names.compose("d", names.token(e.u), names.token(e.v)) for e in instance.edges
-    )
+    edge_var = tuple(names.compose("d", names.token(e.u), names.token(e.v)) for _, e, _ in arcs)
     flow_vars: list[str] = []
-    # flow variables into and out of each (time, vertex), in edge order
+    # flow variables into and out of each (time, vertex), in arc order
     ins: defaultdict[int, dict[str, list[str]]] = defaultdict(dict)
     outs: defaultdict[int, dict[str, list[str]]] = defaultdict(dict)
     objective = []
     constraints: list[Constraint] = []
-    for i, e in enumerate(instance.edges):
-        objective.append((e.w, edge_var[i]))
-        for t in sorted(effective_times(instance, i)):
-            fv = names.claim(f"{edge_var[i]}_{t}")
+    for var, (_, e, times) in zip(edge_var, arcs):
+        objective.append((e.w, var))
+        for t in sorted(times):
+            fv = names.claim(f"{var}_{t}")
             flow_vars.append(fv)
             ins[t].setdefault(e.v, []).append(fv)
             outs[t].setdefault(e.u, []).append(fv)
             constraints.append(
                 Constraint(
                     name=names.compose("cpl", names.token(e.u), names.token(e.v), t),
-                    terms=((1, edge_var[i]), (-1, fv)),
+                    terms=((1, var), (-1, fv)),
                     sense=">=",
                     rhs=0,
                 )

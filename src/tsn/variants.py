@@ -149,11 +149,16 @@ def _embed(instance: TemporalInstance) -> tuple[TemporalInstance, ReductionMap]:
 def normalize(
     instance: TemporalInstance, target_variant: str
 ) -> tuple[TemporalInstance, list[ReductionMap]]:
-    """Chain reductions until the instance has the requested variant.
+    """Chain reductions until the instance has the requested variant, or,
+    for "simple", reduce to the node variant and then `to_simple`.
 
     Returns the image and the list of per-step maps, outermost first;
     lift_chain undoes them.
     """
+    if target_variant == "simple":
+        image, steps = normalize(instance, "node")
+        image, last = to_simple(image)
+        return image, steps + [last]
     if target_variant not in ("edge", "node", "node_and_edge"):
         raise InputError(f"unknown target variant {target_variant!r}")
     steps: list[ReductionMap] = []

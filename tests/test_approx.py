@@ -371,6 +371,40 @@ class TestCharikarLevel:
                             stack.append(y)
                 assert seen >= tree.nodes
 
+    def test_merge_skips_a_child_already_in_the_tree(self, monkeypatch):
+        # on this draw a level-2 and a level-3 pick reach a pair the running
+        # tree already holds; `_merge` must keep the first in-edge, so the
+        # result stays a tree and its expansion feasible
+        import tsn.approx
+
+        rng = random.Random(3)
+        weights = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2)]
+        for _ in range(93):
+            inst = rand_monotonic_single_source(
+                rng, max_vertices=7, max_edges=16, max_times=4, max_demands=5, weights=weights
+            )
+        real = tsn.approx._merge
+        skips = []
+
+        def counting(base_edges, base_nodes, extra, root):
+            extra = list(extra)
+            have = {child for _, child, _ in base_edges}
+            skips.extend(child for _, child, _ in extra if child == root or child in have)
+            return real(base_edges, base_nodes, extra, root)
+
+        monkeypatch.setattr(tsn.approx, "_merge", counting)
+        closure = metric_closure(inst)
+        pairs = [(d.b, d.t) for d in inst.demands]
+        root = (inst.demands[0].a, 0)
+        for level in (2, 3):
+            skips.clear()
+            tree = charikar_level(level, closure, root, len(pairs), pairs)
+            assert skips
+            children = [child for _, child, _ in tree.edges]
+            assert len(children) == len(set(children))
+            assert root not in children
+            assert is_feasible(inst, charikar(inst, level))
+
     def test_star_expands_to_direct_edges_verbatim(self):
         inst = hub_instance(C=10, eps=1, k=3)
         closure = metric_closure(inst)

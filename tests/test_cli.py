@@ -241,6 +241,36 @@ class TestSolve:
         assert set(stats) == {"completion_tests", "improvements"}
         assert stats["completion_tests"] >= stats["improvements"] >= 1
 
+    def test_brute_cap_counts_positive_edges(self, tmp_path, capsys):
+        # the zero-weight wiring is never branched on, so a gadget of 21
+        # edges, 5 of them positive, is within the default cap of 20
+        path = tmp_path / "lc.json"
+        code, _ = run(capsys, "gen", "--kind", "lc-yes", "--u", "2", "--v", "2",
+                      "--degree", "1", "--sigma", "2", "--seed", "0", "-o", path)
+        assert code == 0
+        edges = load_json(str(path))["edges"]
+        assert len(edges) == 21 and sum(Fraction(e["w"]) > 0 for e in edges) == 5
+        costs = {}
+        for method in ("brute", "bb"):
+            code, out = run(capsys, "solve", "-i", path, "--method", method)
+            assert code == 0
+            costs[method] = json.loads(out)["cost"]
+        assert costs["brute"] == costs["bb"]
+
+    def test_brute_cap_refuses_21_positive_edges(self, tmp_path, capsys):
+        path = tmp_path / "path21.json"
+        write_instance(path, make_instance(
+            directed=True, variant="edge", num_times=1,
+            vertices=[f"v{i}" for i in range(22)],
+            edges=[(f"v{i}", f"v{i + 1}", 1, (1,)) for i in range(21)],
+            demands=[("v0", "v21", 1)],
+        ))
+        code, out = run(capsys, "solve", "-i", path, "--method", "brute")
+        assert code == 2
+        report = json.loads(out)
+        assert report["error"] == "input"
+        assert report["detail"] == "instance has 21 positive-weight edges, brute-force cap is 20"
+
     def test_bb_reports_nodes(self, tmp_path, capsys, example1_file):
         code, out = run(capsys, "solve", "-i", example1_file, "--method", "bb")
         assert code == 0
@@ -485,6 +515,19 @@ class TestApprox:
         code, out = run(capsys, "approx", "-i", path, "--method", "charikar", "--level", 0)
         assert code == 2
         assert json.loads(out)["error"] == "input"
+
+    @pytest.mark.parametrize("method", ["charikar", "union"])
+    def test_no_demands_needs_no_edges(self, tmp_path, capsys, method):
+        path, sol = tmp_path / "free.json", tmp_path / "sol.json"
+        write_instance(path, make_instance(
+            directed=True, variant="edge", num_times=1, vertices=["s", "a"],
+            edges=[("s", "a", 1, (1,))], demands=[],
+        ))
+        code, out = run(capsys, "approx", "-i", path, "--method", method, "-o", sol)
+        assert code == 0
+        assert json.loads(out)["cost"] == "0"
+        data = load_json(str(sol))
+        assert data["edges"] == [] and data["cost"] == "0"
 
 
 class TestReduce:

@@ -21,7 +21,6 @@ from tsn.core import (
     solution_cost,
 )
 from tsn.exact import (
-    BbStats,
     BruteForceCapError,
     brute_force,
     build_ilp,
@@ -36,7 +35,7 @@ from tsn.hardness import (
     gen_yes_lc,
     phlc_to_kdtsn,
 )
-from tsn.variants import normalize, to_simple
+from tsn.variants import node_to_edge, normalize, to_simple
 
 from helpers import (
     assignment_objective,
@@ -274,9 +273,9 @@ class TestSolveBb:
         # search stopped at an incumbent that meets the root bound, 383 and
         # 105.
         inst, _ = make()
-        stats = BbStats()
+        stats = {}
         solve_bb(inst, stats)
-        assert stats.nodes == nodes
+        assert stats["nodes"] == nodes
 
     def test_long_path_does_not_hit_recursion_limit(self):
         n = 1500
@@ -298,9 +297,9 @@ class TestSolveBb:
 
     def test_counts_nodes(self):
         inst, _ = phlc_to_kdtsn(example1_label_cover())
-        stats = BbStats()
+        stats = {}
         solve_bb(inst, stats)
-        assert stats.nodes > 0
+        assert stats["nodes"] > 0
 
 
 def _bound_corpus(seed, count, max_edges=7):
@@ -465,10 +464,10 @@ class TestDualAscent:
             lambda: phlc_to_kdtsn(gen_nosat_phlc(3, [2, 2, 2], 3, 2, seed=0)),
         ):
             inst, _ = make()
-            stats = BbStats()
+            stats = {}
             cost = solve_bb(inst, stats).cost
-            assert stats.root_lower_bound <= cost <= stats.root_upper_bound
-            assert stats.incumbent_updates >= 1
+            assert stats["root_lower_bound"] <= cost <= stats["root_upper_bound"]
+            assert stats["incumbent_updates"] >= 1
 
 
 def simple_path_instance():
@@ -521,6 +520,40 @@ class TestBuildIlp:
                 expected += sum(1 for e in inst.edges if t in e.times)
             assert len(model.binaries) == expected
             built += 1
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: replace(simple_path_instance(), directed=False), "directed instances"),
+        (lambda: replace(simple_path_instance(), demands=()), "at least one demand"),
+        (lambda: replace(simple_path_instance(), num_times=2), "time horizon"),
+        (lambda: make_instance(
+            directed=True, variant="edge", num_times=1, vertices=["a", "b"],
+            edges=[("a", "b", 1, (1,)), ("a", "b", 2, (1,))], demands=[("a", "b", 1)],
+            allow_parallel=True,
+        ), "parallel arcs 0 and 1"),
+    ], ids=["undirected", "no-demands", "horizon-not-k", "parallel-arcs"])
+    def test_input_errors(self, make, message):
+        with pytest.raises(InputError, match=message):
+            build_ilp(make())
+
+    def test_node_variant_model_is_its_edge_image_model(self):
+        # node activity is read directly, and an arc active at no time is
+        # left out as node_to_edge drops it.  Node-variant parallel arcs
+        # share their activity, so the dead pair p->q_r does not trip the
+        # parallel check, and their names do not push the live p_q->r
+        # (d_p_q_r too) to a suffix
+        inst = make_instance(
+            directed=True, variant="node", num_times=2,
+            vertices=["a", "b", "p", "q_r", "p_q", "r"],
+            edges=[("p", "q_r", 1), ("p", "q_r", 2), ("a", "p_q", 1), ("p_q", "r", 1),
+                   ("r", "b", 1), ("a", "p", 3), ("p", "b", 0)],
+            demands=[("a", "b", 1), ("a", "b", 2)],
+            node_activity={"a": (1, 2), "b": (1, 2), "p": (1,), "q_r": (2,),
+                           "p_q": (1, 2), "r": (1, 2)},
+            allow_parallel=True,
+        )
+        model = build_ilp(inst)
+        assert "d_p_q_r" in model.edge_var and len(model.edge_var) == 5
+        assert emit_lp(model) == emit_lp(build_ilp(node_to_edge(inst)[0]))
 
     def test_rejects_non_simple_demands(self):
         inst = make_instance(

@@ -194,6 +194,24 @@ def test_exact_decides_on_its_index():
     assert found == []
 
 
+def test_exact_imports_no_variant_reduction():
+    # `build_ilp` reads node activity through `effective_times`; the
+    # reductions to the simple form are the caller's
+    tree = ast.parse((SOURCE / "exact.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # `from .variants import x` and `from . import variants` alike
+            modules = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any("variants" in m.split(".") for m in modules):
+            found.append(node.lineno)
+    assert found == []
+
+
 def test_cli_binds_no_module_level_container():
     # per-call state lives on the parsed arguments, so one parser can serve
     # every `main` call
