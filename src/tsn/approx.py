@@ -24,7 +24,11 @@ keeps, per sub-root, its sorted successor pairs with their hops and reach
 masks, built on first use; the memo is keyed on the ints (level, sub-root
 bit, sub-budget, live pairs & reach mask).  The mask is exact because,
 within one top-level call, a demand pair sits in every residual either with
-its full multiplicity or not at all.
+its full multiplicity or not at all.  For the same reason a round's pick
+depends only on (level, root, live pairs) and on how many entries remain,
+so one pick table per such context serves every round and sibling sub-call
+that meets it again: a round reads its pick from the table and scans only
+sub-budgets the table has not reached.
 """
 
 from __future__ import annotations
@@ -264,13 +268,28 @@ def _scaled_cost(closure: MetricClosure, tree: ClosureTree) -> int:
     return sum(_hop(closure, parent[0], child) for parent, child, _ in tree.edges)
 
 
+class _Memo(dict):
+    """The memo of one top-level `charikar_level` call: one entry per
+    sub-call, keyed (level, sub-root bit, sub-budget, live pairs & reach
+    mask), holding (subtree, scaled cost, residual entries covered).
+    `rounds` keeps the pick tables beside it, keyed (level, root, live
+    pairs): entry r of a table is (the pick of a round with r entries still
+    to cover, the memo look-ups that round ranks over)."""
+
+    __slots__ = ("rounds",)
+
+    def __init__(self):
+        super().__init__()
+        self.rounds: dict[tuple[int, Pair, int], list] = {}
+
+
 def charikar_level(
     i: int,
     closure: MetricClosure,
     root: Pair,
     k: int,
     demands: Sequence[Pair],
-    _cache: Optional[dict] = None,
+    _cache: Optional[_Memo] = None,
     _stats: Optional[dict] = None,
 ) -> ClosureTree:
     """Level-i recursive greedy over the closure.
@@ -295,14 +314,28 @@ def charikar_level(
     one top-level call only; each sub-call adds one entry.  Costs are
     compared as scaled ints by cross-multiplication; each memo entry keeps
     its tree's scaled cost and the number of residual entries it covers.
-    `_stats` counts "calls" (invocations) and "memo_hits".
+
+    A round's candidates and their memo keys depend only on (i, root, live
+    pairs), and the round with r entries to cover ranks every candidate
+    with sub-budget <= r.  So `_cache.rounds` keeps one pick table per
+    (i, root, live pairs), shared by the later rounds and the sibling
+    sub-calls (one pair, budgets 1..cap, one residual) that meet the same
+    context: entry r holds the minimum of (density, nodes, pair,
+    -sub-budget) over sub-budgets <= r, which is exactly the pick of a full
+    scan, and the number of memo look-ups that scan makes.  A round reads
+    `table[remaining]` and grows the table, one sub-budget at a time, only
+    past its end; a miss there makes one sub-call through the module name.
+    `_stats` counts "calls" (invocations) and "memo_hits": every
+    already-built (candidate, sub-budget) entry a round ranks over, that is
+    the round's look-ups less the sub-calls it made.  Each memo key misses
+    once, so both totals equal those of a full scan in every round.
     """
     if i < 1:
         raise InputError("level must be a positive integer")
     if k < 0:
         raise InputError(f"the budget k must be non-negative, got {k}")
     if _cache is None:
-        _cache = {}
+        _cache = _Memo()
     if _stats is not None:
         _stats["calls"] = _stats.get("calls", 0) + 1
         _stats.setdefault("memo_hits", 0)
@@ -346,45 +379,59 @@ def charikar_level(
         # the root pair satisfies its own demand without any edge; do not
         # let candidate subtrees claim that credit again
         remaining -= counts.pop(root)
+    live = sum(1 << bits[p] for p in counts)
+    rounds = _cache.rounds
     while remaining > 0:
-        residual = _expand(counts)
-        live = sum(1 << bits[p] for p in counts)
-        repeats = [(1 << bits[p], c - 1) for p, c in counts.items() if c > 1]
-        hits = 0
-        best = None  # (scaled cost, newly covered, |nodes|, pair, subtree)
-        for pair, hop, reach, bit in closure.successors(root):
-            sub_mask = live & reach
-            if not sub_mask:
-                continue
-            # residual entries the sub-call at pair can reach
-            cap = sub_mask.bit_count()
-            for b, extra in repeats:
-                if sub_mask & b:
-                    cap += extra
-            for sub_k in range(min(remaining, cap), 0, -1):
-                key = (level, bit, sub_k, sub_mask)
-                entry = _cache.get(key)
-                if entry is None:
-                    # exactly what the sub-call can reach, so its count
-                    # check holds
-                    sub_residual = tuple(q for q in residual if sub_mask >> bits[q] & 1)
-                    sub = charikar_level(level, closure, pair, sub_k, sub_residual, _cache, _stats)
-                    entry = _cache[key] = (
-                        sub, _scaled_cost(closure, sub), sum(counts[p] for p in sub.covered)
-                    )
-                else:
-                    hits += 1
-                sub, sub_cost, newly = entry
-                cost = sub_cost + hop
-                nodes = len(sub.nodes) + (root not in sub.nodes)
-                if best is not None:
-                    # density cost/newly against the best's, exactly
-                    lhs, rhs = cost * best[1], best[0] * newly
-                    if lhs > rhs or (lhs == rhs and (nodes, pair) >= best[2:4]):
+        table = rounds.get((i, root, live))
+        if table is None:
+            table = rounds[(i, root, live)] = [(None, 0)]
+        calls = 0
+        if remaining >= len(table):
+            # grow the table one sub-budget at a time; the candidates are
+            # derived again rather than kept, to hold the tables small
+            residual = _expand(counts)
+            repeats = [(1 << bits[p], c - 1) for p, c in counts.items() if c > 1]
+            candidates = []
+            for pair, hop, reach, bit in closure.successors(root):
+                sub_mask = live & reach
+                if sub_mask:
+                    # residual entries the sub-call at pair can reach
+                    cap = sub_mask.bit_count()
+                    for b, extra in repeats:
+                        if sub_mask & b:
+                            cap += extra
+                    candidates.append((pair, hop, bit, sub_mask, cap))
+            best, lookups = table[-1]  # (scaled cost, newly covered, |nodes|, pair, subtree)
+            for sub_k in range(len(table), remaining + 1):
+                for pair, hop, bit, sub_mask, cap in candidates:
+                    if cap < sub_k:
                         continue
-                best = (cost, newly, nodes, pair, sub)
+                    lookups += 1
+                    key = (level, bit, sub_k, sub_mask)
+                    entry = _cache.get(key)
+                    if entry is None:
+                        # exactly what the sub-call can reach, so its count
+                        # check holds
+                        sub_residual = tuple(q for q in residual if sub_mask >> bits[q] & 1)
+                        sub = charikar_level(level, closure, pair, sub_k, sub_residual, _cache, _stats)
+                        entry = _cache[key] = (
+                            sub, _scaled_cost(closure, sub), sum(counts[p] for p in sub.covered)
+                        )
+                        calls += 1
+                    sub, sub_cost, newly = entry
+                    cost = sub_cost + hop
+                    nodes = len(sub.nodes) + (root not in sub.nodes)
+                    if best is not None:
+                        # density cost/newly against the best's, exactly; a
+                        # full tie goes to this larger sub-budget
+                        lhs, rhs = cost * best[1], best[0] * newly
+                        if lhs > rhs or (lhs == rhs and (nodes, pair) > best[2:4]):
+                            continue
+                    best = (cost, newly, nodes, pair, sub)
+                table.append((best, lookups))
+        best, lookups = table[remaining]
         if _stats is not None:
-            _stats["memo_hits"] += hits
+            _stats["memo_hits"] += lookups - calls
         if best is None:
             # every residual pair is a candidate whose subtree covers it
             raise InternalError(f"no greedy pick from {root} covers a residual pair")
@@ -394,6 +441,7 @@ def charikar_level(
         remaining -= newly
         for p in sub.covered:
             counts.pop(p, None)
+            live &= ~(1 << bits[p])
     return ClosureTree(
         root=root,
         nodes=frozenset(tree_nodes),
@@ -434,7 +482,26 @@ def charikar(
 ) -> Solution:
     """Run the level-`level` greedy (1 <= level <= MAX_LEVEL) on a monotonic
     single-source directed instance and expand the resulting closure tree to
-    real edges."""
+    real edges.
+
+    The greedy runs on `normalize(instance, "edge")`.  On `node_and_edge`
+    input that image need not be monotonic: each edge e = u->v is split
+    through a midpoint x_e active on times_e, so the half-arc u->x_e is
+    active on act(u) & times_e, which can fail to be upward closed (v may
+    be inactive when u and e are active).  That does no harm.  On a
+    feasible monotonic input every demand time lies in the source's
+    activity, and every vertex reachable at time t is active on [t, T],
+    since each edge of the path is effective at t and so on [t, T].  Take
+    a demand at time t whose route enters x_e from u: u is the source or
+    was reached earlier, so it is active at t, and x_e->v is active at t
+    (x_e is no demand vertex and has no other out-arc, and a sub-root gets
+    only the demand pairs it reaches).  So t lies in e's effective set
+    act(u) & times_e & act(v), which is upward closed, and the half-arc is
+    active at t; outside that set it only leads into a dead end.  A
+    half-arc that is not upward closed thus never carries a demand path.
+    A seeded fuzz in the tests keeps every level-1..3 solution feasible on
+    such images.
+    """
     if not 1 <= level <= MAX_LEVEL:
         raise InputError(f"level must be an integer from 1 to {MAX_LEVEL}, got {level}")
     source = single_source(instance, "the recursive greedy")
@@ -444,7 +511,7 @@ def charikar(
     closure = metric_closure(edge_inst)
     pairs = [(d.b, d.t) for d in edge_inst.demands]
     tree = charikar_level(
-        level, closure, (source, 0), len(pairs), pairs, _cache={}, _stats=stats
+        level, closure, (source, 0), len(pairs), pairs, _cache=_Memo(), _stats=stats
     )
     image_sol = expand_tree(edge_inst, closure, tree)
     return lift_chain(steps, image_sol, instance)

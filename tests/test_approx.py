@@ -531,6 +531,136 @@ def repeated_pairs_digest():
     return h.hexdigest()
 
 
+def table_reuse_digest():
+    """sha256 over every `charikar_level` tree, cover and cost, and the calls
+    and memo hits behind it, at levels 2-3 and every budget k, on a seeded
+    corpus of up to 12 vertices and 40 arcs, where one sub-root often meets
+    the same live residual in several rounds and sibling sub-calls; up to
+    three demand pairs are repeated."""
+    rng = random.Random(1999)
+    h = hashlib.sha256()
+    for _ in range(80):
+        inst = rand_monotonic_single_source(
+            rng, max_vertices=12, max_edges=40, max_times=4, max_demands=7,
+            require_feasible=False, weights=MIXED_WEIGHTS,
+        )
+        closure = metric_closure(inst)
+        pairs = [(d.b, d.t) for d in inst.demands]
+        pairs += [rng.choice(pairs) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(pairs)
+        root = (inst.demands[0].a, 0)
+        for level in (2, 3):
+            for k in range(1, len(pairs) + 1):
+                stats = {}
+                try:
+                    tree = charikar_level(level, closure, root, k, pairs, _stats=stats)
+                except NoSolutionError:
+                    h.update(f"{level} {k} none {stats}\n".encode())
+                    continue
+                edges = [(p, c, str(w)) for p, c, w in tree.edges]
+                record = (level, k, sorted(tree.nodes), edges, tree.covered, str(tree.cost),
+                          stats["calls"], stats["memo_hits"])
+                h.update(repr(record).encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestPickTables:
+    def test_trees_calls_and_memo_hits_are_pinned_on_larger_corpus(self):
+        # digest taken before the greedy kept one pick table per (level,
+        # sub-root, live residual); any change to a tree, its cover, its
+        # cost or to the calls and memo hits behind it changes it
+        assert table_reuse_digest() == "5548e8de852c241e2d030fead33b07b65bf3bc657118f478b40eee30723f7f87"
+
+    def test_rounds_and_sibling_calls_read_shared_tables(self, monkeypatch):
+        # each round of a level-2+ call merges one pick; on this draw far
+        # fewer (level, sub-root, live residual) tables than rounds serve
+        # them, and the memo still holds one entry per sub-call
+        import tsn.approx
+
+        real = tsn.approx._merge
+        rounds = []
+
+        def counting(*args):
+            rounds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(tsn.approx, "_merge", counting)
+        inst = rand_monotonic_single_source(
+            random.Random(7), max_vertices=9, max_edges=24, max_times=4, max_demands=6
+        )
+        closure = metric_closure(inst)
+        pairs = [(d.b, d.t) for d in inst.demands]
+        memo, stats = tsn.approx._Memo(), {}
+        charikar_level(3, closure, (inst.demands[0].a, 0), len(pairs), pairs, memo, stats)
+        assert len(memo) == stats["calls"] - 1
+        assert 0 < 2 * len(memo.rounds) <= len(rounds)
+
+    def test_larger_sub_budget_wins_a_full_tie(self):
+        # tree taken from the full scan; here two sub-budgets at one pair
+        # tie on density, node count and pair, and the scan keeps the larger
+        # one, so a table that let the smaller one stand builds another tree
+        arcs = [("n6", "n3", 0), ("n4", "n2", 1), ("n5", "n4", 0), ("n5", "n2", 1),
+                ("n3", "n6", 1), ("n4", "n5", 0), ("n3", "n2", 0), ("n2", "n0", 1),
+                ("n3", "n0", 0), ("n3", "n7", 0), ("n7", "n5", 1), ("n5", "n6", 1),
+                ("n1", "n3", 1), ("n1", "n5", 1), ("n2", "n4", 1), ("n2", "n7", 1),
+                ("n7", "n0", 1), ("n0", "n5", 1), ("n7", "n6", 1), ("n2", "n5", 1)]
+        inst = make_instance(
+            directed=True, variant="edge", num_times=1, vertices=[f"n{i}" for i in range(8)],
+            edges=[(u, v, w, (1,)) for u, v, w in arcs], demands=[],
+        )
+        pairs = [("n4", 1), ("n6", 1), ("n5", 1), ("n2", 1), ("n3", 1), ("n7", 1), ("n3", 1)]
+        stats = {}
+        tree = charikar_level(3, metric_closure(inst), ("n0", 0), 6, pairs, _stats=stats)
+        assert sorted(tree.edges) == [
+            (("n0", 0), ("n4", 1), 1), (("n3", 1), ("n2", 1), 0), (("n3", 1), ("n7", 1), 0),
+            (("n4", 1), ("n3", 1), 1), (("n4", 1), ("n5", 1), 0),
+        ]
+        assert stats == {"calls": 372, "memo_hits": 631}
+
+
+def rand_monotonic_node_and_edge(rng):
+    """Feasible monotonic single-source `node_and_edge` instance: each
+    vertex and each arc is active at each time with probability 0.7, and a
+    draw is kept only when every effective time set is upward closed."""
+    from tsn.core import first_unsatisfiable_demand, is_monotonic
+
+    while True:
+        n, T = rng.randint(2, 5), rng.randint(1, 3)
+        names = [f"n{i}" for i in range(n)]
+
+        def times():
+            return frozenset(t for t in range(1, T + 1) if rng.random() < 0.7)
+
+        arcs = rng.sample([(u, v) for u in names for v in names if u != v],
+                          rng.randint(1, min(8, n * (n - 1))))
+        inst = make_instance(
+            directed=True, variant="node_and_edge", num_times=T, vertices=names,
+            edges=[(u, v, Fraction(rng.randint(0, 5)), times()) for u, v in arcs],
+            demands=[(names[0], rng.choice(names[1:]), rng.randint(1, T))
+                     for _ in range(rng.randint(1, 3))],
+            node_activity={v: times() for v in names},
+        )
+        if is_monotonic(inst) and first_unsatisfiable_demand(inst) is None:
+            return inst
+
+
+class TestNodeAndEdgeImages:
+    def test_greedy_stays_feasible_on_non_monotonic_edge_images(self):
+        # splitting an edge u->v through a midpoint x_e leaves the half-arc
+        # u->x_e active on act(u) & times_e, which need not be upward
+        # closed; every level-1..3 solution must still be feasible
+        from tsn.core import is_monotonic
+
+        rng = random.Random(2016)
+        non_monotonic = 0
+        for _ in range(300):
+            inst = rand_monotonic_node_and_edge(rng)
+            non_monotonic += not is_monotonic(normalize(inst, "edge")[0])
+            for level in (1, 2, 3):
+                assert is_feasible(inst, charikar(inst, level))
+        assert non_monotonic >= 1
+
+
 TIED_WEIGHTS = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2)]
 
 
