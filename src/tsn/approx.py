@@ -9,14 +9,15 @@ minimum-density level-(i-1) subtree hanging off one closure edge.  A demand
 (b, t) counts as covered only when some tree edge lands on the pair (b, t)
 exactly -- intermediate hops may use any non-decreasing times.
 
-The union and `metric_closure` run Dijkstra on `core.FrameIndex`, whose
-weights are scaled to ints by the LCM of their denominators;
-`metric_closure` keeps the index and the scaled `dist` list of each
-(source, time), and every concrete path, in the union and in the tree
-expansion, is one `FrameIndex.path` walk.  The greedy searches on the
-scaled ints: densities are compared by cross-multiplication, and
-`Fraction` appears only in the returned `ClosureTree` edges and cost, one
-cached `Fraction` per closure distance.  It relies on the instance being
+Both run on the input's own frames, with no reduction: the union and
+`metric_closure` run Dijkstra on `core.FrameIndex`, which reads node
+activity through `effective_times` and scales the weights to ints by the
+LCM of their denominators; `metric_closure` keeps the index and the scaled
+`dist` list of each (source, time), and every concrete path, in the union
+and in the tree expansion, is one `FrameIndex.path` walk.  The greedy
+searches on the scaled ints: densities are compared by cross-multiplication,
+and `Fraction` appears only in the returned `ClosureTree` edges and cost,
+one cached `Fraction` per closure distance.  It relies on the instance being
 monotonic (frames nest, so closure reachability is transitive): each
 sub-call receives only the residual pairs reachable from its sub-root at or
 after its time.  The closure numbers the (vertex, time) pairs as bits and
@@ -49,7 +50,6 @@ from .core import (
     solution_from_edges,
 )
 from .monotonic import single_source
-from .variants import lift_chain, normalize
 
 Pair = tuple[str, int]  # (vertex, time)
 
@@ -158,11 +158,8 @@ class MetricClosure:
 
 
 def metric_closure(instance: TemporalInstance) -> MetricClosure:
-    """Dijkstra from every vertex in every frame (edge-variant instances),
-    on the frame index's scaled int weights; the table holds |V| * T lists
-    of |V| entries."""
-    if instance.variant != "edge":
-        raise InputError("metric_closure expects an edge-variant instance")
+    """Dijkstra from every vertex in every frame, on the frame index's
+    scaled int weights; the table holds |V| * T lists of |V| entries."""
     if len(instance.vertices) ** 2 * instance.num_times > MAX_FIRST_TIME_ENTRIES:
         raise InputError(f"the metric closure would hold |V|^2 * T entries, "
                          f"more than {MAX_FIRST_TIME_ENTRIES}")
@@ -191,18 +188,14 @@ def shortest_paths_union(instance: TemporalInstance) -> Solution:
     optimum.  Raises InfeasibleInstanceError for the first demand whose
     frame has no connecting path.
     """
-    edge_inst, steps = normalize(instance, "edge")
-    index = FrameIndex(edge_inst)
+    index = FrameIndex(instance)
     union: set[int] = set()
-    for d in edge_inst.demands:
-        if d.a == d.b:
-            continue
-        path = index.path(d.t, index.ids[d.a], index.ids[d.b])
+    for a, b, _, d in index.demands:
+        path = index.path(d.t, a, b)
         if path is None:
             raise InfeasibleInstanceError(d)
         union.update(path)
-    image_sol = solution_from_edges(edge_inst, union)
-    return lift_chain(steps, image_sol, instance)
+    return solution_from_edges(instance, union)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +455,6 @@ def expand_tree(
 ) -> Solution:
     """Replace each closure edge ((u,t),(v,t')) by a concrete shortest
     u->v path in frame t'; the union never costs more than the tree."""
-    if instance.variant != "edge":
-        raise InputError("expand_tree expects the edge-variant instance of the closure")
     union: set[int] = set()
     for (u, _), (v, t2), _cost in tree.edges:
         try:
@@ -484,34 +475,17 @@ def charikar(
     single-source directed instance and expand the resulting closure tree to
     real edges.
 
-    The greedy runs on `normalize(instance, "edge")`.  On `node_and_edge`
-    input that image need not be monotonic: each edge e = u->v is split
-    through a midpoint x_e active on times_e, so the half-arc u->x_e is
-    active on act(u) & times_e, which can fail to be upward closed (v may
-    be inactive when u and e are active).  That does no harm.  On a
-    feasible monotonic input every demand time lies in the source's
-    activity, and every vertex reachable at time t is active on [t, T],
-    since each edge of the path is effective at t and so on [t, T].  Take
-    a demand at time t whose route enters x_e from u: u is the source or
-    was reached earlier, so it is active at t, and x_e->v is active at t
-    (x_e is no demand vertex and has no other out-arc, and a sub-root gets
-    only the demand pairs it reaches).  So t lies in e's effective set
-    act(u) & times_e & act(v), which is upward closed, and the half-arc is
-    active at t; outside that set it only leads into a dead end.  A
-    half-arc that is not upward closed thus never carries a demand path.
-    A seeded fuzz in the tests keeps every level-1..3 solution feasible on
-    such images.
+    `FrameIndex` reads effective times, and on a monotonic input every
+    effective set is upward closed, so the frames nest.
     """
     if not 1 <= level <= MAX_LEVEL:
         raise InputError(f"level must be an integer from 1 to {MAX_LEVEL}, got {level}")
     source = single_source(instance, "the recursive greedy")
     if source is None:
         return solution_from_edges(instance, ())
-    edge_inst, steps = normalize(instance, "edge")
-    closure = metric_closure(edge_inst)
-    pairs = [(d.b, d.t) for d in edge_inst.demands]
+    closure = metric_closure(instance)
+    pairs = [(d.b, d.t) for d in instance.demands]
     tree = charikar_level(
         level, closure, (source, 0), len(pairs), pairs, _cache=_Memo(), _stats=stats
     )
-    image_sol = expand_tree(edge_inst, closure, tree)
-    return lift_chain(steps, image_sol, instance)
+    return expand_tree(instance, closure, tree)

@@ -11,16 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .core import (
     MAX_FIRST_TIME_ENTRIES,
     Demand,
     Edge,
     InputError,
-    Solution,
     TemporalInstance,
-    solution_from_edges,
 )
 
 @dataclass(frozen=True)
@@ -153,7 +150,7 @@ def normalize(
     for "simple", reduce to the node variant and then `to_simple`.
 
     Returns the image and the list of per-step maps, outermost first;
-    lift_chain undoes them.
+    `lift_chain` in tests/helpers.py undoes them.
     """
     if target_variant == "simple":
         image, steps = normalize(instance, "node")
@@ -252,32 +249,3 @@ def to_simple(instance: TemporalInstance) -> tuple[TemporalInstance, ReductionMa
     )
     return image, rmap
 
-
-# ---------------------------------------------------------------------------
-# Solution lifting
-
-
-def _lift_ids(rmap: ReductionMap, image_ids: Iterable[int]) -> list[int]:
-    """Original edges all of whose image edges are in `image_ids`."""
-    chosen = set(image_ids)
-    return [o for o, imgs in rmap.forward_edge_map if imgs and all(i in chosen for i in imgs)]
-
-
-def lift_chain(
-    steps: Sequence[ReductionMap], image_solution: Solution, original: TemporalInstance
-) -> Solution:
-    """Pull an image solution back through `steps` (outermost first, as
-    normalize() returns them) to `original`, the instance of the first step.
-
-    An original edge is selected iff all of its image edges are present
-    (auxiliary zero-weight edges are discarded).  For feasible image
-    solutions this yields a feasible original solution of the same cost;
-    fragments of split edges that cannot be traversed are dropped, which can
-    only lower the cost.
-    """
-    if not steps:
-        return image_solution  # already priced on `original`, its own image
-    ids: Iterable[int] = image_solution.edges
-    for rmap in reversed(steps):
-        ids = _lift_ids(rmap, ids)
-    return solution_from_edges(original, ids)

@@ -23,7 +23,7 @@ from tsn.core import (
 )
 from tsn.exact import IlpModel
 from tsn.monotonic import DstInstance, PriorityInstance
-from tsn.variants import ReductionMap, _lift_ids
+from tsn.variants import ReductionMap
 
 # ---------------------------------------------------------------------------
 # Reference checkers and lifts
@@ -44,6 +44,32 @@ def priority_feasible(p: PriorityInstance, edge_ids: Iterable[int]) -> bool:
         if d.b not in _reachable(adj, d.a):
             return False
     return True
+
+
+def _lift_ids(rmap: ReductionMap, image_ids: Iterable[int]) -> list[int]:
+    """Original edges all of whose image edges are in `image_ids`."""
+    chosen = set(image_ids)
+    return [o for o, imgs in rmap.forward_edge_map if imgs and all(i in chosen for i in imgs)]
+
+
+def lift_chain(
+    steps: Sequence[ReductionMap], image_solution: Solution, original: TemporalInstance
+) -> Solution:
+    """Pull an image solution back through `steps` (outermost first, as
+    normalize() returns them) to `original`, the instance of the first step.
+
+    An original edge is selected iff all of its image edges are present
+    (auxiliary zero-weight edges are discarded).  For feasible image
+    solutions this yields a feasible original solution of the same cost;
+    fragments of split edges that cannot be traversed are dropped, which can
+    only lower the cost.
+    """
+    if not steps:
+        return image_solution  # already priced on `original`, its own image
+    ids: Iterable[int] = image_solution.edges
+    for rmap in reversed(steps):
+        ids = _lift_ids(rmap, ids)
+    return solution_from_edges(original, ids)
 
 
 def priority_solution_from_tsn(

@@ -22,7 +22,7 @@ from tsn.core import (
 from tsn.exact import brute_force
 from tsn.variants import normalize
 
-from helpers import hub_instance, rand_instance, rand_monotonic_single_source
+from helpers import hub_instance, lift_chain, rand_instance, rand_monotonic_single_source
 
 
 def all_simple_path_costs(instance, u, v, t):
@@ -644,11 +644,33 @@ def rand_monotonic_node_and_edge(rng):
             return inst
 
 
+def image_greedy(inst, level):
+    """The greedy on the edge image of `inst`, lifted back to `inst`."""
+    image, steps = normalize(inst, "edge")
+    closure = metric_closure(image)
+    pairs = [(d.b, d.t) for d in image.demands]
+    tree = charikar_level(level, closure, (image.demands[0].a, 0), len(pairs), pairs)
+    return lift_chain(steps, expand_tree(image, closure, tree), inst)
+
+
+def _prefixed(inst, prefix):
+    """The same instance with `prefix` before every vertex name."""
+    return make_instance(
+        directed=inst.directed, variant=inst.variant, num_times=inst.num_times,
+        vertices=[prefix + v for v in inst.vertices],
+        edges=[(prefix + e.u, prefix + e.v, e.w, e.times) for e in inst.edges],
+        demands=[(prefix + d.a, prefix + d.b, d.t) for d in inst.demands],
+        node_activity={prefix + v: ts for v, ts in inst.node_activity.items()},
+    )
+
+
 class TestNodeAndEdgeImages:
     def test_greedy_stays_feasible_on_non_monotonic_edge_images(self):
         # splitting an edge u->v through a midpoint x_e leaves the half-arc
         # u->x_e active on act(u) & times_e, which need not be upward
-        # closed; every level-1..3 solution must still be feasible
+        # closed; the greedy on the input itself must be feasible and build
+        # the solution of the greedy on that image, whether the names sort
+        # before the midpoint names x(u,v)#i or after them
         from tsn.core import is_monotonic
 
         rng = random.Random(2016)
@@ -656,8 +678,12 @@ class TestNodeAndEdgeImages:
         for _ in range(300):
             inst = rand_monotonic_node_and_edge(rng)
             non_monotonic += not is_monotonic(normalize(inst, "edge")[0])
+            late = _prefixed(inst, "z")
             for level in (1, 2, 3):
-                assert is_feasible(inst, charikar(inst, level))
+                sol = charikar(inst, level)
+                assert is_feasible(inst, sol)
+                assert sol == image_greedy(inst, level)
+                assert charikar(late, level) == image_greedy(late, level)
         assert non_monotonic >= 1
 
 
@@ -715,9 +741,34 @@ class TestTieBreaks:
     and a vertex's last hop changes only for a strictly shorter path."""
 
     def test_paths_and_union_are_pinned_on_tied_weight_corpus(self):
-        # digest taken while the closure still walked its own name-keyed
-        # last-hop table, so it pins that the paths did not move
-        assert tie_break_digest() == "0a837eaae8d8db005775f5e5d77eb895db3c5e21708d46036fd94703bea1240a"
+        # re-taken when the union moved from the edge image to the input's
+        # own frames: the closure paths did not move, and one union did, on
+        # the node_and_edge draw n = 172, to other tied paths (cost 10 -> 8)
+        assert tie_break_digest() == "a0de3f37ee5d896029e550e31991effa09c46f5117b82b02c0ec316c254b0e46"
+
+    @pytest.mark.parametrize("variant", ["edge", "node", "node_and_edge"])
+    def test_union_on_the_input_matches_the_edge_image_union(self, variant):
+        # edge input has no image step and node input keeps its vertices and
+        # the order of its edges, so the union picks the same tied paths;
+        # the midpoints of node_and_edge input may shift a tie, and the
+        # union stays feasible
+        rng = random.Random(1016)
+        for _ in range(300):
+            inst = _shuffled_vertices(rng, rand_instance(
+                rng, variant=variant, max_vertices=8, max_edges=12, max_demands=4,
+                weights=TIED_WEIGHTS,
+            ))
+            image, steps = normalize(inst, "edge")
+            try:
+                sol = shortest_paths_union(inst)
+            except InfeasibleInstanceError as exc:
+                with pytest.raises(InfeasibleInstanceError) as image_exc:
+                    shortest_paths_union(image)
+                assert image_exc.value.demand == exc.demand
+                continue
+            assert is_feasible(inst, sol)
+            if variant != "node_and_edge":
+                assert sol == lift_chain(steps, shortest_paths_union(image), inst)
 
     def test_equal_cost_paths_break_by_name_not_input_order(self):
         # s->y->t and s->x->t both cost 2; x < y by name, but the vertex

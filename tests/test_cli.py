@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -515,6 +516,30 @@ class TestApprox:
         code, out = run(capsys, "approx", "-i", path, "--method", "charikar", "--level", 0)
         assert code == 2
         assert json.loads(out)["error"] == "input"
+
+    def test_closure_guard_counts_the_input_vertices(self, tmp_path, capsys):
+        # monotonic single-source node_and_edge input: the closure over its
+        # 30 vertices holds 30^2 * 19 = 17,100 entries, where an edge image
+        # with one midpoint per arc would hold (30 + 200)^2 * 19 > 10^6
+        from tsn.core import MAX_FIRST_TIME_ENTRIES
+
+        rng = random.Random(30)
+        T, names = 19, [f"v{i}" for i in range(30)]
+        chain = [(names[i], names[i + 1]) for i in range(29)]
+        arcs = chain + rng.sample(
+            [(u, v) for u in names for v in names if u != v and (u, v) not in chain], 171)
+        inst = make_instance(
+            directed=True, variant="node_and_edge", num_times=T, vertices=names,
+            edges=[(u, v, rng.randint(1, 9), range(rng.randint(1, 3), T + 1)) for u, v in arcs],
+            demands=[("v0", "v29", 19), ("v0", "v15", 10), ("v0", "v7", 5), ("v0", "v22", 14)],
+            node_activity={v: range(1, T + 1) for v in names},
+        )
+        assert len(names) ** 2 * T <= MAX_FIRST_TIME_ENTRIES < (len(names) + len(arcs)) ** 2 * T
+        path = tmp_path / "wide.json"
+        write_instance(path, inst)
+        code, out = run(capsys, "approx", "-i", path, "--method", "charikar", "--level", 2)
+        assert code == 0
+        assert json.loads(out)["feasible"] is True
 
     @pytest.mark.parametrize("method", ["charikar", "union"])
     def test_no_demands_needs_no_edges(self, tmp_path, capsys, method):

@@ -5,6 +5,8 @@ import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 import tsn
 
 SOURCE = Path(tsn.__file__).parent
@@ -194,10 +196,12 @@ def test_exact_decides_on_its_index():
     assert found == []
 
 
-def test_exact_imports_no_variant_reduction():
-    # `build_ilp` reads node activity through `effective_times`; the
-    # reductions to the simple form are the caller's
-    tree = ast.parse((SOURCE / "exact.py").read_text(encoding="utf-8"))
+@pytest.mark.parametrize("module", ["exact.py", "approx.py"])
+def test_exact_imports_no_variant_reduction(module):
+    # `build_ilp`, the union and the greedy's closure read node activity
+    # through `effective_times`; the reductions to the simple form are the
+    # caller's
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

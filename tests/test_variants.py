@@ -13,14 +13,13 @@ from tsn.core import (
 from tsn.exact import brute_force
 from tsn.hardness import example1_label_cover, phlc_to_kdtsn
 from tsn.variants import (
-    lift_chain,
     node_edge_to_node,
     node_to_edge,
     normalize,
     to_simple,
 )
 
-from helpers import rand_instance, reduction_map_from_dict
+from helpers import lift_chain, rand_instance, reduction_map_from_dict
 
 
 def image_opt(instance):
