@@ -14,8 +14,9 @@ weights scaled to ints by the LCM of their denominators, one cached
 adjacency list per frame and one reversed per demand, one reachability test
 and one demand loop over it (`first_unmet`) behind the exact solvers'
 infeasibility check, the feasibility check and the reverse delete, one
-shortest-path search with one walk along the path it picks (`path`), and
-Wong's dual ascent, the branch and bound's lower bound.
+shortest-path search, on the scaled weights or on a caller's weight list
+and around one forbidden edge, with one walk along the path it picks
+(`path`), and Wong's dual ascent, the branch and bound's lower bound.
 """
 
 from __future__ import annotations
@@ -464,8 +465,12 @@ class FrameIndex:
                 break
         return bound, reduced
 
-    def shortest_paths(self, t: int, source: int) -> tuple[list, list]:
-        """Dijkstra from `source` in frame t on the scaled weights.
+    def shortest_paths(
+        self, t: int, source: int, weight: Optional[list[int]] = None, forbidden: int = -1
+    ) -> tuple[list, list]:
+        """Dijkstra from `source` in frame t on the scaled weights, or on
+        `weight` when given (one int per edge id), never crossing edge
+        `forbidden`.
 
         Returns (dist, pred) indexed by vertex id: dist[v] is the scaled
         length of a shortest path, None when v is unreachable, and pred[v]
@@ -473,7 +478,9 @@ class FrameIndex:
         smaller id and pred[v] changes only for a strictly shorter path, so
         among equal-cost paths the choice depends on names and edge ids only.
         """
-        frame, weight = self.frame(t), self.weight
+        frame = self.frame(t)
+        if weight is None:
+            weight = self.weight
         dist: list[Optional[int]] = [None] * self.num_vertices
         pred: list[Optional[tuple[int, int]]] = [None] * self.num_vertices
         dist[source] = 0
@@ -483,6 +490,8 @@ class FrameIndex:
             if du > dist[x]:
                 continue
             for y, i in frame[x]:
+                if i == forbidden:
+                    continue
                 nd = du + weight[i]
                 dy = dist[y]
                 if dy is None or nd < dy:
@@ -491,10 +500,13 @@ class FrameIndex:
                     heapq.heappush(heap, (nd, y))
         return dist, pred
 
-    def path(self, t: int, a: int, b: int) -> Optional[list[int]]:
+    def path(
+        self, t: int, a: int, b: int, weight: Optional[list[int]] = None, forbidden: int = -1
+    ) -> Optional[list[int]]:
         """The edge ids, in order, of the a->b path in frame t that
-        `shortest_paths(t, a)` picks; None when b is unreachable."""
-        dist, pred = self.shortest_paths(t, a)
+        `shortest_paths(t, a, weight, forbidden)` picks; None when b is
+        unreachable."""
+        dist, pred = self.shortest_paths(t, a, weight, forbidden)
         if dist[b] is None:
             return None
         out: list[int] = []

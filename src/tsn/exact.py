@@ -19,15 +19,22 @@ reverse per demand, weights scaled to ints by the least common multiple of
 their denominators, and Wong's dual ascent on the cut relaxation (a lower
 bound and reduced costs).  Each builds its index first and names an
 infeasible instance by `FrameIndex.first_unmet` over every edge: the first
-demand in input order that no edge set meets.  The search is an iterative
-depth-first search that sets and resets a per-edge decision byte in place.
-At the root, the dual ascent gives a lower bound; the edges of reduced cost
-0, thinned by `FrameIndex.reverse_delete`, give an incumbent; and every
-edge whose reduced cost lifts the bound past that incumbent is excluded
-(reduced-cost fixing).  Below the root, `FrameIndex.reaches` finds the
-demands a node's included edges leave unmet, and one dual ascent over them
-prunes it.  Costs return to `Fraction` only through `solution_from_edges`,
-so results stay exact and no float is ever used.
+demand in input order that no edge set meets.  At the root, the dual ascent
+gives a lower bound; the edges of reduced cost 0, thinned by
+`FrameIndex.reverse_delete` and improved by a local search that drops one
+edge and reconnects by shortest paths, give an incumbent, which is returned
+when it meets the bound.  Otherwise every edge whose reduced cost lifts the
+bound to that incumbent is excluded (reduced-cost fixing), and an iterative
+depth-first search sets and resets a per-edge decision byte in place.  Below
+the root, `FrameIndex.reaches` finds the demands a node's included edges
+leave unmet, and one dual ascent over them prunes it.  Costs return to
+`Fraction` only through `solution_from_edges`, so results stay exact and no
+float is ever used.
+
+Ties: every exact method returns an optimum that is fixed by its input, so
+one input gives the same bytes on every run.  `brute_force` alone defines
+which of tied optima that is (the lexicographic rule above); the other
+methods agree with it on cost, not on edges.
 
 `build_ilp`/`emit_lp`/`parse_lp` realise the per-time unit-flow integer
 program over simple single-source/single-sink instances.  An `IlpModel`
@@ -163,15 +170,81 @@ def brute_force(
 # Branch and bound
 
 
+def _thin(fidx: FrameIndex, member: bytearray) -> None:
+    """`FrameIndex.reverse_delete` over the positive edges of `member` by
+    falling weight; among equal weights, the edges active in the fewest
+    frames go first: they can serve the fewest demands."""
+    weight = fidx.weight
+    fidx.reverse_delete(member, sorted(
+        (i for i, w in enumerate(weight) if w and member[i]),
+        key=lambda i: (-weight[i], len(fidx.eff[i]), i),
+    ))
+
+
+def _reconnect(fidx: FrameIndex, member: bytearray, e: int) -> Optional[bytearray]:
+    """`member` without edge e, each demand this leaves unmet joined again,
+    in input order, by the shortest path in its frame on which the edges
+    held so far cost 0 and e is forbidden; None when a demand has no such
+    path."""
+    trial = bytearray(member)
+    trial[e] = 0
+    cost = [0 if m else w for w, m in zip(fidx.weight, trial)]
+    for j, (a, b, _, demand) in enumerate(fidx.demands):
+        if fidx.reaches(j, trial):
+            continue
+        path = fidx.path(demand.t, a, b, cost, e)
+        if path is None:
+            return None
+        for i in path:
+            trial[i] = 1
+            cost[i] = 0
+    return trial
+
+
+def _local_search(fidx: FrameIndex, member: bytearray, upper: int, lower: int) -> tuple[int, int]:
+    """Improve the incumbent `member` of scaled cost `upper` in place, after
+    Uchoa and Werneck's key-path exchange (ALENEX 2010): drop one positive
+    edge, by falling weight and then index, reconnect the demands it served
+    (`_reconnect`), thin the result (`_thin`) and keep it when it is strictly
+    cheaper; start again after each improvement, until no drop helps or the
+    incumbent costs `lower`.  Returns the new cost and the number of
+    improvements."""
+    weight = fidx.weight
+    improvements = 0
+    improved = True
+    while improved and upper > lower:
+        improved = False
+        for e in sorted((i for i, w in enumerate(weight) if w and member[i]),
+                        key=lambda i: (-weight[i], i)):
+            trial = _reconnect(fidx, member, e)
+            if trial is None:
+                continue  # some demand has no path without e
+            _thin(fidx, trial)
+            cost = sum(w for w, m in zip(weight, trial) if m)
+            if cost < upper:
+                if fidx.first_unmet(trial) is not None:
+                    raise InternalError("local search built a trial that leaves a demand unmet")
+                member[:] = trial
+                upper = cost
+                improvements += 1
+                improved = True
+                break
+    return upper, improvements
+
+
 def solve_bb(instance: TemporalInstance, stats: Optional[dict] = None) -> Solution:
     """Provably optimal solution by depth-first branch and bound on edges.
 
     At the root, a full dual ascent gives a lower bound LB and reduced
     costs.  The edges of reduced cost 0 meet every demand; dropping them by
     falling weight while the rest stays feasible (`FrameIndex.reverse_delete`)
-    gives an incumbent of cost UB.  Each edge with LB + reduced cost > UB is
-    in no optimum and is excluded before the search (strictly greater, so
-    tied optima stay).
+    gives an incumbent.  While it costs more than LB, a local search
+    (`_local_search`) drops one of its positive edges at a time, reconnects
+    the demands that edge served by shortest paths and keeps each strictly
+    cheaper result; its cost is UB.  An incumbent that costs LB is optimal
+    and the root returns it.  Otherwise each edge with LB + reduced cost >=
+    UB is excluded before the search: any solution through it costs at
+    least UB, and the search takes only strictly cheaper solutions.
 
     Branch order: undecided edge of largest weight appearing in the most
     frames (ties by index), include branch first.  At each node,
@@ -180,55 +253,56 @@ def solve_bb(instance: TemporalInstance, stats: Optional[dict] = None) -> Soluti
     the incumbent, or when a dual ascent over the unmet demands, budgeted at
     the gap to the incumbent, reaches that gap or finds an unmet demand with
     no completion left.  For a single demand the ascent is a shortest-path
-    search.  The search starts from an incumbent of cost UB + 1 with no
-    edges and takes only strictly cheaper solutions, so it returns the first
-    optimum in branch order whatever the bounds prune.  It stops at an
-    incumbent of cost LB, since nothing after it can be strictly cheaper.
-    It is iterative, so its depth is not bounded by the interpreter's
-    recursion limit.
+    search.  The search stops at an incumbent of cost LB, since nothing
+    after it can be strictly cheaper.  It is iterative, so its depth is not
+    bounded by the interpreter's recursion limit.
 
-    `stats`, when given, receives the number of `nodes` visited; of nodes
-    pruned because the included edges alone reach the incumbent or leave a
-    demand with no completion (`completion_prunes`) and by the dual-ascent
-    bound (`dual_ascent_prunes`); of `incumbent_updates`; and the root's
-    `root_lower_bound` and `root_upper_bound` as exact costs.
+    Which optimum comes back is fixed by the input alone: every order above
+    breaks its ties by edge index or vertex name, so one input gives the
+    same edges on every run.  It need not be `brute_force`'s optimum, but it
+    costs the same.
+
+    `stats`, when given, receives the number of `nodes` visited, the root
+    included; of nodes pruned because the included edges alone reach the
+    incumbent or leave a demand with no completion (`completion_prunes`)
+    and by the dual-ascent bound (`dual_ascent_prunes`); of
+    `incumbent_updates`, the root's incumbent included; of
+    `local_search_improvements`; and the root's `root_lower_bound` and
+    `root_upper_bound` (after the local search) as exact costs.
     """
     fidx = FrameIndex(instance)
     weight = fidx.weight
     bad = fidx.first_unmet(b"\x01" * len(weight))
     if bad is not None:
         raise InfeasibleInstanceError(bad)
-    order = sorted(
-        range(len(weight)),
-        key=lambda i: (-weight[i], -len(fidx.eff[i]), i),
-    )
     state = bytearray(len(weight))
     pending = list(range(len(fidx.demands)))
 
     lower, reduced = fidx.dual_ascent(state, pending)
     member = bytearray(r == 0 for r in reduced)
-    # among equal weights, drop first the edges active in the fewest frames:
-    # they can serve the fewest demands
-    fidx.reverse_delete(member, sorted(
-        (i for i, w in enumerate(weight) if w and member[i]),
-        key=lambda i: (-weight[i], len(fidx.eff[i]), i),
-    ))
+    _thin(fidx, member)
     upper = sum(w for w, m in zip(weight, member) if m)
+    upper, improvements = _local_search(fidx, member, upper, lower)
+    best_cost = upper
+    best_edges = [i for i, m in enumerate(member) if m]
     for i, r in enumerate(reduced):
-        if lower + r > upper:
+        if lower + r >= upper:
             state[i] = _EXCLUDED
-    order = [i for i in order if state[i] == _UNDECIDED]
-    best_cost = upper + 1
-    best_edges: Optional[list[int]] = None
-    nodes = completion_prunes = dual_ascent_prunes = incumbent_updates = 0
+    order = sorted(
+        (i for i, s in enumerate(state) if s == _UNDECIDED),
+        key=lambda i: (-weight[i], -len(fidx.eff[i]), i),
+    )
+    # the root is a node and its incumbent an update; nodes counts each
+    # child the search enters
+    nodes = incumbent_updates = 1
+    completion_prunes = dual_ascent_prunes = 0
 
     # One entry per node whose children are being searched: its depth and
     # the demands its included edges leave unmet.  Both children start from
     # those: excluding an edge meets no new demand.
     stack: list[tuple[int, list[int]]] = []
     depth, cost = 0, 0
-    while True:
-        nodes += 1
+    while best_cost > lower:
         budget = best_cost - cost
         if budget <= 0:
             completion_prunes += 1
@@ -240,8 +314,6 @@ def solve_bb(instance: TemporalInstance, stats: Optional[dict] = None) -> Soluti
                 best_cost = cost
                 best_edges = [i for i, s in enumerate(state) if s == _INCLUDED]
                 incumbent_updates += 1
-                if cost == lower:
-                    break  # at the root bound: nothing later is strictly cheaper
             else:
                 bound = fidx.dual_ascent(state, unmet, budget)[0]
                 if bound is None:
@@ -255,6 +327,7 @@ def solve_bb(instance: TemporalInstance, stats: Optional[dict] = None) -> Soluti
                     stack.append((depth, unmet))
                     depth += 1
                     pending = unmet
+                    nodes += 1
                     continue
         # backtrack to the deepest node whose exclude branch is still open
         while stack:
@@ -264,19 +337,21 @@ def solve_bb(instance: TemporalInstance, stats: Optional[dict] = None) -> Soluti
                 state[e] = _EXCLUDED
                 cost -= weight[e]
                 depth = branched + 1
+                nodes += 1
                 break
             state[e] = _UNDECIDED
             stack.pop()
         else:
             break
-    if best_edges is None:
-        raise InternalError("branch and bound ended without a solution on a feasible instance")
+    if not fidx.feasible(best_edges):
+        raise InternalError("branch and bound returned edges that leave a demand unmet")
     if stats is not None:
         stats.update(
             nodes=nodes,
             completion_prunes=completion_prunes,
             dual_ascent_prunes=dual_ascent_prunes,
             incumbent_updates=incumbent_updates,
+            local_search_improvements=improvements,
             root_lower_bound=Fraction(lower, fidx.scale),
             root_upper_bound=Fraction(upper, fidx.scale),
         )

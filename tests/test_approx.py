@@ -700,9 +700,9 @@ def _shuffled_vertices(rng, inst):
 
 
 def tie_break_digest():
-    """sha256 over every closure path and the union solutions on a
-    seeded corpus of random monotonic and random instances whose few
-    distinct weights make equal-cost paths common."""
+    """sha256 over every closure path, on each input's own frames, and the
+    union solutions on a seeded corpus of random monotonic and random
+    instances whose few distinct weights make equal-cost paths common."""
     rng = random.Random(5813)
     h = hashlib.sha256()
     for n in range(240):
@@ -717,7 +717,7 @@ def tie_break_digest():
                 weights=TIED_WEIGHTS,
             )
         inst = _shuffled_vertices(rng, inst)
-        closure = metric_closure(normalize(inst, "edge")[0])
+        closure = metric_closure(inst)
         paths = [
             (u, v, t, closure.path_edges(u, v, t))
             for t in range(1, closure.num_times + 1)
@@ -742,9 +742,11 @@ class TestTieBreaks:
 
     def test_paths_and_union_are_pinned_on_tied_weight_corpus(self):
         # re-taken when the union moved from the edge image to the input's
-        # own frames: the closure paths did not move, and one union did, on
-        # the node_and_edge draw n = 172, to other tied paths (cost 10 -> 8)
-        assert tie_break_digest() == "a0de3f37ee5d896029e550e31991effa09c46f5117b82b02c0ec316c254b0e46"
+        # own frames (one node_and_edge union, draw n = 172, took other tied
+        # paths, cost 10 -> 8), and again when the closure half moved there
+        # too: it hashed the edge image's closure, which no program path
+        # builds, and now hashes the closure `approx` walks
+        assert tie_break_digest() == "4d67beb5e1ea2fcf5db5a5605720f849844ebf8a2780291fdd23082734119999"
 
     @pytest.mark.parametrize("variant", ["edge", "node", "node_and_edge"])
     def test_union_on_the_input_matches_the_edge_image_union(self, variant):

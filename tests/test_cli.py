@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import tsn
-from helpers import hub_instance
+from helpers import hub_instance, rand_feasible_instance
 from tsn.approx import MAX_LEVEL
 from tsn.cli import main
 from tsn.core import (
@@ -294,12 +294,35 @@ class TestSolve:
         stats = report["stats"]
         assert set(stats) == {
             "nodes", "completion_prunes", "dual_ascent_prunes", "incumbent_updates",
-            "root_lower_bound", "root_upper_bound",
+            "local_search_improvements", "root_lower_bound", "root_upper_bound",
         }
         lower, upper = Fraction(stats["root_lower_bound"]), Fraction(stats["root_upper_bound"])
         assert lower <= Fraction(report["cost"]) <= upper
         assert stats["incumbent_updates"] >= 1
         assert stats["completion_prunes"] + stats["dual_ascent_prunes"] < stats["nodes"]
+
+    def test_bb_writes_the_same_bytes_on_every_run(self, tmp_path):
+        # a draw where the local search improves the root incumbent and the
+        # search goes past the root; two processes with different string
+        # hash seeds must still pick the same optimum
+        inst = rand_feasible_instance(
+            random.Random(56), max_vertices=8, max_edges=16, max_times=3, max_demands=5
+        )
+        write_instance(tmp_path / "inst.json", inst)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsn.__file__)))
+        written = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"bb{seed}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "tsn.cli", "solve", "-i", str(tmp_path / "inst.json"),
+                 "--method", "bb", "-o", str(out)],
+                env=dict(env, PYTHONHASHSEED=seed), capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            stats = json.loads(proc.stdout)["stats"]
+            assert stats["local_search_improvements"] >= 1 and stats["nodes"] > 1
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_infeasible_exits_one(self, tmp_path, capsys):
         inst = make_instance(

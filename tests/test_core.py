@@ -174,6 +174,23 @@ class TestFrameIndexPath:
         index = FrameIndex(inst)
         assert index.path(1, index.ids["s"], index.ids["t"]) == [2, 3]
 
+    def test_weight_list_and_forbidden_edge(self):
+        # a->b directly (5) or through c (1 + 1); a caller's weights make
+        # the direct edge free, and a forbidden edge is never crossed
+        inst = make_instance(
+            directed=True, variant="edge", num_times=1, vertices=["a", "b", "c"],
+            edges=[("a", "b", 5, (1,)), ("a", "c", 1, (1,)), ("c", "b", 1, (1,))],
+            demands=[],
+        )
+        index = FrameIndex(inst)
+        a, b = index.ids["a"], index.ids["b"]
+        assert index.path(1, a, b) == [1, 2]
+        assert index.path(1, a, b, [0, 1, 1]) == [0]
+        assert index.path(1, a, b, [0, 1, 1], forbidden=0) == [1, 2]
+        assert index.path(1, a, b, forbidden=2) == [0]
+        assert index.path(1, a, index.ids["c"], forbidden=1) is None
+        assert index.shortest_paths(1, a, [0, 1, 1], 1)[0] == [0, 0, None]
+
 
 class TestSatisfies:
     def path_instance(self, middle_times):

@@ -22,6 +22,8 @@ from tsn.core import (
 )
 from tsn.exact import (
     BruteForceCapError,
+    _local_search,
+    _thin,
     brute_force,
     build_ilp,
     emit_lp,
@@ -49,30 +51,37 @@ from helpers import (
 BOUND_WEIGHTS = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7))
 
 
-def bb_corpus_digest():
-    """sha256 over the `solve_bb` solutions of 540 seeded feasible instances:
-    random ones with the tie-prone weights above and with integer weights,
-    and random monotonic single-source ones.  Among tied optima the search
-    returns the first in branch order, so any change to which optimum is
-    found changes the digest."""
+def bb_corpus():
+    """540 seeded feasible instances: random ones with the tie-prone weights
+    above and with integer weights, and random monotonic single-source
+    ones."""
     rng = random.Random(6029)
-    h = hashlib.sha256()
     for n in range(540):
         kind = n % 3
         if kind == 0:
-            inst = rand_feasible_instance(
+            yield rand_feasible_instance(
                 rng, max_vertices=7, max_edges=12, max_times=3, max_demands=4,
                 weights=BOUND_WEIGHTS,
             )
         elif kind == 1:
-            inst = rand_feasible_instance(
+            yield rand_feasible_instance(
                 rng, max_vertices=7, max_edges=12, max_times=3, max_demands=4
             )
         else:
-            inst = rand_monotonic_single_source(
+            yield rand_monotonic_single_source(
                 rng, max_vertices=7, max_edges=14, max_times=3, max_demands=5,
                 weights=BOUND_WEIGHTS,
             )
+
+
+def bb_corpus_digest():
+    """sha256 over the `solve_bb` solutions of `bb_corpus`.  Which of tied
+    optima comes back is fixed by the input alone (the root incumbent, the
+    local search and the branch order), so any change to those orders, to
+    the bounds that decide whether the root returns or to the search
+    changes the digest."""
+    h = hashlib.sha256()
+    for inst in bb_corpus():
         sol = solve_bb(inst)
         h.update(f"{sol.edges} {sol.cost}\n".encode())
     return h.hexdigest()
@@ -261,21 +270,35 @@ class TestSolveBb:
     @pytest.mark.parametrize(
         "make, nodes",
         [
-            (lambda: phlc_to_kdtsn(gen_yes_lc(3, 3, 2, 3, seed=0)), 307),
-            (lambda: phlc_to_kdtsn(gen_nosat_phlc(3, [2, 2, 2], 3, 2, seed=0)), 62),
+            (lambda: phlc_to_kdtsn(gen_yes_lc(3, 3, 2, 3, seed=0)), 1),
+            (lambda: phlc_to_kdtsn(gen_nosat_phlc(3, [2, 2, 2], 3, 2, seed=0)), 1),
         ],
         ids=["lc-yes-u3", "phlc-nosat-k3"],
     )
     def test_node_count_pinned_on_gadgets(self, make, nodes):
-        # the search itself (branch order, bounds, root incumbent, fixing)
-        # is fixed: only the time per node may change.  Before the
-        # dual-ascent bound these took 3559 and 1383 nodes, and before the
-        # search stopped at an incumbent that meets the root bound, 383 and
-        # 105.
+        # the search itself (root incumbent, local search, branch order,
+        # bounds, fixing) is fixed: only the time per node may change.
+        # Before the dual-ascent bound these took 3559 and 1383 nodes,
+        # before the search stopped at an incumbent that meets the root
+        # bound 383 and 105, and before the root returned an incumbent that
+        # meets its bound 307 and 62.
         inst, _ = make()
         stats = {}
         solve_bb(inst, stats)
         assert stats["nodes"] == nodes
+
+    @pytest.mark.parametrize(
+        "u, degree, sigma, cost", [(12, 4, 4, 48), (32, 5, 5, 160)], ids=["lc-yes-12", "lc-yes-32"]
+    )
+    def test_large_gadgets_close_at_the_root(self, u, degree, sigma, cost):
+        # root bound and incumbent meet: no search, where the first optimum
+        # in branch order took 1,129 and 4,913 nodes
+        inst, _ = phlc_to_kdtsn(gen_yes_lc(u, u, degree, sigma, seed=0))
+        stats = {}
+        sol = solve_bb(inst, stats)
+        assert sol.cost == cost
+        assert stats["nodes"] == stats["incumbent_updates"] == 1
+        assert stats["root_lower_bound"] == stats["root_upper_bound"] == cost
 
     def test_long_path_does_not_hit_recursion_limit(self):
         n = 1500
@@ -290,10 +313,17 @@ class TestSolveBb:
         assert sol.edges == tuple(range(n))
 
     def test_solutions_are_pinned_on_seeded_corpus(self):
-        # digest taken before the dual-ascent bound, the root incumbent and
-        # reduced-cost fixing: they may only change how fast the first
-        # optimum in branch order is found, never which one it is
-        assert bb_corpus_digest() == "0aa4b98ec2f06d9dc0a87658af5c910ed6a014e0b4ced65fba9ea969aeb8147b"
+        # re-taken when the root began to return an incumbent that meets its
+        # bound and to improve it by local search: the optimum returned is
+        # no longer the first in branch order, and its cost is brute force's
+        # (test_costs_match_brute_on_seeded_corpus)
+        assert bb_corpus_digest() == "78c73061dab4f759533f3e7b607efbd2ec3620db7b3d22e8a5db5f69236ad6cb"
+
+    def test_costs_match_brute_on_seeded_corpus(self):
+        for inst in bb_corpus():
+            got = solve_bb(inst)
+            assert got.cost == brute_force(inst).cost
+            assert is_feasible(inst, got)
 
     def test_counts_nodes(self):
         inst, _ = phlc_to_kdtsn(example1_label_cover())
@@ -318,6 +348,16 @@ def _bound_corpus(seed, count, max_edges=7):
                 rng, directed=n % 4 != 1, variant=("edge", "node", "node_and_edge")[n % 3],
                 max_vertices=6, max_edges=max_edges, max_demands=4, weights=BOUND_WEIGHTS,
             )
+
+
+def _root_incumbent(fidx):
+    """The root's lower bound, and its incumbent before the local search:
+    the edges of reduced cost 0, thinned."""
+    state = bytearray(len(fidx.weight))
+    lower, reduced = fidx.dual_ascent(state, list(range(len(fidx.demands))))
+    member = bytearray(r == 0 for r in reduced)
+    _thin(fidx, member)
+    return lower, member
 
 
 def _cheapest_completion(fidx, state, must=None):
@@ -468,6 +508,27 @@ class TestDualAscent:
             cost = solve_bb(inst, stats).cost
             assert stats["root_lower_bound"] <= cost <= stats["root_upper_bound"]
             assert stats["incumbent_updates"] >= 1
+
+    def test_local_search_only_improves_a_feasible_incumbent(self):
+        improved = 0
+        for inst in _bound_corpus("local", 400, max_edges=9):
+            fidx = FrameIndex(inst)
+            lower, member = _root_incumbent(fidx)
+            start = sum(w for w, m in zip(fidx.weight, member) if m)
+            upper, improvements = _local_search(fidx, member, start, lower)
+            kept = [i for i, m in enumerate(member) if m]
+            # the name-keyed check, independent of the index's `reaches`
+            assert is_feasible(inst, kept)
+            assert upper == sum(fidx.weight[i] for i in kept)
+            assert lower <= upper <= start
+            assert (improvements > 0) == (upper < start)
+            stats = {}
+            cost = solve_bb(inst, stats).cost
+            assert stats["root_lower_bound"] <= cost <= stats["root_upper_bound"]
+            assert stats["root_upper_bound"] == Fraction(upper, fidx.scale)
+            assert stats["local_search_improvements"] == improvements
+            improved += improvements > 0
+        assert improved >= 5
 
 
 def simple_path_instance():

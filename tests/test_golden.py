@@ -44,7 +44,7 @@ EXPORT_CASES = {
 
 GOLDEN: dict[str, dict[str, str]] = {
     "example1": {
-        "bb.json": "09a385fda0ac3f5a03704a58c7f5a6d7b4b02939ac435b964d5360f2a7c1d867",
+        "bb.json": "25a27bab199071114ba14931575ee9f6f3d9733a70cc51e5f85ea6a0cfc8676a",
         "instance.json": "5c2fb4c360e7e9dfb0f1433d91876b1570cf461f4bc43f635fcf5b78217df764",
         "model.lp": "2eb8c6f3b52e22c5e10138e355e447b3be8f104cb34d2cf9dee94f68febf57ce",
         "simple.json": "0ab459a764a1c65b3f580a3101abd13cb6fc0f5cd6af3896dab5477c17acf3d5",
@@ -54,7 +54,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         "union.json": "bcb97e297d1823fa21b7ce0b8999ead66a5cadc13c47e4f250ee568150ef00aa",
     },
     "lc-yes": {
-        "bb.json": "71ac07c0156bd95dee407ab4ece238e2be0069c4c69ad15090bafd247ebef74f",
+        "bb.json": "b33ea97275a65671b3e15fc72f68f3ee1ec56c0e73f318f0402c97150d21cce8",
         "instance.json": "cebac0cfbf07ed328481d80243cecc7feb689eb851d56ec67795348ceb32ba89",
         "model.lp": "b0d34b9795bdd8f2fbc682c0c7cff3cc6c31b1ae8773fff928ac12da01647dab",
         "simple.json": "2719da3d052082fa388a68f911e273ea977a726cf1d0814c8ac69ed80494e17a",
@@ -64,7 +64,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         "union.json": "b0c0f79bcfd3304118c7056bb6ff8883bd7eee08010de961c67cd75ea1cb6bcc",
     },
     "lc-yes-undirected": {
-        "bb.json": "e5a0dcdba5b013c4d69f0a86b9b669069c4e2f41f1e4fd5b6c454bd2eb95d726",
+        "bb.json": "5d26d7d8886cc143648e55dd3d2678633000728a78f57d7ebdc9523d511213a0",
         "instance.json": "1fc65610062571685a71f0a8405a9d4bf054333c14b8147c66e472f6d4c3ecb6",
         "node.json": "91848f4122d0cbe5698f1ad20224911eefb94096c895c84e007e308849c6bcc4",
         "node_map.json": "4bf2f042b8660b04dcdd3d391f5f1972199ffe16e07c132e6155dea37016bd0d",
@@ -73,7 +73,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         "union.json": "55d639b4274fb781b1ffbe937d064c82b0fa0c83f95470f463bb63762e6a3228",
     },
     "phlc-nosat": {
-        "bb.json": "eded72ff09c8e6a9b101aa08307519ac5b53cba538a7ac66f8793b3c377041ce",
+        "bb.json": "1c1d0180d772a8147922ef3be76fcf03b4a62cb10d8ef146f05d2d7d67c503cc",
         "instance.json": "91cc7846b63599c24ff05d2e4f65e007608e68d7de7a9e7408b2499eabe55a3d",
         "model.lp": "512cf8b60cb3f54f27cf7c5491fee7e91857f4aec4f458a0529f4ec08342d013",
         "simple.json": "16d6191471384768b8178d33cc0a19235d4e567417d542af5fd437164206e7be",
@@ -83,7 +83,7 @@ GOLDEN: dict[str, dict[str, str]] = {
         "union.json": "2ec0fc30c42f8b4ffad278a01eefeeee69956385e08862485635e136d8a5daed",
     },
     "phlc-yes": {
-        "bb.json": "e5c57a8b5160263269c69f39ccc92d16ec1b4285811d11d0be7c9c98aa76516f",
+        "bb.json": "c76a12721bb4102fca9e9fe7e8e56b26b452fe85543f11f398642b01d180dfae",
         "instance.json": "7185337818c74f058ea8ca62d587fbed46b18a1bf74a992df8d8cac19e672780",
         "model.lp": "270949236ed1a7b6cafd6136fffcd0565bb7cf7dcf0bcd43a2582d560878b91d",
         "simple.json": "40ae5133aeb4ffef25adc950109e7ec7a9c3a3b25eb6a4c08825588e5042d62c",
