@@ -99,14 +99,14 @@ def cmd_validate(args) -> int:
 def cmd_reduce(args) -> int:
     instance = _load_instance(args.input)
     started = time.perf_counter()
-    # priority-st and dst read the edge variant
-    target = "edge" if args.to in ("priority-st", "dst") else args.to
-    image, steps = variants.normalize(instance, target)
+    # priority-st and dst read the input's own frames: no step to map
+    steps = []
     if args.to == "priority-st":
-        data = monotonic.priority_to_dict(monotonic.tsn_to_priority(image))
+        data = monotonic.priority_to_dict(monotonic.tsn_to_priority(instance))
     elif args.to == "dst":
-        data = monotonic.dst_to_dict(monotonic.single_source_to_dst(image))
+        data = monotonic.dst_to_dict(monotonic.single_source_to_dst(instance))
     else:
+        image, steps = variants.normalize(instance, args.to)
         data = instance_to_dict(image)
     outputs = {args.output: data}
     if args.map:

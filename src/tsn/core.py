@@ -412,21 +412,21 @@ class FrameIndex:
                         grown.append(x)
 
         def settle(inside, radj, cut):
-            """Grow S over newly tight arcs; return the cut arcs left."""
-            while True:
-                grown, live = [], []
-                for x, i in cut:
-                    if inside[x]:
-                        continue
-                    if reduced[i]:
-                        live.append((x, i))
-                    else:
-                        inside[x] = 1
-                        grown.append(x)
-                if not grown:
-                    return live
-                grow(inside, radj, grown, live)
-                cut = live
+            """Grow S over newly tight arcs; return the cut arcs left (`grow`
+            keeps only positive arcs, so one filter drops the now-inner ones)."""
+            grown, live = [], []
+            for x, i in cut:
+                if inside[x]:
+                    continue
+                if reduced[i]:
+                    live.append((x, i))
+                else:
+                    inside[x] = 1
+                    grown.append(x)
+            if not grown:
+                return live
+            grow(inside, radj, grown, live)
+            return [(x, i) for x, i in live if not inside[x]]
 
         # per demand: [tail, S as a vertex bytearray, reverse frame, cut arcs]
         active = []

@@ -457,8 +457,8 @@ def build_ilp(instance: TemporalInstance) -> IlpModel:
     """Unit-flow integer program for a simple directed instance.
 
     Each arc is active at its `effective_times`, so node activity is read
-    directly; on node-variant input an arc active at no time is left out,
-    as `variants.node_to_edge` drops it.  Objective: sum of d_{u}_{v} * w.
+    directly; an arc active at no time is left out, as
+    `variants.node_to_edge` drops it.  Objective: sum of d_{u}_{v} * w.
     Constraints: coupling d_uv >= d_uvt per active time, flow conservation
     per (time, interior vertex), unit outflow at the source and unit inflow
     at the sink per time.  One pass over the (arc, active time) pairs claims
@@ -469,11 +469,9 @@ def build_ilp(instance: TemporalInstance) -> IlpModel:
     if not instance.directed:
         raise InputError("the flow ILP is defined for directed instances")
     a, b = _simple_shape(instance)
-    arcs = []  # (edge id, edge, active times) of every arc the model holds
-    for i, e in enumerate(instance.edges):
-        times = effective_times(instance, i)
-        if times or instance.variant == "edge":
-            arcs.append((i, e, times))
+    # (edge id, edge, active times) of every arc the model holds
+    arcs = [(i, e, times) for i, e in enumerate(instance.edges)
+            if (times := effective_times(instance, i))]
 
     seen = {}
     for i, e, _ in arcs:

@@ -1,6 +1,8 @@
 """Reductions for monotonic instances.
 
-Undirected monotonic instances are interchangeable with priority-constrained
+Both reductions accept every variant and read each edge's frames through
+`effective_times`, so node activity needs no edge image.  Undirected
+monotonic instances are interchangeable with priority-constrained
 Steiner forests (priority = first active time).  Directed monotonic
 single-source instances reduce to a rooted Steiner tree problem over a level
 graph: one copy of the graph per sorted demand time, zero-weight edges
@@ -76,20 +78,17 @@ class PriorityInstance:
 
 
 def tsn_to_priority(instance: TemporalInstance) -> PriorityInstance:
-    """Edge priority = earliest active time; demand priority = demand time."""
+    """Edge priority = earliest effective time; demand priority = demand
+    time.  Any variant; an edge active at no time is left out."""
     if instance.directed:
         raise InputError("priority reduction expects an undirected instance")
-    if instance.variant != "edge":
-        raise InputError("priority reduction expects the edge variant")
     if not is_monotonic(instance):
         raise InputError("priority reduction expects a monotonic instance")
     edges = []
-    for i in range(len(instance.edges)):
-        e = instance.edges[i]
+    for i, e in enumerate(instance.edges):
         ts = effective_times(instance, i)
-        if not ts:
-            continue
-        edges.append(PriorityEdge(e.u, e.v, e.w, min(ts)))
+        if ts:
+            edges.append(PriorityEdge(e.u, e.v, e.w, min(ts)))
     return PriorityInstance(
         vertices=instance.vertices,
         edges=tuple(edges),
@@ -176,11 +175,10 @@ def single_source_to_dst(instance: TemporalInstance) -> DstInstance:
     """Levels follow the sorted demand times; level i holds a copy of frame
     t_i, and each vertex gets a free edge to its next-level copy.  The root
     is the source's level-1 copy, terminal i the target's level-i copy.
-    The image holds k * (|V| + |E|) items at most; more than
-    MAX_FIRST_TIME_ENTRIES is an input error."""
+    Any variant: an edge's copy sits on the levels whose time is among its
+    `effective_times`.  The image holds k * (|V| + |E|) items at most; more
+    than MAX_FIRST_TIME_ENTRIES is an input error."""
     source = single_source(instance, "level-graph reduction")
-    if instance.variant != "edge":
-        raise InputError("level-graph reduction expects the edge variant")
     if source is None:
         raise InputError("level-graph reduction needs at least one demand")
     size = len(instance.demands) * (len(instance.vertices) + len(instance.edges))
@@ -194,11 +192,12 @@ def single_source_to_dst(instance: TemporalInstance) -> DstInstance:
     vertices = [
         _copy_name(v, i) for i in range(1, k + 1) for v in instance.vertices
     ]
+    frames = [effective_times(instance, i) for i in range(len(instance.edges))]
     edges: list[DstEdge] = []
     for lvl, j in enumerate(order, start=1):
         t = instance.demands[j].t
         for i, e in enumerate(instance.edges):
-            if t in effective_times(instance, i):
+            if t in frames[i]:
                 edges.append(
                     DstEdge(_copy_name(e.u, lvl), _copy_name(e.v, lvl), e.w, lvl, i)
                 )

@@ -18,6 +18,7 @@ from .core import (
     Edge,
     InputError,
     TemporalInstance,
+    effective_times,
 )
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def node_to_edge(instance: TemporalInstance) -> tuple[TemporalInstance, Reductio
     fwd: list[tuple[int, tuple[int, ...]]] = []
     dropped: list[int] = []
     for i, e in enumerate(instance.edges):
-        times = instance.activity(e.u) & instance.activity(e.v)
+        times = effective_times(instance, i)
         if not times:
             dropped.append(i)
             continue

@@ -7,16 +7,19 @@ generators.  The reference brute force here deliberately stays a plain
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from tsn.core import (
+    Demand,
     InputError,
     InternalError,
     Solution,
     TemporalInstance,
     _reachable,
     is_feasible,
+    is_monotonic,
     make_instance,
     satisfies,
     solution_from_edges,
@@ -346,6 +349,22 @@ def rand_monotonic_single_source(
             demands=demands,
         )
         if not require_feasible or first_unsatisfiable_demand(inst) is None:
+            return inst
+
+
+def rand_monotonic_frames(
+    rng: random.Random, variant: str, directed: bool, **kwargs
+) -> TemporalInstance:
+    """A `rand_instance` draw of `variant` whose effective times are upward
+    closed, with at least one demand; a directed draw roots every demand
+    at its first vertex.  Node activity is drawn freely, so an edge's own
+    times or its endpoints' activity need not be upward closed."""
+    while True:
+        inst = rand_instance(rng, directed=directed, variant=variant, **kwargs)
+        if directed:
+            source = inst.vertices[0]
+            inst = replace(inst, demands=tuple(Demand(source, d.b, d.t) for d in inst.demands))
+        if inst.demands and is_monotonic(inst):
             return inst
 
 

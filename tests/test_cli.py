@@ -627,6 +627,34 @@ class TestReduce:
         assert_one_input_error(proc)
         assert not (tmp_path / "dst.json").exists()
 
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_own_frames_of_node_and_edge_input(self, tmp_path, capsys, directed):
+        # the frames are monotonic, but u's activity {1, 3} makes the edge
+        # image's midpoint edge u->x(u,v) active at {1, 3}: the reduction
+        # reads the input's own frames and adds no midpoint vertex
+        inst = make_instance(
+            directed=directed, variant="node_and_edge", num_times=3,
+            vertices=["s", "u", "v"],
+            edges=[("s", "u", 1, (3,)), ("u", "v", 2, (1, 2, 3))],
+            demands=[("s", "v", 3)],
+            node_activity={"s": {1, 2, 3}, "u": {1, 3}, "v": {3}},
+        )
+        path = tmp_path / "ne.json"
+        write_instance(path, inst)
+        out, map_path = tmp_path / "image.json", tmp_path / "map.json"
+        target = "dst" if directed else "priority-st"
+        code, _ = run(capsys, "reduce", "--to", target, "-i", path, "-o", out, "--map", map_path)
+        assert code == 0
+        data = load_json(str(out))
+        if directed:
+            assert data["vertices"] == ["s#1", "u#1", "v#1"]
+            assert data["edges"] == [{"u": "s#1", "v": "u#1", "w": 1},
+                                     {"u": "u#1", "v": "v#1", "w": 2}]
+        else:
+            assert data["vertices"] == ["s", "u", "v"]
+            assert [e["priority"] for e in data["edges"]] == [3, 3]
+        assert load_json(str(map_path)) == {"steps": []}
+
     def test_to_priority_requires_undirected_monotonic(self, tmp_path, capsys):
         inst = make_instance(
             directed=False, variant="edge", num_times=2,
@@ -774,7 +802,8 @@ class TestBench:
             "--methods", "brute,charikar:2", "--seeds", "0", "-o", out,
         )
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as f:
+            rows = list(csv.DictReader(f))
         by_method = {r["method"]: r for r in rows}
         assert by_method["brute"]["cost"] == "1"
         assert by_method["charikar:2"]["cost"] == ""
@@ -798,7 +827,8 @@ class TestBench:
         )
         assert code == 0
         assert len(calls) == 2
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as f:
+            rows = list(csv.DictReader(f))
         assert [r["cost"] for r in rows] == ["1"] * 4
 
     def test_bb_is_the_oracle_without_brute(self, tmp_path, capsys, monkeypatch):
@@ -817,7 +847,8 @@ class TestBench:
             "--seeds", "0,1", "-o", out,
         )
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as f:
+            rows = list(csv.DictReader(f))
         assert list(rows[0]) == ["kind", "seed", "method", "cost", "optimum", "ratio"]
         assert [(r["seed"], r["method"]) for r in rows] == [
             ("0", "bb"), ("0", "union"), ("1", "bb"), ("1", "union"),
@@ -892,7 +923,8 @@ class TestBench:
             "--seeds", "0,1", "-o", out,
         )
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as f:
+            rows = list(csv.DictReader(f))
         assert len(rows) == 6
         edge_count = 2  # two left vertices, degree one
         k = 2

@@ -10,6 +10,7 @@ from tsn.approx import shortest_paths_union
 from tsn.core import (
     InputError,
     effective_times,
+    first_unsatisfiable_demand,
     is_feasible,
     is_monotonic,
     make_instance,
@@ -20,11 +21,14 @@ from tsn.monotonic import (
     PriorityDemand,
     PriorityEdge,
     PriorityInstance,
+    dst_to_dict,
     normalize_to_time_layered_tree,
+    priority_to_dict,
     priority_to_tsn,
     single_source_to_dst,
     tsn_to_priority,
 )
+from tsn.variants import normalize
 
 from helpers import (
     dst_brute,
@@ -34,6 +38,7 @@ from helpers import (
     priority_brute,
     priority_feasible,
     priority_solution_from_tsn,
+    rand_monotonic_frames,
     rand_monotonic_single_source,
     rand_priority_instance,
 )
@@ -290,6 +295,40 @@ class TestSingleSourceToDst:
             if len(dst.edges) > 12:
                 continue
             assert dst_brute(dst)[0] == dst_brute_literal(dst)
+            done += 1
+
+
+class TestOwnFrames:
+    """Both reductions read each edge's `effective_times`, so node activity
+    needs no edge image: on `node` input they build what they build on the
+    `node_to_edge` image, and on every variant they keep the optimum."""
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_node_input_matches_its_edge_image(self, directed):
+        reduce, to_dict = (
+            (single_source_to_dst, dst_to_dict) if directed
+            else (tsn_to_priority, priority_to_dict)
+        )
+        rng = random.Random(59 + directed)
+        for _ in range(150):
+            inst = rand_monotonic_frames(rng, "node", directed)
+            image = normalize(inst, "edge")[0]
+            assert to_dict(reduce(inst)) == to_dict(reduce(image))
+
+    @pytest.mark.parametrize("variant", ["node", "node_and_edge"])
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_optimum_preserved_on_own_frames(self, variant, directed):
+        rng = random.Random(61 + 2 * directed + (variant == "node"))
+        done = 0
+        while done < 150:
+            inst = rand_monotonic_frames(rng, variant, directed)
+            if first_unsatisfiable_demand(inst) is not None:
+                continue
+            if directed:
+                cost = dst_brute(single_source_to_dst(inst))[0]
+            else:
+                cost = priority_brute(tsn_to_priority(inst))
+            assert cost == brute_force(inst).cost
             done += 1
 
 

@@ -231,3 +231,19 @@ def test_cli_binds_no_module_level_container():
         ))
     ]
     assert found == []
+
+
+def test_only_core_and_variants_branch_on_the_variant():
+    # `core.effective_times` decides each edge's frames per variant and
+    # `variants` holds the reductions between variants; every other module
+    # reads frames through them
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name not in ("core.py", "variants.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(x, ast.Attribute) and x.attr == "variant"
+                for x in [node.left, *node.comparators])
+    ]
+    assert found == []
