@@ -4,12 +4,22 @@ All file outputs are deterministic for a given (input, flags, seed); run
 metadata such as wall time goes to the stdout report only, never into output
 files.  Exit codes: 0 success, 1 infeasible, 2 input error, 3 internal
 invariant violation.
+
+`main` pauses Python's cyclic garbage collector for the whole command and
+restores the caller's setting when it returns.  A command builds large
+acyclic structures (edges, frames, ILP rows) that reference counting frees
+on its own; the collector would only re-scan them as they grow, which took
+about a quarter of `build_ilp`'s time on lc-yes 32/32/5/5.  The pause is safe because
+no command leaves a `tsn` object in a reference cycle: `tests/test_cli.py`
+runs every command under `gc.DEBUG_SAVEALL` and checks that, and that the
+caller's setting comes back on success and on every error exit.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
@@ -160,12 +170,17 @@ def _solution_report(args, **extra) -> int:
 
 
 def cmd_solve(args) -> int:
+    # a flag the method does not write is refused, before any input is read
     if args.method != "ilp-export":
+        if args.lp:
+            raise InputError(f"--lp is written by ilp-export only, not by {args.method}")
         return _solution_report(args)
-    instance = _load_instance(args.input)
-    started = time.perf_counter()
     if not args.lp:
         raise InputError("--lp PATH is required for ilp-export")
+    if args.output:
+        raise InputError("ilp-export writes no solution: -o is for bb and brute")
+    instance = _load_instance(args.input)
+    started = time.perf_counter()
     model = exact.build_ilp(variants.normalize(instance, "simple")[0])
     write_text(exact.emit_lp(model), args.lp)
     _report(
@@ -377,6 +392,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code, with the cyclic garbage
+    collector paused for the command and the caller's setting restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -649,7 +649,15 @@ def _times_from_json(raw) -> frozenset[int]:
     return frozenset(_scalar_from_json(t, int, "time") for t in raw)
 
 
+def _require_object(data, what: str) -> None:
+    """InputError unless `data` is a JSON object: the readers below index it
+    by key, and a list or string would fail with an unrelated message."""
+    if not isinstance(data, dict):
+        raise InputError(f"{what} must be a JSON object, got {type(data).__name__}")
+
+
 def instance_from_dict(data: dict) -> TemporalInstance:
+    _require_object(data, "instance")
     try:
         directed = _scalar_from_json(data["directed"], bool, "directed")
         variant = data["variant"]
@@ -714,6 +722,7 @@ def solution_to_dict(solution: Solution, feasible: bool) -> dict:
 def solution_from_dict(data: dict) -> tuple[Solution | None, bool]:
     """Returns (solution, claimed_feasible); solution is None for the
     infeasibility marker `{"edges": [], "cost": null, "feasible": false}`."""
+    _require_object(data, "solution")
     try:
         feasible = _scalar_from_json(data["feasible"], bool, "feasible")
         if data.get("cost") is None and not feasible:

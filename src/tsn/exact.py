@@ -39,8 +39,9 @@ methods agree with it on cost, not on edges.
 `build_ilp`/`emit_lp`/`parse_lp` realise the per-time unit-flow integer
 program over simple single-source/single-sink instances.  An `IlpModel`
 holds exactly what its LP text holds: the objective, whose variables are the
-per-edge decision variables in edge order (`edge_var`); the rows, whose kind
-is read from the tag that starts each name; and the binaries.  So
+per-edge decision variables in edge order (`edge_var`); the rows, each a
+`Constraint` named tuple (name, terms, sense, rhs) whose kind is read from
+the tag that starts its name; and the binaries.  So
 `parse_lp(emit_lp(m)) == m` for every model.
 """
 
@@ -51,7 +52,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     _EXCLUDED,
@@ -369,8 +370,7 @@ def solve_bb(instance: TemporalInstance, stats: Optional[dict] = None) -> Soluti
 _ROW_KINDS = {"cpl": "coupling", "cons": "conservation", "src": "source", "snk": "sink"}
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     terms: tuple[tuple[int, str], ...]  # (coefficient, variable)
     sense: str  # ">=" | "="
@@ -426,10 +426,10 @@ class _LpNames:
         self._token_values.add(candidate)
         return candidate
 
-    def compose(self, tag: str, *parts) -> str:
-        return self.claim(tag + "_" + "_".join(str(p) for p in parts))
-
     def claim(self, name: str) -> str:
+        if name not in self._issued:
+            self._issued.add(name)
+            return name
         candidate, n = name, 2
         while candidate in self._issued:
             candidate = f"{name}__{n}"
@@ -480,70 +480,46 @@ def build_ilp(instance: TemporalInstance) -> IlpModel:
         seen[(e.u, e.v)] = i
 
     names = _LpNames()
-    edge_var = tuple(names.compose("d", names.token(e.u), names.token(e.v)) for _, e, _ in arcs)
+    token, claim = names.token, names.claim
+    # each arc's sanitised endpoints, in the order the tokens are handed out
+    ends = [(token(e.u), token(e.v)) for _, e, _ in arcs]
+    edge_var = tuple(claim(f"d_{tu}_{tv}") for tu, tv in ends)
     flow_vars: list[str] = []
     # flow variables into and out of each (time, vertex), in arc order
     ins: defaultdict[int, dict[str, list[str]]] = defaultdict(dict)
     outs: defaultdict[int, dict[str, list[str]]] = defaultdict(dict)
     objective = []
     constraints: list[Constraint] = []
-    for var, (_, e, times) in zip(edge_var, arcs):
+    for var, (tu, tv), (_, e, times) in zip(edge_var, ends, arcs):
         objective.append((e.w, var))
         for t in sorted(times):
-            fv = names.claim(f"{var}_{t}")
+            fv = claim(f"{var}_{t}")
             flow_vars.append(fv)
             ins[t].setdefault(e.v, []).append(fv)
             outs[t].setdefault(e.u, []).append(fv)
-            constraints.append(
-                Constraint(
-                    name=names.compose("cpl", names.token(e.u), names.token(e.v), t),
-                    terms=((1, var), (-1, fv)),
-                    sense=">=",
-                    rhs=0,
-                )
-            )
+            cpl = claim(f"cpl_{tu}_{tv}_{t}")
+            constraints.append(Constraint(cpl, ((1, var), (-1, fv)), ">=", 0))
 
-    conservation: list[Constraint] = []
     for t in range(1, instance.num_times + 1):
+        into, out = ins[t], outs[t]
         for v in instance.vertices:
-            if v in (a, b):
-                continue
-            terms = [(1, fv) for fv in ins[t].get(v, ())]
-            terms += [(-1, fv) for fv in outs[t].get(v, ())]
-            if terms:
-                conservation.append(
-                    Constraint(
-                        name=names.compose("cons", t, names.token(v)),
-                        terms=tuple(terms),
-                        sense="=",
-                        rhs=0,
-                    )
-                )
-    source_rows: list[Constraint] = []
+            if (v in into or v in out) and v != a and v != b:
+                terms = [(1, fv) for fv in into.get(v, ())]
+                terms += [(-1, fv) for fv in out.get(v, ())]
+                constraints.append(Constraint(claim(f"cons_{t}_{token(v)}"), tuple(terms), "=", 0))
+    # the rows go in kind order: coupling, conservation, source, sink
     sink_rows: list[Constraint] = []
     for t in range(1, instance.num_times + 1):
         if a not in outs[t] or b not in ins[t]:
             raise InfeasibleInstanceError(Demand(a, b, t), f"no flow possible at time {t}")
-        source_rows.append(
-            Constraint(
-                name=names.compose("src", t),
-                terms=tuple((1, fv) for fv in outs[t][a]),
-                sense="=",
-                rhs=1,
-            )
-        )
-        sink_rows.append(
-            Constraint(
-                name=names.compose("snk", t),
-                terms=tuple((1, fv) for fv in ins[t][b]),
-                sense="=",
-                rhs=1,
-            )
-        )
+        src, snk = claim(f"src_{t}"), claim(f"snk_{t}")
+        constraints.append(Constraint(src, tuple((1, fv) for fv in outs[t][a]), "=", 1))
+        sink_rows.append(Constraint(snk, tuple((1, fv) for fv in ins[t][b]), "=", 1))
+    constraints += sink_rows
 
-    all_constraints = tuple(constraints + conservation + source_rows + sink_rows)
-    binaries = tuple(sorted({*edge_var, *flow_vars}))
-    return IlpModel(objective=tuple(objective), constraints=all_constraints, binaries=binaries)
+    # every name is claimed once, so the binaries need no dedup
+    binaries = tuple(sorted([*edge_var, *flow_vars]))
+    return IlpModel(objective=tuple(objective), constraints=tuple(constraints), binaries=binaries)
 
 
 # ---------------------------------------------------------------------------
@@ -579,36 +555,29 @@ def emit_lp(model: IlpModel) -> str:
     the denominators and the scale is recorded in a leading comment.
     """
     coefs = [c for c, _ in model.objective]
-    scale = 1
-    if any(_decimal_exact(c) is None for c in coefs):
-        scale = math.lcm(*(c.denominator for c in coefs))
+    txts = [str(c.numerator) if c.denominator == 1 else _decimal_exact(c) for c in coefs]
     lines: list[str] = []
-    if scale != 1:
+    if None in txts:
+        scale = math.lcm(*(c.denominator for c in coefs))
         lines.append(f"\\ objective-scale: {scale}")
-    lines.append("Minimize")
-    terms = []
-    for c, var in model.objective:
-        if scale != 1:
+        txts = []
+        for c in coefs:
             val = c * scale
             if val.denominator != 1:
                 raise InternalError(f"objective coefficient {c} is not integral at scale {scale}")
-            txt = str(val.numerator)
-        else:
-            txt = _decimal_exact(c)
-        terms.append(f"{txt} {var}")
-    lines.append(" obj: " + (" + ".join(terms) if terms else "0"))
+            txts.append(str(val.numerator))
+    lines.append("Minimize")
+    terms = " + ".join([f"{txt} {var}" for txt, (_, var) in zip(txts, model.objective)])
+    lines.append(f" obj: {terms or '0'}")
     lines.append("Subject To")
-    for con in model.constraints:
-        parts = []
-        for j, (coef, var) in enumerate(con.terms):
-            if j == 0:
-                parts.append(f"{coef} {var}" if coef >= 0 else f"- {abs(coef)} {var}")
-            else:
-                parts.append(f"+ {coef} {var}" if coef >= 0 else f"- {abs(coef)} {var}")
-        lines.append(f" {con.name}: " + " ".join(parts) + f" {con.sense} {con.rhs}")
+    for name, row, sense, rhs in model.constraints:
+        # every term is signed; the first drops a leading "+ "
+        body = " ".join([f"+ {c} {var}" if c >= 0 else f"- {-c} {var}" for c, var in row])
+        if body.startswith("+"):
+            body = body[2:]
+        lines.append(f" {name}: {body} {sense} {rhs}")
     lines.append("Binary")
-    for var in model.binaries:
-        lines.append(f" {var}")
+    lines.extend([f" {var}" for var in model.binaries])
     lines.append("End")
     return "\n".join(lines) + "\n"
 

@@ -68,14 +68,15 @@ def node_edge_to_node(instance: TemporalInstance) -> tuple[TemporalInstance, Red
     edges: list[Edge] = []
     fwd: list[tuple[int, tuple[int, ...]]] = []
     added: list[str] = []
+    zero = Fraction(0)
     for i, e in enumerate(instance.edges):
         x = fresh_name(f"x({e.u},{e.v})#{i}", taken)
         vertices.append(x)
         added.append(x)
         activity[x] = e.times
         heavy = len(edges)
-        edges.append(Edge(e.u, x, e.w, frozenset()))
-        edges.append(Edge(x, e.v, Fraction(0), frozenset()))
+        edges.append(Edge(e.u, x, e.w))
+        edges.append(Edge(x, e.v, zero))
         fwd.append((i, (heavy, heavy + 1)))
     image = replace(
         instance, variant="node", vertices=tuple(vertices), edges=tuple(edges),
@@ -204,16 +205,21 @@ def to_simple(instance: TemporalInstance) -> tuple[TemporalInstance, ReductionMa
     added = [src, snk]
     all_new_times = frozenset(range(1, horizon + 1))
     activity: dict[str, frozenset[int]] = {}
+    image_of: dict[frozenset[int], frozenset[int]] = {}  # per distinct activity set
     for v in instance.vertices:
         act = instance.activity(v)
-        activity[v] = frozenset(i + 1 for i, d in enumerate(instance.demands) if d.t in act)
+        if act not in image_of:
+            image_of[act] = frozenset(i + 1 for i, d in enumerate(instance.demands) if d.t in act)
+        activity[v] = image_of[act]
     activity[src] = all_new_times
     activity[snk] = all_new_times
 
-    edges: list[Edge] = [Edge(e.u, e.v, e.w, frozenset()) for e in instance.edges]
+    # node-variant edges: their stored times are ignored, so they carry over
+    edges: list[Edge] = list(instance.edges)
     fwd = tuple((i, (i,)) for i in range(len(instance.edges)))
     aux: list[int] = []
     demands: list[Demand] = []
+    zero = Fraction(0)
     for i, d in enumerate(instance.demands, start=1):
         x = fresh_name(f"x{i}", taken)
         y = fresh_name(f"y{i}", taken)
@@ -229,7 +235,7 @@ def to_simple(instance: TemporalInstance) -> tuple[TemporalInstance, ReductionMa
             wiring = ((src, x), (x, d.a), (d.b, y), (y, snk))
         for u, v in wiring:
             aux.append(len(edges))
-            edges.append(Edge(u, v, Fraction(0), frozenset()))
+            edges.append(Edge(u, v, zero))
         demands.append(Demand(src, snk, i))
     image = TemporalInstance(
         directed=True,

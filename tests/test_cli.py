@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import random
 import resource
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -161,6 +163,17 @@ class TestValidate:
         lines = out.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "input"
+
+    @pytest.mark.parametrize("raw, kind", [("[1, 2]", "list"), ('"x"', "str")],
+                             ids=["array", "string"])
+    def test_non_object_document_is_an_input_error(self, tmp_path, capsys, raw, kind):
+        path = tmp_path / "bad.json"
+        path.write_text(raw)
+        code, out = run(capsys, "validate", "-i", path)
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["detail"] == f"instance must be a JSON object, got {kind}"
 
     def test_huge_time_horizon_stays_small(self, tmp_path):
         # one edge active at time 1 out of 10^12: the monotonicity check
@@ -347,17 +360,45 @@ class TestSolve:
         assert "Binary" in text and text.rstrip().endswith("End")
 
     def test_ilp_export_without_lp_builds_nothing(self, capsys, example1_file, monkeypatch):
-        from tsn import exact
+        from tsn import cli, exact
 
         def fail(*_):
-            raise AssertionError("build_ilp ran before --lp was checked")
+            raise AssertionError("the input was loaded or the model built before --lp was checked")
 
         monkeypatch.setattr(exact, "build_ilp", fail)
+        monkeypatch.setattr(cli, "_load_instance", fail)
         code = main(["solve", "-i", str(example1_file), "--method", "ilp-export"])
         captured = capsys.readouterr()
         assert code == 2
         assert json.loads(captured.out)["error"] == "input"
         assert captured.err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--method", "ilp-export", "--lp", "m.lp", "-o", "sol.json"], "-o is for bb and brute"),
+        (["--method", "bb", "--lp", "m.lp"], "not by bb"),
+        (["--method", "brute", "--lp", "m.lp", "-o", "sol.json"], "not by brute"),
+    ], ids=["ilp-export-with-output", "bb-with-lp", "brute-with-lp"])
+    def test_misplaced_flag_is_refused_before_loading(
+        self, tmp_path, capsys, example1_file, monkeypatch, argv, message
+    ):
+        # each flag used to be ignored without a word, so the file it names
+        # was never written
+        from tsn import cli
+
+        def fail(*_):
+            raise AssertionError("the input was loaded before the flags were checked")
+
+        monkeypatch.setattr(cli, "_load_instance", fail)
+        monkeypatch.chdir(tmp_path)
+        code = main(["solve", "-i", str(example1_file), *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.out.strip().splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "input" and message in report["detail"]
+        assert captured.err == ""
+        assert sorted(os.listdir(tmp_path)) == ["ex1.json"]
 
     def test_report_checks_feasibility(self, tmp_path, capsys, example1_file, monkeypatch):
         # a solver that returns an infeasible solution must not be reported
@@ -446,6 +487,15 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "input"
+
+    def test_non_object_solution_is_an_input_error(self, tmp_path, capsys, example1_file):
+        sol = tmp_path / "sol.json"
+        sol.write_text("[1, 2]")
+        code, out = run(capsys, "verify", "-i", example1_file, "-s", sol)
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["detail"] == "solution must be a JSON object, got list"
 
     def test_accepts_approx_solutions(self, tmp_path, capsys, example1_file):
         sol = tmp_path / "sol.json"
@@ -977,3 +1027,76 @@ class TestOutputPaths:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "input"
         assert list(out_dir.iterdir()) == []
+
+
+def _is_tsn_object(obj):
+    """A `tsn` function, or an instance of a class defined in `tsn`."""
+    if isinstance(obj, types.FunctionType):
+        return (obj.__module__ or "").startswith("tsn")
+    return type(obj).__module__.startswith("tsn")
+
+
+class TestCollectorPause:
+    # cli.main pauses the cyclic collector for the whole command: that is
+    # safe only while no command leaves a tsn object in a reference cycle,
+    # which these tests check, and only while the caller's setting comes back
+    def test_commands_leave_no_tsn_object_in_cyclic_garbage(self, tmp_path, capsys):
+        hub = tmp_path / "hub.json"
+        write_instance(hub, hub_instance())
+        p = lambda name: str(tmp_path / name)  # noqa: E731
+        gadget = ["--kind", "lc-yes", "--u", "2", "--v", "2", "--degree", "2", "--sigma", "2"]
+        commands = [
+            ["gen", *gadget, "--seed", "1", "-o", p("g.json"), "--trace", p("tr.json"),
+             "--source", p("src.json")],
+            ["reduce", "--to", "simple", "-i", p("g.json"), "-o", p("s.json"),
+             "--map", p("m.json")],
+            ["solve", "-i", p("g.json"), "--method", "bb", "-o", p("bb.json")],
+            ["solve", "-i", p("g.json"), "--method", "ilp-export", "--lp", p("g.lp")],
+            ["approx", "-i", p("g.json"), "--method", "union", "-o", p("u.json")],
+            ["approx", "-i", str(hub), "--method", "charikar", "--level", "3", "-o", p("c.json")],
+            ["verify", "-i", p("g.json"), "-s", p("bb.json")],
+            ["verify", "-i", str(hub), "-s", p("c.json")],
+            ["bench", *gadget, "--methods", "brute,bb,union,charikar", "--seeds", "1,2",
+             "-o", p("bench.csv")],
+        ]
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            codes = [main(argv) for argv in commands]
+            gc.collect()
+            left = [repr(obj)[:80] for obj in gc.garbage if _is_tsn_object(obj)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        capsys.readouterr()
+        assert codes == [0] * len(commands)
+        assert left == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", "-i", "IN"], 0),
+        (["solve", "-i", "IN", "--method", "nope"], 2),
+        (["validate", "-i", "MISSING"], 2),
+    ], ids=["ok", "argparse-rejection", "input-error"])
+    def test_caller_setting_is_restored(self, tmp_path, capsys, example1_file, enabled, argv, code):
+        paths = {"IN": str(example1_file), "MISSING": str(tmp_path / "missing.json")}
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            got = main([paths.get(a, a) for a in argv])
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+        assert got == code
+        assert after is enabled
+
+    def test_collector_is_paused_inside_the_command(self, capsys, example1_file, monkeypatch):
+        from tsn import cli
+
+        seen = []
+        monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(gc.isenabled()) or 0)
+        assert gc.isenabled()
+        assert main(["validate", "-i", str(example1_file)]) == 0
+        assert seen == [False] and gc.isenabled()

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 
 from tsn.core import (
     Demand,
+    Edge,
     FrameIndex,
     InfeasibleInstanceError,
     InputError,
     InternalError,
     effective_times,
     first_unsatisfiable_demand,
+    instance_to_dict,
     is_feasible,
     make_instance,
     solution_cost,
@@ -37,7 +40,7 @@ from tsn.hardness import (
     gen_yes_lc,
     phlc_to_kdtsn,
 )
-from tsn.variants import node_to_edge, normalize, to_simple
+from tsn.variants import node_to_edge, normalize, reduction_map_to_dict, to_simple
 
 from helpers import (
     assignment_objective,
@@ -692,6 +695,75 @@ def _name_collision_instance():
     )
 
 
+# exact decimals and 1/3, which takes the objective-scale path
+PIPELINE_DECIMAL_WEIGHTS = (Fraction(0), Fraction(1), Fraction(4), Fraction(1, 2), Fraction(3, 4))
+PIPELINE_SCALED_WEIGHTS = PIPELINE_DECIMAL_WEIGHTS + (Fraction(1, 3),)
+# names the simple form also makes (a, b, x1, y1), the node-and-edge split
+# makes (x(...)#i) or that sanitise or join into one LP token
+PIPELINE_NAMES = ("a", "b", "x1", "y1", "m(1)", "m,1,", "a_b", "b_c", "x(n0,n1)#0")
+
+
+def _renamed(inst, names):
+    """`inst` with its i-th vertex called names[i] (the rest keep theirs)."""
+    new = dict(zip(inst.vertices, names))
+    ren = lambda v: new.get(v, v)  # noqa: E731
+    return replace(
+        inst,
+        vertices=tuple(map(ren, inst.vertices)),
+        edges=tuple(replace(e, u=ren(e.u), v=ren(e.v)) for e in inst.edges),
+        demands=tuple(Demand(ren(d.a), ren(d.b), d.t) for d in inst.demands),
+        node_activity=None if inst.node_activity is None
+        else {ren(v): ts for v, ts in inst.node_activity.items()},
+    )
+
+
+def simple_pipeline_corpus():
+    """61 directed instances: 20 seeded draws with demands of each variant and
+    `_name_collision_instance()`.  Weights are 0, integers, 1/2 and 3/4, and
+    every other draw also has 1/3.  Every node_and_edge draw and every third
+    node draw take the `PIPELINE_NAMES`, and every node draw after the fourth keeps
+    stored `times` on its edges, which the node variant ignores.  With T at
+    most 3, some vertices share an activity set and some do not."""
+    rng = random.Random(2411)
+    for n in range(60):
+        variant = ("edge", "node", "node_and_edge")[n % 3]
+        inst = None
+        while inst is None or not inst.demands:
+            inst = rand_instance(
+                rng, directed=True, variant=variant, max_vertices=6, max_edges=10,
+                max_times=3, max_demands=4,
+                weights=PIPELINE_SCALED_WEIGHTS if n % 2 else PIPELINE_DECIMAL_WEIGHTS,
+            )
+        if variant == "node" and n >= 12:
+            inst = replace(inst, edges=tuple(
+                Edge(e.u, e.v, e.w, frozenset(rng.sample(range(1, 4), rng.randint(1, 3))))
+                for e in inst.edges
+            ))
+        if n % 3 == 2 or n % 9 == 1:
+            inst = _renamed(inst, PIPELINE_NAMES)
+        yield inst
+    yield _name_collision_instance()
+
+
+def simple_pipeline_digest():
+    """sha256 over, for each instance of `simple_pipeline_corpus`, the
+    simple image `normalize(inst, "simple")` writes, its reduction steps
+    and the LP text of `build_ilp` on that image (or the error it raises).
+    Any change to the bytes of `reduce --to simple --map` or of
+    `solve --method ilp-export` on these inputs changes the digest."""
+    h = hashlib.sha256()
+    for inst in simple_pipeline_corpus():
+        image, steps = normalize(inst, "simple")
+        h.update(json.dumps(instance_to_dict(image)).encode())
+        h.update(json.dumps([reduction_map_to_dict(m) for m in steps]).encode())
+        try:
+            text = emit_lp(build_ilp(image))
+        except (InfeasibleInstanceError, InputError) as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        h.update(text.encode())
+    return h.hexdigest()
+
+
 class TestIlpRows:
     def test_flow_rows_match_a_direct_scan(self):
         rng = random.Random(67)
@@ -731,6 +803,13 @@ class TestIlpRows:
             "cons_2_a_b", "cons_2_b_c", "cons_2_c", "cons_2_c_1", "cons_2_b_2",
             "src_1", "src_2", "snk_1", "snk_2",
         ]
+
+    def test_simple_pipeline_digest_is_pinned(self):
+        # the simple image, its map and the LP text, byte for byte: a faster
+        # simple-form chain or LP writer must leave this digest where it is
+        assert simple_pipeline_digest() == (
+            "5eddb54f1483bc0e0cd68c2d31a4e64e359c272801df530816df2ec2d32cec1f"
+        )
 
 class TestIlpValidity:
     def test_satisfying_assignments_project_onto_feasible_solutions(self):

@@ -69,8 +69,8 @@ def test_package_imports_only_stdlib():
     assert found == []
 
 
-def test_only_core_imports_heapq():
-    # one Dijkstra: every shortest path comes from core.FrameIndex
+def _importers(module):
+    """The package files that import `module`, by `import` or `from`."""
     found = []
     for path in sorted(SOURCE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
@@ -80,9 +80,20 @@ def test_only_core_imports_heapq():
                 names = [node.module]
             else:
                 continue
-            if "heapq" in names:
+            if module in names:
                 found.append(path.relative_to(SOURCE).as_posix())
-    assert found == ["core.py"]
+    return found
+
+
+def test_only_core_imports_heapq():
+    # one Dijkstra: every shortest path comes from core.FrameIndex
+    assert _importers("heapq") == ["core.py"]
+
+
+def test_only_cli_imports_gc():
+    # the collector is paused once, around a whole command in cli.main;
+    # test_cli checks that no command leaves a tsn object in cyclic garbage
+    assert _importers("gc") == ["cli.py"]
 
 
 def _names_read(node):
