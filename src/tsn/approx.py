@@ -34,7 +34,7 @@ sub-budgets the table has not reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -86,6 +86,11 @@ class MetricClosure:
     vertices: tuple[str, ...]
     index: FrameIndex
     dist: dict[tuple[str, int], list[Optional[int]]]
+    _distances: dict[tuple[str, str, int], Fraction] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _reach: dict[Pair, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _successors: dict[Pair, list[tuple[Pair, int, int, int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def distance(self, u: str, v: str, t: int) -> Optional[Fraction]:
         if u == v:
@@ -100,23 +105,22 @@ class MetricClosure:
         return d
 
     @cached_property
-    def _distances(self) -> dict[tuple[str, str, int], Fraction]:
-        return {}
-
-    @cached_property
     def bits(self) -> dict[Pair, int]:
         """Bit index of each (vertex, time) pair, time 0 included:
         vertex index * (T + 1) + time."""
         width = self.num_times + 1
         return {(v, t): n * width + t for n, v in enumerate(self.vertices) for t in range(width)}
 
-    @cached_property
-    def _reach(self) -> dict[Pair, int]:
-        """Bit mask of what each pair (v, t), t >= 1, reaches: itself and
-        every (w, t') with t' >= t and w == v or a v->w path in frame t'."""
-        ids, bits = self.index.ids, self.bits
-        reach: dict[Pair, int] = {}
-        for v in self.vertices:
+    def reach(self, pair: Pair) -> int:
+        """Bit mask of what pair (v, t) reaches: itself and every (w, t')
+        with t' >= max(t, 1) and w == v or a v->w path in frame t'.  So
+        (v, 0) reaches itself and everything (v, 1) reaches, and a pair
+        outside the closure reaches nothing.  The masks of all of v's pairs
+        are built on the first request for one of them."""
+        v = pair[0]
+        reach = self._reach
+        if (v, 0) not in reach and v in self.index.ids:
+            ids, bits = self.index.ids, self.bits
             mask = 0
             for t in range(self.num_times, 0, -1):
                 row = self.dist[(v, t)]
@@ -124,11 +128,8 @@ class MetricClosure:
                     if w == v or row[ids[w]] is not None:
                         mask |= 1 << bits[(w, t)]
                 reach[(v, t)] = mask
-        return reach
-
-    @cached_property
-    def _successors(self) -> dict[Pair, list[tuple[Pair, int, int, int]]]:
-        return {}
+            reach[(v, 0)] = mask | 1 << bits[(v, 0)]
+        return reach.get(pair, 0)
 
     def successors(self, root: Pair) -> list[tuple[Pair, int, int, int]]:
         """The pairs (v, t) other than root with t >= max(root's time, 1)
@@ -143,7 +144,7 @@ class MetricClosure:
                 for t in range(max(t0, 1), self.num_times + 1):
                     hop = _hop(self, u, (v, t))
                     if hop is not None and (v, t) != root:
-                        out.append(((v, t), hop, self._reach[(v, t)], self.bits[(v, t)]))
+                        out.append(((v, t), hop, self.reach((v, t)), self.bits[(v, t)]))
             out.sort()
             self._successors[root] = out
         return out
@@ -297,7 +298,8 @@ def charikar_level(
     is contained in frame t' for t <= t' and closure reachability between
     pairs is transitive.  A level-(i-1) sub-call at pair p can then only
     see the residual pairs at time >= p's time reachable from p; it gets
-    just those.  Each candidate comes from `closure.successors(root)` with
+    just those, and every call counts the demand pairs that
+    `closure.reach(root)` holds.  Each candidate comes from `closure.successors(root)` with
     the bit mask of the pairs it reaches, and the memo `_cache` is keyed on
     the ints (i-1, p's bit, sub-budget, live pairs & p's reach mask).  The
     mask stands for the whole restricted residual because, inside one
@@ -333,13 +335,15 @@ def charikar_level(
         _stats["calls"] = _stats.get("calls", 0) + 1
         _stats.setdefault("memo_hits", 0)
 
-    root_v, root_t = root
+    root_v = root[0]
     bits = closure.bits
+    root_reach = closure.reach(root)
     counts: dict[Pair, int] = {}
     for p in demands:
-        if p not in bits:
+        bit = bits.get(p)
+        if bit is None:
             raise InputError(f"demand pair {p} is no (vertex, time) pair of the closure")
-        if p[1] >= root_t and _hop(closure, root_v, p) is not None:
+        if root_reach >> bit & 1:
             counts[p] = counts.get(p, 0) + 1
     reachable_entries = sum(counts.values())
     if reachable_entries < k:
@@ -382,7 +386,7 @@ def charikar_level(
         if remaining >= len(table):
             # grow the table one sub-budget at a time; the candidates are
             # derived again rather than kept, to hold the tables small
-            residual = _expand(counts)
+            residual = tuple(p for p in sorted(counts) for _ in range(counts[p]))
             repeats = [(1 << bits[p], c - 1) for p, c in counts.items() if c > 1]
             candidates = []
             for pair, hop, reach, bit in closure.successors(root):
@@ -441,13 +445,6 @@ def charikar_level(
         edges=tuple(tree_edges),
         covered=covered_pairs(root, tree_edges, demands),
     )
-
-
-def _expand(counts: dict[Pair, int]) -> tuple[Pair, ...]:
-    out: list[Pair] = []
-    for p in sorted(counts):
-        out.extend([p] * counts[p])
-    return tuple(out)
 
 
 def expand_tree(

@@ -55,6 +55,8 @@ EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+DEFAULT_LEVEL = 2  # greedy level of charikar when none is given
+
 
 def _digest(instance: TemporalInstance) -> dict:
     return {
@@ -196,7 +198,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    return _solution_report(args, level=args.level if args.method == "charikar" else None)
+    # --level belongs to charikar; with union it is refused before any
+    # input is read
+    if args.method == "union":
+        if args.level is not None:
+            raise InputError("--level is for charikar only, not for union")
+    elif args.level is None:
+        args.level = DEFAULT_LEVEL
+    return _solution_report(args, level=args.level)
 
 
 def _generate(args, seed: int):
@@ -269,53 +278,40 @@ def cmd_bench(args) -> int:
         name, colon, level = method.partition(":")
         if name != "charikar":
             raise InputError(f"unknown method {method!r}")
-        levels[method] = _to_int(level, f"level of {method!r}") if colon else 2
+        levels[method] = _to_int(level, f"level of {method!r}") if colon else DEFAULT_LEVEL
         if not 1 <= levels[method] <= approx_mod.MAX_LEVEL:
             raise InputError(f"level of {method!r} must be from 1 to {approx_mod.MAX_LEVEL}")
     seeds = [_to_int(s, "--seeds entry") for s in args.seeds.split(",") if s]
     rows = []
-    for seed in seeds:
+    # with no method there is no row, so no instance is built
+    for seed in seeds if methods else ():
         instance, _, _ = _generate(args, seed)
-        # brute force is the oracle when it is asked for, otherwise branch
-        # and bound; the oracle's own row reuses its result.  bench trusts
-        # its own generated instances: the subset cap guards arbitrary user
-        # input, not this batch runner.  With no method there is no row.
-        if not methods:
-            continue
-        if "brute" in methods:
-            oracle = "brute"
-            optimum = exact.brute_force(instance, cap=len(instance.edges)).cost
-        else:
-            oracle = "bb"
-            optimum = exact.solve_bb(instance).cost
+        # branch and bound gives the optimum column and its own row; every
+        # other row runs through `_solve` with the limits of `solve` and
+        # `approx`, so a brute row past the subset cap is left empty
+        optimum = _solve("bb", instance, None, {}).cost
         for method in methods:
             try:
-                if method == oracle:
+                if method == "bb":
                     cost = optimum
                 else:
                     cost = _solve(method.partition(":")[0], instance, levels.get(method), {}).cost
             except InputError:
-                # method not applicable to this instance family: keep the
-                # row, leave the cost empty
+                # method not applicable to this instance: keep the row, leave
+                # the cost empty
                 cost = None
-            ratio = None
-            if cost is not None and optimum > 0:
-                ratio = str(cost / optimum)
-            rows.append(
-                {
-                    "kind": args.kind,
-                    "seed": seed,
-                    "method": method,
-                    "cost": str(cost) if cost is not None else "",
-                    "optimum": str(optimum),
-                    "ratio": ratio or "",
-                }
-            )
+            rows.append({
+                "kind": args.kind,
+                "seed": seed,
+                "method": method,
+                "cost": "" if cost is None else str(cost),
+                "optimum": str(optimum),
+                "ratio": str(cost / optimum) if cost is not None and optimum > 0 else "",
+            })
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=["kind", "seed", "method", "cost", "optimum", "ratio"])
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     text = buf.getvalue()
     if args.output:
         write_text(text, args.output)
@@ -363,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="approximation algorithms")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--method", required=True, choices=["union", "charikar"])
-    p.add_argument("--level", type=int, default=2,
-                   help=f"greedy level, 1 to {approx_mod.MAX_LEVEL} (charikar)")
+    p.add_argument("--level", type=int,
+                   help=f"greedy level, 1 to {approx_mod.MAX_LEVEL} (charikar only; "
+                        f"default {DEFAULT_LEVEL})")
     p.add_argument("-o", "--output", help="solution JSON path")
     p.set_defaults(func=cmd_approx)
 

@@ -82,7 +82,7 @@ class BruteForceCapError(InputError):
 
 
 def brute_force(
-    instance: TemporalInstance, cap: Optional[int] = None, stats: Optional[dict] = None
+    instance: TemporalInstance, cap: int = DEFAULT_BRUTE_CAP, stats: Optional[dict] = None
 ) -> Solution:
     """Cheapest feasible edge subset; ties go to the lexicographically
     smallest sorted index tuple.
@@ -110,11 +110,9 @@ def brute_force(
     receives the number of `completion_tests` and of `improvements`.
 
     Raises InfeasibleInstanceError when some demand cannot be met even by
-    the full edge set, and BruteForceCapError when more than `cap`
-    (DEFAULT_BRUTE_CAP when None) edges have positive weight.
+    the full edge set, and BruteForceCapError when more than `cap` edges
+    have positive weight.
     """
-    if cap is None:
-        cap = DEFAULT_BRUTE_CAP
     positive = sum(1 for e in instance.edges if e.w > 0)
     if positive > cap:
         raise BruteForceCapError(

@@ -614,6 +614,30 @@ class TestApprox:
         assert code == 0
         assert json.loads(out)["feasible"] is True
 
+    def test_level_with_union_is_refused_before_loading(
+        self, tmp_path, capsys, example1_file, monkeypatch
+    ):
+        # --level belongs to charikar; union used to ignore it and exit 0
+        from tsn import cli
+
+        def fail(*_):
+            raise AssertionError("the input was loaded before the flags were checked")
+
+        monkeypatch.setattr(cli, "_load_instance", fail)
+        code = main(["approx", "-i", str(example1_file), "--method", "union", "--level", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.out.strip().splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "input" and "--level" in report["detail"]
+        assert captured.err == ""
+
+    def test_charikar_level_defaults_to_two(self, capsys, cyclic_file):
+        code, out = run(capsys, "approx", "-i", cyclic_file, "--method", "charikar")
+        assert code == 0
+        assert json.loads(out)["level"] == 2
+
     @pytest.mark.parametrize("method", ["charikar", "union"])
     def test_no_demands_needs_no_edges(self, tmp_path, capsys, method):
         path, sol = tmp_path / "free.json", tmp_path / "sol.json"
@@ -859,15 +883,16 @@ class TestBench:
         assert by_method["charikar:2"]["cost"] == ""
 
     def test_brute_runs_once_per_seed(self, tmp_path, capsys, monkeypatch):
-        # the brute row reuses the optimum column's brute-force result
+        # the brute row runs brute force once per seed, through the same
+        # dispatch as `solve --method brute`
         from tsn import exact
 
         calls = []
         original = exact.brute_force
 
-        def counting(instance, cap=None):
-            calls.append(cap)
-            return original(instance, cap=cap)
+        def counting(instance, **kwargs):
+            calls.append(kwargs)
+            return original(instance, **kwargs)
 
         monkeypatch.setattr(exact, "brute_force", counting)
         out = tmp_path / "bench.csv"
@@ -965,6 +990,25 @@ class TestBench:
             single[method] = json.loads(out)["cost"]
         assert bench == single
 
+    def test_brute_row_past_the_cap_is_empty(self, tmp_path, capsys):
+        # 54 positive-weight edges: `solve --method brute` refuses this
+        # gadget, so its bench row has no cost, and the optimum column comes
+        # from branch and bound, which closes it at the root
+        gadget = ["--kind", "lc-yes", "--u", "4", "--v", "4", "--degree", "3", "--sigma", "3"]
+        code, out = run(capsys, "bench", *gadget, "--methods", "brute,bb,union", "--seeds", "0")
+        assert code == 0
+        assert out.splitlines() == [
+            "kind,seed,method,cost,optimum,ratio",
+            "lc-yes,0,brute,,12,",
+            "lc-yes,0,bb,12,12,1",
+            "lc-yes,0,union,19,12,19/12",
+        ]
+        path = tmp_path / "lc.json"
+        assert run(capsys, "gen", *gadget, "--seed", "0", "-o", path)[0] == 0
+        code, out = run(capsys, "solve", "-i", path, "--method", "brute")
+        assert code == 2
+        assert json.loads(out)["error"] == "input"
+
     def test_yes_lc_batch_columns(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code, _ = run(
@@ -982,6 +1026,79 @@ class TestBench:
             if row["method"] in ("brute", "bb"):
                 assert row["cost"] == str(edge_count)
             assert Fraction(row["cost"]) <= k * Fraction(row["optimum"])
+
+
+def edge_instance(vertices, T, edges, demands, directed=True):
+    """Edge-variant instance JSON: `edges` are (u, v, times entry) with the
+    entry `{"times": [...]}` or `{"first_time": t}`, weight 1 each."""
+    return {
+        "directed": directed, "variant": "edge", "T": T, "vertices": vertices,
+        "edges": [{"u": u, "v": v, "w": 1, **times} for u, v, times in edges],
+        "demands": [{"a": a, "b": b, "t": t} for a, b, t in demands],
+    }
+
+
+class TestInputGuards:
+    # each guard prints one JSON line, exits 2 and writes no file
+    @pytest.mark.parametrize("argv, data, detail", [
+        (["approx", "--method", "charikar"],
+         edge_instance([f"n{i}" for i in range(101)], 100, [("n0", "n1", {"first_time": 1})],
+                       [("n0", "n1", 100)]),
+         "|V|^2 * T"),
+        (["reduce", "--to", "node_and_edge", "-o", "out.json"],
+         edge_instance(["a", "b"], 600000, [("a", "b", {"first_time": 600000})], []),
+         "T * 2 times"),
+        (["reduce", "--to", "dst", "-o", "out.json"],
+         edge_instance([f"n{i}" for i in range(1001)], 1, [("n0", "n1", {"times": [1]})],
+                       [("n0", "n1", 1)] * 1000),
+         "level graph would hold"),
+        (["gen", "--kind", "lc-yes", "--u", "1000", "--v", "1000", "--degree", "1",
+          "--sigma", "600", "-o", "out.json"], None, "strands"),
+    ], ids=["closure", "node-and-edge-embedding", "level-graph", "strands"])
+    def test_size_guard(self, tmp_path, argv, data, detail):
+        # run under the 1 GiB address-space cap, in case a guard gives way
+        if data is not None:
+            (tmp_path / "in.json").write_text(json.dumps(data))
+            argv = [*argv, "-i", "in.json"]
+        proc = run_capped(*argv, cwd=tmp_path)
+        assert_one_input_error(proc)
+        assert detail in json.loads(proc.stdout)["detail"]
+        assert sorted(os.listdir(tmp_path)) == (["in.json"] if data is not None else [])
+
+    @pytest.mark.parametrize("argv, data, detail", [
+        (["gen", "--kind", "lc-yes", "--u", "2", "--v", "1", "--degree", "2"], None,
+         "degree cannot exceed"),
+        (["gen", "--kind", "phlc-yes", "--k", "3", "--part-sizes", "1,1"], None,
+         "one size per part"),
+        (["reduce", "--to", "dst"],
+         edge_instance(["a", "b"], 1, [("a", "b", {"times": [1]})], [("a", "b", 1)],
+                       directed=False),
+         "expects a directed instance"),
+        (["reduce", "--to", "dst"],
+         edge_instance(["a", "b", "c"], 1,
+                       [("a", "b", {"times": [1]}), ("c", "b", {"times": [1]})],
+                       [("a", "b", 1), ("c", "b", 1)]),
+         "single source"),
+        (["reduce", "--to", "priority-st"],
+         edge_instance(["a", "b"], 1, [("a", "b", {"times": [1]})], [("a", "b", 1)]),
+         "expects an undirected instance"),
+        (["reduce", "--to", "dst"],
+         edge_instance(["a", "b"], 1, [("a", "b", {"times": [1]})], []),
+         "at least one demand"),
+    ], ids=["lc-degree-above-right", "phlc-part-count", "dst-undirected", "dst-two-sources",
+            "priority-directed", "dst-no-demands"])
+    def test_shape_guard(self, tmp_path, capsys, argv, data, detail):
+        out = tmp_path / "out.json"
+        if data is not None:
+            (tmp_path / "in.json").write_text(json.dumps(data))
+            argv = [*argv, "-i", tmp_path / "in.json"]
+        code, stdout = run(capsys, *argv, "-o", out)
+        assert code == 2
+        lines = stdout.strip().splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["error"] == "input" and detail in report["detail"]
+        assert not out.exists()
 
 
 class TestOutputPaths:

@@ -328,6 +328,22 @@ class TestSolveBb:
             assert got.cost == brute_force(inst).cost
             assert is_feasible(inst, got)
 
+    @pytest.mark.parametrize("seed", [2179, 6452, 7176, 11254, 11798, 15643, 15819, 16267])
+    def test_search_below_the_root(self, seed):
+        # drawn so that the search leaves the root, updates its incumbent
+        # below it and prunes a node whose included edges alone reach the
+        # incumbent (`budget <= 0`): no gadget and no other test of the
+        # suite gets there, since they all close at the root
+        inst = rand_feasible_instance(
+            random.Random(seed), max_vertices=8, max_edges=18, max_times=3, max_demands=5
+        )
+        stats = {}
+        got = solve_bb(inst, stats)
+        assert got.cost == brute_force(inst).cost
+        assert stats["incumbent_updates"] >= 2
+        assert stats["completion_prunes"] >= 1
+        assert is_feasible(inst, got)
+
     def test_counts_nodes(self):
         inst, _ = phlc_to_kdtsn(example1_label_cover())
         stats = {}
