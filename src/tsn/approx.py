@@ -40,13 +40,13 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import (
-    MAX_FIRST_TIME_ENTRIES,
     FrameIndex,
     InfeasibleInstanceError,
     InputError,
     InternalError,
     Solution,
     TemporalInstance,
+    check_budget,
     solution_from_edges,
 )
 from .monotonic import single_source
@@ -161,9 +161,8 @@ class MetricClosure:
 def metric_closure(instance: TemporalInstance) -> MetricClosure:
     """Dijkstra from every vertex in every frame, on the frame index's
     scaled int weights; the table holds |V| * T lists of |V| entries."""
-    if len(instance.vertices) ** 2 * instance.num_times > MAX_FIRST_TIME_ENTRIES:
-        raise InputError(f"the metric closure would hold |V|^2 * T entries, "
-                         f"more than {MAX_FIRST_TIME_ENTRIES}")
+    check_budget(len(instance.vertices) ** 2 * instance.num_times,
+                 "the metric closure would hold |V|^2 * T entries")
     index = FrameIndex(instance)
     dist = {
         (s, t): index.shortest_paths(t, index.ids[s])[0]

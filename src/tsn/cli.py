@@ -2,8 +2,10 @@
 
 All file outputs are deterministic for a given (input, flags, seed); run
 metadata such as wall time goes to the stdout report only, never into output
-files.  Exit codes: 0 success, 1 infeasible, 2 input error, 3 internal
-invariant violation.
+files.  Exit codes: 0 success, 1 infeasible (nothing else), 2 input error,
+an input over the size budget or a command out of memory, 3 internal
+invariant violation or any other unexpected error; every error prints one
+JSON line and no traceback.
 
 `main` pauses Python's cyclic garbage collector for the whole command and
 restores the caller's setting when it returns.  A command builds large
@@ -417,6 +419,14 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         return EXIT_INPUT
     except InternalError as exc:
         print(json.dumps({"command": args.command, "error": "internal", "detail": str(exc)}))
+        return EXIT_INTERNAL
+    except MemoryError:
+        detail = "the command ran out of memory; the input is too large for this machine"
+        print(json.dumps({"command": args.command, "error": "input", "detail": detail}))
+        return EXIT_INPUT
+    except Exception as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"command": args.command, "error": "internal", "detail": detail}))
         return EXIT_INTERNAL
 
 

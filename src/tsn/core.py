@@ -591,6 +591,15 @@ def solution_cost(instance: TemporalInstance, solution: Solution | Iterable[int]
 MAX_FIRST_TIME_ENTRIES = 1_000_000
 
 
+def check_budget(count: int, what: str) -> None:
+    """InputError when `count` items would exceed the size budget of one
+    command, MAX_FIRST_TIME_ENTRIES.  `what` says what would be built and
+    how many; the error appends the cap.  Every size guard is one call, made
+    before the structure it counts is built."""
+    if count > MAX_FIRST_TIME_ENTRIES:
+        raise InputError(f"{what}, more than {MAX_FIRST_TIME_ENTRIES}")
+
+
 def _weight_to_json(w: Fraction):
     if w.denominator == 1:
         return int(w)
@@ -671,10 +680,7 @@ def instance_from_dict(data: dict) -> TemporalInstance:
             if "first_time" in rec and "times" not in rec:
                 first = _scalar_from_json(rec["first_time"], int, "first_time")
                 expanded += max(0, T - first + 1)
-                if expanded > MAX_FIRST_TIME_ENTRIES:
-                    raise InputError(
-                        f"first_time edges expand to more than {MAX_FIRST_TIME_ENTRIES} time entries"
-                    )
+                check_budget(expanded, f"first_time edges expand to {expanded} time entries")
                 times = frozenset(range(first, T + 1))
             else:
                 times = _times_from_json(rec.get("times", []))

@@ -66,6 +66,7 @@ from .core import (
     InternalError,
     Solution,
     TemporalInstance,
+    check_budget,
     effective_times,
     solution_from_edges,
 )
@@ -462,7 +463,8 @@ def build_ilp(instance: TemporalInstance) -> IlpModel:
     at the sink per time.  One pass over the (arc, active time) pairs claims
     the names and files each flow variable under the (time, vertex) it
     enters and leaves; every flow row is read from those two maps, in-terms
-    then out-terms, each in arc order.
+    then out-terms, each in arc order.  The pairs grow with the demand
+    count, so their number is checked against the size budget first.
     """
     if not instance.directed:
         raise InputError("the flow ILP is defined for directed instances")
@@ -476,6 +478,8 @@ def build_ilp(instance: TemporalInstance) -> IlpModel:
         if (e.u, e.v) in seen:
             raise InputError(f"parallel arcs {seen[(e.u, e.v)]} and {i} not supported")
         seen[(e.u, e.v)] = i
+    pairs = sum(len(times) for _, _, times in arcs)
+    check_budget(pairs, f"the flow ILP would hold {pairs} (arc, time) flow variables")
 
     names = _LpNames()
     token, claim = names.token, names.claim
@@ -525,7 +529,8 @@ def build_ilp(instance: TemporalInstance) -> IlpModel:
 
 
 def _decimal_exact(f: Fraction) -> Optional[str]:
-    """Exact decimal string for fractions whose denominator is 2^a 5^b."""
+    """Exact decimal string for a non-integral fraction whose denominator is
+    2^a 5^b; `emit_lp` writes integral coefficients itself."""
     den = f.denominator
     twos = fives = 0
     while den % 2 == 0:
@@ -538,8 +543,6 @@ def _decimal_exact(f: Fraction) -> Optional[str]:
         return None
     digits = max(twos, fives)
     scaled = f.numerator * 10**digits // f.denominator
-    if digits == 0:
-        return str(scaled)
     sign = "-" if scaled < 0 else ""
     s = str(abs(scaled)).rjust(digits + 1, "0")
     return f"{sign}{s[:-digits]}.{s[-digits:]}"

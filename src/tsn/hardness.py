@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .core import MAX_FIRST_TIME_ENTRIES, Demand, Edge, InputError, TemporalInstance
+from .core import MAX_FIRST_TIME_ENTRIES, Demand, Edge, InputError, TemporalInstance, check_budget
 
 # ---------------------------------------------------------------------------
 # Constraint-graph inputs (labels and colors are 0-based indices)
@@ -243,10 +243,7 @@ def phlc_to_kdtsn(h: KphlcInstance) -> tuple[TemporalInstance, GadgetTrace]:
     incidence = _incidence(h)
     buckets = [_color_buckets(h, m) for m in range(len(h.edges))]
     size = _gadget_edges(h, incidence, buckets)
-    if size > MAX_FIRST_TIME_ENTRIES:
-        raise InputError(
-            f"gadget would need at least {size} edges, more than {MAX_FIRST_TIME_ENTRIES}"
-        )
+    check_budget(size, f"gadget would need at least {size} edges")
     b = _Builder()
     bundles: list[BundleInfo] = []
     agreeing = [_tuples(edge_buckets) for edge_buckets in buckets]
@@ -358,11 +355,8 @@ def _check_size(part_sizes: Sequence[int], num_edges: int, num_labels: int) -> N
     part and label) would exceed MAX_FIRST_TIME_ENTRIES."""
     strands = sum(part_sizes) * num_labels
     entries = num_edges * len(part_sizes) * num_labels
-    if max(strands, entries) > MAX_FIRST_TIME_ENTRIES:
-        raise InputError(
-            f"constraint graph would need {strands} strands and {entries} table "
-            f"entries, more than {MAX_FIRST_TIME_ENTRIES}"
-        )
+    check_budget(max(strands, entries),
+                 f"constraint graph would need {strands} strands and {entries} table entries")
 
 
 def _staircase_blocks(n_sources: int, n_targets: int, degree: int) -> list[list[int]]:

@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    MAX_FIRST_TIME_ENTRIES,
     Demand,
     Edge,
     FrameIndex,
@@ -27,6 +26,7 @@ from .core import (
     Solution,
     TemporalInstance,
     _weight_to_json,
+    check_budget,
     effective_times,
     is_monotonic,
     solution_from_edges,
@@ -182,11 +182,7 @@ def single_source_to_dst(instance: TemporalInstance) -> DstInstance:
     if source is None:
         raise InputError("level-graph reduction needs at least one demand")
     size = len(instance.demands) * (len(instance.vertices) + len(instance.edges))
-    if size > MAX_FIRST_TIME_ENTRIES:
-        raise InputError(
-            f"level graph would hold up to {size} vertices and edges, "
-            f"more than {MAX_FIRST_TIME_ENTRIES}"
-        )
+    check_budget(size, f"level graph would hold up to {size} vertices and edges")
     order = sorted(range(len(instance.demands)), key=lambda j: (instance.demands[j].t, instance.demands[j].b, j))
     k = len(order)
     vertices = [

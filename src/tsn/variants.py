@@ -9,15 +9,16 @@ solution carries unusable fragments) cost.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (
-    MAX_FIRST_TIME_ENTRIES,
     Demand,
     Edge,
     InputError,
     TemporalInstance,
+    check_budget,
     effective_times,
 )
 
@@ -123,9 +124,8 @@ def _embed(instance: TemporalInstance) -> tuple[TemporalInstance, ReductionMap]:
     if instance.variant not in ("edge", "node"):
         raise InputError(f"no embedding from {instance.variant} to node_and_edge")
     owners = instance.vertices if instance.variant == "edge" else instance.edges
-    if instance.num_times * len(owners) > MAX_FIRST_TIME_ENTRIES:
-        raise InputError(f"embedding into node_and_edge would list T * {len(owners)} times, "
-                         f"more than {MAX_FIRST_TIME_ENTRIES}")
+    check_budget(instance.num_times * len(owners),
+                 f"embedding into node_and_edge would list T * {len(owners)} times")
     full = frozenset(range(1, instance.num_times + 1))
     if instance.variant == "edge":
         image = replace(
@@ -190,7 +190,9 @@ def to_simple(instance: TemporalInstance) -> tuple[TemporalInstance, ReductionMa
     New nodes: a global source and sink active at every new time, plus a
     gate pair x_i, y_i per demand that exists only at the demand's own time,
     wired in with four zero-weight edges.  The time horizon becomes [1..k];
-    an original node is active at new time i iff it was active at t_i.
+    an original node is active at new time i iff it was active at t_i.  The
+    activity lists grow with k, so their length is checked against the size
+    budget before anything is built.
     """
     if not instance.directed:
         raise InputError("to_simple expects a directed instance")
@@ -198,6 +200,13 @@ def to_simple(instance: TemporalInstance) -> tuple[TemporalInstance, ReductionMa
         raise InputError("to_simple expects a node-variant instance (normalize first)")
     k = len(instance.demands)
     horizon = max(1, k)
+    # the image lists a vertex at the new time of each demand at one of its
+    # times, the source and sink at every new time and each gate at one
+    per_time = Counter(d.t for d in instance.demands)
+    acts = [instance.activity(v) for v in instance.vertices]
+    size = {act: sum(n for t, n in per_time.items() if t in act) for act in set(acts)}
+    listed = sum(size[act] for act in acts) + 2 * horizon + 2 * k
+    check_budget(listed, f"the simple image would list {listed} (vertex, time) entries")
     taken = set(instance.vertices)
     src = fresh_name("a", taken)
     snk = fresh_name("b", taken)
@@ -206,8 +215,7 @@ def to_simple(instance: TemporalInstance) -> tuple[TemporalInstance, ReductionMa
     all_new_times = frozenset(range(1, horizon + 1))
     activity: dict[str, frozenset[int]] = {}
     image_of: dict[frozenset[int], frozenset[int]] = {}  # per distinct activity set
-    for v in instance.vertices:
-        act = instance.activity(v)
+    for v, act in zip(instance.vertices, acts):
         if act not in image_of:
             image_of[act] = frozenset(i + 1 for i, d in enumerate(instance.demands) if d.t in act)
         activity[v] = image_of[act]

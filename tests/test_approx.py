@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tsn.approx import (
+    ClosureTree,
     NoSolutionError,
     charikar,
     charikar_level,
@@ -69,6 +70,18 @@ class TestMetricClosure:
         closure = metric_closure(inst)
         assert closure.distance("a", "c", 1) == 5
         assert closure.path_edges("a", "c", 1) == [0, 1]
+
+    def test_tree_edge_without_a_path_is_an_inconsistent_tree(self):
+        inst = make_instance(
+            directed=True, variant="edge", num_times=1,
+            vertices=["a", "b", "c"], edges=[("a", "b", 1, (1,))], demands=[],
+        )
+        closure = metric_closure(inst)
+        edge = (("a", 0), ("c", 1), Fraction(1))
+        tree = ClosureTree(root=("a", 0), nodes=frozenset({("a", 0), ("c", 1)}),
+                           edges=(edge,), covered=())
+        with pytest.raises(InputError, match="inconsistent tree: no a->c path in frame 1"):
+            expand_tree(inst, closure, tree)
 
     def test_agrees_with_path_enumeration(self):
         rng = random.Random(2)

@@ -129,13 +129,18 @@ class TestValidate:
             {"edges": [{"u": None, "v": "b", "w": 1, "times": [1, 2]}]},
             {"demands": [{"a": "a", "b": None, "t": 1}]},
             {"demands": [{"a": ["a"], "b": "b", "t": 1}]},
+            {"edges": [{"u": "a", "v": "b", "w": True, "times": [1, 2]}]},
+            {"edges": [{"u": "a", "v": "b", "w": "abc", "times": [1, 2]}]},
+            {"edges": [{"u": "a", "v": "b", "w": "1/0", "times": [1, 2]}]},
+            {"edges": [{"u": "a", "v": "b", "w": float("nan"), "times": [1, 2]}]},
         ],
         ids=["node_activity_list", "edges_object", "times_string", "vertices_string",
              "T_float", "T_bool", "demand_time_float", "demand_time_string",
              "edge_time_float", "first_time_float", "directed_string",
              "allow_parallel_string", "weight_exponent", "vertex_int", "vertex_null",
              "vertices_object", "edge_endpoint_int", "edge_endpoint_null",
-             "demand_endpoint_null", "demand_endpoint_list"],
+             "demand_endpoint_null", "demand_endpoint_list", "weight_bool", "weight_word",
+             "weight_zero_denominator", "weight_nan"],
     )
     def test_malformed_shape_is_an_input_error(self, tmp_path, capsys, patch):
         data = {
@@ -1038,6 +1043,15 @@ def edge_instance(vertices, T, edges, demands, directed=True):
     }
 
 
+def dense_probe(num_arcs, num_demands):
+    """The first `num_arcs` of the 3,540 arcs among v0..v59 (weight 1, at
+    time 1 of T = 1) with `num_demands` demands (v0, v{1 + j mod 59}, 1)."""
+    vertices = [f"v{i}" for i in range(60)]
+    arcs = [(u, v, {"times": [1]}) for u in vertices for v in vertices if u != v]
+    return edge_instance(vertices, 1, arcs[:num_arcs],
+                         [("v0", f"v{1 + j % 59}", 1) for j in range(num_demands)])
+
+
 class TestInputGuards:
     # each guard prints one JSON line, exits 2 and writes no file
     @pytest.mark.parametrize("argv, data, detail", [
@@ -1054,7 +1068,12 @@ class TestInputGuards:
          "level graph would hold"),
         (["gen", "--kind", "lc-yes", "--u", "1000", "--v", "1000", "--degree", "1",
           "--sigma", "600", "-o", "out.json"], None, "strands"),
-    ], ids=["closure", "node-and-edge-embedding", "level-graph", "strands"])
+        (["solve", "--method", "ilp-export", "--lp", "out.lp"], dense_probe(3540, 200),
+         "the flow ILP would hold 1416800 (arc, time) flow variables"),
+        (["reduce", "--to", "simple", "-o", "out.json"], dense_probe(3000, 8000),
+         "the simple image would list"),
+    ], ids=["closure", "node-and-edge-embedding", "level-graph", "strands", "flow-ilp",
+            "simple-image"])
     def test_size_guard(self, tmp_path, argv, data, detail):
         # run under the 1 GiB address-space cap, in case a guard gives way
         if data is not None:
@@ -1208,6 +1227,36 @@ class TestCollectorPause:
         capsys.readouterr()
         assert got == code
         assert after is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("exc, code, error, detail", [
+        (MemoryError(), 2, "input",
+         "the command ran out of memory; the input is too large for this machine"),
+        (RuntimeError("boom"), 3, "internal", "RuntimeError: boom"),
+    ], ids=["out-of-memory", "unexpected"])
+    def test_unexpected_error_is_one_json_line(self, capsys, example1_file, monkeypatch,
+                                               enabled, exc, code, error, detail):
+        # exit 1 stays the infeasible code: anything else a command raises
+        # is one JSON line, with the caller's collector setting restored
+        from tsn import exact
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(exact, "solve_bb", fail)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            got = main(["solve", "-i", str(example1_file), "--method", "bb"])
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        out = capsys.readouterr()
+        assert got == code and after is enabled
+        assert out.err == ""
+        assert [json.loads(line) for line in out.out.splitlines()] == [
+            {"command": "solve", "error": error, "detail": detail}
+        ]
 
     def test_collector_is_paused_inside_the_command(self, capsys, example1_file, monkeypatch):
         from tsn import cli

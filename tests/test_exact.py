@@ -971,10 +971,12 @@ class TestLpFormat:
         "\\ objective-scale: 0\nMinimize\n obj: 1 x\nSubject To\nBinary\n x\nEnd\n",
         "Minimize\n obj: 1 x\nSubject To\n c1: 1 x = 1\n",
         "Minimize\n obj: 1 x\nSubject To\n c1: 1 x <= 1\nBinary\n x\nEnd\n",
+        "Maximize\n obj: 1 x\nSubject To\nBinary\n x\nEnd\n",
+        "Minimize\n 1 x\nSubject To\nBinary\n x\nEnd\n",
     ], ids=["row-without-colon", "row-without-sense", "ends-after-objective",
             "term-without-coefficient", "rhs-not-a-number", "zero-denominator",
             "objective-without-coefficient", "zero-scale", "no-binary-section",
-            "sense-emit-lp-never-writes"])
+            "sense-emit-lp-never-writes", "not-minimize", "no-objective-row"])
     def test_malformed_text_is_an_input_error(self, text):
         with pytest.raises(InputError):
             parse_lp(text)

@@ -225,6 +225,23 @@ class TestPhlcGadget:
         assert all(len(inst.edges[i].times) == 1 for i in trace.contacts)
         assert opt(inst) == 3
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["yes", "nosat"])
+    def test_factor_k_gap_closes_at_the_root(self, k, m, kind):
+        # the paper's gap: a strongly satisfiable graph costs one per
+        # hyperedge, one with no weakly satisfiable hyperedge k per hyperedge;
+        # B&B proves either at the root
+        if kind == "yes":
+            h, cost = gen_yes_phlc(k, [2] * k, m, 2, seed=0), m
+        else:
+            h, cost = gen_nosat_phlc(k, [2] * k, m, 2, seed=0), k * m
+        inst, _ = phlc_to_kdtsn(h)
+        stats = {}
+        assert solve_bb(inst, stats).cost == cost
+        assert stats["nodes"] == 1
+        assert stats["root_lower_bound"] == cost
+
     def test_nosat_never_weakly_satisfiable(self):
         h = gen_nosat_phlc(3, [2, 1, 2], 2, 2)
         labelings = product(

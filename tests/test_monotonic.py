@@ -427,6 +427,16 @@ class TestNormalizeToTimeLayeredTree:
         out = normalize_to_time_layered_tree(inst, sol)
         assert out == sol
 
+    def test_infeasible_solution_is_refused(self):
+        inst = make_instance(
+            directed=True, variant="edge", num_times=1,
+            vertices=["a", "x", "b"],
+            edges=[("a", "x", 1, (1,)), ("x", "b", 1, (1,))],
+            demands=[("a", "b", 1)],
+        )
+        with pytest.raises(InputError, match="solution is not feasible"):
+            normalize_to_time_layered_tree(inst, solution_from_edges(inst, (0,)))
+
     def test_redundant_parallel_path_removed(self):
         inst = make_instance(
             directed=True, variant="edge", num_times=1,

@@ -258,3 +258,25 @@ def test_only_core_and_variants_branch_on_the_variant():
                 for x in [node.left, *node.comparators])
     ]
     assert found == []
+
+
+def test_only_core_compares_with_the_size_budget():
+    # one size policy: every guard is a call to core.check_budget, the one
+    # comparison with MAX_FIRST_TIME_ENTRIES
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        allowed = {
+            id(inner)
+            for node in tree.body
+            if path.name == "core.py" and isinstance(node, ast.FunctionDef)
+            and node.name == "check_budget"
+            for inner in ast.walk(node)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and id(node) not in allowed
+            and "MAX_FIRST_TIME_ENTRIES" in _names_read(node)
+        ]
+    assert found == []

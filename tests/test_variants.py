@@ -86,6 +86,14 @@ class TestNodeEdgeToNode:
 
 
 class TestNodeToEdge:
+    def test_edge_input_is_refused(self):
+        inst = make_instance(
+            directed=False, variant="edge", num_times=1,
+            vertices=["u", "v"], edges=[("u", "v", 1, (1,))], demands=[],
+        )
+        with pytest.raises(InputError, match="expects a node instance"):
+            node_to_edge(inst)
+
     def test_intersection(self):
         inst = make_instance(
             directed=False, variant="node", num_times=3,
@@ -139,6 +147,36 @@ class TestNodeToEdge:
 
 
 class TestToSimple:
+    def test_edge_input_is_refused(self):
+        inst = make_instance(
+            directed=True, variant="edge", num_times=1,
+            vertices=["s", "d"], edges=[("s", "d", 1, (1,))], demands=[("s", "d", 1)],
+        )
+        with pytest.raises(InputError, match="node-variant"):
+            to_simple(inst)
+
+    @pytest.mark.parametrize("extra, refused", [(0, False), (1, True)], ids=["at-cap", "over"])
+    def test_size_budget_counts_the_listed_entries(self, extra, refused):
+        # 500 demands at each of times 1 and 2: a vertex active at {1, 2}
+        # lists 1,000 new times and one at {1} or {2} lists 500; with the
+        # source and sink at all 1,000 and the 2,000 gates at one, the image
+        # lists exactly 10^6 entries, and one more {2} vertex is over
+        activity = {f"p{i}": (1, 2) for i in range(400)}
+        activity.update({f"q{i}": (1,) for i in range(600)})
+        activity.update({f"r{i}": (2,) for i in range(592 + extra)})
+        inst = make_instance(
+            directed=True, variant="node", num_times=2,
+            vertices=list(activity), edges=[("p0", "p1", 1)],
+            demands=[("p0", "p1", 1 + j % 2) for j in range(1000)],
+            node_activity=activity,
+        )
+        if refused:
+            with pytest.raises(InputError, match="would list 1000500 "):
+                to_simple(inst)
+        else:
+            image, _ = to_simple(inst)
+            assert sum(len(image.activity(v)) for v in image.vertices) == 10**6
+
     def test_single_demand_shape(self):
         inst = make_instance(
             directed=True, variant="node", num_times=1,
@@ -298,6 +336,11 @@ class TestNormalize:
             assert is_feasible(inst, lifted)
             assert lifted.cost == orig_opt.cost
             done += 1
+
+    def test_unknown_target_is_refused(self):
+        inst = rand_instance(random.Random(3), variant="edge")
+        with pytest.raises(InputError, match="unknown target variant 'bogus'"):
+            normalize(inst, "bogus")
 
     def test_identity_when_already_target(self):
         inst = rand_instance(random.Random(3), variant="edge")
