@@ -56,6 +56,9 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+# the detail of the exit-2 line for a MemoryError: no size guard caught the
+# input, so tests of a guard reject this line
+OUT_OF_MEMORY = "the command ran out of memory; the input is too large for this machine"
 
 DEFAULT_LEVEL = 2  # greedy level of charikar when none is given
 
@@ -421,8 +424,7 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         print(json.dumps({"command": args.command, "error": "internal", "detail": str(exc)}))
         return EXIT_INTERNAL
     except MemoryError:
-        detail = "the command ran out of memory; the input is too large for this machine"
-        print(json.dumps({"command": args.command, "error": "input", "detail": detail}))
+        print(json.dumps({"command": args.command, "error": "input", "detail": OUT_OF_MEMORY}))
         return EXIT_INPUT
     except Exception as exc:
         detail = f"{type(exc).__name__}: {exc}"

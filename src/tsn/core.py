@@ -21,6 +21,7 @@ and around one forbidden edge, with one walk along the path it picks
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import heapq
 import json
@@ -591,13 +592,15 @@ def solution_cost(instance: TemporalInstance, solution: Solution | Iterable[int]
 MAX_FIRST_TIME_ENTRIES = 1_000_000
 
 
-def check_budget(count: int, what: str) -> None:
+def check_budget(count: int, what: str, *args: object) -> None:
     """InputError when `count` items would exceed the size budget of one
     command, MAX_FIRST_TIME_ENTRIES.  `what` says what would be built and
-    how many; the error appends the cap.  Every size guard is one call, made
-    before the structure it counts is built."""
+    how many, with `args` in its `{}` fields; it is formatted only then,
+    so a guard inside a loop costs one comparison.  The error appends the
+    cap.  Every size guard is one call, made before the structure it counts
+    is built, or for a running total, before each part of it is kept."""
     if count > MAX_FIRST_TIME_ENTRIES:
-        raise InputError(f"{what}, more than {MAX_FIRST_TIME_ENTRIES}")
+        raise InputError(f"{what.format(*args)}, more than {MAX_FIRST_TIME_ENTRIES}")
 
 
 def _weight_to_json(w: Fraction):
@@ -680,7 +683,7 @@ def instance_from_dict(data: dict) -> TemporalInstance:
             if "first_time" in rec and "times" not in rec:
                 first = _scalar_from_json(rec["first_time"], int, "first_time")
                 expanded += max(0, T - first + 1)
-                check_budget(expanded, f"first_time edges expand to {expanded} time entries")
+                check_budget(expanded, "first_time edges expand to {} time entries", expanded)
                 times = frozenset(range(first, T + 1))
             else:
                 times = _times_from_json(rec.get("times", []))
@@ -758,13 +761,23 @@ def dump_json(data: dict, path: str) -> None:
 
 def dump_jsons(outputs: Mapping[str, dict]) -> None:
     """`dump_json` each document to its path, or none: a path that names a
-    directory or lies in a missing one is an input error before any write."""
+    directory or lies in a missing one is an input error before any write,
+    and a document that fails later (out of memory while encoding, or a
+    write error) takes back the files written before it."""
     for path in outputs:
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             err = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
             raise InputError(f"cannot write {path}: {OSError(err, os.strerror(err), path)}")
-    for path, data in outputs.items():
-        dump_json(data, path)
+    written = []
+    try:
+        for path, data in outputs.items():
+            dump_json(data, path)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def load_json(path: str) -> dict:

@@ -464,22 +464,27 @@ def build_ilp(instance: TemporalInstance) -> IlpModel:
     the names and files each flow variable under the (time, vertex) it
     enters and leaves; every flow row is read from those two maps, in-terms
     then out-terms, each in arc order.  The pairs grow with the demand
-    count, so their number is checked against the size budget first.
+    count, so their running count is checked against the size budget
+    before each arc's active times are kept.
     """
     if not instance.directed:
         raise InputError("the flow ILP is defined for directed instances")
     a, b = _simple_shape(instance)
     # (edge id, edge, active times) of every arc the model holds
-    arcs = [(i, e, times) for i, e in enumerate(instance.edges)
-            if (times := effective_times(instance, i))]
+    arcs = []
+    pairs = 0
+    for i, e in enumerate(instance.edges):
+        if times := effective_times(instance, i):
+            pairs += len(times)
+            check_budget(pairs, "the flow ILP would hold at least {} (arc, time) flow variables",
+                         pairs)
+            arcs.append((i, e, times))
 
     seen = {}
     for i, e, _ in arcs:
         if (e.u, e.v) in seen:
             raise InputError(f"parallel arcs {seen[(e.u, e.v)]} and {i} not supported")
         seen[(e.u, e.v)] = i
-    pairs = sum(len(times) for _, _, times in arcs)
-    check_budget(pairs, f"the flow ILP would hold {pairs} (arc, time) flow variables")
 
     names = _LpNames()
     token, claim = names.token, names.claim

@@ -243,7 +243,7 @@ def phlc_to_kdtsn(h: KphlcInstance) -> tuple[TemporalInstance, GadgetTrace]:
     incidence = _incidence(h)
     buckets = [_color_buckets(h, m) for m in range(len(h.edges))]
     size = _gadget_edges(h, incidence, buckets)
-    check_budget(size, f"gadget would need at least {size} edges")
+    check_budget(size, "gadget would need at least {} edges", size)
     b = _Builder()
     bundles: list[BundleInfo] = []
     agreeing = [_tuples(edge_buckets) for edge_buckets in buckets]
@@ -356,7 +356,7 @@ def _check_size(part_sizes: Sequence[int], num_edges: int, num_labels: int) -> N
     strands = sum(part_sizes) * num_labels
     entries = num_edges * len(part_sizes) * num_labels
     check_budget(max(strands, entries),
-                 f"constraint graph would need {strands} strands and {entries} table entries")
+                 "constraint graph would need {} strands and {} table entries", strands, entries)
 
 
 def _staircase_blocks(n_sources: int, n_targets: int, degree: int) -> list[list[int]]:

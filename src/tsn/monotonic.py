@@ -182,7 +182,7 @@ def single_source_to_dst(instance: TemporalInstance) -> DstInstance:
     if source is None:
         raise InputError("level-graph reduction needs at least one demand")
     size = len(instance.demands) * (len(instance.vertices) + len(instance.edges))
-    check_budget(size, f"level graph would hold up to {size} vertices and edges")
+    check_budget(size, "level graph would hold up to {} vertices and edges", size)
     order = sorted(range(len(instance.demands)), key=lambda j: (instance.demands[j].t, instance.demands[j].b, j))
     k = len(order)
     vertices = [

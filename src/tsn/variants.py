@@ -125,7 +125,7 @@ def _embed(instance: TemporalInstance) -> tuple[TemporalInstance, ReductionMap]:
         raise InputError(f"no embedding from {instance.variant} to node_and_edge")
     owners = instance.vertices if instance.variant == "edge" else instance.edges
     check_budget(instance.num_times * len(owners),
-                 f"embedding into node_and_edge would list T * {len(owners)} times")
+                 "embedding into node_and_edge would list T * {} times", len(owners))
     full = frozenset(range(1, instance.num_times + 1))
     if instance.variant == "edge":
         image = replace(
@@ -206,7 +206,7 @@ def to_simple(instance: TemporalInstance) -> tuple[TemporalInstance, ReductionMa
     acts = [instance.activity(v) for v in instance.vertices]
     size = {act: sum(n for t, n in per_time.items() if t in act) for act in set(acts)}
     listed = sum(size[act] for act in acts) + 2 * horizon + 2 * k
-    check_budget(listed, f"the simple image would list {listed} (vertex, time) entries")
+    check_budget(listed, "the simple image would list {} (vertex, time) entries", listed)
     taken = set(instance.vertices)
     src = fresh_name("a", taken)
     snk = fresh_name("b", taken)

@@ -15,7 +15,7 @@ import pytest
 import tsn
 from helpers import hub_instance, rand_feasible_instance
 from tsn.approx import MAX_LEVEL
-from tsn.cli import main
+from tsn.cli import OUT_OF_MEMORY, main
 from tsn.core import (
     InputError,
     dump_json,
@@ -62,11 +62,15 @@ def run_capped(*argv, cwd=None):
 
 
 def assert_one_input_error(proc):
+    """One JSON line, exit 2, from a check: under `run_capped` a guard that
+    gives way runs out of memory, whose exit-2 line fails here."""
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == ""
     lines = proc.stdout.strip().splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "input"
+    report = json.loads(lines[0])
+    assert report["error"] == "input"
+    assert report["detail"] != OUT_OF_MEMORY
 
 
 @pytest.fixture
@@ -1043,13 +1047,22 @@ def edge_instance(vertices, T, edges, demands, directed=True):
     }
 
 
-def dense_probe(num_arcs, num_demands):
-    """The first `num_arcs` of the 3,540 arcs among v0..v59 (weight 1, at
-    time 1 of T = 1) with `num_demands` demands (v0, v{1 + j mod 59}, 1)."""
-    vertices = [f"v{i}" for i in range(60)]
+def dense_probe(num_arcs, num_demands, n=60):
+    """The first `num_arcs` of the n * (n - 1) arcs among v0..v{n-1} (weight
+    1, at time 1 of T = 1) with `num_demands` demands (v0, v{1 + j mod n-1}, 1)."""
+    vertices = [f"v{i}" for i in range(n)]
     arcs = [(u, v, {"times": [1]}) for u in vertices for v in vertices if u != v]
     return edge_instance(vertices, 1, arcs[:num_arcs],
-                         [("v0", f"v{1 + j % 59}", 1) for j in range(num_demands)])
+                         [("v0", f"v{1 + j % (n - 1)}", 1) for j in range(num_demands)])
+
+
+def shared_activity_probe(num_arcs, num_demands, n):
+    """`dense_probe` as a node-variant instance, every vertex active at time
+    1: the simple image shares one activity set of k new times among its
+    vertices, so it lists about n * k entries while the flow ILP would hold
+    num_arcs * k (arc, time) pairs."""
+    data = dense_probe(num_arcs, num_demands, n)
+    return {**data, "variant": "node", "node_activity": {v: [1] for v in data["vertices"]}}
 
 
 class TestInputGuards:
@@ -1069,11 +1082,15 @@ class TestInputGuards:
         (["gen", "--kind", "lc-yes", "--u", "1000", "--v", "1000", "--degree", "1",
           "--sigma", "600", "-o", "out.json"], None, "strands"),
         (["solve", "--method", "ilp-export", "--lp", "out.lp"], dense_probe(3540, 200),
-         "the flow ILP would hold 1416800 (arc, time) flow variables"),
+         "the flow ILP would hold at least"),
         (["reduce", "--to", "simple", "-o", "out.json"], dense_probe(3000, 8000),
          "the simple image would list"),
+        # the simple image (972,000 entries) passes, its ILP's 30 million
+        # pairs do not: the count must stop before their sets fill memory
+        (["solve", "--method", "ilp-export", "--lp", "out.lp"],
+         shared_activity_probe(10000, 3000, n=320), "the flow ILP would hold at least"),
     ], ids=["closure", "node-and-edge-embedding", "level-graph", "strands", "flow-ilp",
-            "simple-image"])
+            "simple-image", "flow-ilp-shared-activity"])
     def test_size_guard(self, tmp_path, argv, data, detail):
         # run under the 1 GiB address-space cap, in case a guard gives way
         if data is not None:
@@ -1164,6 +1181,32 @@ class TestOutputPaths:
         assert json.loads(lines[0])["error"] == "input"
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "example1", "-o", "OK", "--trace", "LATER"],
+        ["reduce", "--to", "edge", "-i", "IN", "-o", "OK", "--map", "LATER"],
+    ], ids=["gen-trace", "reduce-map"])
+    def test_later_document_out_of_memory_writes_no_file(self, tmp_path, capsys, example1_file,
+                                                         monkeypatch, argv):
+        # the first document is written, the second runs out of memory while
+        # it is encoded: the first file is taken back
+        from tsn import core
+
+        write = core.dump_json
+
+        def write_first_only(data, path):
+            if path.endswith("later.json"):
+                raise MemoryError
+            write(data, path)
+
+        monkeypatch.setattr(core, "dump_json", write_first_only)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        paths = {"IN": example1_file, "OK": out_dir / "ok.json", "LATER": out_dir / "later.json"}
+        code, out = run(capsys, *[paths.get(a, a) for a in argv])
+        assert code == 2
+        assert [json.loads(line)["detail"] for line in out.strip().splitlines()] == [OUT_OF_MEMORY]
+        assert list(out_dir.iterdir()) == []
+
 
 def _is_tsn_object(obj):
     """A `tsn` function, or an instance of a class defined in `tsn`."""
@@ -1230,8 +1273,7 @@ class TestCollectorPause:
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize("exc, code, error, detail", [
-        (MemoryError(), 2, "input",
-         "the command ran out of memory; the input is too large for this machine"),
+        (MemoryError(), 2, "input", OUT_OF_MEMORY),
         (RuntimeError("boom"), 3, "internal", "RuntimeError: boom"),
     ], ids=["out-of-memory", "unexpected"])
     def test_unexpected_error_is_one_json_line(self, capsys, example1_file, monkeypatch,
