@@ -10,13 +10,14 @@ are never used.
 
 `FrameIndex` is the integer view of the frames that every solver shares:
 vertices interned to ints in name order, effective times computed once,
-weights scaled to ints by the LCM of their denominators, one cached
-adjacency list per frame and one reversed per demand, one reachability test
-and one demand loop over it (`first_unmet`) behind the exact solvers'
+weights scaled to ints by the LCM of their denominators, one adjacency list
+per frame and its reverse, each cached per time, one reachability test and
+one demand loop over it (`first_unmet`) behind the exact solvers'
 infeasibility check, the feasibility check and the reverse delete, one
 shortest-path search, on the scaled weights or on a caller's weight list
 and around one forbidden edge, with one walk along the path it picks
-(`path`), and Wong's dual ascent, the branch and bound's lower bound.
+(`path`), and Wong's dual ascent, the branch and bound's lower bound.  Every
+method that reads an edge set takes it as a 0/1 mask indexed by edge id.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 Vertex = str
@@ -258,13 +258,6 @@ def satisfies(
     return demand.b in _reachable(adj, demand.a)
 
 
-# Per-edge decision bytes of a search: `FrameIndex.dual_ascent` reads a
-# `bytearray` of them that the caller sets and resets in place.
-_UNDECIDED, _INCLUDED, _EXCLUDED = 0, 1, 2
-# `state.translate(_INCLUDED_ONLY)` marks the included edges with 1
-_INCLUDED_ONLY = bytes(s == _INCLUDED for s in range(256))
-
-
 class FrameIndex:
     """Integer view of an instance's frames, built once per instance.
 
@@ -278,8 +271,9 @@ class FrameIndex:
     undirected; each frame is built on first use and cached.  `demands` keeps
     the demands whose endpoints differ, in input order, as `(tail, head,
     frame, demand)`; demands with equal endpoints are met by the empty path.
-    `reverse[j]` is demand j's frame with its arcs turned round, and
-    `dual_ascent` bounds the cost of meeting a set of demands from below.
+    `reverse_frame(t)` is frame t with its arcs turned round, cached the same
+    way, and `dual_ascent` bounds the cost of meeting a set of demands from
+    below.
     """
 
     def __init__(self, instance: TemporalInstance):
@@ -297,6 +291,7 @@ class FrameIndex:
         self.scale = math.lcm(1, *(e.w.denominator for e in instance.edges))
         self.weight = [e.w.numerator * (self.scale // e.w.denominator) for e in instance.edges]
         self._frames: dict[int, list[list[tuple[int, int]]]] = {}
+        self._reverse_frames: dict[int, list[list[tuple[int, int]]]] = {}
         self.demands = [
             (self.ids[d.a], self.ids[d.b], self.frame(d.t), d)
             for d in instance.demands if d.a != d.b
@@ -353,58 +348,56 @@ class FrameIndex:
             if self.first_unmet(member) is not None:
                 member[e] = 1
 
-    @cached_property
-    def reverse(self) -> list[list[list[tuple[int, int]]]]:
-        """Per demand, the `(tail, edge id)` arcs entering each vertex of its
-        frame; an undirected frame lists both directions, so it is its own
-        reverse.  Demands of one time share one list."""
-        reverse: dict[int, list[list[tuple[int, int]]]] = {}
-        out = []
-        for _, _, frame, _ in self.demands:
-            radj = reverse.get(id(frame))
-            if radj is None:
-                radj = frame
-                if self.directed:
-                    radj = [[] for _ in range(self.num_vertices)]
-                    for x, arcs in enumerate(frame):
-                        for y, i in arcs:
-                            radj[y].append((x, i))
-                reverse[id(frame)] = radj
-            out.append(radj)
-        return out
+    def reverse_frame(self, t: int) -> list[list[tuple[int, int]]]:
+        """Per vertex, the `(tail, edge id)` arcs entering it at time t in
+        edge-id order: `frame(t)` turned round.  An undirected frame lists
+        both directions, so it is its own reverse."""
+        if not self.directed:
+            return self.frame(t)
+        radj = self._reverse_frames.get(t)
+        if radj is None:
+            radj = [[] for _ in range(self.num_vertices)]
+            for i, (u, v) in enumerate(self.ends):
+                if t in self.eff[i]:
+                    radj[v].append((u, i))
+            self._reverse_frames[t] = radj
+        return radj
 
     def dual_ascent(
-        self, state: bytearray, unmet: list[int], budget: Optional[int] = None
+        self, included: bytearray, excluded: bytearray, unmet: list[int],
+        budget: Optional[int] = None,
     ) -> tuple[Optional[int], list[int]]:
         """Wong's dual ascent on the cut relaxation of the demands in `unmet`.
 
+        `included` and `excluded` mask the edges a search has decided on.
         Every (demand, vertex set S) with the demand's head in S and its tail
         outside is a cut that any completion must cross with an undecided
         edge.  Reduced costs start at the scaled weights, 0 for included
         edges; excluded edges are absent.  Each demand's S is the set of
         vertices that reach its head in its frame over arcs of reduced cost
-        0.  While some demand's tail is outside its S, the demand whose cut
-        has the fewest arcs is raised: the smallest reduced cost on its cut
-        is added to the bound and taken off every cut arc.  Reduced costs
-        are shared by all demands, so each edge pays at most its weight and
-        the bound never exceeds the scaled cost of the cheapest completion.
+        0, found on `reverse_frame`.  While some demand's tail is outside its
+        S, the demand whose cut has the fewest arcs is raised: the smallest
+        reduced cost on its cut is added to the bound and taken off every
+        cut arc.  Reduced costs are shared by all demands, so each edge pays
+        at most its weight and the bound never exceeds the scaled cost of the
+        cheapest completion.
 
         Returns (bound, reduced costs).  Stops as soon as the bound reaches
         `budget`.  With a budget, a demand in `unmet` that has no completion
         makes the bound None; without one, it is an internal error.
         """
         reduced = self.weight.copy()
-        i = state.find(_INCLUDED)
+        i = included.find(1)
         while i >= 0:
             reduced[i] = 0
-            i = state.find(_INCLUDED, i + 1)
+            i = included.find(1, i + 1)
 
         def grow(inside, radj, grown, cut):
             """Add to S every vertex that reaches `grown` over tight arcs;
             collect the other arcs entering S in `cut`."""
             while grown:
                 for x, i in radj[grown.pop()]:
-                    if inside[x] or state[i] == _EXCLUDED:
+                    if inside[x] or excluded[i]:
                         continue
                     if reduced[i]:
                         cut.append((x, i))
@@ -432,10 +425,10 @@ class FrameIndex:
         # per demand: [tail, S as a vertex bytearray, reverse frame, cut arcs]
         active = []
         for j in unmet:
-            a, b, _, _ = self.demands[j]
+            a, b, _, demand = self.demands[j]
             inside = bytearray(self.num_vertices)
             inside[b] = 1
-            radj = self.reverse[j]
+            radj = self.reverse_frame(demand.t)
             cut: list[tuple[int, int]] = []
             grow(inside, radj, [b], cut)
             active.append([a, inside, radj, cut])
@@ -603,7 +596,7 @@ def check_budget(count: int, what: str, *args: object) -> None:
         raise InputError(f"{what.format(*args)}, more than {MAX_FIRST_TIME_ENTRIES}")
 
 
-def _weight_to_json(w: Fraction):
+def weight_to_json(w: Fraction):
     if w.denominator == 1:
         return int(w)
     return f"{w.numerator}/{w.denominator}"
@@ -629,7 +622,7 @@ def _weight_from_json(raw) -> Fraction:
 def instance_to_dict(instance: TemporalInstance) -> dict:
     edges = []
     for i, e in enumerate(instance.edges):
-        rec: dict = {"u": e.u, "v": e.v, "w": _weight_to_json(e.w)}
+        rec: dict = {"u": e.u, "v": e.v, "w": weight_to_json(e.w)}
         if instance.variant != "node":
             rec["times"] = sorted(e.times)
         edges.append(rec)
@@ -747,11 +740,18 @@ def solution_from_dict(data: dict) -> tuple[Solution | None, bool]:
 
 def write_text(text: str, path: str) -> None:
     """Write `text` to `path` as ASCII, newlines as given; a path that
-    cannot be opened or written is an input error."""
+    cannot be opened or written is an input error.  A failed write removes
+    the file only when this call created it: a file that was there before
+    has lost its old content already, and its path may be a link such as
+    /dev/stdout."""
+    existed = os.path.lexists(path)
     try:
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
     except OSError as exc:
+        if not existed:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
@@ -763,11 +763,13 @@ def dump_jsons(outputs: Mapping[str, dict]) -> None:
     """`dump_json` each document to its path, or none: a path that names a
     directory or lies in a missing one is an input error before any write,
     and a document that fails later (out of memory while encoding, or a
-    write error) takes back the files written before it."""
+    write error) takes back the files written before it that this call
+    created; as in `write_text`, a file that was there before stays."""
     for path in outputs:
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             err = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
             raise InputError(f"cannot write {path}: {OSError(err, os.strerror(err), path)}")
+    created = [path for path in outputs if not os.path.lexists(path)]
     written = []
     try:
         for path, data in outputs.items():
@@ -775,8 +777,9 @@ def dump_jsons(outputs: Mapping[str, dict]) -> None:
             written.append(path)
     except BaseException:
         for path in written:
-            with contextlib.suppress(OSError):
-                os.remove(path)
+            if path in created:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
         raise
 
 

@@ -15,9 +15,9 @@ enumeration.
 `solve_bb` is an independent branch-and-bound over the same search space.
 Both run on `core.FrameIndex`, built once per instance: vertices interned to
 ints, one adjacency list of `(head, edge id)` pairs per frame and its
-reverse per demand, weights scaled to ints by the least common multiple of
-their denominators, and Wong's dual ascent on the cut relaxation (a lower
-bound and reduced costs).  Each builds its index first and names an
+reverse, each cached per time, weights scaled to ints by the least common
+multiple of their denominators, and Wong's dual ascent on the cut relaxation
+(a lower bound and reduced costs).  Each builds its index first and names an
 infeasible instance by `FrameIndex.first_unmet` over every edge: the first
 demand in input order that no edge set meets.  At the root, the dual ascent
 gives a lower bound; the edges of reduced cost 0, thinned by
@@ -25,11 +25,12 @@ gives a lower bound; the edges of reduced cost 0, thinned by
 edge and reconnects by shortest paths, give an incumbent, which is returned
 when it meets the bound.  Otherwise every edge whose reduced cost lifts the
 bound to that incumbent is excluded (reduced-cost fixing), and an iterative
-depth-first search sets and resets a per-edge decision byte in place.  Below
-the root, `FrameIndex.reaches` finds the demands a node's included edges
-leave unmet, and one dual ascent over them prunes it.  Costs return to
-`Fraction` only through `solution_from_edges`, so results stay exact and no
-float is ever used.
+depth-first search sets and resets two 0/1 edge masks, `included` and
+`excluded`, in place.  Below the root, `FrameIndex.reaches` over `included`
+finds the demands a node's included edges leave unmet, and one dual ascent
+over them, reading both masks, prunes it.  Costs return to `Fraction` only
+through `solution_from_edges`, so results stay exact and no float is ever
+used.
 
 Ties: every exact method returns an optimum that is fixed by its input, so
 one input gives the same bytes on every run.  `brute_force` alone defines
@@ -55,10 +56,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .core import (
-    _EXCLUDED,
-    _INCLUDED,
-    _INCLUDED_ONLY,
-    _UNDECIDED,
     Demand,
     FrameIndex,
     InfeasibleInstanceError,
@@ -71,7 +68,8 @@ from .core import (
     solution_from_edges,
 )
 
-DEFAULT_BRUTE_CAP = 20
+# the most positive-weight edges `brute_force` enumerates
+BRUTE_CAP = 20
 
 
 class BruteForceCapError(InputError):
@@ -82,9 +80,7 @@ class BruteForceCapError(InputError):
 # Brute force
 
 
-def brute_force(
-    instance: TemporalInstance, cap: int = DEFAULT_BRUTE_CAP, stats: Optional[dict] = None
-) -> Solution:
+def brute_force(instance: TemporalInstance, stats: Optional[dict] = None) -> Solution:
     """Cheapest feasible edge subset; ties go to the lexicographically
     smallest sorted index tuple.
 
@@ -111,13 +107,13 @@ def brute_force(
     receives the number of `completion_tests` and of `improvements`.
 
     Raises InfeasibleInstanceError when some demand cannot be met even by
-    the full edge set, and BruteForceCapError when more than `cap` edges
-    have positive weight.
+    the full edge set, and BruteForceCapError when more than `BRUTE_CAP`
+    edges have positive weight.
     """
     positive = sum(1 for e in instance.edges if e.w > 0)
-    if positive > cap:
+    if positive > BRUTE_CAP:
         raise BruteForceCapError(
-            f"instance has {positive} positive-weight edges, brute-force cap is {cap}"
+            f"instance has {positive} positive-weight edges, brute-force cap is {BRUTE_CAP}"
         )
     index = FrameIndex(instance)
     weight = index.weight
@@ -275,10 +271,11 @@ def solve_bb(instance: TemporalInstance, stats: Optional[dict] = None) -> Soluti
     bad = fidx.first_unmet(b"\x01" * len(weight))
     if bad is not None:
         raise InfeasibleInstanceError(bad)
-    state = bytearray(len(weight))
+    included = bytearray(len(weight))
+    excluded = bytearray(len(weight))
     pending = list(range(len(fidx.demands)))
 
-    lower, reduced = fidx.dual_ascent(state, pending)
+    lower, reduced = fidx.dual_ascent(included, excluded, pending)
     member = bytearray(r == 0 for r in reduced)
     _thin(fidx, member)
     upper = sum(w for w, m in zip(weight, member) if m)
@@ -287,9 +284,9 @@ def solve_bb(instance: TemporalInstance, stats: Optional[dict] = None) -> Soluti
     best_edges = [i for i, m in enumerate(member) if m]
     for i, r in enumerate(reduced):
         if lower + r >= upper:
-            state[i] = _EXCLUDED
+            excluded[i] = 1
     order = sorted(
-        (i for i, s in enumerate(state) if s == _UNDECIDED),
+        (i for i, x in enumerate(excluded) if not x),
         key=lambda i: (-weight[i], -len(fidx.eff[i]), i),
     )
     # the root is a node and its incumbent an update; nodes counts each
@@ -307,22 +304,21 @@ def solve_bb(instance: TemporalInstance, stats: Optional[dict] = None) -> Soluti
         if budget <= 0:
             completion_prunes += 1
         else:
-            included = state.translate(_INCLUDED_ONLY)
             unmet = [j for j in pending if not fidx.reaches(j, included)]
             if not unmet:
                 # every demand met below the budget: strictly cheaper than the incumbent
                 best_cost = cost
-                best_edges = [i for i, s in enumerate(state) if s == _INCLUDED]
+                best_edges = [i for i, m in enumerate(included) if m]
                 incumbent_updates += 1
             else:
-                bound = fidx.dual_ascent(state, unmet, budget)[0]
+                bound = fidx.dual_ascent(included, excluded, unmet, budget)[0]
                 if bound is None:
                     completion_prunes += 1
                 elif bound >= budget:
                     dual_ascent_prunes += 1
                 else:
                     e = order[depth]
-                    state[e] = _INCLUDED
+                    included[e] = 1
                     cost += weight[e]
                     stack.append((depth, unmet))
                     depth += 1
@@ -333,13 +329,14 @@ def solve_bb(instance: TemporalInstance, stats: Optional[dict] = None) -> Soluti
         while stack:
             branched, pending = stack[-1]
             e = order[branched]
-            if state[e] == _INCLUDED:
-                state[e] = _EXCLUDED
+            if included[e]:
+                included[e] = 0
+                excluded[e] = 1
                 cost -= weight[e]
                 depth = branched + 1
                 nodes += 1
                 break
-            state[e] = _UNDECIDED
+            excluded[e] = 0
             stack.pop()
         else:
             break

@@ -25,11 +25,11 @@ from .core import (
     InputError,
     Solution,
     TemporalInstance,
-    _weight_to_json,
     check_budget,
     effective_times,
     is_monotonic,
     solution_from_edges,
+    weight_to_json,
 )
 from .variants import ReductionMap, fresh_name
 
@@ -229,7 +229,7 @@ def dst_to_dict(dst: DstInstance) -> dict:
     levels = list(range(1, len(dst.terminals) + 1))
     return {
         "vertices": list(dst.vertices),
-        "edges": [{"u": e.u, "v": e.v, "w": _weight_to_json(e.w)} for e in dst.edges],
+        "edges": [{"u": e.u, "v": e.v, "w": weight_to_json(e.w)} for e in dst.edges],
         "root": dst.root,
         "terminals": list(dst.terminals),
         # every vertex has a copy on every level

@@ -93,7 +93,7 @@ def test_criterion_2_yes_gap_two_demands(capsys):
         lc = gen_yes_lc(u, v, deg, sigma, seed)
         assert len(lc.edges) <= 3
         inst, _ = phlc_to_kdtsn(lc)
-        opt = brute_force(inst, cap=len(inst.edges)).cost
+        opt = brute_force(inst).cost
         assert opt == len(lc.edges), (u, v, deg, sigma, seed)
         checked += 1
     assert checked == 30
@@ -107,10 +107,10 @@ def test_criterion_3_k_gap_three_demands(capsys):
     started = time.perf_counter()
     nosat = gen_nosat_phlc(3, [1, 1, 1], 1, 2)
     inst_no, _ = phlc_to_kdtsn(nosat)
-    assert brute_force(inst_no, cap=len(inst_no.edges)).cost == Fraction(3)
+    assert brute_force(inst_no).cost == Fraction(3)
     yes = gen_yes_phlc(3, [1, 1, 1], 1, 2, seed=4)
     inst_yes, _ = phlc_to_kdtsn(yes)
-    assert brute_force(inst_yes, cap=len(inst_yes.edges)).cost == Fraction(1)
+    assert brute_force(inst_yes).cost == Fraction(1)
     with capsys.disabled():
         report(3, "unsatisfiable costs 3, satisfiable costs 1", started, limit=60.0)
 
@@ -146,7 +146,7 @@ def test_criterion_5_strict_reduction_preservation(capsys):
 
     def opt_or_none(instance):
         try:
-            return brute_force(instance, cap=len(instance.edges)).cost
+            return brute_force(instance).cost
         except InfeasibleInstanceError:
             return None
 

@@ -61,6 +61,21 @@ def run_capped(*argv, cwd=None):
     )
 
 
+def run_write_capped(*argv, cwd=None):
+    """`python -m tsn.cli argv` allowed files of at most 200 bytes, so a
+    longer output fails part way through its write (`File too large`)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsn.__file__)),
+               PYTHONDONTWRITEBYTECODE="1")
+
+    def cap_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (200, 200))
+
+    return subprocess.run(
+        [sys.executable, "-m", "tsn.cli", *map(str, argv)], cwd=cwd,
+        env=env, preexec_fn=cap_file_size, capture_output=True, text=True, timeout=60,
+    )
+
+
 def assert_one_input_error(proc):
     """One JSON line, exit 2, from a check: under `run_capped` a guard that
     gives way runs out of memory, whose exit-2 line fails here."""
@@ -920,7 +935,7 @@ class TestBench:
         # branch and bound, and brute force is never run
         from tsn import exact
 
-        def refuse(instance, cap=None):
+        def refuse(instance, stats=None):
             raise AssertionError("brute force run although not requested")
 
         monkeypatch.setattr(exact, "brute_force", refuse)
@@ -1206,6 +1221,59 @@ class TestOutputPaths:
         assert code == 2
         assert [json.loads(line)["detail"] for line in out.strip().splitlines()] == [OUT_OF_MEMORY]
         assert list(out_dir.iterdir()) == []
+
+
+    def test_later_document_failure_keeps_a_file_that_was_there(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the first path existed before the run, so taking back the first
+        # document leaves it in place (it may be a link such as /dev/stdout)
+        from tsn import core
+
+        write = core.dump_json
+
+        def write_first_only(data, path):
+            if path.endswith("later.json"):
+                raise MemoryError
+            write(data, path)
+
+        monkeypatch.setattr(core, "dump_json", write_first_only)
+        first = tmp_path / "ok.json"
+        first.write_text("old\n")
+        code, out = run(capsys, "gen", "--kind", "example1", "-o", first,
+                        "--trace", tmp_path / "later.json")
+        assert code == 2
+        assert [json.loads(line)["detail"] for line in out.strip().splitlines()] == [OUT_OF_MEMORY]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "lc-yes", "--u", "2", "--v", "2", "--degree", "2", "--sigma", "2",
+         "-o", "out/i.json"],
+        ["reduce", "--to", "simple", "-i", "in.json", "-o", "out/s.json"],
+        ["solve", "--method", "ilp-export", "-i", "in.json", "--lp", "out/m.lp"],
+        ["solve", "--method", "bb", "-i", "in.json", "-o", "out/sol.json"],
+        ["bench", "--kind", "example1", "--methods", "bb,union", "--seeds", "0,1,2,3,4",
+         "-o", "out/b.csv"],
+    ], ids=["gen-o", "reduce-simple", "solve-lp", "solve-bb-o", "bench-o"])
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, argv):
+        # every output here is longer than the 200 bytes the child may
+        # write: the file the failed write created is removed
+        run(capsys, "gen", "--kind", "lc-yes", "--u", "2", "--v", "2", "--degree", "2",
+            "--sigma", "2", "-o", tmp_path / "in.json")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        proc = run_write_capped(*argv, cwd=tmp_path)
+        assert_one_input_error(proc)
+        assert "File too large" in json.loads(proc.stdout)["detail"]
+        assert list(out_dir.iterdir()) == []
+
+    def test_failed_write_keeps_a_file_that_was_there(self, tmp_path):
+        # the old content is gone once the file is opened, and the path may
+        # be a link to something the command does not own: it is not removed
+        out = tmp_path / "i.json"
+        out.write_text("old\n")
+        proc = run_write_capped("gen", "--kind", "example1", "-o", out, cwd=tmp_path)
+        assert_one_input_error(proc)
+        assert out.stat().st_size == 200
 
 
 def _is_tsn_object(obj):

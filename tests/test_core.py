@@ -134,6 +134,55 @@ class TestFrame:
         assert effective_times(inst, 0) == {2}
 
 
+class TestReverseFrame:
+    """`FrameIndex.reverse_frame(t)` is `frame(t)` with its arcs turned round."""
+
+    @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
+    def test_lists_the_frame_turned_round(self, directed):
+        rng = random.Random(41 + directed)
+        for _ in range(80):
+            inst = rand_instance(rng, directed=directed, max_vertices=6, max_edges=10)
+            index = FrameIndex(inst)
+            for t in range(1, inst.num_times + 1):
+                frame = index.frame(t)
+                if not directed:
+                    # both directions are listed: the frame is its own reverse
+                    assert index.reverse_frame(t) is frame
+                    continue
+                turned = [[] for _ in frame]
+                for x, arcs in enumerate(frame):
+                    for y, i in arcs:
+                        turned[y].append((x, i))
+                # per vertex, in edge-id order
+                assert index.reverse_frame(t) == [sorted(arcs, key=lambda a: a[1])
+                                                  for arcs in turned]
+
+    def test_built_once_per_demand_time(self, monkeypatch):
+        # the dual ascent asks for each demand's reverse frame; the index
+        # builds it on the first request for its time and serves it after
+        built = []
+        real = FrameIndex.reverse_frame
+
+        def counting(index, t):
+            if t not in index._reverse_frames:
+                built.append(t)
+            return real(index, t)
+
+        monkeypatch.setattr(FrameIndex, "reverse_frame", counting)
+        inst = make_instance(
+            directed=True, variant="edge", num_times=2,
+            vertices=["a", "b", "c", "d"],
+            edges=[("a", "b", 1, (1, 2)), ("b", "c", 1, (1, 2)), ("a", "d", 2, (1, 2))],
+            demands=[("a", "b", 1), ("a", "c", 1), ("a", "d", 1), ("b", "c", 2), ("a", "c", 2)],
+        )
+        index = FrameIndex(inst)
+        everything = list(range(len(index.demands)))
+        for _ in range(2):
+            bound, _ = index.dual_ascent(bytearray(3), bytearray(3), everything)
+            assert bound == 4  # every edge is needed
+        assert sorted(built) == [1, 2]
+
+
 class TestFrameIndexPath:
     """`FrameIndex.path` walks the path that `shortest_paths` picks."""
 

@@ -153,13 +153,14 @@ class TestBruteForce:
         with pytest.raises(InfeasibleInstanceError):
             brute_force(inst)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr("tsn.exact.BRUTE_CAP", 0)
         inst = make_instance(
             directed=False, variant="edge", num_times=1,
             vertices=["a", "b"], edges=[("a", "b", 1, (1,))], demands=[],
         )
         with pytest.raises(BruteForceCapError):
-            brute_force(inst, cap=0)
+            brute_force(inst)
 
     def test_matches_literal_enumeration(self):
         # the greedy implementation must reproduce the naive subset scan
@@ -195,7 +196,7 @@ class TestBruteForce:
         ids=["lc-yes-3322-s0", "lc-yes-3322-s1", "lc-yes-3322-s2", "lc-yes-3323-s0"],
     )
     def test_search_pinned_on_gadgets(
-        self, u, v, degree, sigma, seed, edges, left_out, tests, improvements
+        self, monkeypatch, u, v, degree, sigma, seed, edges, left_out, tests, improvements
     ):
         # edge sets recorded before the completion test cut subtrees with no
         # feasible leaf, pinned by the edges the solution leaves out.  Before
@@ -204,8 +205,9 @@ class TestBruteForce:
         # 415, 412 and 269 with it (tie-break pass included)
         inst, _ = phlc_to_kdtsn(gen_yes_lc(u, v, degree, sigma, seed=seed))
         assert len(inst.edges) == edges
+        monkeypatch.setattr("tsn.exact.BRUTE_CAP", edges)
         stats = {}
-        sol = brute_force(inst, cap=edges, stats=stats)
+        sol = brute_force(inst, stats=stats)
         assert sol.edges == tuple(i for i in range(edges) if i not in left_out)
         assert solve_bb(inst).cost == sol.cost == 6
         assert stats == {"completion_tests": tests, "improvements": improvements}
@@ -369,11 +371,16 @@ def _bound_corpus(seed, count, max_edges=7):
             )
 
 
+def _masks(state):
+    """The included and excluded masks of a 0 undecided, 1 included, 2 excluded list."""
+    return bytearray(s == 1 for s in state), bytearray(s == 2 for s in state)
+
+
 def _root_incumbent(fidx):
     """The root's lower bound, and its incumbent before the local search:
     the edges of reduced cost 0, thinned."""
     state = bytearray(len(fidx.weight))
-    lower, reduced = fidx.dual_ascent(state, list(range(len(fidx.demands))))
+    lower, reduced = fidx.dual_ascent(*_masks(state), list(range(len(fidx.demands))))
     member = bytearray(r == 0 for r in reduced)
     _thin(fidx, member)
     return lower, member
@@ -438,7 +445,7 @@ class TestDualAscent:
         for inst in _bound_corpus("root", 160):
             fidx = FrameIndex(inst)
             state = bytearray(len(inst.edges))
-            bound, reduced = fidx.dual_ascent(state, list(range(len(fidx.demands))))
+            bound, reduced = fidx.dual_ascent(*_masks(state), list(range(len(fidx.demands))))
             assert isinstance(bound, int)
             assert Fraction(bound, fidx.scale) <= brute_force(inst).cost
             assert all(0 <= r <= w for r, w in zip(reduced, fidx.weight))
@@ -456,7 +463,7 @@ class TestDualAscent:
                 continue  # some demand has no completion: the ascent reports it
             included = bytearray(s == 1 for s in state)
             unmet = [j for j in range(len(fidx.demands)) if not fidx.reaches(j, included)]
-            bound, _ = fidx.dual_ascent(state, unmet)
+            bound, _ = fidx.dual_ascent(*_masks(state), unmet)
             assert bound <= _cheapest_completion(fidx, state)
             checked += 1
         assert checked >= 150
@@ -467,7 +474,7 @@ class TestDualAscent:
         for inst in _bound_corpus("fixing", 120, max_edges=6):
             fidx = FrameIndex(inst)
             state = bytearray(len(inst.edges))
-            bound, reduced = fidx.dual_ascent(state, list(range(len(fidx.demands))))
+            bound, reduced = fidx.dual_ascent(*_masks(state), list(range(len(fidx.demands))))
             for e in range(len(inst.edges)):
                 through = _cheapest_completion(fidx, state, must=e)
                 if through is not None:
@@ -478,10 +485,10 @@ class TestDualAscent:
         fidx = FrameIndex(inst)
         state = bytearray(len(inst.edges))
         everything = list(range(len(fidx.demands)))
-        full, _ = fidx.dual_ascent(state, everything)
+        full, _ = fidx.dual_ascent(*_masks(state), everything)
         assert full == 9 * fidx.scale  # k * |E|, the planted optimum
         for budget in range(1, full + 1):
-            bound, _ = fidx.dual_ascent(state, everything, budget)
+            bound, _ = fidx.dual_ascent(*_masks(state), everything, budget)
             assert budget <= bound <= full
 
     def test_budgeted_ascent_reports_a_demand_without_completion(self):
@@ -496,10 +503,10 @@ class TestDualAscent:
         )
         fidx = FrameIndex(inst)
         state = bytearray([0, 2])
-        bound, _ = fidx.dual_ascent(state, [0], 5)
+        bound, _ = fidx.dual_ascent(*_masks(state), [0], 5)
         assert bound is None
         with pytest.raises(InternalError):
-            fidx.dual_ascent(state, [0])
+            fidx.dual_ascent(*_masks(state), [0])
 
     def test_reverse_delete_leaves_a_minimal_feasible_set(self):
         rng = random.Random(5)
@@ -989,4 +996,4 @@ class TestLpFormat:
         text = emit_lp(model)
         assert "Minimize" in text and "Binary" in text
         # the exported program's optimum equals the instance optimum
-        assert brute_force(simple, cap=len(simple.edges)).cost == 1
+        assert brute_force(simple).cost == 1

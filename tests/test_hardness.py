@@ -100,7 +100,7 @@ def _buckets(h):
 
 
 def opt(instance):
-    return brute_force(instance, cap=len(instance.edges)).cost
+    return brute_force(instance).cost
 
 
 def gadget_wellformed(instance, trace):

@@ -179,7 +179,7 @@ class TestPriorityToTsn:
             image, rmap = priority_to_tsn(p)
             p_opt = priority_brute(p)
             try:
-                img = brute_force(image, cap=len(image.edges))
+                img = brute_force(image)
             except Exception:
                 assert p_opt is None
                 continue
@@ -200,7 +200,7 @@ class TestPriorityToTsn:
                 a = brute_force(inst).cost
             except Exception:
                 continue
-            b = brute_force(image, cap=len(image.edges)).cost
+            b = brute_force(image).cost
             assert a == b
             done += 1
 

@@ -85,6 +85,19 @@ def _importers(module):
     return found
 
 
+def test_no_module_imports_a_private_name():
+    # a name one module shares with another is public: `from .x import _y`
+    # would tie a module to another's internals
+    found = [
+        f"{path.relative_to(SOURCE).as_posix()}:{node.lineno} imports {alias.name}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 def test_only_core_imports_heapq():
     # one Dijkstra: every shortest path comes from core.FrameIndex
     assert _importers("heapq") == ["core.py"]

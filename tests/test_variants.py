@@ -23,7 +23,7 @@ from helpers import lift_chain, rand_instance, reduction_map_from_dict
 
 
 def image_opt(instance):
-    return brute_force(instance, cap=len(instance.edges))
+    return brute_force(instance)
 
 
 class TestNodeEdgeToNode:
