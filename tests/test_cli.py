@@ -1222,7 +1222,6 @@ class TestOutputPaths:
         assert [json.loads(line)["detail"] for line in out.strip().splitlines()] == [OUT_OF_MEMORY]
         assert list(out_dir.iterdir()) == []
 
-
     def test_later_document_failure_keeps_a_file_that_was_there(self, tmp_path, capsys,
                                                                  monkeypatch):
         # the first path existed before the run, so taking back the first
