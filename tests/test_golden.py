@@ -9,12 +9,14 @@ and `dst` reductions.  Two large gadgets, the biggest of the export
 benchmark, go through `gen` and `solve --method ilp-export` only, so the
 LP writer is pinned on models of thousands of rows.  The pinned digests catch any byte-level change in
 file output, so a refactor that claims to preserve behaviour can be checked
-against them.
+against them.  A second pin on each JSON file hashes its parsed value, so a
+change of layout that keeps every value shows as bytes moving alone.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -118,6 +120,78 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
 }
 
+# The value of every JSON file above (`value_digests`): a change of file
+# layout moves `GOLDEN` but must leave these.
+VALUES: dict[str, dict[str, str]] = {
+    "example1": {
+        "bb.json": "c672544cad0dd825ce51c3d4e43040eb4f487107b10d849c44a1451feb97cbe3",
+        "instance.json": "2da2fcb4152c406342e556092eb006b6e2678df7ef0132d14378ad27d7af3bef",
+        "simple.json": "d30ed4a84e54a951f2ed58f919b140ca54e714be474eb242029c1fef6a4f9d75",
+        "simple_map.json": "e26397f068cfe80e1e9dc732a4001670b8ee447d51597f2931cde7623d47eda8",
+        "source.json": "934827e0f6ccc42e062bb6e1e294b016bd35cf3c0bdef0a38cf682b814cb889b",
+        "trace.json": "f07e575be5aefc335af8df0551b8c03e09635b4d5089aedf8187b5bcd2e3703c",
+        "union.json": "612a9805ca65dfbf1f103663eb5e3b57e84375f5ddc014ddd75a93e79027361b",
+    },
+    "lc-yes": {
+        "bb.json": "4eb2f6a21a3f3fce346335f48d033ac9357e43c1249b9b0b0a22e6994d7923fc",
+        "instance.json": "2ac9369d5897eb08be5a934bc6b2aab096d058466cc32ca64b6a71cb1727bca1",
+        "simple.json": "52fa3ed398040b15dd0630f18d80042a4c369e32084acae6c9851d6fbcd9ccec",
+        "simple_map.json": "5df234185e666babcbcb6410729c6da14fe5d2efddcd30dbb12df079d4e53f10",
+        "source.json": "b1b54d8ec1584a6749476e76436f1f2bf824c2d7d215ab12139c91cbec76f25a",
+        "trace.json": "4ed13a2240c29142939135481d520f7ae23534f9dbccc26287a701277da87ef6",
+        "union.json": "49f358bfb5814d3c163be2cf37e2ae6dea34ee209d4911af50bad5ba8fde4994",
+    },
+    "lc-yes-undirected": {
+        "bb.json": "865fe8f952e44efb0afbc085240f8f0a5f40f87f9391aac9a3ae4e0eefb24c78",
+        "instance.json": "820f0e181ab2513b1ae4283ee044f5b70c80223dbb284cd407a646f89569a9a3",
+        "node.json": "4eb61a739be070bafd7496f48dbdec4dc33d70bcecfdd03411028f8f7ecd5727",
+        "node_map.json": "0cdf42e9e39e1c370bbd12c8d2dabe57d7d0ab9e5e06dcb7db5fab6fa4e18d9f",
+        "source.json": "e999fefecc372abf0bf6860bf80d3d1c50283a46bbcde2c667834ec548c80423",
+        "trace.json": "f3beb8da7908804fe8e43c5ccb3c6697f7f0aed81b43e356a187cb5078dc74f5",
+        "union.json": "179269e5e06bc07176321d1487a547589a03254547fdcff724c20bd1f34337c3",
+    },
+    "phlc-nosat": {
+        "bb.json": "26cacfad3f72664755ff2322c359c9dc55b2f68a20475b19a5c707fe2f253c68",
+        "instance.json": "0c55532c5c21d02a2fb632e2839c0cf8e8247781a6298dc13060fec278e96827",
+        "simple.json": "f61ffa9500c7551ad5ffb459269f22de0d8891a1716be9778d6b73a6825b7871",
+        "simple_map.json": "4cb92672aa83d1410f3e5025342f39c84c89c4f3c7f31ed4a65ede66c3dc0e62",
+        "source.json": "a05c20bf20e3d74b7493cdc0fb57210c8a17f98cadaa93d4b5e8171bee6029b5",
+        "trace.json": "f2bae68cb467c83f601a37bafc38a8c763e970f28853c8eb8d65575d9e628e7e",
+        "union.json": "598b0f8a991aa6a7ed8f129a004c868070383d4e669e969584108d8f08924253",
+    },
+    "phlc-yes": {
+        "bb.json": "422256053f673ce736c0561e8d2378071f3cb0b35cd8982991ec021d0c7d976e",
+        "instance.json": "ca93fb4e75d3636ce8c77deea1c9d577600509c19c43e6b888252a70bdb2b264",
+        "simple.json": "cf30728e3eaf6b2e33961a17ada8d92651b973d9c6ba77152082b24dbef7220b",
+        "simple_map.json": "07d713fb80caf4d487961d48cd49be4010e43e9521ce60545c1838eed890e3c5",
+        "source.json": "5fdd6d9468ac7f53de67a085bc2e958e8b77aa62a518a8e30280b0383ecf763c",
+        "trace.json": "191383db5dc36bbc27a99fd3acd771ccc623dcd8495f7ff268c1d5c466f05ca4",
+        "union.json": "76b3874d16032a4f82f07f1b42d2e4b44b1eb439dc5a1ebb9c7426c64ef3da67",
+    },
+    "lc-yes-12": {
+        "instance.json": "fb8b37c552cbc868fa7f4e2ce0c338028fc1b620c323d72bb205ca7cf0c7f8ef",
+    },
+    "phlc-yes-k5": {
+        "instance.json": "d53ccbf1d76ab9108be9d986220888d42d0629282e5dd534f24bb97704a3635f",
+    },
+    "monotonic": {
+        "directed.json": "4876b714fe4df1808c2b318215e9b28f79cf172290a333f7bce122cbd93b4e8c",
+        "dst.json": "5a88c6bdca025f09f932680782c942be4c67a508bae5f7b26df239f8206b7294",
+        "dst_map.json": "075620c2e2eadaa6db4721b3d90d34bde1a62657631f0be1f4fb712d4b5e3f35",
+        "priority.json": "2004f6af817b9fb6ff000ea8c976c3078b4f8e2fa1fb5ec99b75949cbff348e3",
+        "priority_map.json": "075620c2e2eadaa6db4721b3d90d34bde1a62657631f0be1f4fb712d4b5e3f35",
+        "undirected.json": "d3bbb27295626ce3de8aef6f4e8889ec4f667d60a6692f69d105acdbb1a4c213",
+    },
+    "greedy": {
+        "m12.json": "3e9761c8719e1fab955ee1038f2fd356412f9f4b8dbb3f35c2cb407d39a62a83",
+        "m12_level2.json": "e103621d559655f0d01e3caf4deb5c3717b1614c075d4b0b5aa7d29a76963f45",
+        "m12_level3.json": "eddcf27577a3dfd744c4fbe6e606bb8d792c585275f78db84552d6ed5aa0ed11",
+        "m9.json": "c0cd8544cf245bf67508040137b7cacc2870ae9658a15d57793b9aa07ee6718f",
+        "m9_level2.json": "637eac465fc8f496baca929e68616570c9bcef2707a234686ba9f725e1de11ef",
+        "m9_level3.json": "08fffff8c47a7209e5a16cd43137bd804b0e8e106c786ed544fd1b73b6a2a200",
+    },
+}
+
 
 def run_corpus_case(gen_args, workdir) -> dict[str, str]:
     """Run the CLI pipeline for one case; returns {file name: sha256}."""
@@ -144,6 +218,17 @@ def run_commands(commands, workdir) -> dict[str, str]:
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(workdir.iterdir())
+    }
+
+
+def value_digests(workdir) -> dict[str, str]:
+    """{JSON file name: sha256 of its value}, the value written as one
+    compact line with keys in file order, so a change of layout alone
+    leaves it."""
+    return {
+        p.name: hashlib.sha256(json.dumps(json.loads(p.read_text(encoding="ascii"))).encode())
+        .hexdigest()
+        for p in sorted(workdir.glob("*.json"))
     }
 
 
@@ -183,16 +268,20 @@ def test_cli_output_files_are_pinned(case, tmp_path, capsys):
     assert digests == GOLDEN[case]
 
 
+def run_export_case(gen_args, workdir) -> dict[str, str]:
+    inst = workdir / "instance.json"
+    return run_commands(
+        [
+            ["gen", *gen_args, "-o", inst],
+            ["solve", "-i", inst, "--method", "ilp-export", "--lp", workdir / "model.lp"],
+        ],
+        workdir,
+    )
+
+
 @pytest.mark.parametrize("case", sorted(EXPORT_CASES))
 def test_large_ilp_exports_are_pinned(case, tmp_path, capsys):
-    inst = tmp_path / "instance.json"
-    digests = run_commands(
-        [
-            ["gen", *EXPORT_CASES[case], "-o", inst],
-            ["solve", "-i", inst, "--method", "ilp-export", "--lp", tmp_path / "model.lp"],
-        ],
-        tmp_path,
-    )
+    digests = run_export_case(EXPORT_CASES[case], tmp_path)
     capsys.readouterr()
     assert digests == GOLDEN[case]
 
@@ -240,3 +329,22 @@ def test_greedy_files_are_pinned(tmp_path, capsys):
     digests = run_greedy(tmp_path)
     capsys.readouterr()
     assert digests == GOLDEN["greedy"]
+
+
+def run_case(case, workdir) -> None:
+    """Write the files of one `GOLDEN` entry into `workdir`."""
+    if case in CASES:
+        run_corpus_case(CASES[case], workdir)
+    elif case in EXPORT_CASES:
+        run_export_case(EXPORT_CASES[case], workdir)
+    elif case == "monotonic":
+        run_monotonic_reductions(workdir)
+    else:
+        run_greedy(workdir)
+
+
+@pytest.mark.parametrize("case", sorted(VALUES))
+def test_output_values_are_pinned(case, tmp_path, capsys):
+    run_case(case, tmp_path)
+    capsys.readouterr()
+    assert value_digests(tmp_path) == VALUES[case]
