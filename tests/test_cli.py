@@ -1253,17 +1253,22 @@ class TestOutputPaths:
         ["bench", "--kind", "example1", "--methods", "bb,union", "--seeds", "0,1,2,3,4",
          "-o", "out/b.csv"],
     ], ids=["gen-o", "reduce-simple", "solve-lp", "solve-bb-o", "bench-o"])
-    def test_failed_write_leaves_no_file(self, tmp_path, capsys, argv):
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch, argv):
         # every output here is longer than the 200 bytes the child may
-        # write: the file the failed write created is removed
-        run(capsys, "gen", "--kind", "lc-yes", "--u", "2", "--v", "2", "--degree", "2",
-            "--sigma", "2", "-o", tmp_path / "in.json")
+        # write (checked below, uncapped): the file the failed write created
+        # is removed.  The input is lc-yes 3/3/2/3, whose one-line `bb`
+        # solution is 347 bytes; the 2/2/2/2 one is 179.
+        run(capsys, "gen", "--kind", "lc-yes", "--u", "3", "--v", "3", "--degree", "2",
+            "--sigma", "3", "-o", tmp_path / "in.json")
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         proc = run_write_capped(*argv, cwd=tmp_path)
         assert_one_input_error(proc)
         assert "File too large" in json.loads(proc.stdout)["detail"]
         assert list(out_dir.iterdir()) == []
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv)[0] == 0
+        assert [p.stat().st_size > 200 for p in out_dir.iterdir()] == [True]
 
     def test_failed_write_keeps_a_file_that_was_there(self, tmp_path):
         # the old content is gone once the file is opened, and the path may
@@ -1273,6 +1278,54 @@ class TestOutputPaths:
         proc = run_write_capped("gen", "--kind", "example1", "-o", out, cwd=tmp_path)
         assert_one_input_error(proc)
         assert out.stat().st_size == 200
+
+
+class TestOutputLayout:
+    # every JSON output file is one line in `json.dumps`'s default layout,
+    # which its C encoder writes (see `core.dump_json`); the stdout report
+    # stays indented
+    def test_every_json_file_is_one_ascii_line(self, tmp_path, capsys):
+        # "xé" checks that a vertex name outside ASCII is escaped
+        directed = make_instance(
+            directed=True, variant="edge", num_times=3, vertices=["s", "xé", "y", "b"],
+            edges=[("s", "xé", 1, (1, 2, 3)), ("xé", "b", 2, (2, 3)),
+                   ("s", "y", 3, (1, 2, 3)), ("y", "b", "1/2", (3,))],
+            demands=[("s", "b", 2), ("s", "y", 1), ("s", "b", 3)],
+        )
+        undirected = make_instance(
+            directed=False, variant="edge", num_times=2, vertices=["a", "b", "c"],
+            edges=[("a", "b", 1, (1, 2)), ("b", "c", 2, (2,)), ("a", "c", "5/2", (2,))],
+            demands=[("a", "c", 2), ("a", "b", 1)],
+        )
+        p = lambda name: str(tmp_path / name)  # noqa: E731
+        write_instance(p("d.json"), directed)
+        write_instance(p("u.json"), undirected)
+        commands = [
+            ["gen", "--kind", "lc-yes", "--u", "2", "--v", "2", "--degree", "2", "--sigma", "2",
+             "-o", p("g.json"), "--trace", p("tr.json"), "--source", p("src.json")],
+            *(["reduce", "--to", to, "-i", p("d.json"), "-o", p(f"{to}.json"),
+               "--map", p(f"{to}_map.json")]
+              for to in ("edge", "node", "node_and_edge", "simple", "dst")),
+            ["reduce", "--to", "priority-st", "-i", p("u.json"), "-o", p("priority.json"),
+             "--map", p("priority_map.json")],
+            ["solve", "-i", p("d.json"), "--method", "bb", "-o", p("bb.json")],
+            ["solve", "-i", p("d.json"), "--method", "brute", "-o", p("brute.json")],
+            ["approx", "-i", p("d.json"), "--method", "union", "-o", p("union.json")],
+            ["approx", "-i", p("d.json"), "--method", "charikar", "--level", "2",
+             "-o", p("charikar.json")],
+        ]
+        for argv in commands:
+            code, out = run(capsys, *argv)
+            assert code == 0, argv
+            assert out.startswith('{\n  "command": '), argv
+        files = sorted(tmp_path.iterdir())
+        assert len(files) == 2 + 3 + 12 + 4
+        for path in files:
+            raw = path.read_bytes()
+            assert raw.isascii(), path.name
+            text = raw.decode("ascii")
+            assert text == json.dumps(json.loads(text)) + "\n", path.name
+        assert "x\\u00e9" in (tmp_path / "dst.json").read_text(encoding="ascii")
 
 
 def _is_tsn_object(obj):

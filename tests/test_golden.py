@@ -46,77 +46,77 @@ EXPORT_CASES = {
 
 GOLDEN: dict[str, dict[str, str]] = {
     "example1": {
-        "bb.json": "25a27bab199071114ba14931575ee9f6f3d9733a70cc51e5f85ea6a0cfc8676a",
-        "instance.json": "5c2fb4c360e7e9dfb0f1433d91876b1570cf461f4bc43f635fcf5b78217df764",
+        "bb.json": "04d47105a2cfd6dd086f3d62e7c45b2b4adacb68b1860f8ac626b932cb860a8b",
+        "instance.json": "5d59d84e89bb205879a921329c0eae6cd41e6e55446e3faeca21535e22b3be0d",
         "model.lp": "2eb8c6f3b52e22c5e10138e355e447b3be8f104cb34d2cf9dee94f68febf57ce",
-        "simple.json": "0ab459a764a1c65b3f580a3101abd13cb6fc0f5cd6af3896dab5477c17acf3d5",
-        "simple_map.json": "cb1b75109faf6c69ed18198dc2e918a1707bc6ec8c124668c0e00ca45424ee34",
-        "source.json": "3a6edd5cc2a250c95e85ec740c06bf64782d3ba4b18cfdabef38ded7f1a7d1df",
-        "trace.json": "95111ad5f7ca46a6dd1caca927564ef5ddeea21e42dc08e847175adbeda349de",
-        "union.json": "bcb97e297d1823fa21b7ce0b8999ead66a5cadc13c47e4f250ee568150ef00aa",
+        "simple.json": "2ec12813305ec7eda5cfe1f2fde0b8e08a77d2d48d5e9f9e7dfae6ed05ca0309",
+        "simple_map.json": "ad7184a36bd2b5d5633df3c92b412b3c957f8a586c6632b2da983cf616e33f30",
+        "source.json": "543bde9222cd0240a9387d5ab2cc77cec942284cf630499337d8009c0209bfa1",
+        "trace.json": "121551c7028be8845e1235d28b71346257a6f3e1a088f9c2dc47561636fe91f8",
+        "union.json": "b379371e9fd1893e359a4b299f766acbfcf31776d69e6b5da06c9b16eec9f8a2",
     },
     "lc-yes": {
-        "bb.json": "b33ea97275a65671b3e15fc72f68f3ee1ec56c0e73f318f0402c97150d21cce8",
-        "instance.json": "cebac0cfbf07ed328481d80243cecc7feb689eb851d56ec67795348ceb32ba89",
+        "bb.json": "aed57cdf73e901cdefbb6ecdc350bb1fa29d46cf95066f9d09a9fb06f1ae4746",
+        "instance.json": "04e0b927108fcdef6d80c1f714e550cb48740188649711e9b09c237f669d6ba0",
         "model.lp": "b0d34b9795bdd8f2fbc682c0c7cff3cc6c31b1ae8773fff928ac12da01647dab",
-        "simple.json": "2719da3d052082fa388a68f911e273ea977a726cf1d0814c8ac69ed80494e17a",
-        "simple_map.json": "6e5f05f4a90702eb92bd14760da4bf1cf17218bbe8e93abf871a7fe2f091b7a9",
-        "source.json": "efad7cbeff39376ca3d3fc38bbaefcca94e5479e0feee74b351ee0107ca18de6",
-        "trace.json": "6ebfa7b9f6fd81742e36ad266971f9b795fe773dbb74ec1a019de6b3b2056b8e",
-        "union.json": "b0c0f79bcfd3304118c7056bb6ff8883bd7eee08010de961c67cd75ea1cb6bcc",
+        "simple.json": "82ec35dd2c6611a611cb7292d437d5d50aaee39c9179ce94d6aaf8cdca5194e7",
+        "simple_map.json": "5317ac3d5ed87013b17864efd544a511fe5f726fd986f8da6b05c077cb606589",
+        "source.json": "2357ae9cdbca2ea44104f6c40dca3ebf8d2aa7a29acf088e3829ac51a2d9b066",
+        "trace.json": "c322e1e0823f5964959d4469e9a328edffe1969c69ee6bb1b82ac142bb67c93d",
+        "union.json": "cb83501b3af46da0eb5f5be514491888081c4f4e692692f2122bd255023ab65f",
     },
     "lc-yes-undirected": {
-        "bb.json": "5d26d7d8886cc143648e55dd3d2678633000728a78f57d7ebdc9523d511213a0",
-        "instance.json": "1fc65610062571685a71f0a8405a9d4bf054333c14b8147c66e472f6d4c3ecb6",
-        "node.json": "91848f4122d0cbe5698f1ad20224911eefb94096c895c84e007e308849c6bcc4",
-        "node_map.json": "4bf2f042b8660b04dcdd3d391f5f1972199ffe16e07c132e6155dea37016bd0d",
-        "source.json": "c10bee66f694e12131f9cfe975434dfc34759d68ba4b4092b8d0dacb6dc8976a",
-        "trace.json": "fe3ad6c101ef2539efdabc8769e011f330e4150ab12a74c1f3ebbffcdf4dc36b",
-        "union.json": "55d639b4274fb781b1ffbe937d064c82b0fa0c83f95470f463bb63762e6a3228",
+        "bb.json": "8578640b11910de1887ee21d3a4a52f641f856eee720dd3fe1bb51ca2115cc4c",
+        "instance.json": "e0333a868f5f643f3be1a7f37c2da6460ddd057a0befb67b5ea97a1c9d101c1a",
+        "node.json": "5a4d8815a1cb654fa8b74e5d998240811d52a85bfe9f350c7bee37ae6b23691a",
+        "node_map.json": "230948c9f09cc382e1a498dc243a822d195dc390e9fbc9277317e40e21c58063",
+        "source.json": "d49f4b8d1bbe1516b383e82761a920297b309b656565d75e85baacd03bc62305",
+        "trace.json": "72503ee4c3f5a78a8de735ec3308d7ff6efa1f6cc6d3a1701c0415f9b05a78f2",
+        "union.json": "0b257faab1fbf34507e0f961b5cd6539ca8a2c50350825c20fac9b5bceeeb2d7",
     },
     "phlc-nosat": {
-        "bb.json": "1c1d0180d772a8147922ef3be76fcf03b4a62cb10d8ef146f05d2d7d67c503cc",
-        "instance.json": "91cc7846b63599c24ff05d2e4f65e007608e68d7de7a9e7408b2499eabe55a3d",
+        "bb.json": "c4b6acb78385a9c8f50199f27ad455955da3fd50b694ca2dcea9e50f74f81f49",
+        "instance.json": "aad0a4a94c18cfd3fcf2834f2c428f2c00c820cab7ee71c13039894185691933",
         "model.lp": "512cf8b60cb3f54f27cf7c5491fee7e91857f4aec4f458a0529f4ec08342d013",
-        "simple.json": "16d6191471384768b8178d33cc0a19235d4e567417d542af5fd437164206e7be",
-        "simple_map.json": "b7f57312a9d34183613d01e9eabf489b68073a0c0f7f1827f10c9dfda3b1532b",
-        "source.json": "1dbde311f121032cce34818e6a9897d3a863fbc2c0769e1983c04bb3f0df1682",
-        "trace.json": "ac41dfc37af112e00d2de9ea24256e53b27e12671af6c6bdc9dddabc18c16fd3",
-        "union.json": "2ec0fc30c42f8b4ffad278a01eefeeee69956385e08862485635e136d8a5daed",
+        "simple.json": "e608d14d9463f667308565bc2c743721b0c58b46f14e58a69a88c53470b96915",
+        "simple_map.json": "b7b5e28834f7df01b64b2124e3601ce3cff69b7d3b65ee9ac9741caa6b519798",
+        "source.json": "a4103f6aa15f127a62834121c252868062aad2fa6c79f201ae1664cf80632eeb",
+        "trace.json": "b53a0b74a10f16969079a4f0001445cda256b3f7086dd1c8d59cfdd775da3ebb",
+        "union.json": "6a302431d523c696162132328151c219dc138429288a9623019ecb1edd399dbd",
     },
     "phlc-yes": {
-        "bb.json": "c76a12721bb4102fca9e9fe7e8e56b26b452fe85543f11f398642b01d180dfae",
-        "instance.json": "7185337818c74f058ea8ca62d587fbed46b18a1bf74a992df8d8cac19e672780",
+        "bb.json": "41c63993875d2c5e910b707522486f5b4eed98cd2d3c158640760d323b908331",
+        "instance.json": "26a72837cb76588cd1cbb36549c8a0622b0fb1a913e3fdc10c1e2bba62ddb5c6",
         "model.lp": "270949236ed1a7b6cafd6136fffcd0565bb7cf7dcf0bcd43a2582d560878b91d",
-        "simple.json": "40ae5133aeb4ffef25adc950109e7ec7a9c3a3b25eb6a4c08825588e5042d62c",
-        "simple_map.json": "689403d99c337db889072f69b2dc9a65c9fa66a1e2d15aa6e51027e521ad3c98",
-        "source.json": "b44baaa941e7b4e67d3e0a9951fb6c2fab65da7e2621cb3dde12c1e87f31e206",
-        "trace.json": "a057f787b9610dfcc50903fc75763f335a3651ca44554864e552939b24a7d85d",
-        "union.json": "ff4876f857fabef383a0930a1ddca78fc0c6e3663af558f906584c2ed1b4135a",
+        "simple.json": "14adb7e5a739f3c868a7a48bc72e211b090addc85a7e223810c1fbfa00322f4a",
+        "simple_map.json": "0baf02708d852b58aed0150564863465402e6ea46de3ee4242a6dd1420402af1",
+        "source.json": "1980ffbb8c2a2f25796d424dbe11226653fc98edaec0ca354357175baf23f3b9",
+        "trace.json": "73528d4a2318eb63808a05dc92ef29272156981eb5f8de12e73c42a11f967b40",
+        "union.json": "a795076c7d5100fa7a7cfdcb5bf0c3c195240014bb4677d4fe1e6bd5c8ba0b56",
     },
     "lc-yes-12": {
-        "instance.json": "c8ded202f5741bc1458f7d97081688052a4390ed77312d468fff46c7d7c04b46",
+        "instance.json": "ffe8d5df1aebe138a652bcabc33d277d26b580ca74a66d26c21144c3a1b38e65",
         "model.lp": "5b8b08df7e64bbaed25dd94faeda704758b24761fb2b2486447ab94eaf055607",
     },
     "phlc-yes-k5": {
-        "instance.json": "5219a8b1e2be388b840dcb2bf3c31b7ab728e43febbf90af7944a804354c8ca2",
+        "instance.json": "ea72f5471d1dafd1589c1c58575317ea66134e6afbe2fddd44ca141234b7a169",
         "model.lp": "c14e486398c8888098b7f244e3bbcabe4b5499cc18a08dca4468293fa06ca207",
     },
     "monotonic": {
-        "directed.json": "0f734482b1ed017645e1bf059870bb721d51c76c7bbf781503fa844510f17a7f",
-        "dst.json": "a2a1bdc9eba51909ef26de13b819c9bc166ce2422830c2b18d9ed02c6b70d66d",
-        "dst_map.json": "06a47cf1fb789f4455b297272f9ec7cf2fd1b612e10a35886ecdbce39669b6b4",
-        "priority.json": "b9a1b4821ef57eecd5080d2d2ebb8bc06888d3ab7d11575982620c65d47bf398",
-        "priority_map.json": "06a47cf1fb789f4455b297272f9ec7cf2fd1b612e10a35886ecdbce39669b6b4",
-        "undirected.json": "70fc34ea7226389c49c3253af7c496379fffe795fe90495008d77d8b32279704",
+        "directed.json": "3335cc4293424bf0308f0ebadadddde7be1515afc67c3e6b3c7867101f48bad4",
+        "dst.json": "48da78f254d725846306bf55442c201154a320d6a1382f4263978344df889940",
+        "dst_map.json": "2b30deaa41c87a3e8a1f997de832be868a297b780dbb3144359237f5f6d533df",
+        "priority.json": "ae273905e4e0749dd71a12c39f4922fb871948a9c6a9da0314f7761137a20da6",
+        "priority_map.json": "2b30deaa41c87a3e8a1f997de832be868a297b780dbb3144359237f5f6d533df",
+        "undirected.json": "ef0e29ed52903a6be90d6e91872025827cbad14bcde8dab3769920b8e1284dd2",
     },
     "greedy": {
-        "m12.json": "e805b4efe27acd8be326f5ad7862b00f5f31f5b59f0cbacff1af154f59dac256",
-        "m12_level2.json": "5568d93a65f8b15868e7927115c3f244655d328d61165ac5eca24bc62669f184",
-        "m12_level3.json": "fd2857822e55c519267f68fbc01f6671c1dd387d286bded0efe5f01c36134d35",
-        "m9.json": "c414399016c4f4a16f6a87ddbb6d113346490bda2dba14343ff5fb6b0de48b8a",
-        "m9_level2.json": "0417f7c9cfa6a8b8074730c61414bac3a9d4313e55a0b8dcb000143edc539fad",
-        "m9_level3.json": "b7e02fdf5292a0e135722c58aa955d25a8a507a10c0c6aafbba1ba6a1e5935e5",
+        "m12.json": "fb7c9a27bc276039002eaa6f653594b1b802b3a4bc3851e174370af9069c890b",
+        "m12_level2.json": "68a2a71f78fad910dd127e1e9cb53c324c99c8807416ccee5f0375f0c0072ee7",
+        "m12_level3.json": "c00adc87fbb1c9ab646b01a4c68cd8d0536790f579353df74bb6a35e027fa364",
+        "m9.json": "862bf499402c756cb27b6ab0bf2df093e0fb5abac1b5f7c2c902707337f46af8",
+        "m9_level2.json": "684e9c2ba3546f178a187c8f6e5445e1ac318880ade896a9c5519fcd5ff76490",
+        "m9_level3.json": "37f7ebf9490697f19bab1f2f4a3eac75c78e73bece9c975c2d407a521df6188f",
     },
 }
 

@@ -199,8 +199,10 @@ class TestPhlcGadget:
     )
     def test_k2_matches_bipartite_construction(self, shape, digest):
         # the digests were taken from the dedicated bipartite compiler that
-        # the k = 2 hypergraph compiler replaced: instance and trace JSON
-        # must stay byte-identical to it
+        # the k = 2 hypergraph compiler replaced: the instance and trace it
+        # builds must stay equal to that compiler's.  They hash an in-memory
+        # `indent=2` rendering of the two values, not the files `gen` writes
+        # (tests/test_golden.py pins those)
         u, v, deg, sigma = shape
         h = hashlib.sha256()
         for seed in (0, 1, 2):

@@ -293,3 +293,47 @@ def test_only_core_compares_with_the_size_budget():
             and "MAX_FIRST_TIME_ENTRIES" in _names_read(node)
         ]
     assert found == []
+
+
+def _calls(tree):
+    """(name of the top-level function or class it lies in, or None; call)
+    for every call in a module."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                yield owner, node
+
+
+def test_only_dump_json_encodes_json_for_a_file():
+    # one writer of JSON files, `core.dump_json`, in the layout the C
+    # encoder writes; every other `json.dumps` is printed to stdout
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        printed = {
+            id(arg)
+            for _, node in _calls(tree)
+            if isinstance(node.func, ast.Name) and node.func.id == "print"
+            for arg in node.args
+        }
+        found += [
+            f"{path.name}:{owner}"
+            for owner, node in _calls(tree)
+            if isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json" and node.func.attr in ("dump", "dumps", "JSONEncoder")
+            and id(node) not in printed
+        ]
+    assert found == ["core.py:dump_json"]
+
+
+def test_only_the_stdout_report_is_indented():
+    # output files are one line (`core.dump_json`); `cli._report` prints the
+    # run report indented for a reader at the terminal
+    found = [
+        f"{path.name}:{owner}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for owner, node in _calls(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if any(k.arg == "indent" for k in node.keywords)
+    ]
+    assert found == ["cli.py:_report"]
