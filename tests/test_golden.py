@@ -225,11 +225,9 @@ def value_digests(workdir) -> dict[str, str]:
     """{JSON file name: sha256 of its value}, the value written as one
     compact line with keys in file order, so a change of layout alone
     leaves it."""
-    return {
-        p.name: hashlib.sha256(json.dumps(json.loads(p.read_text(encoding="ascii"))).encode())
-        .hexdigest()
-        for p in sorted(workdir.glob("*.json"))
-    }
+    values = {p.name: json.loads(p.read_text(encoding="ascii"))
+              for p in sorted(workdir.glob("*.json"))}
+    return {name: hashlib.sha256(json.dumps(v).encode()).hexdigest() for name, v in values.items()}
 
 
 def run_monotonic_reductions(workdir) -> dict[str, str]:
