@@ -90,6 +90,18 @@ def bb_corpus_digest():
     return h.hexdigest()
 
 
+def brute_search_digest():
+    """sha256 over `brute_force` on `bb_corpus`: each solution with the
+    search's `completion_tests` and `improvements`, so a change to which
+    nodes the search tests or which leaves it keeps changes the digest."""
+    h = hashlib.sha256()
+    for inst in bb_corpus():
+        stats = {}
+        sol = brute_force(inst, stats=stats)
+        h.update(f"{sol.edges} {sol.cost} {stats['completion_tests']} {stats['improvements']}\n".encode())
+    return h.hexdigest()
+
+
 def brute_corpus_digest():
     """sha256 over the `brute_force` results of 600 seeded instances: random
     ones with many zero-weight edges (infeasible ones recorded by their
@@ -183,6 +195,11 @@ class TestBruteForce:
         # lexicographic greedy that re-ran it per edge); the single
         # include-first search must return the same set on every instance
         assert brute_corpus_digest() == "42419c6428eed86ed9c5ac8794415fb60437c719495fa7767582332d8d5f53d0"
+
+    def test_search_is_pinned_on_bb_corpus(self):
+        # recorded before the completion sets became masks and the root
+        # stopped being tested twice: the same solutions, tests and leaves
+        assert brute_search_digest() == "0759890784157245eb25ed983f0cafdb0ad681276a296eadeb93ce88006997f9"
 
     @pytest.mark.parametrize(
         "u, v, degree, sigma, seed, edges, left_out, tests, improvements",
@@ -376,6 +393,28 @@ def _masks(state):
     return bytearray(s == 1 for s in state), bytearray(s == 2 for s in state)
 
 
+def dual_ascent_digest():
+    """sha256 over `FrameIndex.dual_ascent` on `_bound_corpus`: the root
+    call over every demand, then three budgeted calls per instance under
+    random include/exclude masks over the demands the included edges leave
+    unmet, each recorded as (bound, reduced costs).  A change to how the
+    ascent grows its cuts or picks a demand changes the digest, even where
+    the bound stays below the optimum."""
+    rng = random.Random(3907)
+    h = hashlib.sha256()
+    for inst in _bound_corpus("digest", 300, max_edges=10):
+        fidx = FrameIndex(inst)
+        state = bytearray(len(inst.edges))
+        h.update(f"{fidx.dual_ascent(*_masks(state), list(range(len(fidx.demands))))}\n".encode())
+        for _ in range(3):
+            state = bytearray(rng.choice((0, 0, 1, 2)) for _ in inst.edges)
+            included, excluded = _masks(state)
+            unmet = [j for j in range(len(fidx.demands)) if not fidx.reaches(j, included)]
+            budget = rng.randint(1, sum(fidx.weight) + 1)
+            h.update(f"{fidx.dual_ascent(included, excluded, unmet, budget)}\n".encode())
+    return h.hexdigest()
+
+
 def _root_incumbent(fidx):
     """The root's lower bound, and its incumbent before the local search:
     the edges of reduced cost 0, thinned."""
@@ -449,6 +488,12 @@ class TestDualAscent:
             assert isinstance(bound, int)
             assert Fraction(bound, fidx.scale) <= brute_force(inst).cost
             assert all(0 <= r <= w for r, w in zip(reduced, fidx.weight))
+
+    def test_bounds_and_reduced_costs_are_pinned(self):
+        # recorded while the ascent grew S with two routines, one for the
+        # first cut and one for the cuts a raise made tight; the other tests
+        # here check only that the bound stays below a completion
+        assert dual_ascent_digest() == "779c4adb3210ade51cd7fbf60ed276f8911a9ed8488b7730c19e7f4ef6bbdad9"
 
     def test_bound_never_exceeds_cheapest_completion_of_a_node(self):
         # random include/exclude decisions: the ascent over the demands the
