@@ -13,11 +13,12 @@ vertices interned to ints in name order, effective times computed once,
 weights scaled to ints by the LCM of their denominators, one adjacency list
 per frame and its reverse, each cached per time, one reachability test and
 one demand loop over it (`first_unmet`) behind the exact solvers'
-infeasibility check, the feasibility check and the reverse delete, one
+infeasibility check, every feasibility check and the reverse delete, one
 shortest-path search, on the scaled weights or on a caller's weight list
 and around one forbidden edge, with one walk along the path it picks
-(`path`), and Wong's dual ascent, the branch and bound's lower bound.  Every
-method that reads an edge set takes it as a 0/1 mask indexed by edge id.
+(`path`), and Wong's dual ascent, the branch and bound's lower bound, which
+grows each demand's cut with one routine.  Every method that reads an edge
+set takes it as a 0/1 mask indexed by edge id, with no exception.
 """
 
 from __future__ import annotations
@@ -332,13 +333,6 @@ class FrameIndex:
                 return self.demands[j][3]
         return None
 
-    def feasible(self, chosen: Iterable[int]) -> bool:
-        """Do the chosen edges meet every demand?"""
-        member = bytearray(len(self.weight))
-        for i in chosen:
-            member[i] = 1
-        return self.first_unmet(member) is None
-
     def reverse_delete(self, member: bytearray, candidates: Iterable[int]) -> None:
         """Drop from `member`, in the order of `candidates`, each edge whose
         removal leaves every demand met.  Removals only take paths away, so
@@ -393,8 +387,10 @@ class FrameIndex:
             i = included.find(1, i + 1)
 
         def grow(inside, radj, grown, cut):
-            """Add to S every vertex that reaches `grown` over tight arcs;
-            collect the other arcs entering S in `cut`."""
+            """Add to S every vertex that reaches `grown` over tight arcs and
+            return the new cut: the arcs of `cut`, and the positive arcs
+            found entering S, whose tails stay outside S.  A tight arc of
+            `cut` has its tail in S already, so it is dropped."""
             while grown:
                 for x, i in radj[grown.pop()]:
                     if inside[x] or excluded[i]:
@@ -404,23 +400,7 @@ class FrameIndex:
                     else:
                         inside[x] = 1
                         grown.append(x)
-
-        def settle(inside, radj, cut):
-            """Grow S over newly tight arcs; return the cut arcs left (`grow`
-            keeps only positive arcs, so one filter drops the now-inner ones)."""
-            grown, live = [], []
-            for x, i in cut:
-                if inside[x]:
-                    continue
-                if reduced[i]:
-                    live.append((x, i))
-                else:
-                    inside[x] = 1
-                    grown.append(x)
-            if not grown:
-                return live
-            grow(inside, radj, grown, live)
-            return [(x, i) for x, i in live if not inside[x]]
+            return [(x, i) for x, i in cut if not inside[x]]
 
         # per demand: [tail, S as a vertex bytearray, reverse frame, cut arcs]
         active = []
@@ -429,16 +409,22 @@ class FrameIndex:
             inside = bytearray(self.num_vertices)
             inside[b] = 1
             radj = self.reverse_frame(demand.t)
-            cut: list[tuple[int, int]] = []
-            grow(inside, radj, [b], cut)
-            active.append([a, inside, radj, cut])
+            active.append([a, inside, radj, grow(inside, radj, [b], [])])
         bound = 0
         while True:
             pick = None
             still = []
             for rec in active:
-                rec[3] = settle(rec[1], rec[2], rec[3])
-                if rec[1][rec[0]]:
+                # S takes in the tails of the arcs the last raise made tight
+                inside = rec[1]
+                grown = []
+                for x, i in rec[3]:
+                    if not reduced[i] and not inside[x]:
+                        inside[x] = 1
+                        grown.append(x)
+                if grown:
+                    rec[3] = grow(inside, rec[2], grown, rec[3])
+                if inside[rec[0]]:
                     continue
                 still.append(rec)
                 if pick is None or len(rec[3]) < len(pick[3]):

@@ -7,7 +7,9 @@ index tuple -- but it enumerates only the positive-weight edges, since
 zero-weight edges never change a cost, in one iterative include-first search
 pruned by cost and by completion: a subtree whose edges, taken all together
 with the chosen ones and every zero edge, leave a demand unmet holds no
-feasible leaf and is skipped.  That keeps it fast on gadget instances that
+feasible leaf and is skipped.  Each node carries that completion set as a
+0/1 edge mask, which `FrameIndex.first_unmet` tests; an include child
+shares its parent's mask.  That keeps it fast on gadget instances that
 are mostly zero-weight wiring; its docstring says why the result is the
 naive scan's, and the test suite cross-checks it against a literal
 enumeration.
@@ -99,10 +101,13 @@ def brute_force(instance: TemporalInstance, stats: Optional[dict] = None) -> Sol
     A node whose cost reaches the best found is cut, and so is a node whose
     completion set -- the edges chosen, every zero edge and the positive
     edges from its depth on -- leaves a demand unmet: feasibility is
-    monotone under adding edges, so no leaf below it is feasible.  An
-    include child has its parent's completion set, so only the root and
-    each exclude child are tested, and a leaf the search reaches is
-    feasible.  Cutting subtrees without a feasible leaf keeps every strict
+    monotone under adding edges, so no leaf below it is feasible.  Each
+    node carries its completion set as a 0/1 mask: an include child shares
+    its parent's, and an exclude child copies it and clears the edge it
+    leaves out, so only the exclude children are tested.  The root's set is
+    every edge, which the infeasibility check tests, and that check counts
+    as the first completion test.  So a leaf the search reaches is feasible,
+    and cutting subtrees without a feasible leaf keeps every strict
     improvement, so the answer is the one above.  `stats`, when given,
     receives the number of `completion_tests` and of `improvements`.
 
@@ -117,49 +122,49 @@ def brute_force(instance: TemporalInstance, stats: Optional[dict] = None) -> Sol
         )
     index = FrameIndex(instance)
     weight = index.weight
-    bad = index.first_unmet(b"\x01" * len(weight))
+    everything = bytearray(b"\x01" * len(weight))
+    bad = index.first_unmet(everything)
     if bad is not None:
         raise InfeasibleInstanceError(bad)
     pos = [i for i, w in enumerate(weight) if w > 0]
-    zeros = [i for i, w in enumerate(weight) if w == 0]
 
-    # Each stack entry is (depth, cost, size, test): the first `size` edges
-    # of `chosen` are the positive edges taken above that depth, and `test`
-    # marks the root and the exclude children, whose completion set is new.
+    # Each stack entry is (depth, cost, completion set, dropped): an exclude
+    # child holds its parent's set and the edge it clears from a copy, an
+    # include child its parent's set and -1.
     best, best_set = sum(weight) + 1, None
-    tests = improvements = 0
-    chosen: list[int] = []
-    stack = [(0, 0, 0, True)]
+    tests, improvements = 1, 0
+    stack = [(0, 0, everything, -1)]
     while stack:
-        depth, cost, size, test = stack.pop()
-        del chosen[size:]
+        depth, cost, complete, dropped = stack.pop()
         if cost >= best:
             continue  # weights are nonnegative, no improvement below
-        if test:
+        if dropped >= 0:
+            complete = complete.copy()
+            complete[dropped] = 0
             tests += 1
-            if not index.feasible(chosen + zeros + pos[depth:]):
+            if index.first_unmet(complete) is not None:
                 continue  # no feasible leaf below
         if depth == len(pos):
-            best, best_set = cost, set(chosen)
+            best, best_set = cost, complete
             improvements += 1
             continue
         e = pos[depth]
-        stack.append((depth + 1, cost, size, True))
-        chosen.append(e)
-        stack.append((depth + 1, cost + weight[e], size + 1, False))
-    if best_set is None:
-        raise InternalError("brute force found no feasible subset of a feasible instance")
+        stack.append((depth + 1, cost, complete, e))
+        stack.append((depth + 1, cost + weight[e], complete, -1))
     if stats is not None:
         stats.update(completion_tests=tests, improvements=improvements)
 
-    last = max(best_set, default=-1)
-    taken: list[int] = []
-    for i, w in enumerate(weight):
-        if i > last and index.feasible(taken):
-            break
-        if w == 0 or i in best_set:
-            taken.append(i)
-    return solution_from_edges(instance, taken)
+    # the leaf's set up to its last positive edge, then its zero edges above
+    # that one by one until every demand is met
+    last = max((i for i in pos if best_set[i]), default=-1)
+    taken = best_set[:last + 1] + bytearray(len(weight) - last - 1)
+    tail = (i for i in range(last + 1, len(weight)) if best_set[i])
+    while index.first_unmet(taken) is not None:
+        i = next(tail, None)
+        if i is None:
+            raise InternalError("brute force's optimum leaves a demand unmet")
+        taken[i] = 1
+    return solution_from_edges(instance, [i for i, m in enumerate(taken) if m])
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +285,7 @@ def solve_bb(instance: TemporalInstance, stats: Optional[dict] = None) -> Soluti
     _thin(fidx, member)
     upper = sum(w for w, m in zip(weight, member) if m)
     upper, improvements = _local_search(fidx, member, upper, lower)
-    best_cost = upper
-    best_edges = [i for i, m in enumerate(member) if m]
+    best_cost, best = upper, bytes(member)
     for i, r in enumerate(reduced):
         if lower + r >= upper:
             excluded[i] = 1
@@ -307,8 +311,7 @@ def solve_bb(instance: TemporalInstance, stats: Optional[dict] = None) -> Soluti
             unmet = [j for j in pending if not fidx.reaches(j, included)]
             if not unmet:
                 # every demand met below the budget: strictly cheaper than the incumbent
-                best_cost = cost
-                best_edges = [i for i, m in enumerate(included) if m]
+                best_cost, best = cost, bytes(included)
                 incumbent_updates += 1
             else:
                 bound = fidx.dual_ascent(included, excluded, unmet, budget)[0]
@@ -340,7 +343,7 @@ def solve_bb(instance: TemporalInstance, stats: Optional[dict] = None) -> Soluti
             stack.pop()
         else:
             break
-    if not fidx.feasible(best_edges):
+    if fidx.first_unmet(best) is not None:
         raise InternalError("branch and bound returned edges that leave a demand unmet")
     if stats is not None:
         stats.update(
@@ -352,7 +355,7 @@ def solve_bb(instance: TemporalInstance, stats: Optional[dict] = None) -> Soluti
             root_lower_bound=Fraction(lower, fidx.scale),
             root_upper_bound=Fraction(upper, fidx.scale),
         )
-    return solution_from_edges(instance, best_edges)
+    return solution_from_edges(instance, [i for i, m in enumerate(best) if m])
 
 
 # ---------------------------------------------------------------------------

@@ -257,11 +257,11 @@ def normalize_to_time_layered_tree(
     """
     single_source(instance, "normalisation")
     index = FrameIndex(instance)
-    if not index.feasible(solution.edges):
-        raise InputError("solution is not feasible")
     member = bytearray(len(instance.edges))
     for i in solution.edges:
         member[i] = 1
+    if index.first_unmet(member) is not None:
+        raise InputError("solution is not feasible")
     # from the highest index down, so the retained tree prefers low edge
     # indices like the other solvers
     index.reverse_delete(member, sorted(set(solution.edges), reverse=True))

@@ -439,15 +439,27 @@ class TestSolve:
         assert load_json(str(sol))["feasible"] is False
 
     def test_failed_invariant_exits_three(self, tmp_path, capsys, example1_file, monkeypatch):
-        # a feasibility check that rejects every subset breaks brute force's
-        # invariant that a feasible instance has an optimum; the explicit
-        # check survives `python -O` and maps to exit 3
+        # a demand check that passes the whole edge set and rejects every
+        # other set breaks brute force's invariant that its optimum meets
+        # every demand; the explicit check survives `python -O` and maps to
+        # exit 3
         from tsn import exact
 
-        monkeypatch.setattr(exact.FrameIndex, "feasible", lambda self, chosen: False)
+        first_unmet = exact.FrameIndex.first_unmet
+        checked = []
+
+        def rejecting(self, member):
+            if checked:
+                return self.demands[0][3]
+            checked.append(member)
+            return first_unmet(self, member)
+
+        monkeypatch.setattr(exact.FrameIndex, "first_unmet", rejecting)
         code, out = run(capsys, "solve", "-i", example1_file, "--method", "brute")
         assert code == 3
-        assert json.loads(out)["error"] == "internal"
+        report = json.loads(out)
+        assert report["error"] == "internal"
+        assert "brute force's optimum leaves a demand unmet" in report["detail"]
 
 
 class TestVerify:

@@ -424,7 +424,6 @@ class TestInvariants:
                     member[i] = 1
                 assert index.first_unmet(member) == expected
                 assert first_unsatisfiable_demand(sub) == expected
-                assert index.feasible(chosen) == (expected is None)
                 assert is_feasible(inst, chosen) == (expected is None)
 
     def test_monotonic_frames_nested(self):

@@ -429,16 +429,18 @@ def _cheapest_completion(fidx, state, must=None):
     """Scaled cost of the cheapest undecided edges that, with the included
     ones (and edge `must`, when given), meet every demand; None when no
     such set exists.  Plain enumeration of the undecided edges."""
-    included = [i for i, s in enumerate(state) if s == 1]
     free = [i for i, s in enumerate(state) if s == 0 and i != must]
-    fixed = included + ([must] if must is not None else [])
+    fixed, base = bytearray(s == 1 for s in state), 0
+    if must is not None:
+        fixed[must], base = 1, fidx.weight[must]
     best = None
-    for mask in range(1 << len(free)):
-        chosen = [free[k] for k in range(len(free)) if mask >> k & 1]
-        cost = sum(fidx.weight[i] for i in chosen)
-        if must is not None:
-            cost += fidx.weight[must]
-        if (best is None or cost < best) and fidx.feasible(fixed + chosen):
+    for pick in range(1 << len(free)):
+        member, cost = fixed.copy(), base
+        for k, i in enumerate(free):
+            if pick >> k & 1:
+                member[i] = 1
+                cost += fidx.weight[i]
+        if (best is None or cost < best) and fidx.first_unmet(member) is None:
             best = cost
     return best
 
@@ -504,7 +506,7 @@ class TestDualAscent:
             fidx = FrameIndex(inst)
             # 0 undecided, 1 included, 2 excluded
             state = bytearray(rng.choice((0, 0, 1, 2)) for _ in inst.edges)
-            if not fidx.feasible(i for i, s in enumerate(state) if s != 2):
+            if fidx.first_unmet(bytearray(s != 2 for s in state)) is not None:
                 continue  # some demand has no completion: the ascent reports it
             included = bytearray(s == 1 for s in state)
             unmet = [j for j in range(len(fidx.demands)) if not fidx.reaches(j, included)]

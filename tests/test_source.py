@@ -203,6 +203,33 @@ def test_benchmark_imports_resolve():
     assert missing == []
 
 
+def test_frame_index_reads_edge_sets_as_masks():
+    # every FrameIndex method that reads an edge set takes it as a 0/1 mask
+    # indexed by edge id, under one of three names; every other parameter
+    # is listed here with what it is, so a new one must be placed
+    masks = {"member", "included", "excluded"}
+    others = {
+        "self", "instance",
+        "t",  # a time
+        "j",  # a demand's position in `demands`
+        "source", "a", "b",  # vertex ids
+        "unmet",  # demand positions
+        "budget",  # a scaled cost
+        "weight",  # one int per edge id: a weight list, not a set
+        "forbidden",  # one edge id
+        "candidates",  # the order `reverse_delete` tries edges in, not a set
+    }
+    tree = ast.parse((SOURCE / "core.py").read_text(encoding="utf-8"))
+    (index,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FrameIndex"]
+    found = [
+        f"{method.name}({arg.arg})"
+        for method in index.body if isinstance(method, ast.FunctionDef)
+        for arg in method.args.posonlyargs + method.args.args + method.args.kwonlyargs
+        if arg.arg not in masks | others
+    ]
+    assert found == []
+
+
 def test_exact_decides_on_its_index():
     # the solvers decide feasibility on core.FrameIndex; the name-keyed
     # checks stay the independent checker the tests and `verify` hold them to
