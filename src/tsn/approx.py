@@ -29,7 +29,11 @@ its full multiplicity or not at all.  For the same reason a round's pick
 depends only on (level, root, live pairs) and on how many entries remain,
 so one pick table per such context serves every round and sibling sub-call
 that meets it again: a round reads its pick from the table and scans only
-sub-budgets the table has not reached.
+sub-budgets the table has not reached.  Likewise a level-1 star's order
+depends only on (sub-root, live pairs), so one sorted list per such context
+serves the star of every sub-budget as a prefix.  Each tree carries its
+scaled cost and the residual entries it covers, so no memoised subtree is
+walked again to rank it.
 """
 
 from __future__ import annotations
@@ -202,21 +206,28 @@ def shortest_paths_union(instance: TemporalInstance) -> Solution:
 # Recursive density greedy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClosureTree:
     """Tree over (vertex, time) pairs built from closure edges.
 
     Edge times never decrease from root to leaf.  `covered` lists the
     residual demand pairs this tree satisfies under the exact-final-hop
     rule (the root pair itself counts when it coincides with a demand).
+    `charikar_level` also records the tree's cost times the closure's scale
+    (`scaled_cost`) and the entries of its residual multiset that `covered`
+    accounts for (`covered_entries`), so a memoised subtree is ranked without
+    walking it again; neither takes part in comparison, hashing or repr, and
+    a tree built by hand carries 0 for both.
     """
 
     root: Pair
     nodes: frozenset[Pair]
     edges: tuple[tuple[Pair, Pair, Fraction], ...]
     covered: tuple[Pair, ...]
+    scaled_cost: int = field(default=0, compare=False, repr=False)
+    covered_entries: int = field(default=0, compare=False, repr=False)
 
-    @cached_property
+    @property
     def cost(self) -> Fraction:
         return sum((c for _, _, c in self.edges), Fraction(0))
 
@@ -229,20 +240,24 @@ def covered_pairs(root: Pair, edges: Iterable[tuple[Pair, Pair, Fraction]], resi
     return tuple(sorted(hit))
 
 
-def _merge(base_edges: list, base_nodes: set, extra: Iterable, root: Pair) -> None:
+def _merge(base_edges: list, base_nodes: set, extra: Iterable, root: Pair) -> list:
     """Union the edges of a greedy pick into the running tree, keeping one
     in-edge per node (first round wins) and none into the root, so the
     result stays a tree: a pick may route through the root pair as an
     intermediate, but the root needs no parent and its onward edges keep
-    everything reachable."""
+    everything reachable.  Returns the edges of `extra` it leaves out."""
     have_child = {child for _, child, _ in base_edges}
-    for parent, child, cost in extra:
+    skipped = []
+    for edge in extra:
+        parent, child, _ = edge
         if child == root or child in have_child:
+            skipped.append(edge)
             continue
-        base_edges.append((parent, child, cost))
+        base_edges.append(edge)
         have_child.add(child)
         base_nodes.add(parent)
         base_nodes.add(child)
+    return skipped
 
 
 def _hop(closure: MetricClosure, u: str, pair: Pair) -> Optional[int]:
@@ -257,23 +272,23 @@ def _hop(closure: MetricClosure, u: str, pair: Pair) -> Optional[int]:
     return None if row is None or i is None else row[i]
 
 
-def _scaled_cost(closure: MetricClosure, tree: ClosureTree) -> int:
-    return sum(_hop(closure, parent[0], child) for parent, child, _ in tree.edges)
-
-
 class _Memo(dict):
     """The memo of one top-level `charikar_level` call: one entry per
     sub-call, keyed (level, sub-root bit, sub-budget, live pairs & reach
-    mask), holding (subtree, scaled cost, residual entries covered).
-    `rounds` keeps the pick tables beside it, keyed (level, root, live
-    pairs): entry r of a table is (the pick of a round with r entries still
-    to cover, the memo look-ups that round ranks over)."""
+    mask), holding the subtree, which carries its scaled cost and the
+    residual entries it covers.  `rounds` keeps the pick tables beside it,
+    keyed (level, root, live pairs): entry r of a table is (the pick of a
+    round with r entries still to cover, the memo look-ups that round ranks
+    over).  `stars` keeps the level-1 star orders, keyed (root, live pairs):
+    the (scaled hop, closure edge) list of every live pair the root reaches
+    other than itself, sorted by (hop, pair).  Neither adds a memo entry."""
 
-    __slots__ = ("rounds",)
+    __slots__ = ("rounds", "stars")
 
     def __init__(self):
         super().__init__()
         self.rounds: dict[tuple[int, Pair, int], list] = {}
+        self.stars: dict[tuple[Pair, int], list[tuple[int, tuple[Pair, Pair, Fraction]]]] = {}
 
 
 def charikar_level(
@@ -306,8 +321,18 @@ def charikar_level(
     full top-level multiplicity or not at all: a round removes whole pairs
     and a sub-residual keeps or drops whole pairs.  So `_cache` must serve
     one top-level call only; each sub-call adds one entry.  Costs are
-    compared as scaled ints by cross-multiplication; each memo entry keeps
-    its tree's scaled cost and the number of residual entries it covers.
+    compared as scaled ints by cross-multiplication; each memo entry is a
+    tree that carries its scaled cost and the number of residual entries it
+    covers (`ClosureTree.scaled_cost` and `covered_entries`), so ranking it
+    walks nothing.  A level-i tree's scaled cost is the sum of its picks'
+    less the hops of the edges `_merge` leaves out.  A round compares
+    densities first and counts a candidate's nodes only on a density tie.
+
+    A level-1 call covers the k cheapest live pairs, which depend only on
+    the root and on which pairs are live, not on k: so `_cache.stars` keeps
+    one sorted (hop, edge) list per (root, live pairs mask), and the call
+    for each sub-budget takes its shortest prefix that covers k entries.
+    Neither the star orders nor the pick tables add memo entries.
 
     A round's candidates and their memo keys depend only on (i, root, live
     pairs), and the round with r entries to cover ranks every candidate
@@ -338,12 +363,14 @@ def charikar_level(
     bits = closure.bits
     root_reach = closure.reach(root)
     counts: dict[Pair, int] = {}
+    live = 0  # bit mask of the pairs in counts
     for p in demands:
         bit = bits.get(p)
         if bit is None:
             raise InputError(f"demand pair {p} is no (vertex, time) pair of the closure")
         if root_reach >> bit & 1:
             counts[p] = counts.get(p, 0) + 1
+            live |= 1 << bit
     reachable_entries = sum(counts.values())
     if reachable_entries < k:
         raise NoSolutionError(
@@ -351,31 +378,42 @@ def charikar_level(
         )
 
     if i == 1:
+        star = _cache.stars.get((root, live))
+        if star is None:
+            # the order depends on (root, live) alone: the calls for every
+            # sub-budget take a prefix of it
+            star = _cache.stars[(root, live)] = [
+                (hop, (root, p, closure.distance(root_v, p[0], p[1])))
+                for hop, p in sorted((_hop(closure, root_v, p), p) for p in counts if p != root)
+            ]
         edges: list[tuple[Pair, Pair, Fraction]] = []
-        nodes = {root}
+        scaled = 0
         covered_count = counts.get(root, 0)
-        for _, p in sorted((_hop(closure, root_v, p), p) for p in counts if p != root):
+        for hop, edge in star:
             if covered_count >= k:
                 break
-            edges.append((root, p, closure.distance(root_v, p[0], p[1])))
-            nodes.add(p)
-            covered_count += counts[p]
+            edges.append(edge)
+            scaled += hop
+            covered_count += counts[edge[1]]
         return ClosureTree(
             root=root,
-            nodes=frozenset(nodes),
+            nodes=frozenset((root, *(p for _, p, _ in edges))),
             edges=tuple(edges),
             covered=covered_pairs(root, edges, counts),
+            scaled_cost=scaled,
+            covered_entries=covered_count,
         )
 
     level = i - 1
     tree_edges: list[tuple[Pair, Pair, Fraction]] = []
     tree_nodes: set[Pair] = {root}
+    scaled = 0
     remaining = k
     if root in counts:
         # the root pair satisfies its own demand without any edge; do not
         # let candidate subtrees claim that credit again
         remaining -= counts.pop(root)
-    live = sum(1 << bits[p] for p in counts)
+        live &= ~(1 << bits[root])
     rounds = _cache.rounds
     while remaining > 0:
         table = rounds.get((i, root, live))
@@ -404,26 +442,25 @@ def charikar_level(
                         continue
                     lookups += 1
                     key = (level, bit, sub_k, sub_mask)
-                    entry = _cache.get(key)
-                    if entry is None:
+                    sub = _cache.get(key)
+                    if sub is None:
                         # exactly what the sub-call can reach, so its count
                         # check holds
                         sub_residual = tuple(q for q in residual if sub_mask >> bits[q] & 1)
-                        sub = charikar_level(level, closure, pair, sub_k, sub_residual, _cache, _stats)
-                        entry = _cache[key] = (
-                            sub, _scaled_cost(closure, sub), sum(counts[p] for p in sub.covered)
-                        )
+                        sub = _cache[key] = charikar_level(
+                            level, closure, pair, sub_k, sub_residual, _cache, _stats)
                         calls += 1
-                    sub, sub_cost, newly = entry
-                    cost = sub_cost + hop
-                    nodes = len(sub.nodes) + (root not in sub.nodes)
+                    cost = sub.scaled_cost + hop
+                    newly = sub.covered_entries
                     if best is not None:
-                        # density cost/newly against the best's, exactly; a
-                        # full tie goes to this larger sub-budget
+                        # density cost/newly against the best's, exactly; only
+                        # a density tie needs the node count, and a full tie
+                        # goes to this larger sub-budget
                         lhs, rhs = cost * best[1], best[0] * newly
-                        if lhs > rhs or (lhs == rhs and (nodes, pair) > best[2:4]):
+                        if lhs > rhs or (lhs == rhs and (
+                                len(sub.nodes) + (root not in sub.nodes), pair) > best[2:4]):
                             continue
-                    best = (cost, newly, nodes, pair, sub)
+                    best = (cost, newly, len(sub.nodes) + (root not in sub.nodes), pair, sub)
                 table.append((best, lookups))
         best, lookups = table[remaining]
         if _stats is not None:
@@ -431,18 +468,23 @@ def charikar_level(
         if best is None:
             # every residual pair is a candidate whose subtree covers it
             raise InternalError(f"no greedy pick from {root} covers a residual pair")
-        _, newly, _, pair, sub = best
-        _merge(tree_edges, tree_nodes,
-               (*sub.edges, (root, pair, closure.distance(root_v, pair[0], pair[1]))), root)
+        cost, newly, _, pair, sub = best
+        skipped = _merge(tree_edges, tree_nodes,
+                         (*sub.edges, (root, pair, closure.distance(root_v, pair[0], pair[1]))), root)
+        scaled += cost - sum(_hop(closure, parent[0], child) for parent, child, _ in skipped)
         remaining -= newly
         for p in sub.covered:
             counts.pop(p, None)
             live &= ~(1 << bits[p])
+    covered = covered_pairs(root, tree_edges, demands)
+    hit = set(covered)
     return ClosureTree(
         root=root,
         nodes=frozenset(tree_nodes),
         edges=tuple(tree_edges),
-        covered=covered_pairs(root, tree_edges, demands),
+        covered=covered,
+        scaled_cost=scaled,
+        covered_entries=sum(p in hit for p in demands),
     )
 
 

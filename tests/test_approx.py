@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from tsn.approx import (
     ClosureTree,
     NoSolutionError,
+    _hop,
+    _Memo,
     charikar,
     charikar_level,
     expand_tree,
@@ -499,12 +502,26 @@ class TestGreedyPinned:
     def test_call_and_memo_counts_pinned(self):
         # the memo keyed on the residual reachable from each sub-root; with
         # the whole residual in the key this instance took 340 calls
-        inst = rand_monotonic_single_source(
-            random.Random(7), max_vertices=9, max_edges=24, max_times=4, max_demands=6
-        )
         stats = {}
-        assert charikar(inst, 3, stats).cost == 5
+        assert charikar(call_count_instance(), 3, stats).cost == 5
         assert stats == {"calls": 212, "memo_hits": 2072}
+
+    def test_hop_lookups_pinned(self, monkeypatch):
+        # 876 while each level-1 call sorted its own star and each memo miss
+        # summed its subtree's hops again; the star orders and the costs the
+        # trees carry leave the successor lists, the first look-up of each
+        # closure distance and the edges `_merge` leaves out
+        import tsn.approx
+
+        lookups = []
+
+        def counting(*args):
+            lookups.append(args)
+            return _hop(*args)
+
+        monkeypatch.setattr(tsn.approx, "_hop", counting)
+        assert charikar(call_count_instance(), 3).cost == 5
+        assert len(lookups) == 254
 
     def test_repeated_pairs_are_pinned_with_calls_and_memo_hits(self):
         # digest taken before the memo key became a bitmask of the live
@@ -513,22 +530,34 @@ class TestGreedyPinned:
         assert repeated_pairs_digest() == "017a50c961b64a9f7f70c2ab2f146900d33680978c6b9cef9da7cd910e367ebf"
 
 
-def repeated_pairs_digest():
-    """sha256 over every `charikar_level` tree, cover and cost, and the calls
-    and memo hits behind it, at levels 1-3 and every budget k, on a seeded
-    corpus whose demand multisets repeat pairs (up to three copies each)."""
+def call_count_instance():
+    """The random monotonic instance whose level-3 greedy makes 212 calls."""
+    return rand_monotonic_single_source(
+        random.Random(7), max_vertices=9, max_edges=24, max_times=4, max_demands=6
+    )
+
+
+def repeated_pairs_corpus():
+    """(closure, demand pairs, root) of a seeded corpus whose demand
+    multisets repeat pairs (up to three copies each)."""
     rng = random.Random(2718)
-    h = hashlib.sha256()
     for _ in range(150):
         inst = rand_monotonic_single_source(
             rng, max_vertices=7, max_edges=14, max_times=4, max_demands=4,
             require_feasible=False, weights=MIXED_WEIGHTS,
         )
-        closure = metric_closure(inst)
         pairs = [(d.b, d.t) for d in inst.demands]
         pairs += [rng.choice(pairs) for _ in range(rng.randint(1, 4))]
         rng.shuffle(pairs)
-        root = (inst.demands[0].a, 0)
+        yield metric_closure(inst), pairs, (inst.demands[0].a, 0)
+
+
+def repeated_pairs_digest():
+    """sha256 over every `charikar_level` tree, cover and cost, and the calls
+    and memo hits behind it, at levels 1-3 and every budget k, on
+    `repeated_pairs_corpus`."""
+    h = hashlib.sha256()
+    for closure, pairs, root in repeated_pairs_corpus():
         for level in (1, 2, 3):
             for k in range(1, len(pairs) + 1):
                 stats = {}
@@ -544,24 +573,29 @@ def repeated_pairs_digest():
     return h.hexdigest()
 
 
-def table_reuse_digest():
-    """sha256 over every `charikar_level` tree, cover and cost, and the calls
-    and memo hits behind it, at levels 2-3 and every budget k, on a seeded
-    corpus of up to 12 vertices and 40 arcs, where one sub-root often meets
-    the same live residual in several rounds and sibling sub-calls; up to
-    three demand pairs are repeated."""
+def table_reuse_corpus():
+    """(closure, demand pairs, root) of a seeded corpus of up to 12 vertices
+    and 40 arcs, where one sub-root often meets the same live residual in
+    several rounds and sibling sub-calls; up to three demand pairs are
+    repeated."""
     rng = random.Random(1999)
-    h = hashlib.sha256()
     for _ in range(80):
         inst = rand_monotonic_single_source(
             rng, max_vertices=12, max_edges=40, max_times=4, max_demands=7,
             require_feasible=False, weights=MIXED_WEIGHTS,
         )
-        closure = metric_closure(inst)
         pairs = [(d.b, d.t) for d in inst.demands]
         pairs += [rng.choice(pairs) for _ in range(rng.randint(0, 3))]
         rng.shuffle(pairs)
-        root = (inst.demands[0].a, 0)
+        yield metric_closure(inst), pairs, (inst.demands[0].a, 0)
+
+
+def table_reuse_digest():
+    """sha256 over every `charikar_level` tree, cover and cost, and the calls
+    and memo hits behind it, at levels 2-3 and every budget k, on
+    `table_reuse_corpus`."""
+    h = hashlib.sha256()
+    for closure, pairs, root in table_reuse_corpus():
         for level in (2, 3):
             for k in range(1, len(pairs) + 1):
                 stats = {}
@@ -598,9 +632,7 @@ class TestPickTables:
             return real(*args)
 
         monkeypatch.setattr(tsn.approx, "_merge", counting)
-        inst = rand_monotonic_single_source(
-            random.Random(7), max_vertices=9, max_edges=24, max_times=4, max_demands=6
-        )
+        inst = call_count_instance()
         closure = metric_closure(inst)
         pairs = [(d.b, d.t) for d in inst.demands]
         memo, stats = tsn.approx._Memo(), {}
@@ -629,6 +661,64 @@ class TestPickTables:
             (("n4", 1), ("n3", 1), 1), (("n4", 1), ("n5", 1), 0),
         ]
         assert stats == {"calls": 372, "memo_hits": 631}
+
+
+class TestCarriedNumbers:
+    # a memoised subtree is ranked by the scaled cost and covered entries it
+    # carries; nothing walks it again, so these check the carried numbers
+    @pytest.mark.parametrize("corpus, levels", [
+        (repeated_pairs_corpus, (1, 2, 3)),
+        (table_reuse_corpus, (2, 3)),
+    ], ids=["repeated-pairs", "table-reuse"])
+    def test_every_memo_entry_carries_its_hops_and_cover(self, corpus, levels):
+        for closure, pairs, root in corpus():
+            # inside one top-level call a residual holds each pair with its
+            # full multiplicity
+            multiplicity = Counter(pairs)
+            for level in levels:
+                for k in range(1, len(pairs) + 1):
+                    memo = _Memo()
+                    try:
+                        top = charikar_level(level, closure, root, k, pairs, memo)
+                    except NoSolutionError:
+                        continue
+                    for tree in (top, *memo.values()):
+                        assert tree.scaled_cost == sum(
+                            _hop(closure, parent[0], child) for parent, child, _ in tree.edges)
+                        assert tree.covered_entries == sum(multiplicity[p] for p in tree.covered)
+                        assert tree.cost == Fraction(tree.scaled_cost, closure.index.scale)
+
+    def test_carried_numbers_take_no_part_in_equality(self):
+        inst = call_count_instance()
+        closure = metric_closure(inst)
+        pairs = [(d.b, d.t) for d in inst.demands]
+        tree = charikar_level(3, closure, (inst.demands[0].a, 0), len(pairs), pairs)
+        by_hand = ClosureTree(root=tree.root, nodes=tree.nodes, edges=tree.edges,
+                              covered=tree.covered)
+        assert (tree.scaled_cost, tree.covered_entries) != (0, 0)
+        assert (by_hand.scaled_cost, by_hand.covered_entries) == (0, 0)
+        assert by_hand == tree and hash(by_hand) == hash(tree) and repr(by_hand) == repr(tree)
+        assert type(tree.cost) is Fraction and tree.cost == 5
+        # slotted: thousands of memoised trees keep no instance dict
+        assert not hasattr(tree, "__dict__")
+
+    def test_star_orders_add_no_memo_entries_or_tables(self):
+        # the same 211 entries and 26 pick tables as before the star orders
+        # were kept; the 41 orders serve every level-1 call
+        inst = call_count_instance()
+        closure = metric_closure(inst)
+        pairs = [(d.b, d.t) for d in inst.demands]
+        memo, stats = _Memo(), {}
+        charikar_level(3, closure, (inst.demands[0].a, 0), len(pairs), pairs, memo, stats)
+        assert stats["calls"] == 212
+        assert (len(memo), len(memo.rounds), len(memo.stars)) == (211, 26, 41)
+        level1 = sum(1 for key in memo if key[0] == 1)
+        assert 0 < len(memo.stars) < level1
+        for (root, live), star in memo.stars.items():
+            order = [(hop, edge[1]) for hop, edge in star]
+            assert order == sorted(order)
+            assert all(edge[0] == root and live >> closure.bits[edge[1]] & 1
+                       for _, edge in star)
 
 
 def rand_monotonic_node_and_edge(rng):

@@ -1283,13 +1283,43 @@ class TestOutputPaths:
         assert [p.stat().st_size > 200 for p in out_dir.iterdir()] == [True]
 
     def test_failed_write_keeps_a_file_that_was_there(self, tmp_path):
-        # the old content is gone once the file is opened, and the path may
-        # be a link to something the command does not own: it is not removed
+        # the new content goes to a temporary file that replaces the old
+        # one only once it is whole: the failed write keeps "old" and
+        # leaves no temporary file behind
         out = tmp_path / "i.json"
         out.write_text("old\n")
         proc = run_write_capped("gen", "--kind", "example1", "-o", out, cwd=tmp_path)
         assert_one_input_error(proc)
-        assert out.stat().st_size == 200
+        assert out.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["i.json"]
+
+    def test_overwrite_keeps_the_mode_and_writes_through_a_link(self, tmp_path, capsys):
+        # a regular file is replaced by a temporary file that takes its
+        # permission bits; a symlink stays a link and its target is written
+        out = tmp_path / "i.json"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        target = tmp_path / "target.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        inodes = out.stat().st_ino, target.stat().st_ino
+        assert run(capsys, "gen", "--kind", "example1", "-o", out)[0] == 0
+        assert run(capsys, "gen", "--kind", "example1", "-o", link)[0] == 0
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert out.stat().st_ino != inodes[0] and target.stat().st_ino == inodes[1]
+        assert link.is_symlink() and target.read_text() == out.read_text() != "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["i.json", "link.json", "target.json"]
+
+    def test_overwrite_writes_in_place_when_the_temporary_name_is_taken(self, tmp_path, capsys):
+        out = tmp_path / "i.json"
+        out.write_text("old\n")
+        taken = tmp_path / f".i.json.{os.getpid()}.tmp"
+        taken.write_text("other\n")
+        inode = out.stat().st_ino
+        assert run(capsys, "gen", "--kind", "example1", "-o", out)[0] == 0
+        assert out.read_text() != "old\n" and taken.read_text() == "other\n"
+        assert out.stat().st_ino == inode
 
 
 class TestOutputLayout:
