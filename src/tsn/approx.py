@@ -31,9 +31,14 @@ so one pick table per such context serves every round and sibling sub-call
 that meets it again: a round reads its pick from the table and scans only
 sub-budgets the table has not reached.  Likewise a level-1 star's order
 depends only on (sub-root, live pairs), so one sorted list per such context
-serves the star of every sub-budget as a prefix.  Each tree carries its
-scaled cost and the residual entries it covers, so no memoised subtree is
-walked again to rank it.
+serves the star of every sub-budget as a prefix, and the pairs a prefix
+covers fix its tree, so one tree per (sub-root, covered pairs) serves every
+level-1 memo entry that covers them.  A sub-residual depends only on its
+live pairs mask, so one tuple per mask serves every sub-call that receives
+it, and a table growth derives its candidates inside its one scan of the
+successor list per sub-budget.  Each tree carries its scaled cost and the
+residual entries it covers, so no memoised subtree is walked again to rank
+it.
 """
 
 from __future__ import annotations
@@ -240,23 +245,22 @@ def covered_pairs(root: Pair, edges: Iterable[tuple[Pair, Pair, Fraction]], resi
     return tuple(sorted(hit))
 
 
-def _merge(base_edges: list, base_nodes: set, extra: Iterable, root: Pair) -> list:
+def _merge(base_edges: list, children: set, extra: Iterable, root: Pair) -> list:
     """Union the edges of a greedy pick into the running tree, keeping one
     in-edge per node (first round wins) and none into the root, so the
     result stays a tree: a pick may route through the root pair as an
     intermediate, but the root needs no parent and its onward edges keep
-    everything reachable.  Returns the edges of `extra` it leaves out."""
-    have_child = {child for _, child, _ in base_edges}
+    everything reachable.  `children` is the set of the children of
+    `base_edges`, kept beside them across rounds.  Returns the edges of
+    `extra` it leaves out."""
     skipped = []
     for edge in extra:
-        parent, child, _ = edge
-        if child == root or child in have_child:
+        child = edge[1]
+        if child == root or child in children:
             skipped.append(edge)
             continue
         base_edges.append(edge)
-        have_child.add(child)
-        base_nodes.add(parent)
-        base_nodes.add(child)
+        children.add(child)
     return skipped
 
 
@@ -281,14 +285,25 @@ class _Memo(dict):
     round with r entries still to cover, the memo look-ups that round ranks
     over).  `stars` keeps the level-1 star orders, keyed (root, live pairs):
     the (scaled hop, closure edge) list of every live pair the root reaches
-    other than itself, sorted by (hop, pair).  Neither adds a memo entry."""
+    other than itself, sorted by (hop, pair).  `prefixes` keeps the level-1
+    trees, keyed (root, mask of the pairs the tree covers): the covered
+    pairs other than the root are a prefix of the root's (hop, pair) order
+    over whichever pairs are live, so they fix the edges, the cost and the
+    cover, and every level-1 memo entry that covers the same pairs from
+    the same root holds one shared tree.  `residuals` keeps the
+    sub-residual of each live pairs mask a sub-call receives: the mask's
+    pairs, each with its full multiplicity, in sorted order, which is the
+    sorted residual of any caller filtered by the mask.  None of them adds
+    a memo entry."""
 
-    __slots__ = ("rounds", "stars")
+    __slots__ = ("rounds", "stars", "prefixes", "residuals")
 
     def __init__(self):
         super().__init__()
         self.rounds: dict[tuple[int, Pair, int], list] = {}
         self.stars: dict[tuple[Pair, int], list[tuple[int, tuple[Pair, Pair, Fraction]]]] = {}
+        self.prefixes: dict[tuple[Pair, int], ClosureTree] = {}
+        self.residuals: dict[int, tuple[Pair, ...]] = {}
 
 
 def charikar_level(
@@ -332,7 +347,11 @@ def charikar_level(
     the root and on which pairs are live, not on k: so `_cache.stars` keeps
     one sorted (hop, edge) list per (root, live pairs mask), and the call
     for each sub-budget takes its shortest prefix that covers k entries.
-    Neither the star orders nor the pick tables add memo entries.
+    The pairs that prefix covers fix the tree whatever else is live, so
+    `_cache.prefixes` keeps one tree per (root, covered pairs mask), and
+    every level-1 memo entry with the same root and cover holds that one
+    tree.  Neither the star orders, the shared trees nor the pick tables
+    add memo entries.
 
     A round's candidates and their memo keys depend only on (i, root, live
     pairs), and the round with r entries to cover ranks every candidate
@@ -343,7 +362,15 @@ def charikar_level(
     -sub-budget) over sub-budgets <= r, which is exactly the pick of a full
     scan, and the number of memo look-ups that scan makes.  A round reads
     `table[remaining]` and grows the table, one sub-budget at a time, only
-    past its end; a miss there makes one sub-call through the module name.
+    past its end; each step is one scan of `closure.successors(root)` that
+    derives each candidate's sub-residual mask and reachable entries
+    inline, so nothing is kept between steps.  A miss there makes one
+    sub-call through the module name.  Its sub-residual depends only on
+    the mask, since multiplicities are the top-level ones: the mask's
+    pairs in sorted order, each as often as in the top-level demands.  So
+    `_cache.residuals` builds it once per mask, from the first caller's
+    sorted residual, and the caller builds that tuple only when a step
+    meets a mask the cache lacks.
     `_stats` counts "calls" (invocations) and "memo_hits": every
     already-built (candidate, sub-budget) entry a round ranks over, that is
     the round's look-ups less the sub-calls it made.  Each memo key misses
@@ -386,27 +413,35 @@ def charikar_level(
                 (hop, (root, p, closure.distance(root_v, p[0], p[1])))
                 for hop, p in sorted((_hop(closure, root_v, p), p) for p in counts if p != root)
             ]
-        edges: list[tuple[Pair, Pair, Fraction]] = []
-        scaled = 0
         covered_count = counts.get(root, 0)
-        for hop, edge in star:
+        covered_bits = live & 1 << bits[root]  # the pairs the star covers
+        n = 0
+        for _, edge in star:
             if covered_count >= k:
                 break
-            edges.append(edge)
-            scaled += hop
             covered_count += counts[edge[1]]
-        return ClosureTree(
-            root=root,
-            nodes=frozenset((root, *(p for _, p, _ in edges))),
-            edges=tuple(edges),
-            covered=covered_pairs(root, edges, counts),
-            scaled_cost=scaled,
-            covered_entries=covered_count,
-        )
+            covered_bits |= 1 << bits[edge[1]]
+            n += 1
+        tree = _cache.prefixes.get((root, covered_bits))
+        if tree is None:
+            # the covered pairs fix the tree: its edges are their prefix of
+            # the (hop, pair) order, whatever else is live; every head is a
+            # live pair, so they and a live root are the whole cover
+            edges = tuple(edge for _, edge in star[:n])
+            heads = [p for _, p, _ in edges]
+            tree = _cache.prefixes[(root, covered_bits)] = ClosureTree(
+                root=root,
+                nodes=frozenset((root, *heads)),
+                edges=edges,
+                covered=tuple(sorted([*heads, root] if root in counts else heads)),
+                scaled_cost=sum(hop for hop, _ in star[:n]),
+                covered_entries=covered_count,
+            )
+        return tree
 
     level = i - 1
     tree_edges: list[tuple[Pair, Pair, Fraction]] = []
-    tree_nodes: set[Pair] = {root}
+    tree_children: set[Pair] = set()
     scaled = 0
     remaining = k
     if root in counts:
@@ -414,30 +449,29 @@ def charikar_level(
         # let candidate subtrees claim that credit again
         remaining -= counts.pop(root)
         live &= ~(1 << bits[root])
-    rounds = _cache.rounds
+    rounds, residuals = _cache.rounds, _cache.residuals
     while remaining > 0:
         table = rounds.get((i, root, live))
         if table is None:
             table = rounds[(i, root, live)] = [(None, 0)]
         calls = 0
         if remaining >= len(table):
-            # grow the table one sub-budget at a time; the candidates are
-            # derived again rather than kept, to hold the tables small
-            residual = tuple(p for p in sorted(counts) for _ in range(counts[p]))
+            # grow the table one sub-budget at a time, each step one scan of
+            # the successors; a growth seldom takes more than one step
+            successors = closure.successors(root)
             repeats = [(1 << bits[p], c - 1) for p, c in counts.items() if c > 1]
-            candidates = []
-            for pair, hop, reach, bit in closure.successors(root):
-                sub_mask = live & reach
-                if sub_mask:
+            residual = None
+            best, lookups = table[-1]  # (scaled cost, newly covered, |nodes|, pair, subtree)
+            for sub_k in range(len(table), remaining + 1):
+                for pair, hop, reach, bit in successors:
+                    sub_mask = live & reach
+                    if not sub_mask:
+                        continue
                     # residual entries the sub-call at pair can reach
                     cap = sub_mask.bit_count()
                     for b, extra in repeats:
                         if sub_mask & b:
                             cap += extra
-                    candidates.append((pair, hop, bit, sub_mask, cap))
-            best, lookups = table[-1]  # (scaled cost, newly covered, |nodes|, pair, subtree)
-            for sub_k in range(len(table), remaining + 1):
-                for pair, hop, bit, sub_mask, cap in candidates:
                     if cap < sub_k:
                         continue
                     lookups += 1
@@ -445,8 +479,14 @@ def charikar_level(
                     sub = _cache.get(key)
                     if sub is None:
                         # exactly what the sub-call can reach, so its count
-                        # check holds
-                        sub_residual = tuple(q for q in residual if sub_mask >> bits[q] & 1)
+                        # check holds; the whole pairs of the mask, so one
+                        # tuple serves every caller that meets the mask
+                        sub_residual = residuals.get(sub_mask)
+                        if sub_residual is None:
+                            if residual is None:
+                                residual = tuple(p for p in sorted(counts) for _ in range(counts[p]))
+                            sub_residual = residuals[sub_mask] = tuple(
+                                q for q in residual if sub_mask >> bits[q] & 1)
                         sub = _cache[key] = charikar_level(
                             level, closure, pair, sub_k, sub_residual, _cache, _stats)
                         calls += 1
@@ -469,7 +509,7 @@ def charikar_level(
             # every residual pair is a candidate whose subtree covers it
             raise InternalError(f"no greedy pick from {root} covers a residual pair")
         cost, newly, _, pair, sub = best
-        skipped = _merge(tree_edges, tree_nodes,
+        skipped = _merge(tree_edges, tree_children,
                          (*sub.edges, (root, pair, closure.distance(root_v, pair[0], pair[1]))), root)
         scaled += cost - sum(_hop(closure, parent[0], child) for parent, child, _ in skipped)
         remaining -= newly
@@ -480,7 +520,10 @@ def charikar_level(
     hit = set(covered)
     return ClosureTree(
         root=root,
-        nodes=frozenset(tree_nodes),
+        # a pick's parents are the root or children in the pick, and the
+        # merge leaves each child in the pick root or in tree_children, so
+        # these are all the nodes
+        nodes=frozenset((root, *tree_children)),
         edges=tuple(tree_edges),
         covered=covered,
         scaled_cost=scaled,

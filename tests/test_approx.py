@@ -721,6 +721,78 @@ class TestCarriedNumbers:
                        for _, edge in star)
 
 
+def shared_state_cases():
+    """(closure, demand pairs, root) of the 212-call instance and of
+    `table_reuse_corpus`."""
+    inst = call_count_instance()
+    yield metric_closure(inst), [(d.b, d.t) for d in inst.demands], (inst.demands[0].a, 0)
+    yield from table_reuse_corpus()
+
+
+class TestSharedLevel1TreesAndResiduals:
+    # level-1 memo entries share one tree per (sub-root, covered pairs) and
+    # every sub-call of a mask gets one cached sub-residual; neither may
+    # change what any call returns
+    def test_shared_trees_and_residuals_match_fresh_calls(self):
+        checked = 0
+        for closure, pairs, root in shared_state_cases():
+            pair_of = {bit: pair for pair, bit in closure.bits.items()}
+            ordered = sorted(pairs)
+            for level in (2, 3):
+                memo = _Memo()
+                try:
+                    charikar_level(level, closure, root, len(pairs), pairs, memo)
+                except NoSolutionError:
+                    continue
+                for mask, residual in memo.residuals.items():
+                    assert residual == tuple(q for q in ordered if mask >> closure.bits[q] & 1)
+                assert set(memo.residuals) == {key[3] for key in memo}
+                for (sub_level, bit, sub_k, mask), tree in memo.items():
+                    if sub_level != 1:
+                        continue
+                    sub_residual = tuple(q for q in ordered if mask >> closure.bits[q] & 1)
+                    fresh = charikar_level(1, closure, pair_of[bit], sub_k, sub_residual, _Memo())
+                    assert fresh == tree
+                    assert (fresh.scaled_cost, fresh.covered_entries) == (
+                        tree.scaled_cost, tree.covered_entries)
+                    checked += 1
+        assert checked > 1000
+
+    def test_an_earlier_instance_leaves_no_trace(self):
+        # the same vertex names in every draw, so state kept across
+        # top-level calls would collide
+        rng = random.Random(31)
+        insts = [call_count_instance()] + [
+            rand_monotonic_single_source(rng, max_vertices=9, max_edges=24, max_times=4,
+                                         max_demands=6)
+            for _ in range(8)]
+
+        def run(inst):
+            stats = {}
+            sol = charikar(inst, 3, stats)
+            return sol.edges, sol.cost, stats
+
+        forward = [run(inst) for inst in insts]
+        backward = [run(inst) for inst in reversed(insts)][::-1]
+        assert forward == backward
+        assert len(set(map(repr, forward))) == len(insts)
+
+    def test_shared_state_is_pinned(self):
+        # the 212-call instance: its 126 level-1 memo entries hold 82
+        # distinct trees, and 8 sub-residual tuples serve its 211 sub-calls;
+        # keyed on (sub-root, live pairs, prefix length) the trees would be
+        # 126, one per entry
+        inst = call_count_instance()
+        closure = metric_closure(inst)
+        pairs = [(d.b, d.t) for d in inst.demands]
+        memo = _Memo()
+        charikar_level(3, closure, (inst.demands[0].a, 0), len(pairs), pairs, memo)
+        level1 = [tree for key, tree in memo.items() if key[0] == 1]
+        assert (len(memo), len(level1)) == (211, 126)
+        assert (len(memo.prefixes), len(memo.residuals)) == (82, 8)
+        assert len({id(tree) for tree in level1}) == len(memo.prefixes)
+
+
 def rand_monotonic_node_and_edge(rng):
     """Feasible monotonic single-source `node_and_edge` instance: each
     vertex and each arc is active at each time with probability 0.7, and a

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import tsn
-from helpers import hub_instance, rand_feasible_instance
+from helpers import hub_instance, rand_feasible_instance, rand_monotonic_single_source
 from tsn.approx import MAX_LEVEL
 from tsn.cli import OUT_OF_MEMORY, main
 from tsn.core import (
@@ -883,6 +883,35 @@ class TestDeterminism:
         for path in (a, b):
             run(capsys, "solve", "-i", example1_file, "--method", "bb", "-o", path)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("method", [["charikar", "--level", "3"], ["union"]],
+                             ids=["charikar-3", "union"])
+    def test_approx_writes_the_same_bytes_under_any_hash_seed(self, tmp_path, method):
+        # the greedy keeps its memo, pick tables, star orders, shared trees
+        # and sub-residuals in dicts and sets; two processes with different
+        # string hash seeds must write the same solution and report
+        inst = rand_monotonic_single_source(
+            random.Random(7), max_vertices=9, max_edges=24, max_times=4, max_demands=6
+        )
+        write_instance(tmp_path / "inst.json", inst)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tsn.__file__)))
+        written, reports = [], []
+        for seed in ("0", "1"):
+            out = tmp_path / f"approx{seed}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "tsn.cli", "approx", "-i", str(tmp_path / "inst.json"),
+                 "--method", *method, "-o", str(out)],
+                env=dict(env, PYTHONHASHSEED=seed), capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(proc.stdout)
+            del report["argv"], report["wall_time_s"]
+            written.append(out.read_bytes())
+            reports.append(report)
+        assert written[0] == written[1]
+        assert reports[0] == reports[1]
+        if method[0] == "charikar":
+            assert reports[0]["stats"] == {"calls": 212, "memo_hits": 2072}
 
 
 class TestBench:
