@@ -70,8 +70,12 @@ _ZERO = Fraction(0)
 MAX_LEVEL = 100
 
 
-class NoSolutionError(Exception):
-    """Fewer reachable residual demands than the requested budget."""
+class NoSolutionError(InfeasibleInstanceError):
+    """Fewer reachable residual demands than the requested budget.  No single
+    demand is at fault, so `demand` is None."""
+
+    def __init__(self, message: str):
+        super().__init__(None, message)
 
 
 # ---------------------------------------------------------------------------

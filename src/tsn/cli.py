@@ -15,6 +15,13 @@ about a quarter of `build_ilp`'s time on lc-yes 32/32/5/5.  The pause is safe be
 no command leaves a `tsn` object in a reference cycle: `tests/test_cli.py`
 runs every command under `gc.DEBUG_SAVEALL` and checks that, and that the
 caller's setting comes back on success and on every error exit.
+
+A call builds only the subparser its first argument names, and imports only
+the modules that command runs; this module imports `core` alone.  That
+parser is given the full list of commands as its metavar, so its help,
+usage lines and errors read byte for byte as the full parser's, which any
+other first argument (none, `-h`, an unknown word) gets.  `tests/test_cli.py`
+compares the two on every command.
 """
 
 from __future__ import annotations
@@ -29,8 +36,6 @@ import time
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from . import approx as approx_mod
-from . import exact, hardness, monotonic, variants
 from .core import (
     InfeasibleInstanceError,
     InputError,
@@ -61,6 +66,9 @@ EXIT_INTERNAL = 3
 OUT_OF_MEMORY = "the command ran out of memory; the input is too large for this machine"
 
 DEFAULT_LEVEL = 2  # greedy level of charikar when none is given
+
+# the subcommands, in the full parser's order
+COMMANDS = ("validate", "reduce", "solve", "approx", "gen", "verify", "bench")
 
 
 def _digest(instance: TemporalInstance) -> dict:
@@ -118,11 +126,16 @@ def cmd_reduce(args) -> int:
     started = time.perf_counter()
     # priority-st and dst read the input's own frames: no step to map
     steps = []
-    if args.to == "priority-st":
-        data = monotonic.priority_to_dict(monotonic.tsn_to_priority(instance))
-    elif args.to == "dst":
-        data = monotonic.dst_to_dict(monotonic.single_source_to_dst(instance))
+    if args.to in ("priority-st", "dst"):
+        from . import monotonic
+
+        if args.to == "priority-st":
+            data = monotonic.priority_to_dict(monotonic.tsn_to_priority(instance))
+        else:
+            data = monotonic.dst_to_dict(monotonic.single_source_to_dst(instance))
     else:
+        from . import variants
+
         image, steps = variants.normalize(instance, args.to)
         data = instance_to_dict(image)
     outputs = {args.output: data}
@@ -142,13 +155,17 @@ def cmd_reduce(args) -> int:
 def _solve(method: str, instance: TemporalInstance, level: Optional[int], stats: dict):
     """Run the solver that `method` names, the greedy at `level`, and put
     its counters in `stats`: the one place a method name picks a solver."""
-    if method == "brute":
-        return exact.brute_force(instance, stats=stats)
-    if method == "bb":
+    if method in ("brute", "bb"):
+        from . import exact
+
+        if method == "brute":
+            return exact.brute_force(instance, stats=stats)
         return exact.solve_bb(instance, stats)
+    from . import approx
+
     if method == "union":
-        return approx_mod.shortest_paths_union(instance)
-    return approx_mod.charikar(instance, level, stats)
+        return approx.shortest_paths_union(instance)
+    return approx.charikar(instance, level, stats)
 
 
 def _solution_report(args, **extra) -> int:
@@ -186,6 +203,8 @@ def cmd_solve(args) -> int:
         raise InputError("--lp PATH is required for ilp-export")
     if args.output:
         raise InputError("ilp-export writes no solution: -o is for bb and brute")
+    from . import exact, variants
+
     instance = _load_instance(args.input)
     started = time.perf_counter()
     model = exact.build_ilp(variants.normalize(instance, "simple")[0])
@@ -215,6 +234,8 @@ def cmd_approx(args) -> int:
 
 def _generate(args, seed: int):
     """Returns (instance, trace, constraint_graph_dict)."""
+    from . import hardness
+
     if args.kind == "example1":
         h = hardness.example1_label_cover()
     elif args.kind == "lc-yes":
@@ -230,6 +251,8 @@ def _generate(args, seed: int):
 
 
 def cmd_gen(args) -> int:
+    from . import hardness
+
     started = time.perf_counter()
     instance, trace, source = _generate(args, args.seed)
     if args.undirected:
@@ -283,9 +306,11 @@ def cmd_bench(args) -> int:
         name, colon, level = method.partition(":")
         if name != "charikar":
             raise InputError(f"unknown method {method!r}")
+        from . import approx
+
         levels[method] = _to_int(level, f"level of {method!r}") if colon else DEFAULT_LEVEL
-        if not 1 <= levels[method] <= approx_mod.MAX_LEVEL:
-            raise InputError(f"level of {method!r} must be from 1 to {approx_mod.MAX_LEVEL}")
+        if not 1 <= levels[method] <= approx.MAX_LEVEL:
+            raise InputError(f"level of {method!r} must be from 1 to {approx.MAX_LEVEL}")
     seeds = [_to_int(s, "--seeds entry") for s in args.seeds.split(",") if s]
     rows = []
     # with no method there is no row, so no instance is built
@@ -338,58 +363,72 @@ def _add_generator_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edges", type=int, default=1, help="hyperedge count (phlc)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The `tsn` parser with every subcommand, or with `command` alone."""
     parser = argparse.ArgumentParser(prog="tsn", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the full parser lists its choices itself; a one-command parser is given
+    # the same list, so its usage lines and errors read the same.  The full
+    # parser keeps no metavar: one would replace "command" in its errors
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("validate", help="check instance invariants")
-    p.add_argument("-i", "--input", required=True)
-    p.set_defaults(func=cmd_validate)
+    if command in (None, "validate"):
+        p = sub.add_parser("validate", help="check instance invariants")
+        p.add_argument("-i", "--input", required=True)
+        p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("reduce", help="apply a strict reduction")
-    p.add_argument("--to", required=True,
-                   choices=["edge", "node", "node_and_edge", "simple", "priority-st", "dst"])
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--map", help="write the reduction map here")
-    p.set_defaults(func=cmd_reduce)
+    if command in (None, "reduce"):
+        p = sub.add_parser("reduce", help="apply a strict reduction")
+        p.add_argument("--to", required=True,
+                       choices=["edge", "node", "node_and_edge", "simple", "priority-st", "dst"])
+        p.add_argument("-i", "--input", required=True)
+        p.add_argument("-o", "--output", required=True)
+        p.add_argument("--map", help="write the reduction map here")
+        p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("solve", help="exact solving / ILP export")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("--method", required=True, choices=["bb", "brute", "ilp-export"])
-    p.add_argument("--lp", help="LP text output path (ilp-export)")
-    p.add_argument("-o", "--output", help="solution JSON path")
-    p.set_defaults(func=cmd_solve)
+    if command in (None, "solve"):
+        p = sub.add_parser("solve", help="exact solving / ILP export")
+        p.add_argument("-i", "--input", required=True)
+        p.add_argument("--method", required=True, choices=["bb", "brute", "ilp-export"])
+        p.add_argument("--lp", help="LP text output path (ilp-export)")
+        p.add_argument("-o", "--output", help="solution JSON path")
+        p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("approx", help="approximation algorithms")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("--method", required=True, choices=["union", "charikar"])
-    p.add_argument("--level", type=int,
-                   help=f"greedy level, 1 to {approx_mod.MAX_LEVEL} (charikar only; "
-                        f"default {DEFAULT_LEVEL})")
-    p.add_argument("-o", "--output", help="solution JSON path")
-    p.set_defaults(func=cmd_approx)
+    if command in (None, "approx"):
+        from . import approx
 
-    p = sub.add_parser("gen", help="generate benchmark instances")
-    _add_generator_args(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--undirected", action="store_true")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--trace", help="write the gadget trace here")
-    p.add_argument("--source", help="write the constraint-graph JSON here")
-    p.set_defaults(func=cmd_gen)
+        p = sub.add_parser("approx", help="approximation algorithms")
+        p.add_argument("-i", "--input", required=True)
+        p.add_argument("--method", required=True, choices=["union", "charikar"])
+        p.add_argument("--level", type=int,
+                       help=f"greedy level, 1 to {approx.MAX_LEVEL} (charikar only; "
+                            f"default {DEFAULT_LEVEL})")
+        p.add_argument("-o", "--output", help="solution JSON path")
+        p.set_defaults(func=cmd_approx)
 
-    p = sub.add_parser("verify", help="recheck a solution file")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("-s", "--solution", required=True)
-    p.set_defaults(func=cmd_verify)
+    if command in (None, "gen"):
+        p = sub.add_parser("gen", help="generate benchmark instances")
+        _add_generator_args(p)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--undirected", action="store_true")
+        p.add_argument("-o", "--output", required=True)
+        p.add_argument("--trace", help="write the gadget trace here")
+        p.add_argument("--source", help="write the constraint-graph JSON here")
+        p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bench", help="run generated instances through methods")
-    _add_generator_args(p)
-    p.add_argument("--methods", default="", help="comma list: brute,bb,union,charikar[:i]")
-    p.add_argument("--seeds", default="0")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_bench)
+    if command in (None, "verify"):
+        p = sub.add_parser("verify", help="recheck a solution file")
+        p.add_argument("-i", "--input", required=True)
+        p.add_argument("-s", "--solution", required=True)
+        p.set_defaults(func=cmd_verify)
+
+    if command in (None, "bench"):
+        p = sub.add_parser("bench", help="run generated instances through methods")
+        _add_generator_args(p)
+        p.add_argument("--methods", default="", help="comma list: brute,bb,union,charikar[:i]")
+        p.add_argument("--seeds", default="0")
+        p.add_argument("-o", "--output")
+        p.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -406,15 +445,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _run(argv: Optional[Sequence[str]]) -> int:
-    parser = build_parser()
+    argv = list(argv) if argv is not None else sys.argv[1:]
+    # a command parses with its own subparser alone; anything else (no
+    # argument, -h, an unknown word) gets the full parser's help or error
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    args.argv = list(argv) if argv is not None else sys.argv[1:]
+    args.argv = argv
     try:
         return args.func(args)
-    except (InfeasibleInstanceError, approx_mod.NoSolutionError) as exc:
+    except InfeasibleInstanceError as exc:
         print(json.dumps({"command": args.command, "error": "infeasible", "detail": str(exc)}))
         return EXIT_INFEASIBLE
     except InputError as exc:

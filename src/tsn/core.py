@@ -49,9 +49,11 @@ class InternalError(Exception):
 
 
 class InfeasibleInstanceError(Exception):
-    """A demand cannot be satisfied even by the full underlying graph."""
+    """A demand cannot be satisfied even by the full underlying graph (maps
+    to CLI exit code 1).  `demand` is that demand, or None where no single
+    demand is at fault (`approx.NoSolutionError`)."""
 
-    def __init__(self, demand: "Demand", message: str | None = None):
+    def __init__(self, demand: "Demand | None", message: str | None = None):
         self.demand = demand
         super().__init__(message or f"demand {demand} is unsatisfiable")
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import io
@@ -673,6 +674,25 @@ class TestApprox:
         code, out = run(capsys, "approx", "-i", cyclic_file, "--method", "charikar")
         assert code == 0
         assert json.loads(out)["level"] == 2
+
+    def test_no_solution_error_exits_one(self, capsys, example1_file, monkeypatch):
+        # the greedy's budget error is an infeasibility, caught with the rest
+        from tsn import approx
+        from tsn.core import InfeasibleInstanceError
+
+        def fail(*_):
+            raise approx.NoSolutionError("only 1 residual demands reachable from s, need 2")
+
+        assert issubclass(approx.NoSolutionError, InfeasibleInstanceError)
+        monkeypatch.setattr(approx, "charikar", fail)
+        code = main(["approx", "-i", str(example1_file), "--method", "charikar"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert captured.out == json.dumps({
+            "command": "approx", "error": "infeasible",
+            "detail": "only 1 residual demands reachable from s, need 2",
+        }) + "\n"
 
     @pytest.mark.parametrize("method", ["charikar", "union"])
     def test_no_demands_needs_no_edges(self, tmp_path, capsys, method):
@@ -1499,3 +1519,85 @@ class TestCollectorPause:
         assert gc.isenabled()
         assert main(["validate", "-i", str(example1_file)]) == 0
         assert seen == [False] and gc.isenabled()
+
+
+# per subcommand: an argv that parses, the flag of a `choices` option and
+# the flag of an int option (None where the command has none)
+PARSER_CASES = {
+    "validate": (["-i", "in.json"], None, None),
+    "reduce": (["--to", "edge", "-i", "in.json", "-o", "out.json"], "--to", None),
+    "solve": (["-i", "in.json", "--method", "bb"], "--method", None),
+    "approx": (["-i", "in.json", "--method", "union"], "--method", "--level"),
+    "gen": (["--kind", "example1", "-o", "out.json"], "--kind", "--seed"),
+    "verify": (["-i", "in.json", "-s", "sol.json"], None, None),
+    "bench": (["--kind", "example1"], "--kind", "--u"),
+}
+
+
+def _argvs(command):
+    valid, choice, number = PARSER_CASES[command]
+    argvs = [[command, "-h"], [command], [command, *valid], [command, *valid, "--nope"],
+             [command, *valid, "extra"]]
+    if choice:
+        argvs.append([command, *valid, choice, "zzz"])
+    if number:
+        argvs.append([command, *valid, number, "x"])
+    return argvs
+
+
+def _parse(parser, argv, capsys):
+    """What `parser` makes of `argv`: the parsed arguments or the exit code,
+    then stdout and stderr."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestParser:
+    # `_run` builds only the subparser that argv[0] names; its help, usage
+    # lines and errors must be the full parser's, byte for byte
+    @pytest.mark.parametrize("argv", [argv for command in PARSER_CASES for argv in _argvs(command)],
+                             ids=" ".join)
+    def test_one_command_parser_reads_as_the_full_parser(self, capsys, argv):
+        from tsn.cli import build_parser
+
+        assert _parse(build_parser(argv[0]), argv, capsys) == _parse(build_parser(), argv, capsys)
+
+    @pytest.mark.parametrize("argv, command", [
+        (["validate", "-i", "in.json"], "validate"), ([], None), (["-h"], None),
+        (["bogus"], None), (["-h", "reduce"], None),
+    ], ids=["validate", "none", "-h", "bogus", "-h reduce"])
+    def test_run_builds_the_full_parser_unless_argv_names_a_command(self, capsys, monkeypatch,
+                                                                   argv, command):
+        from tsn import cli
+
+        build_parser, built = cli.build_parser, []
+
+        def recording(command=None):
+            built.append(command)
+            return build_parser(command)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        monkeypatch.setattr(cli, "cmd_validate", lambda args: 0)
+        code = main(argv)
+        run_out = capsys.readouterr()
+        full = _parse(build_parser(), argv, capsys)
+        assert built == [command]
+        assert (run_out.out, run_out.err) == full[1:]
+        assert code == (0 if isinstance(full[0], dict) or full[0] == 0 else 2)
+
+    def test_commands_are_the_full_parsers_subcommands(self):
+        from tsn.cli import COMMANDS, build_parser
+
+        def subcommands(parser):
+            (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return tuple(action.choices)
+
+        assert isinstance(COMMANDS, tuple)
+        assert COMMANDS == subcommands(build_parser())
+        assert set(PARSER_CASES) == set(COMMANDS)
+        for command in COMMANDS:
+            assert subcommands(build_parser(command)) == (command,)
