@@ -66,6 +66,9 @@ EXIT_INTERNAL = 3
 OUT_OF_MEMORY = "the command ran out of memory; the input is too large for this machine"
 
 DEFAULT_LEVEL = 2  # greedy level of charikar when none is given
+# approx.MAX_LEVEL, held here so that help needs no `approx` import; a test
+# in tests/test_cli.py keeps the two equal
+MAX_LEVEL = 100
 
 # the subcommands, in the full parser's order
 COMMANDS = ("validate", "reduce", "solve", "approx", "gen", "verify", "bench")
@@ -306,11 +309,9 @@ def cmd_bench(args) -> int:
         name, colon, level = method.partition(":")
         if name != "charikar":
             raise InputError(f"unknown method {method!r}")
-        from . import approx
-
         levels[method] = _to_int(level, f"level of {method!r}") if colon else DEFAULT_LEVEL
-        if not 1 <= levels[method] <= approx.MAX_LEVEL:
-            raise InputError(f"level of {method!r} must be from 1 to {approx.MAX_LEVEL}")
+        if not 1 <= levels[method] <= MAX_LEVEL:
+            raise InputError(f"level of {method!r} must be from 1 to {MAX_LEVEL}")
     seeds = [_to_int(s, "--seeds entry") for s in args.seeds.split(",") if s]
     rows = []
     # with no method there is no row, so no instance is built
@@ -365,7 +366,10 @@ def _add_generator_args(p: argparse.ArgumentParser) -> None:
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The `tsn` parser with every subcommand, or with `command` alone."""
-    parser = argparse.ArgumentParser(prog="tsn", description=__doc__)
+    # the docstring's first two paragraphs, the commands, determinism and
+    # exit codes, are for users; the rest is for maintainers
+    description = "\n\n".join(__doc__.split("\n\n")[:2])
+    parser = argparse.ArgumentParser(prog="tsn", description=description)
     # the full parser lists its choices itself; a one-command parser is given
     # the same list, so its usage lines and errors read the same.  The full
     # parser keeps no metavar: one would replace "command" in its errors
@@ -395,13 +399,11 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_solve)
 
     if command in (None, "approx"):
-        from . import approx
-
         p = sub.add_parser("approx", help="approximation algorithms")
         p.add_argument("-i", "--input", required=True)
         p.add_argument("--method", required=True, choices=["union", "charikar"])
         p.add_argument("--level", type=int,
-                       help=f"greedy level, 1 to {approx.MAX_LEVEL} (charikar only; "
+                       help=f"greedy level, 1 to {MAX_LEVEL} (charikar only; "
                             f"default {DEFAULT_LEVEL})")
         p.add_argument("-o", "--output", help="solution JSON path")
         p.set_defaults(func=cmd_approx)

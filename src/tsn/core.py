@@ -58,15 +58,28 @@ class InfeasibleInstanceError(Exception):
         super().__init__(message or f"demand {demand} is unsatisfiable")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Edge:
     """One underlying edge.  `times` is the stored activity set; for the
-    node variant it is ignored (activity is derived from the endpoints)."""
+    node variant it is ignored (activity is derived from the endpoints).
+
+    Edges may share their weight and time-set objects, as the edges of a
+    file that `instance_from_dict` reads do.  The constructor fills the
+    fields with one `__dict__.update`: the one a frozen dataclass generates
+    makes an `object.__setattr__` call per field and takes about 1.6 times
+    as long, and the reader, the gadget compiler and the reductions build
+    edges by the thousand.  (Four `__dict__` item stores build faster
+    still, but on CPython 3.11 and 3.12 they leave every later attribute
+    read about three times as slow.)  Equality, hashing, `repr`,
+    `dataclasses.replace` and immutability are the dataclass's own."""
 
     u: Vertex
     v: Vertex
     w: Fraction
     times: frozenset[int] = frozenset()
+
+    def __init__(self, u: Vertex, v: Vertex, w: Fraction, times: frozenset[int] = frozenset()):
+        self.__dict__.update(u=u, v=v, w=w, times=times)
 
 
 @dataclass(frozen=True)
@@ -157,7 +170,13 @@ def solution_from_edges(instance: TemporalInstance, edge_ids: Iterable[int]) -> 
 
 
 def validate(instance: TemporalInstance) -> list[str]:
-    """Return a list of invariant violations (empty iff well formed)."""
+    """Return a list of invariant violations (empty iff well formed).
+
+    Edges may share weight and time-set objects (see `instance_from_dict`),
+    so the sign of a weight and the times of a set outside [1..T] are found
+    once per object, keyed by `id()`, and told on every edge that holds it.
+    An identity key is sound only for objects the instance holds for the
+    whole call: a freed temporary's id can be taken by the next one."""
     out: list[str] = []
     if instance.variant not in VARIANTS:
         out.append(f"unknown variant {instance.variant!r}")
@@ -170,25 +189,33 @@ def validate(instance: TemporalInstance) -> list[str]:
     trange = range(1, instance.num_times + 1)
 
     seen_pairs: dict[tuple, int] = {}
+    negative: dict[int, bool] = {}  # id(weight) -> below 0
+    outside: dict[int, list[int]] = {}  # id(times) -> its times outside trange
+    # a node-variant edge's activity comes from its endpoints: its stored
+    # times are ignored
+    check_times = instance.variant != "node"
     for i, e in enumerate(instance.edges):
         if e.u not in vset:
             out.append(f"edge {i}: endpoint {e.u!r} not a vertex")
         if e.v not in vset:
             out.append(f"edge {i}: endpoint {e.v!r} not a vertex")
-        if e.w < 0:
+        below = negative.get(id(e.w))
+        if below is None:
+            below = negative[id(e.w)] = e.w < 0
+        if below:
             out.append(f"edge {i}: negative weight {e.w}")
-        # a node-variant edge's activity comes from its endpoints: its
-        # stored times are ignored
-        if instance.variant != "node":
+        if check_times:
             if not e.times:
                 out.append(f"edge {i}: empty active-time set")
-            for t in e.times:
-                if t not in trange:
-                    out.append(f"edge {i}: active time {t} outside [1..{instance.num_times}]")
+            late = outside.get(id(e.times))
+            if late is None:
+                late = outside[id(e.times)] = [t for t in e.times if t not in trange]
+            for t in late:
+                out.append(f"edge {i}: active time {t} outside [1..{instance.num_times}]")
         key = (e.u, e.v) if instance.directed else (frozenset((e.u, e.v)),)
-        if key in seen_pairs and not instance.allow_parallel:
-            out.append(f"edge {i}: parallel to edge {seen_pairs[key]} (not flagged)")
-        seen_pairs.setdefault(key, i)
+        first = seen_pairs.setdefault(key, i)
+        if first != i and not instance.allow_parallel:
+            out.append(f"edge {i}: parallel to edge {first} (not flagged)")
 
     if instance.variant == "edge":
         if instance.node_activity is not None:
@@ -570,6 +597,14 @@ def solution_cost(instance: TemporalInstance, solution: Solution | Iterable[int]
 # "times", meaning {t..T}.  Reading a file expands these sets, at most
 # MAX_FIRST_TIME_ENTRIES time entries summed over all such edges; a file
 # that would expand to more is an input error.
+# A gadget's thousand edges carry a handful of distinct weights and time
+# lists, so the reader, `validate` and the writer do their work once per
+# distinct value: equal weights, time sets and names read from one file
+# are one object.  The reader's memo keys carry the JSON type, since 1,
+# 1.0 and true are one dict key and only the first is a valid weight or
+# time.  `validate` and the writer key their memos by `id()`, which is
+# sound only for objects the instance holds while they run: a temporary's
+# id can be reused once it is freed.
 
 MAX_FIRST_TIME_ENTRIES = 1_000_000
 
@@ -609,11 +644,28 @@ def _weight_from_json(raw) -> Fraction:
 
 
 def instance_to_dict(instance: TemporalInstance) -> dict:
+    """The instance as a file's dict.  Each weight object is formatted, and
+    each time set sorted, once, keyed by `id()` (sound because the instance
+    holds them all), so records that share an object share its JSON value:
+    the returned lists may be shared and are read-only."""
+    weights: dict[int, object] = {}
+    times: dict[int, list[int]] = {}
+
+    def sorted_times(ts):
+        out = times.get(id(ts))
+        if out is None:
+            out = times[id(ts)] = sorted(ts)
+        return out
+
+    node = instance.variant == "node"
     edges = []
-    for i, e in enumerate(instance.edges):
-        rec: dict = {"u": e.u, "v": e.v, "w": weight_to_json(e.w)}
-        if instance.variant != "node":
-            rec["times"] = sorted(e.times)
+    for e in instance.edges:
+        w = weights.get(id(e.w))
+        if w is None:
+            w = weights[id(e.w)] = weight_to_json(e.w)
+        rec: dict = {"u": e.u, "v": e.v, "w": w}
+        if not node:
+            rec["times"] = sorted_times(e.times)
         edges.append(rec)
     out: dict = {
         "directed": instance.directed,
@@ -624,7 +676,10 @@ def instance_to_dict(instance: TemporalInstance) -> dict:
         "demands": [{"a": d.a, "b": d.b, "t": d.t} for d in instance.demands],
     }
     if instance.node_activity is not None:
-        out["node_activity"] = {v: sorted(ts) for v, ts in sorted(instance.node_activity.items())}
+        # the sorted item list holds every set while the ids are read
+        out["node_activity"] = {
+            v: sorted_times(ts) for v, ts in sorted(instance.node_activity.items())
+        }
     if instance.allow_parallel:
         out["allow_parallel"] = True
     return out
@@ -651,6 +706,16 @@ def _require_object(data, what: str) -> None:
 
 
 def instance_from_dict(data: dict) -> TemporalInstance:
+    """Read an instance file's dict.  Each distinct weight and time list is
+    parsed once, and the edges (and `node_activity`) that repeat it share
+    the one `Fraction` or `frozenset`; endpoints share the vertex list's
+    `str` objects.  The memo keys are typed so that a value the file spells
+    differently never stands for a checked one: a weight is keyed on its
+    JSON type and value, as 1, 1.0 and true are one dict key, and a time
+    list only when every entry is exactly an int.  Any other value goes to
+    the checking reader, which raises.  Each edge record is checked in the
+    order times (or `first_time`), u, v, w, so its first fault is the one
+    told."""
     _require_object(data, "instance")
     try:
         directed = _scalar_from_json(data["directed"], bool, "directed")
@@ -659,6 +724,29 @@ def instance_from_dict(data: dict) -> TemporalInstance:
         if not isinstance(data["vertices"], list):
             raise InputError(f"bad vertex list {data['vertices']!r}")
         vertices = tuple(_scalar_from_json(v, str, "vertex name") for v in data["vertices"])
+        names = {v: v for v in vertices}
+        weights: dict[tuple, Fraction] = {}
+        # keyed by a time list's tuple of ints, or by a first_time's int
+        time_sets: dict = {}
+
+        def name(raw, what):
+            if type(raw) is not str:
+                _scalar_from_json(raw, str, what)
+            return names.get(raw, raw)
+
+        def times_of(raw):
+            if type(raw) is list:
+                key = tuple(raw)
+                for t in key:
+                    if type(t) is not int:
+                        break
+                else:
+                    times = time_sets.get(key)
+                    if times is None:
+                        times = time_sets[key] = frozenset(key)
+                    return times
+            return _times_from_json(raw)
+
         edges = []
         expanded = 0
         for rec in data["edges"]:
@@ -666,19 +754,33 @@ def instance_from_dict(data: dict) -> TemporalInstance:
                 first = _scalar_from_json(rec["first_time"], int, "first_time")
                 expanded += max(0, T - first + 1)
                 check_budget(expanded, "first_time edges expand to {} time entries", expanded)
-                times = frozenset(range(first, T + 1))
+                times = time_sets.get(first)
+                if times is None:
+                    times = time_sets[first] = frozenset(range(first, T + 1))
             else:
-                times = _times_from_json(rec.get("times", []))
-            edges.append(Edge(
-                _scalar_from_json(rec["u"], str, "edge endpoint"),
-                _scalar_from_json(rec["v"], str, "edge endpoint"),
-                _weight_from_json(rec["w"]),
-                times,
-            ))
+                times = times_of(rec.get("times", []))
+            # endpoints are checked inline: this loop runs once per edge
+            u = rec["u"]
+            if type(u) is not str:
+                _scalar_from_json(u, str, "edge endpoint")
+            u = names.get(u, u)
+            v = rec["v"]
+            if type(v) is not str:
+                _scalar_from_json(v, str, "edge endpoint")
+            v = names.get(v, v)
+            raw = rec["w"]
+            kind = type(raw)
+            if kind is int or kind is float or kind is str:
+                w = weights.get((kind, raw))
+                if w is None:
+                    w = weights[kind, raw] = _weight_from_json(raw)
+            else:
+                w = _weight_from_json(raw)
+            edges.append(Edge(u, v, w, times))
         demands = tuple(
             Demand(
-                _scalar_from_json(d["a"], str, "demand endpoint"),
-                _scalar_from_json(d["b"], str, "demand endpoint"),
+                name(d["a"], "demand endpoint"),
+                name(d["b"], "demand endpoint"),
                 _scalar_from_json(d["t"], int, "demand time"),
             )
             for d in data["demands"]
@@ -686,8 +788,7 @@ def instance_from_dict(data: dict) -> TemporalInstance:
         act = None
         if "node_activity" in data:
             act = {
-                _scalar_from_json(v, str, "vertex name"): _times_from_json(ts)
-                for v, ts in data["node_activity"].items()
+                name(v, "vertex name"): times_of(ts) for v, ts in data["node_activity"].items()
             }
         allow_parallel = data.get("allow_parallel", False)
         _scalar_from_json(allow_parallel, bool, "allow_parallel")

@@ -37,6 +37,67 @@ def run(capsys, *argv):
     return code, out
 
 
+# a malformed field: (id, patch, twin, detail).  `twin` is None or, per
+# key, a well-formed record of equal Python value (1 == 1.0 == True) that
+# the reader meets first in the same list or object, since a reader that
+# shares one parsed value per distinct raw value must not let the twin's
+# value stand for the malformed one.  `detail`, when given, is the error.
+GOOD_EDGE = {"edges": {"u": "b", "v": "a", "w": 1, "times": [1, 2]}}
+GOOD_ACTIVITY = {"node_activity": {"a": [1, 2]}}
+MALFORMED = [
+    ("node_activity_list", {"node_activity": [1]}, None, None),
+    ("edges_object", {"edges": {"x": 1}}, None, None),
+    ("times_string", {"edges": [{"u": "a", "v": "b", "w": 1, "times": "12"}]}, None, None),
+    ("vertices_string", {"vertices": "ab"}, None, None),
+    ("T_float", {"T": 2.5}, None, None),
+    ("T_bool", {"T": True}, None, None),
+    ("demand_time_float", {"demands": [{"a": "a", "b": "b", "t": 1.9}]}, None, None),
+    ("demand_time_string", {"demands": [{"a": "a", "b": "b", "t": "1"}]}, None, None),
+    ("edge_time_float", {"edges": [{"u": "a", "v": "b", "w": 1, "times": [1.0, 2]}]},
+     GOOD_EDGE, "time must be a JSON int, got 1.0"),
+    ("edge_time_bool", {"edges": [{"u": "a", "v": "b", "w": 1, "times": [True, 2]}]},
+     GOOD_EDGE, "time must be a JSON int, got True"),
+    ("first_time_float", {"edges": [{"u": "a", "v": "b", "w": 1, "first_time": 1.5}]},
+     None, None),
+    ("directed_string", {"directed": "false"}, None, None),
+    ("allow_parallel_string", {"allow_parallel": "false"}, None, None),
+    ("weight_exponent", {"edges": [{"u": "a", "v": "b", "w": "1e999999", "times": [1, 2]}]},
+     None, None),
+    ("vertex_int", {"vertices": ["a", "b", 1]}, None, None),
+    ("vertex_null", {"vertices": ["a", "b", None]}, None, None),
+    ("vertices_object", {"vertices": {"a": 1, "b": 2}}, None, None),
+    ("edge_endpoint_int", {"edges": [{"u": "a", "v": 1, "w": 1, "times": [1, 2]}]}, None, None),
+    ("edge_endpoint_null", {"edges": [{"u": None, "v": "b", "w": 1, "times": [1, 2]}]},
+     None, None),
+    ("demand_endpoint_null", {"demands": [{"a": "a", "b": None, "t": 1}]}, None, None),
+    ("demand_endpoint_list", {"demands": [{"a": ["a"], "b": "b", "t": 1}]}, None, None),
+    ("weight_bool", {"edges": [{"u": "a", "v": "b", "w": True, "times": [1, 2]}]},
+     GOOD_EDGE, "bad weight True"),
+    ("weight_word", {"edges": [{"u": "a", "v": "b", "w": "abc", "times": [1, 2]}]}, None, None),
+    ("weight_zero_denominator", {"edges": [{"u": "a", "v": "b", "w": "1/0", "times": [1, 2]}]},
+     None, None),
+    ("weight_nan", {"edges": [{"u": "a", "v": "b", "w": float("nan"), "times": [1, 2]}]},
+     None, None),
+    ("weight_list", {"edges": [{"u": "a", "v": "b", "w": [1], "times": [1, 2]}]},
+     GOOD_EDGE, "bad weight [1]"),
+    ("weight_object", {"edges": [{"u": "a", "v": "b", "w": {"n": 1}, "times": [1, 2]}]},
+     GOOD_EDGE, "bad weight {'n': 1}"),
+    # the time list is read before the endpoints, so its error is the one told
+    ("times_and_endpoint", {"edges": [{"u": 1, "v": "b", "w": 1, "times": [1.0, 2]}]},
+     GOOD_EDGE, "time must be a JSON int, got 1.0"),
+    ("activity_time_bool", {"variant": "node", "node_activity": {"b": [True, 2]}},
+     GOOD_ACTIVITY, "time must be a JSON int, got True"),
+    ("activity_time_float", {"variant": "node", "node_activity": {"b": [1.0, 2]}},
+     GOOD_ACTIVITY, "time must be a JSON int, got 1.0"),
+]
+# each case alone, and those with a twin once more after it
+MALFORMED_CASES = [
+    pytest.param(patch, twin if suffix else None, detail, id=f"{name}{suffix}")
+    for name, patch, twin, detail in MALFORMED
+    for suffix in ("", "-after_twin") if twin is not None or not suffix
+]
+
+
 def huge_horizon(t):
     """Edge instance over T = 10^12 with one edge a->b active at time t
     only and one demand a->b at time t."""
@@ -126,49 +187,17 @@ class TestValidate:
         assert code == 2
         assert json.loads(out)["violations"]
 
-    @pytest.mark.parametrize(
-        "patch",
-        [
-            {"node_activity": [1]},
-            {"edges": {"x": 1}},
-            {"edges": [{"u": "a", "v": "b", "w": 1, "times": "12"}]},
-            {"vertices": "ab"},
-            {"T": 2.5},
-            {"T": True},
-            {"demands": [{"a": "a", "b": "b", "t": 1.9}]},
-            {"demands": [{"a": "a", "b": "b", "t": "1"}]},
-            {"edges": [{"u": "a", "v": "b", "w": 1, "times": [1.0, 2]}]},
-            {"edges": [{"u": "a", "v": "b", "w": 1, "first_time": 1.5}]},
-            {"directed": "false"},
-            {"allow_parallel": "false"},
-            {"edges": [{"u": "a", "v": "b", "w": "1e999999", "times": [1, 2]}]},
-            {"vertices": ["a", "b", 1]},
-            {"vertices": ["a", "b", None]},
-            {"vertices": {"a": 1, "b": 2}},
-            {"edges": [{"u": "a", "v": 1, "w": 1, "times": [1, 2]}]},
-            {"edges": [{"u": None, "v": "b", "w": 1, "times": [1, 2]}]},
-            {"demands": [{"a": "a", "b": None, "t": 1}]},
-            {"demands": [{"a": ["a"], "b": "b", "t": 1}]},
-            {"edges": [{"u": "a", "v": "b", "w": True, "times": [1, 2]}]},
-            {"edges": [{"u": "a", "v": "b", "w": "abc", "times": [1, 2]}]},
-            {"edges": [{"u": "a", "v": "b", "w": "1/0", "times": [1, 2]}]},
-            {"edges": [{"u": "a", "v": "b", "w": float("nan"), "times": [1, 2]}]},
-        ],
-        ids=["node_activity_list", "edges_object", "times_string", "vertices_string",
-             "T_float", "T_bool", "demand_time_float", "demand_time_string",
-             "edge_time_float", "first_time_float", "directed_string",
-             "allow_parallel_string", "weight_exponent", "vertex_int", "vertex_null",
-             "vertices_object", "edge_endpoint_int", "edge_endpoint_null",
-             "demand_endpoint_null", "demand_endpoint_list", "weight_bool", "weight_word",
-             "weight_zero_denominator", "weight_nan"],
-    )
-    def test_malformed_shape_is_an_input_error(self, tmp_path, capsys, patch):
+    @pytest.mark.parametrize("patch, twin, detail", MALFORMED_CASES)
+    def test_malformed_shape_is_an_input_error(self, tmp_path, capsys, patch, twin, detail):
         data = {
             "directed": True, "variant": "edge", "T": 2, "vertices": ["a", "b"],
             "edges": [{"u": "a", "v": "b", "w": 1, "times": [1, 2]}],
             "demands": [{"a": "a", "b": "b", "t": 1}],
         }
         data.update(patch)
+        for key, good in (twin or {}).items():
+            # the well-formed twin is read first, in the same list or object
+            data[key] = [good, *data[key]] if isinstance(data[key], list) else {**good, **data[key]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         code, out = run(capsys, "validate", "-i", path)
@@ -176,6 +205,8 @@ class TestValidate:
         lines = out.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "input"
+        if detail is not None:
+            assert json.loads(lines[0])["detail"] == f"malformed instance: {detail}"
 
     @pytest.mark.parametrize(
         "raw", [b"[" * 100_000, b'{"T": "\xff"}'], ids=["nested_too_deep", "not_utf8"]
@@ -1601,3 +1632,15 @@ class TestParser:
         assert set(PARSER_CASES) == set(COMMANDS)
         for command in COMMANDS:
             assert subcommands(build_parser(command)) == (command,)
+
+    def test_level_cap_is_the_greedys(self):
+        from tsn import cli
+
+        assert cli.MAX_LEVEL == MAX_LEVEL
+
+    def test_help_describes_the_commands_and_exit_codes_only(self, capsys):
+        assert main(["-h"]) == 0
+        out = capsys.readouterr().out
+        assert "Exit codes: 0 success, 1 infeasible" in out
+        # the maintainer notes stay in the docstring
+        assert "garbage collector" not in out and "tests/test_cli.py" not in out

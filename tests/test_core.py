@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -105,6 +107,37 @@ class TestValidate:
             "demand-time"])
     def test_each_rule_names_its_violation(self, change, message):
         assert validate(replace(single_edge_instance(), **change)) == [message]
+
+    def test_shared_weight_and_times_are_reported_on_every_edge(self):
+        # the reader gives equal weights and time lists one object, so
+        # edges 0, 2 and 3 share the -1 and edges 1, 2 and 4 the {3}
+        data = {
+            "directed": True, "variant": "edge", "T": 2, "vertices": ["a", "b", "c"],
+            "edges": [
+                {"u": "a", "v": "b", "w": -1, "times": [1]},
+                {"u": "b", "v": "c", "w": 1, "times": [3]},
+                {"u": "a", "v": "c", "w": -1, "times": [3]},
+                {"u": "c", "v": "a", "w": -1, "times": [1]},
+                {"u": "b", "v": "a", "w": 2, "times": [3]},
+                {"u": "c", "v": "b", "w": 2, "times": [1]},
+            ],
+            "demands": [],
+        }
+        inst = instance_from_dict(data)
+        assert validate(inst) == [
+            "edge 0: negative weight -1",
+            "edge 1: active time 3 outside [1..2]",
+            "edge 2: negative weight -1",
+            "edge 2: active time 3 outside [1..2]",
+            "edge 3: negative weight -1",
+            "edge 4: active time 3 outside [1..2]",
+        ]
+        # the same objects built by hand give the same list
+        w, ts = inst.edges[0].w, inst.edges[1].times
+        same = replace(inst, edges=tuple(
+            replace(e, w=w if e.w < 0 else e.w, times=ts if 3 in e.times else e.times)
+            for e in inst.edges))
+        assert validate(same) == validate(inst)
 
 
 class TestFrame:
@@ -467,3 +500,127 @@ class TestJson:
         }
         inst = instance_from_dict(data)
         assert inst.edges[0].times == frozenset({2, 3})
+
+
+# weights as a file may spell them: integers, integral and decimal floats,
+# "p/q" and decimal strings, negatives; then values the reader refuses,
+# several equal in Python to a valid one (True == 1 == 1.0)
+GOOD_WEIGHTS = [0, 1, 2, 3, 0.5, 0.1, 2.0, 0.0, "1/3", "3/7", "2/4", "0.25", "7"]
+NEGATIVE_WEIGHTS = [-1, -0.5, "-1/2"]
+BAD_WEIGHTS = [True, False, "abc", "1e5", "1/0", [1], {"n": 1}, None, float("nan"), 1.5e300]
+BAD_TIMES = [[True, 1], [1.0], [1, "2"], "12", None, {"1": 1}, [[1]]]
+BAD_NAMES = [1, None, True, ["n0"]]
+BAD_RECORDS = ["x", 1, None, {"v": "n0", "w": 1, "times": [1]}]
+
+
+def interchange_corpus(seed: int = 33, count: int = 700) -> list:
+    """Seeded instance files, each round-tripped through JSON text, over all
+    three variants, directed and undirected, with `first_time` edges,
+    fractional and decimal weights and time lists that repeat within a
+    file.  About one field in eighty is malformed, so most files read, and
+    some that read break `validate`'s rules (negative weights, times
+    outside [1..T], unknown names, parallel edges)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        variant = rng.choice(VARIANTS)
+        T = rng.randint(1, 4)
+        names = [f"n{i}" for i in range(rng.randint(1, 5))]
+        # a few time lists shared by the whole file, as gadgets have
+        pool = [sorted(rng.sample(range(1, T + 1), rng.randint(1, T))) for _ in range(3)]
+        pool.append(pool[0][::-1])
+        if rng.random() < 0.1:
+            pool.append([T + 1])
+        if rng.random() < 0.05:
+            pool.append([])
+        weights = rng.sample(GOOD_WEIGHTS, 3)
+        if rng.random() < 0.1:
+            weights.append(rng.choice(NEGATIVE_WEIGHTS))
+
+        def bad(share=0.012):
+            return rng.random() < share
+
+        def name():
+            if bad(0.01):
+                return rng.choice(BAD_NAMES)
+            return rng.choice(names) if not bad(0.01) else "zz"
+
+        def times():
+            return rng.choice(BAD_TIMES) if bad() else list(rng.choice(pool))
+
+        directed = rng.random() < 0.5
+        edges, pairs = [], set()
+        for _ in range(rng.randint(0, 8)):
+            if bad(0.01):
+                edges.append(rng.choice(BAD_RECORDS))
+                continue
+            u, v = rng.sample(names * 2, 2)
+            pair = (u, v) if directed else frozenset((u, v))
+            if pair in pairs and not bad(0.1):
+                continue
+            pairs.add(pair)
+            rec = {"u": name() if bad(0.05) else u, "v": v,
+                   "w": rng.choice(BAD_WEIGHTS) if bad() else rng.choice(weights)}
+            if rng.random() < 0.2:
+                rec["first_time"] = (rng.choice([1.5, True, "1"]) if bad()
+                                     else rng.randint(0, T + 1) if bad(0.1)
+                                     else rng.randint(1, T))
+            elif variant != "node" or rng.random() < 0.3:
+                rec["times"] = times()
+            edges.append(rec)
+        data = {
+            "directed": directed if not bad(0.01) else "true",
+            "variant": variant if not bad(0.01) else "simple",
+            "T": T if not bad(0.01) else float(T),
+            "vertices": list(names),
+            "edges": edges,
+            "demands": [
+                {"a": name(), "b": name(),
+                 "t": True if bad() else rng.randint(1, T + 1) if bad(0.1) else rng.randint(1, T)}
+                for _ in range(rng.randint(0, 3))
+            ],
+        }
+        if variant != "edge" or bad(0.05):
+            data["node_activity"] = {
+                ("zz" if bad(0.05) else v): times() for v in names if rng.random() < 0.9
+            }
+        if rng.random() < 0.05:
+            data["allow_parallel"] = rng.choice([True, False, 0])
+        if bad(0.01):
+            del data[rng.choice(sorted(data))]
+        out.append(json.loads(json.dumps(data)))
+    return out
+
+
+def interchange_digest(corpus) -> str:
+    """sha256 over each file's reader error, or else its `instance_to_dict`
+    JSON, `validate` list and `is_monotonic`."""
+    h = hashlib.sha256()
+    for data in corpus:
+        try:
+            inst = instance_from_dict(data)
+        except InputError as exc:
+            h.update(f"error {exc}\n".encode())
+            continue
+        h.update(json.dumps(instance_to_dict(inst)).encode())
+        h.update(f"\n{validate(inst)} {is_monotonic(inst)}\n".encode())
+    return h.hexdigest()
+
+
+class TestInterchangeParity:
+    def test_corpus_mixes_valid_and_malformed_files(self):
+        results = []
+        for data in interchange_corpus():
+            try:
+                results.append(validate(instance_from_dict(data)) == [])
+            except InputError:
+                results.append(None)
+        assert results.count(True) > len(results) // 3
+        assert results.count(False) > 50
+        assert results.count(None) > 50
+
+    def test_reader_checker_and_writer_are_pinned(self):
+        # digest taken before the reader, `validate` and `instance_to_dict`
+        # shared one object per distinct weight, time set and name
+        assert interchange_digest(interchange_corpus()) == (
+            "825bc448fc6784299fc6f210fd9ffb9586b03efd2a8d75e9fb1e5d218968e83e")
