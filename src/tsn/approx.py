@@ -19,13 +19,14 @@ searches on the scaled ints: densities are compared by cross-multiplication,
 and `Fraction` appears only in the returned `ClosureTree` edges and cost,
 one cached `Fraction` per closure distance.  It relies on the instance being
 monotonic (frames nest, so closure reachability is transitive): each
-sub-call receives only the residual pairs reachable from its sub-root at or
+sub-call sees only the residual pairs reachable from its sub-root at or
 after its time.  The closure numbers the (vertex, time) pairs as bits and
 keeps, per sub-root, its sorted successor pairs with their hops and reach
-masks, built on first use; the memo is keyed on the ints (level, sub-root
-bit, sub-budget, live pairs & reach mask).  The mask is exact because,
-within one top-level call, a demand pair sits in every residual either with
-its full multiplicity or not at all.  For the same reason a round's pick
+masks, built on first use.  A residual is one int, the mask of its pairs,
+and the memo is keyed on the ints (level, sub-root bit, sub-budget, live
+pairs & reach mask).  The mask is exact because, within one top-level
+call, a demand pair sits in every residual either with its full
+multiplicity or not at all.  For the same reason a round's pick
 depends only on (level, root, live pairs) and on how many entries remain,
 so one pick table per such context serves every round and sibling sub-call
 that meets it again: a round reads its pick from the table and scans only
@@ -33,12 +34,9 @@ sub-budgets the table has not reached.  Likewise a level-1 star's order
 depends only on (sub-root, live pairs), so one sorted list per such context
 serves the star of every sub-budget as a prefix, and the pairs a prefix
 covers fix its tree, so one tree per (sub-root, covered pairs) serves every
-level-1 memo entry that covers them.  A sub-residual depends only on its
-live pairs mask, so one tuple per mask serves every sub-call that receives
-it, and a table growth derives its candidates inside its one scan of the
-successor list per sub-budget.  Each tree carries its scaled cost and the
-residual entries it covers, so no memoised subtree is walked again to rank
-it.
+level-1 memo entry that covers them.  Each tree carries its scaled cost
+and the residual entries it covers, so no memoised subtree is walked again
+to rank it.
 """
 
 from __future__ import annotations
@@ -241,14 +239,6 @@ class ClosureTree:
         return sum((c for _, _, c in self.edges), Fraction(0))
 
 
-def covered_pairs(root: Pair, edges: Iterable[tuple[Pair, Pair, Fraction]], residual: Iterable[Pair]) -> tuple[Pair, ...]:
-    pairs = set(residual)
-    hit = {child for _, child, _ in edges if child in pairs}
-    if root in pairs:
-        hit.add(root)
-    return tuple(sorted(hit))
-
-
 def _merge(base_edges: list, children: set, extra: Iterable, root: Pair) -> list:
     """Union the edges of a greedy pick into the running tree, keeping one
     in-edge per node (first round wins) and none into the root, so the
@@ -280,34 +270,45 @@ def _hop(closure: MetricClosure, u: str, pair: Pair) -> Optional[int]:
     return None if row is None or i is None else row[i]
 
 
+def _pairs(closure: MetricClosure, mask: int) -> list[Pair]:
+    """The pairs of a bit mask, in bit order: `MetricClosure.bits` inverted."""
+    width, vertices = closure.num_times + 1, closure.vertices
+    pairs = []
+    while mask:
+        low = mask & -mask
+        n, t = divmod(low.bit_length() - 1, width)
+        pairs.append((vertices[n], t))
+        mask ^= low
+    return pairs
+
+
 class _Memo(dict):
     """The memo of one top-level `charikar_level` call: one entry per
     sub-call, keyed (level, sub-root bit, sub-budget, live pairs & reach
     mask), holding the subtree, which carries its scaled cost and the
-    residual entries it covers.  `rounds` keeps the pick tables beside it,
-    keyed (level, root, live pairs): entry r of a table is (the pick of a
-    round with r entries still to cover, the memo look-ups that round ranks
-    over).  `stars` keeps the level-1 star orders, keyed (root, live pairs):
-    the (scaled hop, closure edge) list of every live pair the root reaches
-    other than itself, sorted by (hop, pair).  `prefixes` keeps the level-1
-    trees, keyed (root, mask of the pairs the tree covers): the covered
-    pairs other than the root are a prefix of the root's (hop, pair) order
-    over whichever pairs are live, so they fix the edges, the cost and the
-    cover, and every level-1 memo entry that covers the same pairs from
-    the same root holds one shared tree.  `residuals` keeps the
-    sub-residual of each live pairs mask a sub-call receives: the mask's
-    pairs, each with its full multiplicity, in sorted order, which is the
-    sorted residual of any caller filtered by the mask.  None of them adds
-    a memo entry."""
+    residual entries it covers.  `repeats` maps the mask bit of each demand
+    pair the top-level call lists more than once to its extra entries, so a
+    mask of live pairs counts the residual entries it stands for.  `rounds`
+    keeps the pick tables, keyed (level, root, live pairs): entry r of a
+    table is (the pick of a round with r entries still to cover, the memo
+    look-ups that round ranks over).  `stars` keeps the level-1 star orders,
+    keyed (root, live pairs): the (scaled hop, closure edge) list of every
+    live pair the root reaches other than itself, sorted by (hop, pair).
+    `prefixes` keeps the level-1 trees, keyed (root, mask of the pairs the
+    tree covers): the covered pairs other than the root are a prefix of the
+    root's (hop, pair) order over whichever pairs are live, so they fix the
+    edges, the cost and the cover, and every level-1 memo entry that covers
+    the same pairs from the same root holds one shared tree.  None of them
+    adds a memo entry."""
 
-    __slots__ = ("rounds", "stars", "prefixes", "residuals")
+    __slots__ = ("repeats", "rounds", "stars", "prefixes")
 
     def __init__(self):
         super().__init__()
+        self.repeats: dict[int, int] = {}
         self.rounds: dict[tuple[int, Pair, int], list] = {}
         self.stars: dict[tuple[Pair, int], list[tuple[int, tuple[Pair, Pair, Fraction]]]] = {}
         self.prefixes: dict[tuple[Pair, int], ClosureTree] = {}
-        self.residuals: dict[int, tuple[Pair, ...]] = {}
 
 
 def charikar_level(
@@ -318,34 +319,40 @@ def charikar_level(
     demands: Sequence[Pair],
     _cache: Optional[_Memo] = None,
     _stats: Optional[dict] = None,
+    _live: Optional[int] = None,
 ) -> ClosureTree:
     """Level-i recursive greedy over the closure.
 
-    demands is the residual multiset of (target, time) pairs; k is how many
-    entries must be covered.  Level 1 stars the k cheapest reachable pairs;
-    level i scans every intermediate (v, t') with t' at least the root time
-    and every sub-budget, recursing at level i-1, and repeatedly keeps the
+    demands is the multiset of (target, time) pairs; k is how many entries
+    must be covered.  Level 1 stars the k cheapest reachable pairs; level i
+    scans every intermediate (v, t') with t' at least the root time and
+    every sub-budget, recursing at level i-1, and repeatedly keeps the
     candidate of minimum density (ties: fewer nodes, then smallest (v, t')).
 
     Precondition: the closure comes from a monotonic instance, so frame t
     is contained in frame t' for t <= t' and closure reachability between
     pairs is transitive.  A level-(i-1) sub-call at pair p can then only
-    see the residual pairs at time >= p's time reachable from p; it gets
-    just those, and every call counts the demand pairs that
-    `closure.reach(root)` holds.  Each candidate comes from `closure.successors(root)` with
-    the bit mask of the pairs it reaches, and the memo `_cache` is keyed on
-    the ints (i-1, p's bit, sub-budget, live pairs & p's reach mask).  The
-    mask stands for the whole restricted residual because, inside one
-    top-level call tree, a demand pair is in a residual either with its
-    full top-level multiplicity or not at all: a round removes whole pairs
-    and a sub-residual keeps or drops whole pairs.  So `_cache` must serve
-    one top-level call only; each sub-call adds one entry.  Costs are
-    compared as scaled ints by cross-multiplication; each memo entry is a
-    tree that carries its scaled cost and the number of residual entries it
-    covers (`ClosureTree.scaled_cost` and `covered_entries`), so ranking it
-    walks nothing.  A level-i tree's scaled cost is the sum of its picks'
-    less the hops of the edges `_merge` leaves out.  A round compares
-    densities first and counts a candidate's nodes only on a density tie.
+    see the residual pairs at time >= p's time reachable from p.  A
+    residual is one int, the mask of its pairs: `demands` is the top-level
+    multiset, and the `_live` mask a sub-call receives restricts it.  The
+    top-level call checks its pairs once and notes in `_cache.repeats` the
+    extra entries of each pair listed more than once; every call reads its
+    star, its cover and its entries from the bits of `_live &
+    closure.reach(root)`, which `_pairs` turns back into pairs.  The mask
+    stands for the whole residual because, inside one top-level call tree,
+    a demand pair is in a residual either with its full top-level
+    multiplicity or not at all: a round removes whole pairs and a sub-call's
+    mask keeps or drops whole pairs.  Each candidate comes from
+    `closure.successors(root)` with the bit mask of the pairs it reaches,
+    and the memo `_cache` is keyed on the ints (i-1, p's bit, sub-budget,
+    live pairs & p's reach mask), so it must serve one top-level call
+    only; each sub-call adds one entry.  Costs are compared as scaled ints
+    by cross-multiplication; each memo entry is a tree that carries its
+    scaled cost and the number of residual entries it covers
+    (`ClosureTree.scaled_cost` and `covered_entries`), so ranking it walks
+    nothing.  A level-i tree's scaled cost is the sum of its picks' less the
+    hops of the edges `_merge` leaves out.  A round compares densities first
+    and counts a candidate's nodes only on a density tie.
 
     A level-1 call covers the k cheapest live pairs, which depend only on
     the root and on which pairs are live, not on k: so `_cache.stars` keeps
@@ -367,14 +374,9 @@ def charikar_level(
     scan, and the number of memo look-ups that scan makes.  A round reads
     `table[remaining]` and grows the table, one sub-budget at a time, only
     past its end; each step is one scan of `closure.successors(root)` that
-    derives each candidate's sub-residual mask and reachable entries
-    inline, so nothing is kept between steps.  A miss there makes one
-    sub-call through the module name.  Its sub-residual depends only on
-    the mask, since multiplicities are the top-level ones: the mask's
-    pairs in sorted order, each as often as in the top-level demands.  So
-    `_cache.residuals` builds it once per mask, from the first caller's
-    sorted residual, and the caller builds that tuple only when a step
-    meets a mask the cache lacks.
+    derives each candidate's mask and reachable entries inline, so nothing
+    is kept between steps.  A miss there makes one sub-call through the
+    module name, with `_cache` as its sixth positional argument.
     `_stats` counts "calls" (invocations) and "memo_hits": every
     already-built (candidate, sub-budget) entry a round ranks over, that is
     the round's look-ups less the sub-calls it made.  Each memo key misses
@@ -390,41 +392,46 @@ def charikar_level(
         _stats["calls"] = _stats.get("calls", 0) + 1
         _stats.setdefault("memo_hits", 0)
 
+    bits, repeats = closure.bits, _cache.repeats
+    if _live is None:
+        _live = 0  # the top-level call: its pairs are checked here once
+        for p in demands:
+            bit = bits.get(p)
+            if bit is None:
+                raise InputError(f"demand pair {p} is no (vertex, time) pair of the closure")
+            if _live >> bit & 1:
+                repeats[1 << bit] = repeats.get(1 << bit, 0) + 1
+            _live |= 1 << bit
     root_v = root[0]
-    bits = closure.bits
-    root_reach = closure.reach(root)
-    counts: dict[Pair, int] = {}
-    live = 0  # bit mask of the pairs in counts
-    for p in demands:
-        bit = bits.get(p)
-        if bit is None:
-            raise InputError(f"demand pair {p} is no (vertex, time) pair of the closure")
-        if root_reach >> bit & 1:
-            counts[p] = counts.get(p, 0) + 1
-            live |= 1 << bit
-    reachable_entries = sum(counts.values())
+    residual = _live & closure.reach(root)
+    reachable_entries = residual.bit_count() + sum(
+        extra for b, extra in repeats.items() if residual & b)
     if reachable_entries < k:
         raise NoSolutionError(
             f"only {reachable_entries} residual demands reachable from {root}, need {k}"
         )
+    own = residual & 1 << bits[root] if residual else 0  # the root's bit, when live
+    own_entries = 1 + repeats.get(own, 0) if own else 0
+    live = residual & ~own
 
     if i == 1:
-        star = _cache.stars.get((root, live))
+        star = _cache.stars.get((root, residual))
         if star is None:
             # the order depends on (root, live) alone: the calls for every
             # sub-budget take a prefix of it
-            star = _cache.stars[(root, live)] = [
+            star = _cache.stars[(root, residual)] = [
                 (hop, (root, p, closure.distance(root_v, p[0], p[1])))
-                for hop, p in sorted((_hop(closure, root_v, p), p) for p in counts if p != root)
+                for hop, p in sorted((_hop(closure, root_v, p), p) for p in _pairs(closure, live))
             ]
-        covered_count = counts.get(root, 0)
-        covered_bits = live & 1 << bits[root]  # the pairs the star covers
+        covered_count = own_entries
+        covered_bits = own  # the pairs the star covers
         n = 0
         for _, edge in star:
             if covered_count >= k:
                 break
-            covered_count += counts[edge[1]]
-            covered_bits |= 1 << bits[edge[1]]
+            b = 1 << bits[edge[1]]
+            covered_count += 1 + repeats.get(b, 0)
+            covered_bits |= b
             n += 1
         tree = _cache.prefixes.get((root, covered_bits))
         if tree is None:
@@ -437,7 +444,7 @@ def charikar_level(
                 root=root,
                 nodes=frozenset((root, *heads)),
                 edges=edges,
-                covered=tuple(sorted([*heads, root] if root in counts else heads)),
+                covered=tuple(sorted([*heads, root] if own else heads)),
                 scaled_cost=sum(hop for hop, _ in star[:n]),
                 covered_entries=covered_count,
             )
@@ -447,13 +454,10 @@ def charikar_level(
     tree_edges: list[tuple[Pair, Pair, Fraction]] = []
     tree_children: set[Pair] = set()
     scaled = 0
-    remaining = k
-    if root in counts:
-        # the root pair satisfies its own demand without any edge; do not
-        # let candidate subtrees claim that credit again
-        remaining -= counts.pop(root)
-        live &= ~(1 << bits[root])
-    rounds, residuals = _cache.rounds, _cache.residuals
+    # the root pair satisfies its own demand without any edge, so it is no
+    # longer live: candidate subtrees must not claim that credit again
+    remaining = k - own_entries
+    rounds = _cache.rounds
     while remaining > 0:
         table = rounds.get((i, root, live))
         if table is None:
@@ -463,8 +467,7 @@ def charikar_level(
             # grow the table one sub-budget at a time, each step one scan of
             # the successors; a growth seldom takes more than one step
             successors = closure.successors(root)
-            repeats = [(1 << bits[p], c - 1) for p, c in counts.items() if c > 1]
-            residual = None
+            extras = [(b, extra) for b, extra in repeats.items() if live & b]
             best, lookups = table[-1]  # (scaled cost, newly covered, |nodes|, pair, subtree)
             for sub_k in range(len(table), remaining + 1):
                 for pair, hop, reach, bit in successors:
@@ -473,7 +476,7 @@ def charikar_level(
                         continue
                     # residual entries the sub-call at pair can reach
                     cap = sub_mask.bit_count()
-                    for b, extra in repeats:
+                    for b, extra in extras:
                         if sub_mask & b:
                             cap += extra
                     if cap < sub_k:
@@ -482,17 +485,8 @@ def charikar_level(
                     key = (level, bit, sub_k, sub_mask)
                     sub = _cache.get(key)
                     if sub is None:
-                        # exactly what the sub-call can reach, so its count
-                        # check holds; the whole pairs of the mask, so one
-                        # tuple serves every caller that meets the mask
-                        sub_residual = residuals.get(sub_mask)
-                        if sub_residual is None:
-                            if residual is None:
-                                residual = tuple(p for p in sorted(counts) for _ in range(counts[p]))
-                            sub_residual = residuals[sub_mask] = tuple(
-                                q for q in residual if sub_mask >> bits[q] & 1)
                         sub = _cache[key] = charikar_level(
-                            level, closure, pair, sub_k, sub_residual, _cache, _stats)
+                            level, closure, pair, sub_k, demands, _cache, _stats, sub_mask)
                         calls += 1
                     cost = sub.scaled_cost + hop
                     newly = sub.covered_entries
@@ -518,10 +512,10 @@ def charikar_level(
         scaled += cost - sum(_hop(closure, parent[0], child) for parent, child, _ in skipped)
         remaining -= newly
         for p in sub.covered:
-            counts.pop(p, None)
             live &= ~(1 << bits[p])
-    covered = covered_pairs(root, tree_edges, demands)
-    hit = set(covered)
+    # the picks' covers, each taken from the live pairs, and a live root: by
+    # transitivity every tree child that is a residual pair is among them
+    cover = residual & ~live
     return ClosureTree(
         root=root,
         # a pick's parents are the root or children in the pick, and the
@@ -529,9 +523,9 @@ def charikar_level(
         # these are all the nodes
         nodes=frozenset((root, *tree_children)),
         edges=tuple(tree_edges),
-        covered=covered,
+        covered=tuple(sorted(_pairs(closure, cover))),
         scaled_cost=scaled,
-        covered_entries=sum(p in hit for p in demands),
+        covered_entries=cover.bit_count() + sum(extra for b, extra in repeats.items() if cover & b),
     )
 
 

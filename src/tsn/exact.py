@@ -412,29 +412,25 @@ class _LpNames:
         self._token: dict[str, str] = {}
         self._token_values: set[str] = set()
 
-    def token(self, raw: str) -> str:
-        hit = self._token.get(raw)
-        if hit is not None:
-            return hit
-        safe = self._ALLOWED.sub("_", raw) or "v"
-        candidate, n = safe, 2
-        while candidate in self._token_values:
-            candidate = f"{safe}__{n}"
+    @staticmethod
+    def _fresh(base: str, taken: set[str]) -> str:
+        """The first of base, base__2, base__3, ... not in taken, added to it."""
+        candidate, n = base, 2
+        while candidate in taken:
+            candidate = f"{base}__{n}"
             n += 1
-        self._token[raw] = candidate
-        self._token_values.add(candidate)
+        taken.add(candidate)
         return candidate
 
+    def token(self, raw: str) -> str:
+        hit = self._token.get(raw)
+        if hit is None:
+            safe = self._ALLOWED.sub("_", raw) or "v"
+            hit = self._token[raw] = self._fresh(safe, self._token_values)
+        return hit
+
     def claim(self, name: str) -> str:
-        if name not in self._issued:
-            self._issued.add(name)
-            return name
-        candidate, n = name, 2
-        while candidate in self._issued:
-            candidate = f"{name}__{n}"
-            n += 1
-        self._issued.add(candidate)
-        return candidate
+        return self._fresh(name, self._issued)
 
 
 def _simple_shape(instance: TemporalInstance) -> tuple[str, str]:

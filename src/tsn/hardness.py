@@ -29,6 +29,10 @@ from typing import Optional, Sequence
 
 from .core import MAX_FIRST_TIME_ENTRIES, Demand, Edge, InputError, TemporalInstance, check_budget
 
+# the two gadget weights, shared by every wire and every contact edge
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 # ---------------------------------------------------------------------------
 # Constraint-graph inputs (labels and colors are 0-based indices)
 
@@ -141,7 +145,7 @@ class _Builder:
         """Zero-weight edge existing in frame t."""
         self.vertex(u)
         self.vertex(v)
-        self.edges.append([u, v, Fraction(0), {t}])
+        self.edges.append([u, v, _ZERO, {t}])
         return len(self.edges) - 1
 
     def contact(self, c1: str, c2: str, t: int, info: ContactInfo) -> int:
@@ -154,19 +158,26 @@ class _Builder:
             idx = self._by_pair[key]
             self.edges[idx][3].add(t)
             return idx
-        self.edges.append([c1, c2, Fraction(1), {t}])
+        self.edges.append([c1, c2, _ONE, {t}])
         idx = len(self.edges) - 1
         self._by_pair[key] = idx
         self.contacts[idx] = info
         return idx
 
     def finish(self, num_times: int, demands: Sequence[Demand]) -> TemporalInstance:
+        # one frozenset per distinct time set, as `instance_from_dict` reads
+        # them back, so the writer's per-object memo hits
+        shared: dict[frozenset[int], frozenset[int]] = {}
+        edges = []
+        for u, v, w, ts in self.edges:
+            ts = frozenset(ts)
+            edges.append(Edge(u, v, w, shared.setdefault(ts, ts)))
         return TemporalInstance(
             directed=True,
             variant="edge",
             num_times=num_times,
             vertices=tuple(self.vertices),
-            edges=tuple(Edge(u, v, w, frozenset(ts)) for u, v, w, ts in self.edges),
+            edges=tuple(edges),
             demands=tuple(demands),
         )
 

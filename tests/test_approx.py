@@ -317,6 +317,31 @@ class TestCharikarLevel:
         assert all(cache is seen[0] for cache in seen)
         assert len(seen[0]) == stats["calls"] - 1
 
+    def test_every_sub_call_gets_the_top_level_demands_and_a_live_mask(self, monkeypatch):
+        # a sub-call's residual is the int mask `_live` over the top-level
+        # demands, which it receives unchanged, not a residual of its own
+        import tsn.approx
+
+        real = tsn.approx.charikar_level
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append((args[4], kwargs.get("_live", args[7] if len(args) > 7 else None)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tsn.approx, "charikar_level", recording)
+        inst = call_count_instance()
+        closure = metric_closure(inst)
+        pairs = [(d.b, d.t) for d in inst.demands]
+        everything = sum(1 << closure.bits[p] for p in set(pairs))
+        tsn.approx.charikar_level(3, closure, (inst.demands[0].a, 0), len(pairs), pairs)
+        (top, top_live), *subs = seen
+        assert top is pairs and top_live is None
+        assert len(subs) == 211
+        for demands, live in subs:
+            assert demands is pairs
+            assert type(live) is int and 0 < live and live & ~everything == 0
+
     def test_time_monotone_along_edges(self):
         rng = random.Random(35)
         for _ in range(25):
@@ -730,27 +755,27 @@ def shared_state_cases():
 
 
 class TestSharedLevel1TreesAndResiduals:
-    # level-1 memo entries share one tree per (sub-root, covered pairs) and
-    # every sub-call of a mask gets one cached sub-residual; neither may
-    # change what any call returns
+    # level-1 memo entries share one tree per (sub-root, covered pairs), and
+    # every sub-call reads its residual from a mask of the top-level pairs;
+    # neither may change what any call returns
     def test_shared_trees_and_residuals_match_fresh_calls(self):
         checked = 0
         for closure, pairs, root in shared_state_cases():
             pair_of = {bit: pair for pair, bit in closure.bits.items()}
-            ordered = sorted(pairs)
+            multiplicity = Counter(pairs)
             for level in (2, 3):
                 memo = _Memo()
                 try:
                     charikar_level(level, closure, root, len(pairs), pairs, memo)
                 except NoSolutionError:
                     continue
-                for mask, residual in memo.residuals.items():
-                    assert residual == tuple(q for q in ordered if mask >> closure.bits[q] & 1)
-                assert set(memo.residuals) == {key[3] for key in memo}
                 for (sub_level, bit, sub_k, mask), tree in memo.items():
                     if sub_level != 1:
                         continue
-                    sub_residual = tuple(q for q in ordered if mask >> closure.bits[q] & 1)
+                    # the mask's pairs, each with its top-level multiplicity
+                    live = [pair_of[b] for b in range(mask.bit_length()) if mask >> b & 1]
+                    assert set(live) <= set(multiplicity)
+                    sub_residual = [q for q in live for _ in range(multiplicity[q])]
                     fresh = charikar_level(1, closure, pair_of[bit], sub_k, sub_residual, _Memo())
                     assert fresh == tree
                     assert (fresh.scaled_cost, fresh.covered_entries) == (
@@ -779,9 +804,8 @@ class TestSharedLevel1TreesAndResiduals:
 
     def test_shared_state_is_pinned(self):
         # the 212-call instance: its 126 level-1 memo entries hold 82
-        # distinct trees, and 8 sub-residual tuples serve its 211 sub-calls;
-        # keyed on (sub-root, live pairs, prefix length) the trees would be
-        # 126, one per entry
+        # distinct trees; keyed on (sub-root, live pairs, prefix length) the
+        # trees would be 126, one per entry
         inst = call_count_instance()
         closure = metric_closure(inst)
         pairs = [(d.b, d.t) for d in inst.demands]
@@ -789,7 +813,7 @@ class TestSharedLevel1TreesAndResiduals:
         charikar_level(3, closure, (inst.demands[0].a, 0), len(pairs), pairs, memo)
         level1 = [tree for key, tree in memo.items() if key[0] == 1]
         assert (len(memo), len(level1)) == (211, 126)
-        assert (len(memo.prefixes), len(memo.residuals)) == (82, 8)
+        assert len(memo.prefixes) == 82
         assert len({id(tree) for tree in level1}) == len(memo.prefixes)
 
 

@@ -939,7 +939,7 @@ class TestDeterminism:
                              ids=["charikar-3", "union"])
     def test_approx_writes_the_same_bytes_under_any_hash_seed(self, tmp_path, method):
         # the greedy keeps its memo, pick tables, star orders, shared trees
-        # and sub-residuals in dicts and sets; two processes with different
+        # and repeated pairs in dicts and sets; two processes with different
         # string hash seeds must write the same solution and report
         inst = rand_monotonic_single_source(
             random.Random(7), max_vertices=9, max_edges=24, max_times=4, max_demands=6

@@ -183,6 +183,14 @@ class TestLcGadget:
         costs = set(walk(src, Fraction(0), {src}))
         assert costs == {Fraction(len(lc.edges))}
 
+    def test_compiled_gadget_shares_its_weights_and_time_sets(self):
+        # one object per distinct value, as the gadget's file reads back:
+        # the 1,085 edges of lc-yes 12/12/4/4 hold 2 weights and 3 time sets
+        inst, _ = phlc_to_kdtsn(gen_yes_lc(12, 12, 4, 4, seed=0))
+        assert len(inst.edges) == 1085
+        assert len({id(e.w) for e in inst.edges}) == len({e.w for e in inst.edges}) == 2
+        assert len({id(e.times) for e in inst.edges}) == len({e.times for e in inst.edges}) == 3
+
 
 class TestPhlcGadget:
     @pytest.mark.parametrize(
