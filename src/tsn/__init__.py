@@ -26,7 +26,7 @@ _SOURCE = {
         "variants": ("ReductionMap", "node_edge_to_node", "node_to_edge", "normalize", "to_simple"),
         "monotonic": (
             "DstInstance", "PriorityInstance", "normalize_to_time_layered_tree",
-            "priority_to_tsn", "single_source_to_dst", "tsn_to_priority",
+            "single_source_to_dst", "tsn_to_priority",
         ),
         "hardness": (
             "KphlcInstance", "gen_nosat_phlc", "gen_yes_lc", "gen_yes_phlc", "phlc_to_kdtsn",

@@ -47,6 +47,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    MAX_LEVEL,
     FrameIndex,
     InfeasibleInstanceError,
     InputError,
@@ -54,18 +55,13 @@ from .core import (
     Solution,
     TemporalInstance,
     check_budget,
+    single_source,
     solution_from_edges,
 )
-from .monotonic import single_source
 
 Pair = tuple[str, int]  # (vertex, time)
 
 _ZERO = Fraction(0)
-
-# Deepest greedy level `charikar` accepts.  A level-i call recurses i deep,
-# and a tracer that wraps each call doubles the frames per level, so the cap
-# stays far below Python's default recursion limit of 1000.
-MAX_LEVEL = 100
 
 
 class NoSolutionError(InfeasibleInstanceError):

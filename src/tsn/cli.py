@@ -37,6 +37,7 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from .core import (
+    MAX_LEVEL,
     InfeasibleInstanceError,
     InputError,
     InternalError,
@@ -66,9 +67,6 @@ EXIT_INTERNAL = 3
 OUT_OF_MEMORY = "the command ran out of memory; the input is too large for this machine"
 
 DEFAULT_LEVEL = 2  # greedy level of charikar when none is given
-# approx.MAX_LEVEL, held here so that help needs no `approx` import; a test
-# in tests/test_cli.py keeps the two equal
-MAX_LEVEL = 100
 
 # the subcommands, in the full parser's order
 COMMANDS = ("validate", "reduce", "solve", "approx", "gen", "verify", "bench")
@@ -127,8 +125,6 @@ def cmd_validate(args) -> int:
 def cmd_reduce(args) -> int:
     instance = _load_instance(args.input)
     started = time.perf_counter()
-    # priority-st and dst read the input's own frames: no step to map
-    steps = []
     if args.to in ("priority-st", "dst"):
         from . import monotonic
 
@@ -136,14 +132,17 @@ def cmd_reduce(args) -> int:
             data = monotonic.priority_to_dict(monotonic.tsn_to_priority(instance))
         else:
             data = monotonic.dst_to_dict(monotonic.single_source_to_dst(instance))
+        # both read the input's own frames: no step to map
+        steps = []
     else:
         from . import variants
 
-        image, steps = variants.normalize(instance, args.to)
+        image, maps = variants.normalize(instance, args.to)
         data = instance_to_dict(image)
+        steps = [variants.reduction_map_to_dict(m) for m in maps]
     outputs = {args.output: data}
     if args.map:
-        outputs[args.map] = {"steps": [variants.reduction_map_to_dict(m) for m in steps]}
+        outputs[args.map] = {"steps": steps}
     dump_jsons(outputs)
     _report(
         args,

@@ -19,6 +19,12 @@ and around one forbidden edge, with one walk along the path it picks
 (`path`), and Wong's dual ascent, the branch and bound's lower bound, which
 grows each demand's cut with one routine.  Every method that reads an edge
 set takes it as a 0/1 mask indexed by edge id, with no exception.
+
+This is the hub of the package: `exact`, `approx`, `variants`, `monotonic`
+and `hardness` each import from `core` alone, and only `cli` composes
+them.  So what two of them share lives here: `single_source`, the
+precondition of the greedy and of the level-graph reduction, and
+`MAX_LEVEL`, the greedy's level cap that `cli` prints and checks.
 """
 
 from __future__ import annotations
@@ -552,6 +558,19 @@ def is_monotonic(instance: TemporalInstance) -> bool:
     return True
 
 
+def single_source(instance: TemporalInstance, what: str) -> Optional[str]:
+    """The one source of a directed monotonic instance's demands, None when
+    it has no demands; an input error naming `what` otherwise."""
+    if not instance.directed:
+        raise InputError(f"{what} expects a directed instance")
+    if not is_monotonic(instance):
+        raise InputError(f"{what} expects a monotonic instance")
+    sources = {d.a for d in instance.demands}
+    if len(sources) > 1:
+        raise InputError("all demands must share a single source")
+    return next(iter(sources), None)
+
+
 def is_acyclic(instance: TemporalInstance) -> bool:
     """DAG check on the underlying directed graph (all frames united)."""
     if not instance.directed:
@@ -607,6 +626,11 @@ def solution_cost(instance: TemporalInstance, solution: Solution | Iterable[int]
 # id can be reused once it is freed.
 
 MAX_FIRST_TIME_ENTRIES = 1_000_000
+
+# Deepest greedy level `approx.charikar` accepts.  A level-i call recurses i
+# deep, and a tracer that wraps each call doubles the frames per level, so
+# the cap stays far below Python's default recursion limit of 1000.
+MAX_LEVEL = 100
 
 
 def check_budget(count: int, what: str, *args: object) -> None:

@@ -3,13 +3,17 @@
 Both reductions accept every variant and read each edge's frames through
 `effective_times`, so node activity needs no edge image.  Undirected
 monotonic instances are interchangeable with priority-constrained
-Steiner forests (priority = first active time).  Directed monotonic
-single-source instances reduce to a rooted Steiner tree problem over a level
-graph: one copy of the graph per sorted demand time, zero-weight edges
-advancing copies.  `normalize_to_time_layered_tree` is the solution
-normalisation underlying that reduction: prune a feasible solution until
-every edge is necessary, which provably leaves a directed tree whose
-earliest necessary times never decrease away from the root.
+Steiner forests (priority = first active time); `tsn_to_priority` is the
+one direction a program runs, and its converse, `priority_to_tsn`, lives
+in `tests/helpers.py`, where the tests hold the two against each other.
+Directed monotonic single-source instances reduce to a rooted Steiner tree
+problem over a level graph: one copy of the graph per sorted demand time,
+zero-weight edges advancing copies.  `normalize_to_time_layered_tree` is
+the solution normalisation underlying that reduction: prune a feasible
+solution until every edge is necessary, which provably leaves a directed
+tree whose earliest necessary times never decrease away from the root.
+Both read their precondition from `core.single_source`, as the greedy
+does; like every library module, this one imports from `core` alone.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    Demand,
-    Edge,
     FrameIndex,
     InputError,
     Solution,
@@ -28,23 +30,10 @@ from .core import (
     check_budget,
     effective_times,
     is_monotonic,
+    single_source,
     solution_from_edges,
     weight_to_json,
 )
-from .variants import ReductionMap, fresh_name
-
-
-def single_source(instance: TemporalInstance, what: str) -> Optional[str]:
-    """The one source of a directed monotonic instance's demands, None when
-    it has no demands; an input error naming `what` otherwise."""
-    if not instance.directed:
-        raise InputError(f"{what} expects a directed instance")
-    if not is_monotonic(instance):
-        raise InputError(f"{what} expects a monotonic instance")
-    sources = {d.a for d in instance.demands}
-    if len(sources) > 1:
-        raise InputError("all demands must share a single source")
-    return next(iter(sources), None)
 
 
 # ---------------------------------------------------------------------------
@@ -95,52 +84,6 @@ def tsn_to_priority(instance: TemporalInstance) -> PriorityInstance:
         max_priority=instance.num_times,
         demands=tuple(PriorityDemand(d.a, d.b, d.t) for d in instance.demands),
     )
-
-
-def priority_to_tsn(p: PriorityInstance) -> tuple[TemporalInstance, ReductionMap]:
-    """Priorities become times: an edge of priority q exists at {q..P}.
-
-    Parallel multiedges are split through a fresh midpoint into two edges of
-    half the original weight, so the image is a simple graph.
-    """
-    counts: dict[frozenset, int] = {}
-    for e in p.edges:
-        key = frozenset((e.u, e.v))
-        counts[key] = counts.get(key, 0) + 1
-    taken = set(p.vertices)
-    vertices = list(p.vertices)
-    added: list[str] = []
-    edges: list[Edge] = []
-    fwd: list[tuple[int, tuple[int, ...]]] = []
-    for i, e in enumerate(p.edges):
-        times = frozenset(range(e.priority, p.max_priority + 1))
-        if counts[frozenset((e.u, e.v))] > 1:
-            mid = fresh_name(f"m({e.u},{e.v})#{i}", taken)
-            vertices.append(mid)
-            added.append(mid)
-            half = e.w / 2
-            fwd.append((i, (len(edges), len(edges) + 1)))
-            edges.append(Edge(e.u, mid, half, times))
-            edges.append(Edge(mid, e.v, half, times))
-        else:
-            fwd.append((i, (len(edges),)))
-            edges.append(Edge(e.u, e.v, e.w, times))
-    image = TemporalInstance(
-        directed=False,
-        variant="edge",
-        num_times=p.max_priority,
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        demands=tuple(Demand(d.a, d.b, d.priority) for d in p.demands),
-        allow_parallel=False,
-    )
-    rmap = ReductionMap(
-        kind="priority_to_tsn",
-        forward_edge_map=tuple(fwd),
-        demand_map=tuple((j, j) for j in range(len(p.demands))),
-        added_vertices=tuple(added),
-    )
-    return image, rmap
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Shared test fixtures: every reference checker and solution lift that no
-program path reads (the constraint-graph checks sit in test_hardness.py,
-their one reader), literal reference oracles and random instance
-generators.  The reference brute force here deliberately stays a plain
-2^|E| loop so it can cross-check the packaged solver's faster strategy."""
+"""Shared test fixtures: every reference checker, solution lift and
+reduction that no program path reads (the constraint-graph checks sit in
+test_hardness.py, their one reader; `priority_to_tsn` is the converse of
+`tsn.monotonic.tsn_to_priority`), literal reference oracles and random
+instance generators.  The reference brute force here deliberately stays a
+plain 2^|E| loop so it can cross-check the packaged solver's faster
+strategy."""
 
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from tsn.core import (
     Demand,
+    Edge,
     InputError,
     InternalError,
     Solution,
@@ -26,7 +29,7 @@ from tsn.core import (
 )
 from tsn.exact import IlpModel
 from tsn.monotonic import DstInstance, PriorityInstance
-from tsn.variants import ReductionMap
+from tsn.variants import ReductionMap, fresh_name
 
 # ---------------------------------------------------------------------------
 # Reference checkers and lifts
@@ -73,6 +76,52 @@ def lift_chain(
     for rmap in reversed(steps):
         ids = _lift_ids(rmap, ids)
     return solution_from_edges(original, ids)
+
+
+def priority_to_tsn(p: PriorityInstance) -> tuple[TemporalInstance, ReductionMap]:
+    """Priorities become times: an edge of priority q exists at {q..P}.
+
+    Parallel multiedges are split through a fresh midpoint into two edges of
+    half the original weight, so the image is a simple graph.
+    """
+    counts: dict[frozenset, int] = {}
+    for e in p.edges:
+        key = frozenset((e.u, e.v))
+        counts[key] = counts.get(key, 0) + 1
+    taken = set(p.vertices)
+    vertices = list(p.vertices)
+    added: list[str] = []
+    edges: list[Edge] = []
+    fwd: list[tuple[int, tuple[int, ...]]] = []
+    for i, e in enumerate(p.edges):
+        times = frozenset(range(e.priority, p.max_priority + 1))
+        if counts[frozenset((e.u, e.v))] > 1:
+            mid = fresh_name(f"m({e.u},{e.v})#{i}", taken)
+            vertices.append(mid)
+            added.append(mid)
+            half = e.w / 2
+            fwd.append((i, (len(edges), len(edges) + 1)))
+            edges.append(Edge(e.u, mid, half, times))
+            edges.append(Edge(mid, e.v, half, times))
+        else:
+            fwd.append((i, (len(edges),)))
+            edges.append(Edge(e.u, e.v, e.w, times))
+    image = TemporalInstance(
+        directed=False,
+        variant="edge",
+        num_times=p.max_priority,
+        vertices=tuple(vertices),
+        edges=tuple(edges),
+        demands=tuple(Demand(d.a, d.b, d.priority) for d in p.demands),
+        allow_parallel=False,
+    )
+    rmap = ReductionMap(
+        kind="priority_to_tsn",
+        forward_edge_map=tuple(fwd),
+        demand_map=tuple((j, j) for j in range(len(p.demands))),
+        added_vertices=tuple(added),
+    )
+    return image, rmap
 
 
 def priority_solution_from_tsn(

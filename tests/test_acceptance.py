@@ -28,7 +28,6 @@ from tsn.hardness import (
 )
 from tsn.monotonic import (
     normalize_to_time_layered_tree,
-    priority_to_tsn,
     single_source_to_dst,
     tsn_to_priority,
 )
@@ -42,6 +41,7 @@ from helpers import (
     earliest_necessary_times,
     hub_instance,
     priority_brute,
+    priority_to_tsn,
     rand_instance,
     rand_monotonic_single_source,
     rand_priority_instance,

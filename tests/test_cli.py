@@ -15,9 +15,9 @@ import pytest
 
 import tsn
 from helpers import hub_instance, rand_feasible_instance, rand_monotonic_single_source
-from tsn.approx import MAX_LEVEL
 from tsn.cli import OUT_OF_MEMORY, main
 from tsn.core import (
+    MAX_LEVEL,
     InputError,
     dump_json,
     instance_from_dict,
@@ -1632,11 +1632,6 @@ class TestParser:
         assert set(PARSER_CASES) == set(COMMANDS)
         for command in COMMANDS:
             assert subcommands(build_parser(command)) == (command,)
-
-    def test_level_cap_is_the_greedys(self):
-        from tsn import cli
-
-        assert cli.MAX_LEVEL == MAX_LEVEL
 
     def test_help_describes_the_commands_and_exit_codes_only(self, capsys):
         assert main(["-h"]) == 0

@@ -19,7 +19,8 @@ LOADED = ("import json, sys\n{code}\n"
           "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tsn.'))))")
 
 # `sorted(tsn.__all__)` as it read when `__init__` imported every module,
-# the submodules' own names included
+# the submodules' own names included, less `priority_to_tsn`: no program
+# reads the converse priority reduction, so it lives in tests/helpers.py
 ALL = [
     "Demand", "DstInstance", "Edge", "InfeasibleInstanceError", "InputError", "InternalError",
     "KphlcInstance", "PriorityInstance", "ReductionMap", "Solution", "TemporalInstance",
@@ -27,12 +28,12 @@ ALL = [
     "exact", "expand_tree", "gen_nosat_phlc", "gen_yes_lc", "gen_yes_phlc", "hardness",
     "is_acyclic", "is_feasible", "is_monotonic", "make_instance", "metric_closure",
     "monotonic", "node_edge_to_node", "node_to_edge", "normalize",
-    "normalize_to_time_layered_tree", "parse_lp", "phlc_to_kdtsn", "priority_to_tsn",
-    "satisfies", "shortest_paths_union", "single_source_to_dst", "solution_cost",
+    "normalize_to_time_layered_tree", "parse_lp", "phlc_to_kdtsn", "satisfies",
+    "shortest_paths_union", "single_source_to_dst", "solution_cost",
     "solution_from_edges", "solve_bb", "to_simple", "tsn_to_priority", "validate", "variants",
 ]
 
-GREEDY = ["approx", "cli", "core", "monotonic", "variants"]  # approx imports monotonic
+GREEDY = ["approx", "cli", "core"]  # every library module imports `core` alone
 
 # each command's argv, and the `tsn` modules loaded once it has run
 FOOTPRINT = [
@@ -41,7 +42,7 @@ FOOTPRINT = [
     (["gen", "--kind", "example1", "-o", "out.json"], ["cli", "core", "hardness"]),
     (["reduce", "--to", "simple", "-i", "ex1.json", "-o", "out.json"], ["cli", "core", "variants"]),
     (["reduce", "--to", "dst", "-i", "mono.json", "-o", "out.json"],
-     ["cli", "core", "monotonic", "variants"]),
+     ["cli", "core", "monotonic"]),
     (["solve", "-i", "ex1.json", "--method", "bb"], ["cli", "core", "exact"]),
     (["solve", "-i", "ex1.json", "--method", "ilp-export", "--lp", "out.lp"],
      ["cli", "core", "exact", "variants"]),
@@ -50,9 +51,13 @@ FOOTPRINT = [
     (["bench", "--kind", "example1", "--methods", "bb"], ["cli", "core", "exact", "hardness"]),
     (["bench", "--kind", "example1", "--methods", "bb,charikar"],
      sorted(GREEDY + ["exact", "hardness"])),
-    # the full parser: the approx subparser's help names cli.MAX_LEVEL
+    # the full parser: the approx subparser's help names core.MAX_LEVEL
     (["-h"], ["cli", "core"]),
 ]
+
+
+# runs `tsn` with the script's arguments and asserts it exits 0
+RUN = "from tsn import cli\ncode = cli.main(sys.argv[1:])\nassert code == 0, code"
 
 
 def loaded(code, *argv, cwd=None):
@@ -71,6 +76,7 @@ def test_import_cli_loads_core_alone():
 
 def test_library_import_loads_its_modules_alone():
     assert loaded("from tsn import make_instance, brute_force") == (0, ["tsn.core", "tsn.exact"])
+    assert loaded("from tsn import charikar") == (0, ["tsn.approx", "tsn.core"])
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +96,16 @@ def inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("argv, modules", FOOTPRINT, ids=[" ".join(a) for a, _ in FOOTPRINT])
 def test_command_loads_only_its_modules(inputs, argv, modules):
-    code = "from tsn import cli\ncode = cli.main(sys.argv[1:])\nassert code == 0, code"
-    assert loaded(code, *argv, cwd=inputs) == (0, [f"tsn.{m}" for m in modules])
+    assert loaded(RUN, *argv, cwd=inputs) == (0, [f"tsn.{m}" for m in modules])
+
+
+def test_reduce_to_dst_writes_its_empty_map_without_variants(inputs):
+    # the level graph reads the input's own frames, so its map holds no
+    # step and needs no `variants` to write
+    argv = ["reduce", "--to", "dst", "-i", "mono.json", "-o", "out.json",
+            "--map", "dst-map.json"]
+    assert loaded(RUN, *argv, cwd=inputs) == (0, ["tsn.cli", "tsn.core", "tsn.monotonic"])
+    assert json.loads((inputs / "dst-map.json").read_text(encoding="utf-8")) == {"steps": []}
 
 
 def test_all_keeps_every_name():

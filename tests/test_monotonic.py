@@ -24,7 +24,6 @@ from tsn.monotonic import (
     dst_to_dict,
     normalize_to_time_layered_tree,
     priority_to_dict,
-    priority_to_tsn,
     single_source_to_dst,
     tsn_to_priority,
 )
@@ -38,6 +37,7 @@ from helpers import (
     priority_brute,
     priority_feasible,
     priority_solution_from_tsn,
+    priority_to_tsn,
     rand_monotonic_frames,
     rand_monotonic_single_source,
     rand_priority_instance,

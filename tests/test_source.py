@@ -134,10 +134,8 @@ def test_name_keyed_bfs_stays_in_core():
 def test_every_public_function_has_a_program_reader():
     # a public function or class of the package is read by program code:
     # another top-level statement of src/tsn (re-exports in __init__ do not
-    # count) or the benchmark under perfbench/.  Checkers and lifts that
-    # only tests read live in tests/.  `priority_to_tsn` is the paper's
-    # converse reduction, kept because tests hold `tsn_to_priority` to it.
-    allowed = {"priority_to_tsn"}
+    # count) or the benchmark under perfbench/.  Checkers, lifts and
+    # reductions that only tests read live in tests/.
     modules = [path for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"]
     programs = modules + sorted((SOURCE.parent.parent / "perfbench").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in programs}
@@ -151,7 +149,6 @@ def test_every_public_function_has_a_program_reader():
         for path in modules
         for stmt in trees[path].body
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
-        and stmt.name not in allowed
         and all(reader is stmt for reader in readers.get(stmt.name, ()))
     ]
     assert unread == []
@@ -264,6 +261,28 @@ def test_exact_imports_no_variant_reduction(module):
             continue
         if any("variants" in m.split(".") for m in modules):
             found.append(node.lineno)
+    assert found == []
+
+
+def test_library_modules_import_core_alone():
+    # the package is star-shaped: each library module reads what it shares
+    # from `core`, and only `cli` composes modules; imports inside
+    # functions count too
+    found = []
+    for module in ("exact", "approx", "variants", "monotonic", "hardness"):
+        tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names if a.name.split(".")[0] == "tsn"]
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                # `from .x import y` names x; `from . import x` names x
+                names = [node.module] if node.module else [a.name for a in node.names]
+                names = [name for name in names if name != "core"]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.module.split(".")[0] == "tsn" else []
+            else:
+                continue
+            found += [f"{module}.py:{node.lineno} imports {name}" for name in names]
     assert found == []
 
 
